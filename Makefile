@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet lint test test-short test-race fleet-e2e check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet lint test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -41,10 +41,20 @@ test-race:
 fleet-e2e:
 	go test -race -count=1 -run 'TestFleetTwoWorkers|TestSweepEndToEnd' ./internal/service
 
+# The layered benchmark's self-test. perfbench/ is a module of its own,
+# so the root `go test ./...` skips it; this runs every benchmark
+# workload at tiny scale, traced and untraced, against the checked-in
+# digests (about 6 s) — the only check of the cmp workload's multi-core
+# and SMT digests. Run it after the race suite, never alongside it: in
+# parallel with the root tests it starves the fleet e2e tests.
+perfbench-check:
+	cd perfbench && go test -count=1 .
+
 # What CI runs: a full build, vet, the race-enabled test suite (the
 # progress sinks cross goroutine boundaries, so -race is load-bearing),
-# the uncached fleet/sweep e2e smoke, and the interval-timeseries smoke.
-check: build vet test-race fleet-e2e series-smoke
+# the uncached fleet/sweep e2e smoke, the benchmark self-test, and the
+# interval-timeseries smoke.
+check: build vet test-race fleet-e2e perfbench-check series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
 bench:

@@ -153,7 +153,7 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 	cfg.MaxInsts = 200_000
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func BenchmarkSingleRunFDP(b *testing.B) {
 	cfg.MaxInsts = 100_000
 	cfg.FDP.TInterval = 1024
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func BenchmarkInstsPerSecond(b *testing.B) {
 			cfg.MaxInsts = insts
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
+				if _, err := RunContext(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

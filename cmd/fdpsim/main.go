@@ -62,6 +62,7 @@ import (
 	"fdpsim/internal/prefetch"
 	"fdpsim/internal/series"
 	"fdpsim/internal/stats"
+	"fdpsim/internal/workload"
 )
 
 const tool = "fdpsim"
@@ -306,12 +307,12 @@ func main() {
 	if *list {
 		cli.Listing(func(w io.Writer) {
 			fmt.Fprintln(w, "memory-intensive (the paper's 17-benchmark set):")
-			for _, name := range fdpsim.MemoryIntensiveWorkloads() {
-				fmt.Fprintf(w, "  %-14s %s\n", name, fdpsim.WorkloadAbout(name))
+			for _, info := range fdpsim.WorkloadList(fdpsim.WorkloadTagMemIntensive) {
+				fmt.Fprintf(w, "  %-14s %s\n", info.Name, info.About)
 			}
 			fmt.Fprintln(w, "low-potential (Figure 14's 9 benchmarks):")
-			for _, name := range fdpsim.LowPotentialWorkloads() {
-				fmt.Fprintf(w, "  %-14s %s\n", name, fdpsim.WorkloadAbout(name))
+			for _, info := range fdpsim.WorkloadList(fdpsim.WorkloadTagLowPotential) {
+				fmt.Fprintf(w, "  %-14s %s\n", info.Name, info.About)
 			}
 			if specs := fdpsim.WorkloadList(fdpsim.WorkloadTagSpec); len(specs) > 0 {
 				fmt.Fprintln(w, "spec-defined (registered from -spec):")
@@ -467,7 +468,7 @@ func main() {
 				ce.Retired, ce.Target, ce.Cause)
 		}
 	}
-	fmt.Printf("workload   : %s — %s\n", res.Workload, fdpsim.WorkloadAbout(res.Workload))
+	fmt.Printf("workload   : %s — %s\n", res.Workload, workload.About(res.Workload))
 	fmt.Printf("prefetcher : %s (%s)\n", res.Prefetcher, mode)
 	fmt.Printf("IPC        : %.4f\n", res.IPC)
 	fmt.Printf("BPKI       : %.2f\n", res.BPKI)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func diffFixture(t *testing.T, dir, fp string, seed uint64) {
 	cfg.L2Blocks = 512
 	rec := &series.Recorder{}
 	cfg.Tracer = rec
-	if _, err := fdpsim.Run(cfg); err != nil {
+	if _, err := fdpsim.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	sr := rec.Series()

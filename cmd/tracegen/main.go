@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -111,7 +112,7 @@ func main() {
 		cli.FatalIf(tool, err)
 		r.SetLoop(true)
 		cfg.MaxInsts = r.Ops()
-		res, err := fdpsim.RunSource(cfg, r)
+		res, err := fdpsim.RunSourceContext(context.Background(), cfg, r)
 		cli.FatalIf(tool, err)
 		fmt.Printf("replayed %s (%d ops): IPC=%.4f BPKI=%.2f accuracy=%.1f%%\n",
 			r.Name(), r.Ops(), res.IPC, res.BPKI, 100*res.Accuracy)
@@ -126,7 +127,7 @@ func main() {
 	// behind an unknown-name failure.
 	if !workload.Exists(*workloadName) {
 		cli.Fatalf(tool, cli.ExitUsage, "unknown workload %q\nvalid workloads: %s",
-			*workloadName, strings.Join(fdpsim.Workloads(), ", "))
+			*workloadName, strings.Join(workload.Names(), ", "))
 	}
 	var src fdpsim.Source
 	switch {

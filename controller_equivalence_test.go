@@ -1,6 +1,7 @@
 package fdpsim
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -30,7 +31,8 @@ func TestControllerEquivalence(t *testing.T) {
 	}
 
 	kinds := []PrefetcherKind{PrefNone, PrefStream, PrefGHB, PrefStride, PrefNextLine, PrefDahlgren, PrefHybrid}
-	for _, w := range Workloads() {
+	for _, info := range WorkloadList() {
+		w := info.Name
 		for _, k := range kinds {
 			name := fmt.Sprintf("%s/%s/fdp", w, k)
 			cfg := goldenBase(k, w)
@@ -41,7 +43,7 @@ func TestControllerEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("no golden fingerprint for %q", name)
 				}
-				res, err := Run(cfg)
+				res, err := RunContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}

@@ -1,6 +1,7 @@
 package fdpsim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -68,9 +69,9 @@ type goldenCase struct {
 
 func singleCase(name string, cfg Config) goldenCase {
 	return goldenCase{name: name, run: func(t *testing.T) string {
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
-			t.Fatalf("Run: %v", err)
+			t.Fatalf("RunContext: %v", err)
 		}
 		res.Elapsed = 0
 		return fingerprintJSON(t, res)
@@ -80,7 +81,8 @@ func singleCase(name string, cfg Config) goldenCase {
 func engineGoldenCases() []goldenCase {
 	kinds := []PrefetcherKind{PrefNone, PrefStream, PrefGHB, PrefStride, PrefNextLine, PrefDahlgren, PrefHybrid}
 	var cases []goldenCase
-	for _, w := range Workloads() {
+	for _, info := range WorkloadList() {
+		w := info.Name
 		for _, k := range kinds {
 			// Full FDP control: dynamic aggressiveness + dynamic insertion.
 			cases = append(cases, singleCase(fmt.Sprintf("%s/%s/fdp", w, k), goldenBase(k, w)))
@@ -109,9 +111,9 @@ func engineGoldenCases() []goldenCase {
 			goldenBase(PrefStream, "seqstream"),
 			goldenBase(PrefStream, "chaserand"),
 		}}
-		res, err := RunMulti(mc)
+		res, err := RunMultiContext(context.Background(), mc)
 		if err != nil {
-			t.Fatalf("RunMulti: %v", err)
+			t.Fatalf("RunMultiContext: %v", err)
 		}
 		for i := range res.Cores {
 			res.Cores[i].Elapsed = 0
@@ -123,9 +125,9 @@ func engineGoldenCases() []goldenCase {
 			goldenBase(PrefGHB, "multistream"),
 			goldenBase(PrefGHB, "scanmod"),
 		}}
-		res, err := RunMulti(mc)
+		res, err := RunMultiContext(context.Background(), mc)
 		if err != nil {
-			t.Fatalf("RunMulti: %v", err)
+			t.Fatalf("RunMultiContext: %v", err)
 		}
 		for i := range res.Cores {
 			res.Cores[i].Elapsed = 0
@@ -145,9 +147,9 @@ func engineGoldenCases() []goldenCase {
 			Base:      smtBase(PrefStream),
 			Workloads: []string{"multistream", "mixedphase"},
 		}
-		res, err := RunSMT(sc)
+		res, err := RunSMTContext(context.Background(), sc)
 		if err != nil {
-			t.Fatalf("RunSMT: %v", err)
+			t.Fatalf("RunSMTContext: %v", err)
 		}
 		return fingerprintJSON(t, res)
 	}})
@@ -156,9 +158,9 @@ func engineGoldenCases() []goldenCase {
 			Base:      smtBase(PrefHybrid),
 			Workloads: []string{"seqstream", "chaseseq"},
 		}
-		res, err := RunSMT(sc)
+		res, err := RunSMTContext(context.Background(), sc)
 		if err != nil {
-			t.Fatalf("RunSMT: %v", err)
+			t.Fatalf("RunSMTContext: %v", err)
 		}
 		return fingerprintJSON(t, res)
 	}})

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -81,7 +82,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := fdpsim.RunSource(cfg, &stridedSource{})
+		res, err := fdpsim.RunSourceContext(context.Background(), cfg, &stridedSource{})
 		if err != nil {
 			log.Fatal(err)
 		}

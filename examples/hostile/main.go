@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,11 @@ func main() {
 		{"FDP", fdpsim.PrefStream, nil},
 	}
 
-	fmt.Printf("workload %q: %s\n\n", workload, fdpsim.WorkloadAbout(workload))
+	for _, info := range fdpsim.WorkloadList() {
+		if info.Name == workload {
+			fmt.Printf("workload %q: %s\n\n", workload, info.About)
+		}
+	}
 	fmt.Printf("%-20s %8s %8s %10s %10s\n", "configuration", "IPC", "BPKI", "accuracy", "pollution")
 	var fdpRes fdpsim.Result
 	for _, r := range rows {
@@ -46,7 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", r.label, err)
 		}
-		res, err := fdpsim.Run(cfg)
+		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", r.label, err)
 		}

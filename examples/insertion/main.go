@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,8 +28,12 @@ func main() {
 		{"MRU", fdpsim.PosMRU},
 	}
 
+	about := map[string]string{}
+	for _, info := range fdpsim.WorkloadList() {
+		about[info.Name] = info.About
+	}
 	for _, workload := range []string{"hotcold", "seqstream"} {
-		fmt.Printf("workload %q: %s\n", workload, fdpsim.WorkloadAbout(workload))
+		fmt.Printf("workload %q: %s\n", workload, about[workload])
 		for _, p := range positions {
 			cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
 				fdpsim.WithWorkload(workload),
@@ -38,7 +43,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := fdpsim.Run(cfg)
+			res, err := fdpsim.RunContext(context.Background(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -53,7 +58,7 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.FDP.DynamicInsertion = true // Dynamic Insertion alone, level stays pinned
-		res, err := fdpsim.Run(cfg)
+		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

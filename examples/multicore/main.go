@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 			}
 			mc.Cores = append(mc.Cores, cfg)
 		}
-		res, err := fdpsim.RunMulti(mc)
+		res, err := fdpsim.RunMultiContext(context.Background(), mc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
-		res, err := fdpsim.Run(cfg)
+		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
@@ -35,7 +36,11 @@ func main() {
 		return res
 	}
 
-	fmt.Printf("workload %q: %s\n\n", workload, fdpsim.WorkloadAbout(workload))
+	for _, info := range fdpsim.WorkloadList() {
+		if info.Name == workload {
+			fmt.Printf("workload %q: %s\n\n", workload, info.About)
+		}
+	}
 	base := run("no prefetching", fdpsim.PrefNone)
 	va := run("very aggressive", fdpsim.PrefStream, fdpsim.WithFixedAggressiveness(5))
 	fdp := run("FDP", fdpsim.PrefStream)

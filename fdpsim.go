@@ -11,7 +11,7 @@
 //	cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
 //		fdpsim.WithWorkload("seqstream"), fdpsim.WithInsts(1_000_000))
 //	if err != nil { ... }
-//	res, err := fdpsim.Run(cfg)
+//	res, err := fdpsim.RunContext(context.Background(), cfg)
 //	fmt.Printf("IPC=%.3f BPKI=%.1f accuracy=%.0f%%\n",
 //		res.IPC, res.BPKI, 100*res.Accuracy)
 //
@@ -65,7 +65,7 @@ type Prefetcher = prefetch.Prefetcher
 type PrefetchEvent = prefetch.Event
 
 // MicroOp and Source let callers supply custom instruction streams to
-// RunSource.
+// RunSourceContext.
 type (
 	MicroOp = cpu.MicroOp
 	Source  = cpu.Source
@@ -167,15 +167,11 @@ type MultiResult = sim.MultiResult
 // CoreResult is one core's outcome within a multi-core run.
 type CoreResult = sim.CoreResult
 
-// The run matrix below has one canonical entry point per mode — the
-// *Context form — and every context-free variant is exactly
-// `XContext(context.Background(), ...)`: same semantics, no cancellation.
-// Modes: plain (one core, named workload), Multi (cores sharing a bus),
-// SMT (threads sharing a hierarchy), Source (caller-provided micro-op
-// stream), Spec (declarative WorkloadSpec; context-taking only).
-
-// Run is RunContext with a background context.
-func Run(cfg Config) (Result, error) { return RunContext(context.Background(), cfg) }
+// The run entry points below take a context, one per mode: plain (one
+// core, named workload), Multi (cores sharing a bus), SMT (threads sharing
+// a hierarchy), Source (caller-provided micro-op stream) and Spec
+// (declarative WorkloadSpec). All of them drive the same simulation loop;
+// pass context.Background() for a run that cannot be cancelled.
 
 // RunContext executes one simulation under a context: cancellation and
 // deadlines are observed at every FDP sampling-interval boundary, the
@@ -183,9 +179,6 @@ func Run(cfg Config) (Result, error) { return RunContext(context.Background(), c
 // together with a *CancelError wrapping ErrCancelled and the context
 // cause.
 func RunContext(ctx context.Context, cfg Config) (Result, error) { return sim.RunContext(ctx, cfg) }
-
-// RunMulti is RunMultiContext with a background context.
-func RunMulti(mc MultiConfig) (MultiResult, error) { return RunMultiContext(context.Background(), mc) }
 
 // RunMultiContext executes a multi-core simulation on a shared memory
 // bus under a context; Snapshot.Core identifies each streaming core.
@@ -200,18 +193,10 @@ type SMTConfig = sim.SMTConfig
 // SMTResult aggregates an SMT run.
 type SMTResult = sim.SMTResult
 
-// RunSMT is RunSMTContext with a background context.
-func RunSMT(cfg SMTConfig) (SMTResult, error) { return RunSMTContext(context.Background(), cfg) }
-
 // RunSMTContext executes threads over one shared hierarchy under a
 // context.
 func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 	return sim.RunSMTContext(ctx, cfg)
-}
-
-// RunSource is RunSourceContext with a background context.
-func RunSource(cfg Config, src cpu.Source) (Result, error) {
-	return RunSourceContext(context.Background(), cfg, src)
 }
 
 // RunSourceContext executes one simulation over a caller-provided
@@ -312,30 +297,8 @@ const (
 
 // WorkloadList returns the workloads carrying every one of the given
 // tags — all workloads when called with none — sorted by name. This is
-// the registry's one listing entry point; the deprecated name-list
-// functions below are thin views over it.
+// the registry's one listing entry point.
 func WorkloadList(tags ...string) []WorkloadInfo { return workload.List(tags...) }
-
-// Workloads returns all registered workload names.
-//
-// Deprecated: use WorkloadList, which also carries tags and
-// descriptions. Retained so existing callers keep compiling.
-func Workloads() []string { return workload.Names() }
-
-// MemoryIntensiveWorkloads returns the paper's 17-benchmark evaluation set.
-//
-// Deprecated: use WorkloadList(WorkloadTagMemIntensive).
-func MemoryIntensiveWorkloads() []string { return workload.MemoryIntensive() }
-
-// LowPotentialWorkloads returns the remaining 9 benchmarks (Figure 14).
-//
-// Deprecated: use WorkloadList(WorkloadTagLowPotential).
-func LowPotentialWorkloads() []string { return workload.LowPotential() }
-
-// WorkloadAbout returns the one-line description of a workload.
-//
-// Deprecated: use WorkloadList and read Info.About.
-func WorkloadAbout(name string) string { return workload.About(name) }
 
 // Controller is a pluggable feedback decision policy: the seam the FDP
 // engine consults at every sampling-interval boundary. The registry

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func Example() {
 	cfg.Workload = "chaserand"
 	cfg.MaxInsts = 100_000
 	cfg.FDP.TInterval = 1024
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -27,8 +28,8 @@ func Example() {
 	// throttled below Middle: true
 }
 
-// ExampleRunMulti demonstrates a two-core run on the shared bus.
-func ExampleRunMulti() {
+// ExampleRunMultiContext demonstrates a two-core run on the shared bus.
+func ExampleRunMultiContext() {
 	var mc MultiConfig
 	for _, w := range []string{"seqstream", "tinyloop"} {
 		cfg := Conventional(PrefStream, 5)
@@ -36,7 +37,7 @@ func ExampleRunMulti() {
 		cfg.MaxInsts = 50_000
 		mc.Cores = append(mc.Cores, cfg)
 	}
-	res, err := RunMulti(mc)
+	res, err := RunMultiContext(context.Background(), mc)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -48,15 +49,15 @@ func ExampleRunMulti() {
 }
 
 func TestFacadeWorkloadLists(t *testing.T) {
-	all := Workloads()
-	mi := MemoryIntensiveWorkloads()
-	lp := LowPotentialWorkloads()
+	all := WorkloadList()
+	mi := WorkloadList(WorkloadTagMemIntensive)
+	lp := WorkloadList(WorkloadTagLowPotential)
 	if len(mi) != 17 || len(lp) != 9 || len(all) != 26 {
 		t.Fatalf("workload sets: %d mem-intensive, %d low-potential, %d total", len(mi), len(lp), len(all))
 	}
-	for _, w := range all {
-		if WorkloadAbout(w) == "" {
-			t.Errorf("workload %s undescribed", w)
+	for _, info := range all {
+		if info.About == "" {
+			t.Errorf("workload %s undescribed", info.Name)
 		}
 	}
 }
@@ -65,7 +66,7 @@ func TestFacadeRun(t *testing.T) {
 	cfg := WithFDP(PrefStream)
 	cfg.Workload = "regionwalk"
 	cfg.MaxInsts = 30_000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFacadeRunSourceWithCustomPrefetcher(t *testing.T) {
 	cfg := Conventional(PrefCustom, 5)
 	cfg.Custom = &tagAlong{}
 	cfg.MaxInsts = 20_000
-	res, err := RunSource(cfg, &rampSource{})
+	res, err := RunSourceContext(context.Background(), cfg, &rampSource{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestFacadeRunSourceWithCustomPrefetcher(t *testing.T) {
 func TestFacadeCustomRequiresInstance(t *testing.T) {
 	cfg := Conventional(PrefCustom, 5)
 	cfg.Workload = "seqstream"
-	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Custom") {
+	if _, err := RunContext(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "Custom") {
 		t.Fatalf("missing Custom accepted: %v", err)
 	}
 }
@@ -120,15 +121,12 @@ func (s *rampSource) Next() MicroOp {
 	return MicroOp{Kind: OpNop}
 }
 
-// TestFacadeWorkloadList covers the tag-based registry view and its
-// agreement with the deprecated name-list functions.
+// TestFacadeWorkloadList covers the tag-based registry view: AND
+// filtering, name order and complete entries.
 func TestFacadeWorkloadList(t *testing.T) {
 	all := WorkloadList()
-	if len(all) != len(Workloads()) {
-		t.Fatalf("WorkloadList()=%d, Workloads()=%d", len(all), len(Workloads()))
-	}
-	if got := WorkloadList(WorkloadTagMemIntensive); len(got) != len(MemoryIntensiveWorkloads()) {
-		t.Fatalf("mem-intensive: %d via tags, %d via legacy", len(got), len(MemoryIntensiveWorkloads()))
+	if !sort.SliceIsSorted(all, func(i, j int) bool { return all[i].Name < all[j].Name }) {
+		t.Fatal("WorkloadList not sorted by name")
 	}
 	if got := WorkloadList(WorkloadTagBuiltin, WorkloadTagLowPotential); len(got) != 9 {
 		t.Fatalf("AND filter: %d, want 9", len(got))

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -36,7 +37,7 @@ func runJSONL(t *testing.T, cfg sim.Config) ([]byte, sim.Result) {
 	var buf bytes.Buffer
 	j := obs.NewJSONL(&buf)
 	cfg.Tracer = j
-	res, err := sim.Run(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,7 +174,7 @@ func TestAsyncBlockingSink(t *testing.T) {
 	cfg := hostileTraceConfig()
 	cfg.Tracer = async
 	start := time.Now()
-	res, err := sim.Run(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run with blocked sink: %v", err)
 	}

@@ -2,6 +2,7 @@ package series
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"fdpsim/internal/sim"
@@ -28,7 +29,7 @@ func TestSeriesDeterministic(t *testing.T) {
 		rec := &Recorder{}
 		cfg := seriesTestConfig()
 		cfg.Tracer = rec
-		if _, err := sim.Run(cfg); err != nil {
+		if _, err := sim.RunContext(context.Background(), cfg); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		s := rec.Series()
@@ -71,7 +72,7 @@ func TestSeriesCrossCheck(t *testing.T) {
 	rec := &Recorder{}
 	cfg := seriesTestConfig()
 	cfg.Tracer = rec
-	res, err := sim.Run(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -158,13 +159,13 @@ func TestSeriesCrossCheck(t *testing.T) {
 // bit-identical (acceptance: recording series perturbs nothing).
 func TestSeriesDoesNotPerturb(t *testing.T) {
 	cfg := seriesTestConfig()
-	bare, err := sim.Run(cfg)
+	bare, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run (no recorder): %v", err)
 	}
 	rec := &Recorder{}
 	cfg.Tracer = rec
-	traced, err := sim.Run(cfg)
+	traced, err := sim.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run (recorder): %v", err)
 	}

@@ -149,10 +149,16 @@ func TestFabricTraceTwoWorkers(t *testing.T) {
 
 	// Provenance: the ledger records both the execution and the adoption
 	// under the same trace, and each entry's duration breakdown fits
-	// inside its wall clock.
-	entries, err := stA.ReadProvenance(fp)
-	if err != nil {
-		t.Fatal(err)
+	// inside its wall clock. A worker appends its line just after its
+	// job's Done closes, so wait (bounded) for both lines to land.
+	var entries []store.Provenance
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if entries, err = stA.ReadProvenance(fp); err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) >= 2 || time.Now().After(deadline) {
+			break
+		}
 	}
 	outcomes := map[string]int{}
 	for _, p := range entries {

@@ -1,20 +1,22 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"fdpsim/internal/cpu"
-	"fdpsim/internal/stats"
 	"fdpsim/internal/workload"
 )
 
-// newEngine builds a hierarchy+CPU pair over a small, interval-heavy
+// newEngine builds a one-core loop over a small, interval-heavy
 // configuration (tiny L2 and TInterval so FDP decisions fire constantly —
-// the hardest case for the allocation guarantee).
-func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*hierarchy, *cpu.CPU) {
+// the hardest case for the allocation guarantee) whose retire target is
+// never reached, and returns it with its CPU.
+func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*loop, *cpu.CPU) {
 	tb.Helper()
 	cfg := WithFDP(kind)
 	cfg.Workload = wl
+	cfg.MaxInsts = 1 << 40
 	cfg.L1Blocks, cfg.L1Ways = 256, 4
 	cfg.L2Blocks, cfg.L2Ways = 1024, 16
 	cfg.MSHRs = 32
@@ -25,9 +27,19 @@ func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*hiera
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var ctr stats.Counters
-	h := newHierarchy(&cfg, &ctr)
-	return h, h.attach(&cfg, src)
+	l := newLoop(context.Background(), cfg)
+	l.add(&l.nodes[0], src)
+	return l, l.nodes[0].lanes[0].cpu
+}
+
+// cycles runs n cycles of the loop as run does, in stretches that end at
+// run's poll points, without the polls themselves.
+func (l *loop) cycles(n uint64) {
+	for end := l.cycle + n; l.cycle < end; {
+		l.step(min(l.cycle|(cancelCheckStride-1)+1, end))
+		l.settle()
+		l.intervalClosed = false
+	}
 }
 
 // TestPerInstructionAllocs is the event engine's core guarantee: after
@@ -58,20 +70,9 @@ func TestPerInstructionAllocs(t *testing.T) {
 			name += "/attribution"
 		}
 		t.Run(name, func(t *testing.T) {
-			h, c := newEngine(t, tc.wl, tc.kind, tc.attr)
-			var cycle uint64
-			for cycle < 300_000 {
-				cycle++
-				h.Tick(cycle)
-				c.Tick()
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				for i := 0; i < 20_000; i++ {
-					cycle++
-					h.Tick(cycle)
-					c.Tick()
-				}
-			})
+			l, _ := newEngine(t, tc.wl, tc.kind, tc.attr)
+			l.cycles(300_000)
+			allocs := testing.AllocsPerRun(5, func() { l.cycles(20_000) })
 			if allocs != 0 {
 				t.Fatalf("steady-state heap allocations: %.1f per 20k cycles, want 0", allocs)
 			}
@@ -79,9 +80,9 @@ func TestPerInstructionAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPerInstruction measures the warmed cycle loop per retired
-// instruction; allocs/op is the per-instruction allocation count the CI
-// gate keeps at zero.
+// BenchmarkPerInstruction measures the warmed run loop (step plus
+// settle) per retired instruction; allocs/op is the per-instruction
+// allocation count the CI gate keeps at zero.
 func BenchmarkPerInstruction(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -91,20 +92,13 @@ func BenchmarkPerInstruction(b *testing.B) {
 		{"attribution", true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			h, c := newEngine(b, "mixedphase", PrefStream, tc.attr)
-			var cycle uint64
-			for cycle < 200_000 {
-				cycle++
-				h.Tick(cycle)
-				c.Tick()
-			}
+			l, c := newEngine(b, "mixedphase", PrefStream, tc.attr)
+			l.cycles(200_000)
 			b.ReportAllocs()
 			b.ResetTimer()
 			start := c.Retired()
 			for c.Retired()-start < uint64(b.N) {
-				cycle++
-				h.Tick(cycle)
-				c.Tick()
+				l.cycles(cancelCheckStride)
 			}
 		})
 	}

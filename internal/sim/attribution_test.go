@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"fdpsim/internal/mem"
@@ -31,7 +32,7 @@ func TestAttributionConsistency(t *testing.T) {
 	cfg := attrTestConfig()
 	cfg.Tracer = tr
 
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestAttributionSnapshotSample(t *testing.T) {
 	var snaps []Snapshot
 	cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
 
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -173,7 +174,7 @@ func TestAttributionSnapshotSample(t *testing.T) {
 func TestAttributionWarmup(t *testing.T) {
 	cfg := attrTestConfig()
 	cfg.WarmupInsts = 50_000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -204,12 +205,12 @@ func TestAttributionDoesNotPerturb(t *testing.T) {
 			cfg := attrTestConfig()
 			cfg.Workload = wl
 			cfg.Attribution = false
-			off, err := Run(cfg)
+			off, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("Run (off): %v", err)
 			}
 			cfg.Attribution = true
-			on, err := Run(cfg)
+			on, err := RunContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatalf("Run (on): %v", err)
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ const (
 
 func runBound(t *testing.T, cfg Config) Result {
 	t.Helper()
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,10 @@ type Config struct {
 	// tracer adds no work to the simulation loop.
 	Tracer Tracer `json:"-"`
 
-	// MaxCycles aborts a run that stops making progress (safety valve).
+	// MaxCycles is the cycle budget after which a run aborts (a safety
+	// valve). 0 selects 500 cycles per instruction of warm-up plus target,
+	// summed over a hierarchy's threads, and at least 10M; a multi-core
+	// run takes its largest core budget.
 	MaxCycles uint64
 }
 

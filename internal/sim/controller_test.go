@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -29,11 +30,11 @@ func ctrlBase(workload, controller string) Config {
 // Controller echo itself).
 func TestControllerFDPIdentity(t *testing.T) {
 	for _, wl := range []string{"seqstream", "mixedphase", "chaserand"} {
-		def, err := Run(ctrlBase(wl, ""))
+		def, err := RunContext(context.Background(), ctrlBase(wl, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fdp, err := Run(ctrlBase(wl, "fdp"))
+		fdp, err := RunContext(context.Background(), ctrlBase(wl, "fdp"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestControllerFDPIdentity(t *testing.T) {
 func TestControllerRuns(t *testing.T) {
 	for _, info := range control.List() {
 		cfg := ctrlBase("chaserand", info.Name)
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", info.Name, err)
 		}
@@ -72,7 +73,7 @@ func TestControllerStaticPins(t *testing.T) {
 	for level := 1; level <= 5; level++ {
 		cfg := ctrlBase("chaserand", fmt.Sprintf("static-%d", level))
 		cfg.KeepFDPHistory = true
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestControllerStaticPins(t *testing.T) {
 func TestControllerSignalsFilled(t *testing.T) {
 	cfg := ctrlBase("chaserand", "")
 	cfg.KeepFDPHistory = true
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,15 +77,12 @@ func (p *eventPool) release(id int32) {
 func (p *eventPool) at(id int32) *event { return &p.nodes[id] }
 
 // evList is an intrusive FIFO list of pooled events (a wheel bucket or a
-// miss table's waiter list). The zero value is not ready; call init or use
-// newEvList.
+// miss table's waiter list). The zero value is not ready; use newEvList.
 type evList struct {
 	head, tail int32
 }
 
 func newEvList() evList { return evList{head: nilEvent, tail: nilEvent} }
-
-func (l *evList) empty() bool { return l.head == nilEvent }
 
 // push appends a node to the tail, preserving FIFO dispatch order.
 func (l *evList) push(p *eventPool, id int32) {

@@ -40,29 +40,29 @@ type demandRetry struct {
 	pc    uint64
 }
 
-// hierarchy is the two-level cache hierarchy plus prefetcher, FDP engine,
-// queues and DRAM of the baseline processor. CPUs attach via attach (or
-// addClient) and submit accesses through Access/Fetch; the runner calls
-// Tick once per cycle before the CPUs tick. All per-access bookkeeping —
-// completion continuations, miss merging, queue entries, DRAM requests,
-// the prefetcher notification — is drawn from pools and scratch owned
-// here, so the steady-state simulation loop performs no heap allocation.
+// hierarchy is the two-level cache hierarchy plus prefetcher, FDP engine
+// and queues of the baseline processor, in front of a DRAM it may share
+// with other cores. CPUs attach via attach (or addClient) and submit
+// accesses through Access/Fetch; the run loop calls Tick once per cycle
+// before the CPUs tick. All per-access bookkeeping — completion
+// continuations, miss merging, queue entries, DRAM requests, the
+// prefetcher notification — is drawn from pools and scratch owned here,
+// so the steady-state simulation loop performs no heap allocation.
 type hierarchy struct {
-	cfg      *Config
-	cyc      uint64
-	coreID   int
-	ownsDRAM bool
-	ctr      *stats.Counters
-	l1       *cache.Cache
-	l1i      *cache.Cache // nil when instruction fetch is not modeled
-	l2       *cache.Cache
-	mshr     *cache.MSHRFile
-	dram     *mem.DRAM
-	pf       prefetch.Prefetcher
-	fdp      *core.FDP
-	pc       *cache.Cache // optional prefetch cache
-	pool     *eventPool
-	wh       *wheel
+	cfg    *Config
+	cyc    uint64
+	coreID int
+	ctr    *stats.Counters
+	l1     *cache.Cache
+	l1i    *cache.Cache // nil when instruction fetch is not modeled
+	l2     *cache.Cache
+	mshr   *cache.MSHRFile
+	dram   *mem.DRAM
+	pf     prefetch.Prefetcher
+	fdp    *core.FDP
+	pc     *cache.Cache // optional prefetch cache
+	pool   *eventPool
+	wh     *wheel
 
 	clients []memClient
 
@@ -106,13 +106,6 @@ type hierarchy struct {
 	sigLastStats mem.Stats
 }
 
-func newHierarchy(cfg *Config, ctr *stats.Counters) *hierarchy {
-	h := newHierarchyShared(cfg, ctr, mem.New(cfg.DRAM), 0)
-	h.ownsDRAM = true
-	h.dram.OnStart = h.onBusStart
-	return h
-}
-
 // fillSignals enriches a Signals value with the bandwidth observables
 // the core engine cannot measure itself: the interval's span in cycles
 // and the data-bus occupancy over it (total and prefetch-only),
@@ -147,10 +140,10 @@ func (h *hierarchy) fillSignals(s *core.Signals) {
 	}
 }
 
-// newHierarchyShared builds a per-core hierarchy around an externally
-// owned DRAM (multi-core mode). The caller ticks the DRAM and dispatches
-// its OnStart events to the owning core's onBusStart.
-func newHierarchyShared(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) *hierarchy {
+// newHierarchy builds core coreID's hierarchy around the DRAM it shares
+// with the rest of the topology. The run loop ticks the DRAM and routes
+// its OnStart events to the owning hierarchy's onBusStart.
+func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) *hierarchy {
 	pool := newEventPool(1024)
 	h := &hierarchy{
 		cfg:      cfg,
@@ -294,13 +287,10 @@ func (h *hierarchy) allocMiss() int32 {
 	return int32(len(h.missSlab) - 1)
 }
 
-// Tick advances the memory system one cycle. In multi-core mode the
-// shared DRAM is ticked once by the runner, not per hierarchy.
+// Tick advances the hierarchy one cycle, after the run loop has ticked
+// the DRAM.
 func (h *hierarchy) Tick(cycle uint64) {
 	h.cyc = cycle
-	if h.ownsDRAM {
-		h.dram.Tick(cycle)
-	}
 	h.wh.tick(cycle)
 	h.retryPending()
 	h.drainPrefetchQueue()
@@ -671,10 +661,4 @@ func (h *hierarchy) retryPending() {
 		}
 		h.pendingDemand.pop()
 	}
-}
-
-// Quiesced reports whether no memory-system work remains in flight.
-func (h *hierarchy) Quiesced() bool {
-	return !h.dram.Busy() && h.mshr.Used() == 0 &&
-		h.pendingDemand.len() == 0 && h.prefQ.len() == 0 && h.pendingWB.len() == 0
 }

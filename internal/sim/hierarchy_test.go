@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"fdpsim/internal/cache"
@@ -8,13 +9,13 @@ import (
 	"fdpsim/internal/stats"
 )
 
-// rig wires a hierarchy with manual clock control for white-box tests. It
-// registers itself as the hierarchy's client, tracking load completions by
-// sequence number.
+// rig wires a one-core loop with no CPU for white-box tests: the rig
+// registers itself as the hierarchy's client, tracking load completions
+// by sequence number, and steps the loop by hand.
 type rig struct {
+	l    *loop
 	h    *hierarchy
 	ctr  *stats.Counters
-	cyc  uint64
 	id   int32
 	seq  uint64
 	done map[uint64]*bool
@@ -26,8 +27,8 @@ func newRig(mutate func(*Config)) *rig {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	ctr := &stats.Counters{}
-	r := &rig{h: newHierarchy(&cfg, ctr), ctr: ctr, done: map[uint64]*bool{}}
+	l := newLoop(context.Background(), cfg)
+	r := &rig{l: l, h: l.nodes[0].h, ctr: &l.nodes[0].ctr, done: map[uint64]*bool{}}
 	r.id = r.h.addClient(r)
 	return r
 }
@@ -44,9 +45,9 @@ func (r *rig) CompleteFetch() {}
 
 // step advances n cycles.
 func (r *rig) step(n int) {
-	for i := 0; i < n; i++ {
-		r.cyc++
-		r.h.Tick(r.cyc)
+	for end := r.l.cycle + uint64(n); r.l.cycle < end; {
+		r.l.step(end)
+		r.l.intervalClosed = false
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestKeepFDPHistory(t *testing.T) {
 	cfg := WithFDP(PrefStream)
@@ -8,7 +11,7 @@ func TestKeepFDPHistory(t *testing.T) {
 	cfg.MaxInsts = 150_000
 	cfg.FDP.TInterval = 1024
 	cfg.KeepFDPHistory = true
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func TestKeepFDPHistory(t *testing.T) {
 
 	// History is off by default.
 	cfg.KeepFDPHistory = false
-	res2, err := Run(cfg)
+	res2, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

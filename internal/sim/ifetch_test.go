@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"fdpsim/internal/cpu"
@@ -26,7 +27,7 @@ func TestIFetchMissesStallDispatch(t *testing.T) {
 	cfg := Default()
 	cfg.MaxInsts = 50_000
 	// Code footprint of 4096 blocks (256 KB): four times the L1I.
-	res, err := RunSource(cfg, &codeSource{blocks: 4096})
+	res, err := RunSourceContext(context.Background(), cfg, &codeSource{blocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestIFetchSmallCodeStaysResident(t *testing.T) {
 	// serial front-end stall) amortize away.
 	cfg.MaxInsts = 600_000
 	// 128 blocks (8 KB) of code: fits the L1I after one pass.
-	res, err := RunSource(cfg, &codeSource{blocks: 128})
+	res, err := RunSourceContext(context.Background(), cfg, &codeSource{blocks: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestIFetchDisabled(t *testing.T) {
 	cfg := Default()
 	cfg.ModelIFetch = false
 	cfg.MaxInsts = 50_000
-	res, err := RunSource(cfg, &codeSource{blocks: 4096})
+	res, err := RunSourceContext(context.Background(), cfg, &codeSource{blocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestIFetchSharesL2WithData(t *testing.T) {
 	// second pass must hit the L2, not memory.
 	cfg := Default()
 	cfg.MaxInsts = 400_000
-	res, err := RunSource(cfg, &codeSource{blocks: 4096})
+	res, err := RunSourceContext(context.Background(), cfg, &codeSource{blocks: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestCodewalkGCCShape(t *testing.T) {
 		cfg.MaxInsts = 300_000
 		cfg.FDP.TInterval = 1024
 		mut(&cfg)
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

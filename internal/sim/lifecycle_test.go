@@ -145,25 +145,33 @@ func TestProgressSnapshotsMonotonicAndFinalMatchesResult(t *testing.T) {
 	}
 }
 
+// TestRunContextBackgroundMatchesRun checks that the cancellation poll
+// perturbs nothing: a run under a live context that never fires equals
+// the background run.
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	cfg := fdpCfg("seqstream")
 	cfg.MaxInsts = 60_000
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := RunContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Counters != b.Counters {
-		t.Errorf("counters diverge:\nRun:        %+v\nRunContext: %+v", a.Counters, b.Counters)
+		t.Errorf("counters diverge:\nbackground: %+v\nlive:       %+v", a.Counters, b.Counters)
 	}
 	if a.IPC != b.IPC || a.Partial || b.Partial {
 		t.Errorf("IPC %v vs %v, Partial %v/%v", a.IPC, b.IPC, a.Partial, b.Partial)
 	}
 }
 
+// TestRunMultiContextCancel: every core stops within one sampling
+// interval of a cancel fired from core 0's first interval, and CancelError
+// reports post-warm-up progress.
 func TestRunMultiContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -171,9 +179,17 @@ func TestRunMultiContextCancel(t *testing.T) {
 	var mc MultiConfig
 	for _, w := range []string{"seqstream", "chaserand"} {
 		cfg := fdpCfg(w)
+		cfg.WarmupInsts = 1_000
 		mc.Cores = append(mc.Cores, cfg)
 	}
-	mc.Cores[0].Progress = func(s Snapshot) { cancel() }
+	var cancelAt Snapshot
+	mc.Cores[0].Progress = func(s Snapshot) {
+		if s.Final || cancelAt.Interval != 0 {
+			return
+		}
+		cancelAt = s
+		cancel()
+	}
 
 	res, err := RunMultiContext(ctx, mc)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
@@ -182,6 +198,7 @@ func TestRunMultiContextCancel(t *testing.T) {
 	if !res.Partial {
 		t.Error("multicore result not marked Partial")
 	}
+	var maxRetired uint64
 	for i, c := range res.Cores {
 		if !c.Partial {
 			t.Errorf("core %d not marked Partial", i)
@@ -189,15 +206,36 @@ func TestRunMultiContextCancel(t *testing.T) {
 		if c.Counters.Retired >= mc.Cores[i].MaxInsts {
 			t.Errorf("core %d retired %d, reached target despite cancellation", i, c.Counters.Retired)
 		}
+		maxRetired = max(maxRetired, c.Counters.Retired)
+	}
+	if cancelAt.Interval == 0 {
+		t.Fatal("progress sink never ran")
+	}
+	if got := res.Cores[0].Intervals; got > cancelAt.Interval+1 {
+		t.Errorf("core 0 ran %d intervals past the cancel at interval %d", got-cancelAt.Interval, cancelAt.Interval)
+	}
+	var ce *CancelError
+	if !errors.As(err, &ce) || ce.Retired != maxRetired {
+		t.Errorf("CancelError %+v, want Retired %d (largest post-warm-up count)", ce, maxRetired)
 	}
 }
 
+// TestRunSMTContextCancel: the shared engine stops within one sampling
+// interval of a cancel fired from its first interval.
 func TestRunSMTContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	base := fdpCfg("seqstream")
-	base.Progress = func(s Snapshot) { cancel() }
+	var cancelAt uint64
+	base.Progress = func(s Snapshot) {
+		if cancelAt == 0 {
+			cancelAt = s.Interval
+			cancel()
+		}
+	}
+	tr := &collectTracer{}
+	base.Tracer = tr
 	smt := SMTConfig{Base: base, Workloads: []string{"seqstream", "chaserand"}}
 
 	res, err := RunSMTContext(ctx, smt)
@@ -206,5 +244,11 @@ func TestRunSMTContextCancel(t *testing.T) {
 	}
 	if !res.Partial {
 		t.Error("SMT result not marked Partial")
+	}
+	if cancelAt == 0 {
+		t.Fatal("progress sink never ran")
+	}
+	if got := uint64(len(tr.events)); got > cancelAt+1 {
+		t.Errorf("shared engine ran %d intervals past the cancel at interval %d", got-cancelAt, cancelAt)
 	}
 }

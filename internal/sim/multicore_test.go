@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func mcCfg(w string, fdp bool) Config {
 	var cfg Config
@@ -16,18 +19,18 @@ func mcCfg(w string, fdp bool) Config {
 }
 
 func TestRunMultiValidation(t *testing.T) {
-	if _, err := RunMulti(MultiConfig{}); err == nil {
+	if _, err := RunMultiContext(context.Background(), MultiConfig{}); err == nil {
 		t.Fatal("empty multi-core config accepted")
 	}
 	bad := mcCfg("seqstream", false)
 	bad.MaxInsts = 0
-	if _, err := RunMulti(MultiConfig{Cores: []Config{bad}}); err == nil {
+	if _, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{bad}}); err == nil {
 		t.Fatal("invalid core config accepted")
 	}
 }
 
 func TestRunMultiSingleCoreMatchesShape(t *testing.T) {
-	res, err := RunMulti(MultiConfig{Cores: []Config{mcCfg("seqstream", false)}})
+	res, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{mcCfg("seqstream", false)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +47,11 @@ func TestRunMultiSingleCoreMatchesShape(t *testing.T) {
 }
 
 func TestRunMultiContentionSlowsCores(t *testing.T) {
-	solo, err := RunMulti(MultiConfig{Cores: []Config{mcCfg("multistream", false)}})
+	solo, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{mcCfg("multistream", false)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	duo, err := RunMulti(MultiConfig{Cores: []Config{
+	duo, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{
 		mcCfg("multistream", false), mcCfg("multistream", false),
 	}})
 	if err != nil {
@@ -65,7 +68,7 @@ func TestRunMultiContentionSlowsCores(t *testing.T) {
 func TestRunMultiPerCoreAttribution(t *testing.T) {
 	quietCfg := mcCfg("tinyloop", false)
 	quietCfg.MaxInsts = 80_000 // long enough that cold misses amortize away
-	res, err := RunMulti(MultiConfig{Cores: []Config{
+	res, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{
 		mcCfg("seqstream", false), quietCfg,
 	}})
 	if err != nil {
@@ -92,7 +95,7 @@ func TestRunMultiFDPThrottlesHostileCore(t *testing.T) {
 		cfgA := mcCfg("seqstream", fdp)
 		cfgB := mcCfg("chaserand", fdp)
 		cfgA.MaxInsts, cfgB.MaxInsts = 60_000, 60_000
-		res, err := RunMulti(MultiConfig{Cores: []Config{cfgA, cfgB}})
+		res, err := RunMultiContext(context.Background(), MultiConfig{Cores: []Config{cfgA, cfgB}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +120,13 @@ func TestWarmupDiscardsColdStats(t *testing.T) {
 	cold := Default()
 	cold.Workload = "cachefit"
 	cold.MaxInsts = 60_000
-	rc, err := Run(cold)
+	rc, err := RunContext(context.Background(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := cold
 	warm.WarmupInsts = 300_000 // one full pass over the 512 KB array is 256K insts
-	rw, err := Run(warm)
+	rw, err := RunContext(context.Background(), warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestDahlgrenAndHybridKindsRun(t *testing.T) {
 		cfg := Conventional(k, 3)
 		cfg.Workload = "seqstream"
 		cfg.MaxInsts = 40_000
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}

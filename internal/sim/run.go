@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,6 +12,12 @@ import (
 	"fdpsim/internal/stats"
 	"fdpsim/internal/workload"
 )
+
+// The run entry points validate, build a topology for the one run loop
+// (loop.go) and shape its nodes into a result. Cancellation and deadlines
+// are observed at every FDP sampling-interval boundary; a cancelled run
+// drains to a retire boundary and returns its partial result together
+// with a *CancelError that wraps both ErrCancelled and the context cause.
 
 // Result is one simulation's output: raw counters plus the derived metrics
 // the paper reports.
@@ -58,27 +65,110 @@ type Result struct {
 	Controller string `json:",omitempty"`
 }
 
-// cancelCheckStride bounds cancellation latency for runs that close no
-// FDP sampling intervals (cache-resident loops evict nothing): the cycle
-// loop polls ctx at least this often. Must be a power of two.
-const cancelCheckStride = 4096
-
-// drainBudget bounds the extra cycles spent retiring in-flight
-// instructions after cancellation, so a wedged memory system cannot turn
-// a cancel into a hang.
-const drainBudget = 50_000
-
-// Run executes one simulation to completion.
-func Run(cfg Config) (Result, error) {
-	return RunContext(context.Background(), cfg)
+// MultiConfig describes a chip multiprocessor run: several cores, each
+// with a private L1/L2, prefetcher and FDP engine, contending for one
+// shared memory bus — the setting the paper's introduction argues makes
+// bandwidth-efficient prefetching "more desirable and valuable in future
+// processors". The shared DRAM takes its parameters from Cores[0].
+type MultiConfig struct {
+	Cores []Config
+	// Sources optionally provides one micro-op source per core instead of
+	// instantiating Cores[i].Workload by name. When set, its length must
+	// equal len(Cores) and the sources are attached as-is — address-space
+	// disjointness is the provider's concern (WorkloadSpec lanes give every
+	// client a private window; see RunSpecMultiContext).
+	Sources []cpu.Source
 }
 
-// RunContext executes one simulation under a context. Cancellation and
-// deadlines are observed at every FDP sampling-interval boundary (and at
-// least every cancelCheckStride cycles); on cancellation the core stops
-// dispatch, drains in-flight instructions to a retire boundary, and the
-// partial Result is returned together with a *CancelError that wraps both
-// ErrCancelled and the context's cause.
+// CoreResult is one core's outcome within a multi-core run. Statistics
+// are snapshotted the moment the core reaches its retire target, so later
+// contention from still-running cores does not dilute them.
+type CoreResult struct {
+	Result
+	// FinishCycle is the cycle at which the core hit its retire target
+	// (or, for a Partial core, the cycle the run was cancelled).
+	FinishCycle uint64
+}
+
+// MultiResult aggregates a multi-core run.
+type MultiResult struct {
+	Cores []CoreResult
+	// Cycles is the cycle at which the last core finished.
+	Cycles uint64
+	// TotalBusAccesses counts all bus transactions over the full run.
+	TotalBusAccesses uint64
+	// Partial marks a cancelled run; cores that had not reached their
+	// retire target carry Partial results snapshotted at the stop cycle.
+	Partial bool
+}
+
+// AggregateIPC returns the sum of per-core IPCs (system throughput).
+func (m *MultiResult) AggregateIPC() float64 {
+	var s float64
+	for i := range m.Cores {
+		s += m.Cores[i].IPC
+	}
+	return s
+}
+
+// SMTConfig describes threads sharing one cache hierarchy — the "many
+// threads sharing the same L2" setting of the paper's Section 4.3, which
+// recommends reducing the pollution thresholds under such contention. All
+// threads share the L2, MSHRs, prefetcher and one FDP engine (whose
+// feedback then reflects the combined access stream); each thread has its
+// own architectural core.
+type SMTConfig struct {
+	// Base carries the shared hierarchy, prefetcher and FDP parameters;
+	// its Workload field is ignored.
+	Base Config
+	// Workloads names one workload per hardware thread.
+	Workloads []string
+	// Sources optionally provides one micro-op source per thread instead
+	// of instantiating Workloads[i] by name; Workloads then only labels
+	// the threads. When set, its length must equal len(Workloads) and the
+	// sources are attached as-is — address-space disjointness is the
+	// provider's concern (see RunSpecSMTContext).
+	Sources []cpu.Source
+}
+
+// ThreadResult is one thread's outcome in an SMT run.
+type ThreadResult struct {
+	Workload string
+	Retired  uint64
+	// FinishCycle is when the thread hit the retire target; IPC is
+	// computed against it.
+	FinishCycle uint64
+	IPC         float64
+}
+
+// SMTResult aggregates an SMT run. The cache-hierarchy counters are
+// shared, so bandwidth and prefetch metrics are reported once.
+type SMTResult struct {
+	Threads  []ThreadResult
+	Counters stats.Counters
+	Cycles   uint64
+	// BPKI is shared bus accesses per 1000 instructions summed over all
+	// threads.
+	BPKI       float64
+	Accuracy   float64
+	Pollution  float64
+	FinalLevel int
+	// Partial marks a cancelled run; threads that had not reached the
+	// retire target carry an IPC measured at the stop cycle.
+	Partial bool
+}
+
+// AggregateIPC returns the sum of per-thread IPCs.
+func (r *SMTResult) AggregateIPC() float64 {
+	var s float64
+	for i := range r.Threads {
+		s += r.Threads[i].IPC
+	}
+	return s
+}
+
+// RunContext executes one simulation of the named workload under a
+// context.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -87,206 +177,127 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return runWith(ctx, cfg, src)
+	return RunSourceContext(ctx, cfg, src)
 }
 
-// RunSource executes one simulation over a caller-provided micro-op source
-// (used for trace replay and custom workloads).
-func RunSource(cfg Config, src cpu.Source) (Result, error) {
-	return RunSourceContext(context.Background(), cfg, src)
-}
-
-// RunSourceContext is RunSource under a context, with RunContext's
-// cancellation, deadline and progress-streaming semantics.
+// RunSourceContext executes one simulation over a caller-provided
+// micro-op source (trace replay, custom workloads) under a context.
 func RunSourceContext(ctx context.Context, cfg Config, src cpu.Source) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	return runWith(ctx, cfg, src)
+	l := newLoop(ctx, cfg)
+	n := &l.nodes[0]
+	l.add(n, src)
+	err := l.run()
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return Result{}, err
+	}
+	res := n.finish()
+	res.DRAM = l.dram.Stats()
+	return res, err
 }
 
-func runWith(ctx context.Context, cfg Config, src cpu.Source) (Result, error) {
-	start := time.Now()
-	var ctr stats.Counters
-	h := newHierarchy(&cfg, &ctr)
-	h.fdp.KeepHistory = cfg.KeepFDPHistory
-	c := h.attach(&cfg, src)
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		// Generous default: even an IPC of 0.002 finishes.
-		maxCycles = (cfg.MaxInsts + cfg.WarmupInsts) * 500
-		if maxCycles < 10_000_000 {
-			maxCycles = 10_000_000
+// RunMultiContext executes a multi-core simulation. Every core runs until
+// it has retired its MaxInsts; cores that finish early keep executing (so
+// the bus contention seen by laggards stays realistic) but their
+// statistics are frozen at the finish line. Each core's Config.Progress
+// streams that core's snapshots (Snapshot.Core identifies the emitter),
+// ending with a Final one that mirrors its CoreResult.
+func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
+	if len(mc.Cores) == 0 {
+		return MultiResult{}, fmt.Errorf("%w: multi-core run needs at least one core", ErrInvalidConfig)
+	}
+	if mc.Sources != nil && len(mc.Sources) != len(mc.Cores) {
+		return MultiResult{}, fmt.Errorf("%w: %d sources for %d cores", ErrInvalidConfig, len(mc.Sources), len(mc.Cores))
+	}
+	for i := range mc.Cores {
+		if err := mc.Cores[i].Validate(); err != nil {
+			return MultiResult{}, fmt.Errorf("core %d: %w", i, err)
 		}
 	}
-
-	var cycle uint64
-	lastRetired := uint64(0)
-	lastProgress := uint64(0)
-	var warmCycle, warmRetired, warmLoads, warmStores uint64
-	warmed := cfg.WarmupInsts == 0
-	target := cfg.WarmupInsts + cfg.MaxInsts
-
-	// Interval streaming: the FDP engine reports each closed sampling
-	// interval; the flag gates the cycle loop's cancellation poll so
-	// cancellation latency is bounded by one interval. The same boundary
-	// feeds the decision tracer and the progress sink; with neither
-	// configured the callback only sets the flag.
-	intervalClosed := false
-	h.fdp.OnInterval = func(rec core.IntervalRecord) {
-		intervalClosed = true
-		if cfg.Tracer == nil && cfg.Progress == nil {
-			return
+	l := newLoop(ctx, mc.Cores...)
+	for i := range l.nodes {
+		src, err := laneSource(mc.Sources, mc.Cores[i].Workload, mc.Cores[i].Seed, i)
+		if err != nil {
+			return MultiResult{}, err
 		}
-		var pcyc, pret uint64
-		if warmed {
-			pcyc = cycle - warmCycle
-			pret = c.Retired() - warmRetired
-		}
-		var sample stats.IntervalSample
-		if h.attr != nil && warmed {
-			sample = h.attrIntervalSample()
-		}
-		h.traceDecision(rec, pcyc, pret, sample)
-		if cfg.Progress == nil {
-			return
-		}
-		s := Snapshot{
-			Cycle:     pcyc,
-			Retired:   pret,
-			Target:    cfg.MaxInsts,
-			Interval:  h.fdp.Intervals(),
-			Accuracy:  rec.Accuracy,
-			Lateness:  rec.Lateness,
-			Pollution: rec.Pollution,
-			Case:      rec.Case,
-			Level:     rec.Level,
-			Insertion: rec.Insertion,
-			Elapsed:   time.Since(start),
-			Sample:    sample,
-		}
-		if pcyc > 0 {
-			s.IPC = float64(pret) / float64(pcyc)
-		}
-		if pret > 0 {
-			// Counters.Retired is only set at finalize; derive BPKI from
-			// the live bus counters and the post-warmup retire count.
-			s.BPKI = 1000 * float64(ctr.BusAccesses()) / float64(pret)
-		}
-		if h.pf != nil {
-			s.Level = h.pf.Level()
-		}
-		cfg.Progress(s)
+		l.add(&l.nodes[i], src)
 	}
-
-	// finalize snapshots the counters at the current cycle, builds the
-	// Result and emits the Final progress snapshot. Shared by the normal
-	// completion path and the cancellation path.
-	finalize := func(partial bool) Result {
-		ctr.Cycles = cycle - warmCycle
-		ctr.Retired = c.Retired() - warmRetired
-		ctr.RetiredLoads = c.RetiredLoads() - warmLoads
-		ctr.RetiredStores = c.RetiredStores() - warmStores
-		ctr.StallFetch = c.StallFetch()
-		ctr.Intervals = h.fdp.Intervals()
-
-		res := Result{
-			Workload:   cfg.Workload,
-			Prefetcher: string(cfg.Prefetcher),
-			Level:      cfg.StaticLevel,
-			Counters:   ctr,
-			DRAM:       h.dram.Stats(),
-			IPC:        ctr.IPC(),
-			BPKI:       ctr.BPKI(),
-			Accuracy:   ctr.Accuracy(),
-			Lateness:   ctr.Lateness(),
-			Pollution:  ctr.Pollution(),
-			LevelDist:  h.fdp.LevelDist,
-			InsertDist: h.fdp.InsertDist,
-			Intervals:  h.fdp.Intervals(),
-			History:    h.fdp.History,
-			FinalLevel: h.fdp.Level(),
-			Partial:    partial,
-			Elapsed:    time.Since(start),
-			Controller: cfg.Controller,
-		}
-		res.Attribution = h.attrFinalize()
-		if h.pf != nil {
-			res.FinalLevel = h.pf.Level()
-		}
-		if cfg.Progress != nil {
-			acc, late, poll := h.fdp.Metrics()
-			cfg.Progress(Snapshot{
-				Cycle:     ctr.Cycles,
-				Retired:   ctr.Retired,
-				Target:    cfg.MaxInsts,
-				IPC:       res.IPC,
-				BPKI:      res.BPKI,
-				Interval:  res.Intervals,
-				Accuracy:  acc,
-				Lateness:  late,
-				Pollution: poll,
-				Level:     res.FinalLevel,
-				Insertion: h.fdp.Insertion(),
-				Elapsed:   res.Elapsed,
-				Final:     true,
-			})
-		}
-		return res
+	err := l.run()
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return MultiResult{}, err
 	}
-
-	// cancelled performs the clean stop: dispatch halts, in-flight
-	// instructions drain to a retire boundary (bounded), and the partial
-	// result travels with the typed error.
-	cancelled := func(cause error) (Result, error) {
-		c.Halt()
-		for extra := 0; extra < drainBudget && c.InFlight() > 0; extra++ {
-			cycle++
-			h.Tick(cycle)
-			c.Tick()
-		}
-		res := finalize(true)
-		return res, &CancelError{Cause: cause, Cycle: cycle, Retired: res.Counters.Retired, Target: cfg.MaxInsts}
+	res := MultiResult{Cycles: l.cycle, Partial: err != nil}
+	for i := range l.nodes {
+		n := &l.nodes[i]
+		cr := CoreResult{Result: n.finish(), FinishCycle: n.lanes[0].finish}
+		// Pinned result-shape gap (DESIGN.md, "Run loop"): core results
+		// carry no DRAM block and no StallFetch count. Attribution's
+		// bus/queue/row telemetry reflects the shared DRAM, so every core
+		// reports the same chip-wide memory pressure.
+		cr.Counters.StallFetch = 0
+		res.Cores = append(res.Cores, cr)
+		res.TotalBusAccesses += n.ctr.BusAccesses()
 	}
+	return res, err
+}
 
-	cancellable := ctx.Done() != nil
-	for c.Retired() < target {
-		cycle++
-		h.Tick(cycle)
-		c.Tick()
-		if !warmed && c.Retired() >= cfg.WarmupInsts {
-			// Discard warm-up statistics; keep all microarchitectural state.
-			warmed = true
-			warmCycle = cycle
-			warmRetired = c.Retired()
-			warmLoads = c.RetiredLoads()
-			warmStores = c.RetiredStores()
-			*h.ctr = stats.Counters{}
-			if h.attr != nil {
-				h.attrWarmupReset()
-			}
-		}
-		if intervalClosed || cycle&(cancelCheckStride-1) == 0 {
-			intervalClosed = false
-			if cancellable {
-				if err := ctx.Err(); err != nil {
-					return cancelled(err)
-				}
-			}
-		}
-		if r := c.Retired(); r != lastRetired {
-			lastRetired = r
-			lastProgress = cycle
-		} else if cycle-lastProgress > 2_000_000 {
-			return Result{}, fmt.Errorf("sim: no retirement progress for 2M cycles at cycle %d (workload %s, retired %d)",
-				cycle, src.Name(), c.Retired())
-		}
-		if cycle >= maxCycles {
-			return Result{}, fmt.Errorf("sim: exceeded cycle budget %d (workload %s, retired %d of %d)",
-				maxCycles, src.Name(), c.Retired(), cfg.MaxInsts)
-		}
+// RunSMTContext executes threads over one shared hierarchy until every
+// thread has retired Base.MaxInsts instructions. Threads that finish keep
+// running (preserving contention); their IPC is fixed at the finish line.
+// Base.WarmupInsts is not supported in this mode. Base.Progress streams
+// the shared FDP engine's per-interval snapshots, whose feedback reflects
+// the combined access stream of all threads.
+func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
+	if len(cfg.Workloads) == 0 {
+		return SMTResult{}, fmt.Errorf("%w: SMT run needs at least one thread", ErrInvalidConfig)
 	}
-
-	return finalize(false), nil
+	if cfg.Sources != nil && len(cfg.Sources) != len(cfg.Workloads) {
+		return SMTResult{}, fmt.Errorf("%w: %d sources for %d threads", ErrInvalidConfig, len(cfg.Sources), len(cfg.Workloads))
+	}
+	base := cfg.Base
+	base.Workload = cfg.Workloads[0] // satisfy validation; sources are per-thread
+	if err := base.Validate(); err != nil {
+		return SMTResult{}, err
+	}
+	if base.WarmupInsts != 0 {
+		return SMTResult{}, fmt.Errorf("%w: WarmupInsts is not supported in SMT mode", ErrInvalidConfig)
+	}
+	l := newLoop(ctx, base)
+	n := &l.nodes[0]
+	for i, w := range cfg.Workloads {
+		src, err := laneSource(cfg.Sources, w, base.Seed, i)
+		if err != nil {
+			return SMTResult{}, err
+		}
+		l.add(n, src)
+	}
+	err := l.run()
+	if err != nil && !errors.Is(err, ErrCancelled) {
+		return SMTResult{}, err
+	}
+	// Pinned result-shape gaps (DESIGN.md, "Run loop"): the shared
+	// counters carry no per-kind retire counts, StallFetch or interval
+	// count, and Retired includes retirement past each thread's finish.
+	ctr := n.snap
+	ctr.RetiredLoads, ctr.RetiredStores, ctr.StallFetch, ctr.Intervals = 0, 0, 0, 0
+	res := SMTResult{
+		Counters:   ctr,
+		Cycles:     l.cycle,
+		BPKI:       ctr.BPKI(),
+		Accuracy:   ctr.Accuracy(),
+		Pollution:  ctr.Pollution(),
+		FinalLevel: n.finalLevel(),
+		Partial:    err != nil,
+	}
+	for i, ln := range n.lanes {
+		res.Threads = append(res.Threads, ThreadResult{
+			Workload:    cfg.Workloads[i],
+			Retired:     ln.retired,
+			FinishCycle: ln.finish,
+			IPC:         float64(ln.retired) / float64(ln.finish),
+		})
+	}
+	return res, err
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"fdpsim/internal/cache"
@@ -40,13 +42,13 @@ func TestConfigValidate(t *testing.T) {
 func TestRunUnknownWorkload(t *testing.T) {
 	cfg := Default()
 	cfg.Workload = "nope"
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestRunBasicCountersConsistent(t *testing.T) {
-	res, err := Run(quickCfg("seqstream"))
+	res, err := RunContext(context.Background(), quickCfg("seqstream"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestEveryWorkloadRunsUnderEveryPrefetcher(t *testing.T) {
 			if k != PrefNone {
 				cfg.StaticLevel = 5
 			}
-			if _, err := Run(cfg); err != nil {
+			if _, err := RunContext(context.Background(), cfg); err != nil {
 				t.Errorf("%s under %s: %v", w, k, err)
 			}
 		}
@@ -94,7 +96,7 @@ func TestFDPRunsOnAllPrefetchers(t *testing.T) {
 		cfg.Workload = "chaserand"
 		cfg.MaxInsts = 90_000
 		cfg.FDP.TInterval = 256
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -108,7 +110,7 @@ func TestPrefetchCountersConsistent(t *testing.T) {
 	cfg := Conventional(PrefStream, 5)
 	cfg.Workload = "seqstream"
 	cfg.MaxInsts = 100_000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +136,14 @@ func TestPrefetchCountersConsistent(t *testing.T) {
 }
 
 func TestPrefetchingHelpsStreaming(t *testing.T) {
-	base, err := Run(quickCfg("seqstream"))
+	base, err := RunContext(context.Background(), quickCfg("seqstream"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickCfg("seqstream")
 	cfg.Prefetcher = PrefStream
 	cfg.StaticLevel = 5
-	pf, err := Run(cfg)
+	pf, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +156,14 @@ func TestPrefetchingHelpsStreaming(t *testing.T) {
 }
 
 func TestAggressivePrefetchingHurtsHostile(t *testing.T) {
-	base, err := Run(quickCfg("chaserand"))
+	base, err := RunContext(context.Background(), quickCfg("chaserand"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickCfg("chaserand")
 	cfg.Prefetcher = PrefStream
 	cfg.StaticLevel = 5
-	pf, err := Run(cfg)
+	pf, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +185,7 @@ func TestFDPRecoversHostile(t *testing.T) {
 		cfg.MaxInsts = 200_000
 		cfg.FDP.TInterval = 1024
 		f(&cfg)
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +212,7 @@ func TestWritebackTraffic(t *testing.T) {
 	cfg := quickCfg("scanmod")
 	cfg.MaxInsts = 120_000
 	cfg.L2Blocks = 1024 // small L2 so dirty blocks are evicted in-run
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestPrefetchCachePath(t *testing.T) {
 	cfg.MaxInsts = 100_000
 	cfg.PrefCacheBlocks = 512 // 32 KB
 	cfg.PrefCacheWays = 16
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestTinyMSHRStillCompletes(t *testing.T) {
 	cfg.Prefetcher = PrefStream
 	cfg.StaticLevel = 5
 	cfg.MSHRs = 4
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,16 +259,23 @@ func TestTinyQueuesStillComplete(t *testing.T) {
 	cfg.StaticLevel = 5
 	cfg.DRAM.QueueCap = 4
 	cfg.PrefQueueCap = 2
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestCycleBudgetAborts: every topology honours Config.MaxCycles.
 func TestCycleBudgetAborts(t *testing.T) {
 	cfg := quickCfg("chaseseq")
 	cfg.MaxCycles = 1000 // far too few
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("cycle budget not enforced")
+	ctx := context.Background()
+	_, single := RunContext(ctx, cfg)
+	_, multi := RunMultiContext(ctx, MultiConfig{Cores: []Config{cfg, cfg}})
+	_, smt := RunSMTContext(ctx, SMTConfig{Base: cfg, Workloads: []string{"chaseseq", "chaseseq"}})
+	for name, err := range map[string]error{"single-core": single, "multi-core": multi, "SMT": smt} {
+		if err == nil || !strings.Contains(err.Error(), "exceeded cycle budget 1000 ") {
+			t.Errorf("%s: cycle budget not enforced: %v", name, err)
+		}
 	}
 }
 
@@ -274,7 +283,7 @@ func TestRunSourceCustomWorkload(t *testing.T) {
 	cfg := Default()
 	cfg.MaxInsts = 10_000
 	src := &countingSource{}
-	res, err := RunSource(cfg, src)
+	res, err := RunSourceContext(context.Background(), cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +307,11 @@ func TestDeterministicResults(t *testing.T) {
 	cfg := quickCfg("spmv")
 	cfg.Prefetcher = PrefStream
 	cfg.StaticLevel = 3
-	a, err := Run(cfg)
+	a, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +326,7 @@ func TestStaticInsertionPositionsRun(t *testing.T) {
 		cfg.Prefetcher = PrefStream
 		cfg.StaticLevel = 5
 		cfg.FDP.StaticInsertion = pos
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
 			t.Errorf("insertion %v: %v", pos, err)
 		}
 	}
@@ -328,7 +337,7 @@ func TestLowPotentialMostlyQuiet(t *testing.T) {
 	cfg.Prefetcher = PrefStream
 	cfg.StaticLevel = 5
 	cfg.MaxInsts = 100_000
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

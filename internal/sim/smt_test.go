@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func smtBase() Config {
 	cfg := Conventional(PrefStream, 5)
@@ -9,26 +12,26 @@ func smtBase() Config {
 }
 
 func TestRunSMTValidation(t *testing.T) {
-	if _, err := RunSMT(SMTConfig{Base: smtBase()}); err == nil {
+	if _, err := RunSMTContext(context.Background(), SMTConfig{Base: smtBase()}); err == nil {
 		t.Fatal("zero-thread SMT config accepted")
 	}
 	bad := smtBase()
 	bad.MaxInsts = 0
-	if _, err := RunSMT(SMTConfig{Base: bad, Workloads: []string{"seqstream"}}); err == nil {
+	if _, err := RunSMTContext(context.Background(), SMTConfig{Base: bad, Workloads: []string{"seqstream"}}); err == nil {
 		t.Fatal("invalid base config accepted")
 	}
 	warm := smtBase()
 	warm.WarmupInsts = 1000
-	if _, err := RunSMT(SMTConfig{Base: warm, Workloads: []string{"seqstream"}}); err == nil {
+	if _, err := RunSMTContext(context.Background(), SMTConfig{Base: warm, Workloads: []string{"seqstream"}}); err == nil {
 		t.Fatal("warmup accepted in SMT mode")
 	}
-	if _, err := RunSMT(SMTConfig{Base: smtBase(), Workloads: []string{"nope"}}); err == nil {
+	if _, err := RunSMTContext(context.Background(), SMTConfig{Base: smtBase(), Workloads: []string{"nope"}}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestRunSMTSingleThread(t *testing.T) {
-	res, err := RunSMT(SMTConfig{Base: smtBase(), Workloads: []string{"seqstream"}})
+	res, err := RunSMTContext(context.Background(), SMTConfig{Base: smtBase(), Workloads: []string{"seqstream"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +56,11 @@ func TestRunSMTThreadsShareTheL2(t *testing.T) {
 	// Long enough that the streaming thread's eviction pressure reaches
 	// the resident thread before it finishes.
 	base.MaxInsts = 400_000
-	solo, err := RunSMT(SMTConfig{Base: base, Workloads: []string{"tinyloop"}})
+	solo, err := RunSMTContext(context.Background(), SMTConfig{Base: base, Workloads: []string{"tinyloop"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	duo, err := RunSMT(SMTConfig{Base: base, Workloads: []string{"tinyloop", "regionwalk"}})
+	duo, err := RunSMTContext(context.Background(), SMTConfig{Base: base, Workloads: []string{"tinyloop", "regionwalk"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +77,16 @@ func TestRunSMTFDPSeesCombinedStream(t *testing.T) {
 	base := WithFDP(PrefStream)
 	base.MaxInsts = 60_000
 	base.FDP.TInterval = 512
-	res, err := RunSMT(SMTConfig{Base: base, Workloads: []string{"seqstream", "chaserand"}})
+	// SMT results pin Counters.Intervals at zero; count the shared
+	// engine's intervals through its decision trace instead.
+	tr := &collectTracer{}
+	base.Tracer = tr
+	res, err := RunSMTContext(context.Background(), SMTConfig{Base: base, Workloads: []string{"seqstream", "chaserand"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counters.Intervals == 0 && res.FinalLevel == 3 {
-		t.Skip("no intervals completed at this scale")
+	if len(tr.events) == 0 {
+		t.Fatal("the shared FDP engine closed no intervals")
 	}
 	// The hostile thread's junk pollutes the shared estimate; the level
 	// must not sit pinned at Very Aggressive.

@@ -17,20 +17,13 @@ import (
 // without touching Config itself, keeping every existing Fingerprint
 // (and the content-addressed stores keyed on them) stable.
 
-// RunSpec executes a single-lane WorkloadSpec on one core.
-func RunSpec(cfg Config, sp *spec.Spec) (Result, error) {
-	return RunSpecContext(context.Background(), cfg, sp)
-}
-
-// RunSpecContext is RunSpec under a context, with RunContext's
-// cancellation, deadline and progress-streaming semantics. The config's
-// Workload field is overwritten with the spec's name; multi-lane specs
-// must run through RunSpecMultiContext or RunSpecSMTContext.
+// RunSpecContext executes a single-lane WorkloadSpec on one core, with
+// RunContext's cancellation, deadline and progress-streaming semantics.
+// The config's Workload field is overwritten with the spec's name;
+// multi-lane specs must run through RunSpecMultiContext or
+// RunSpecSMTContext.
 func RunSpecContext(ctx context.Context, cfg Config, sp *spec.Spec) (Result, error) {
-	if sp == nil {
-		return Result{}, fmt.Errorf("%w: nil workload spec", ErrInvalidConfig)
-	}
-	if err := sp.Validate(); err != nil {
+	if err := validSpec(sp); err != nil {
 		return Result{}, err
 	}
 	if lanes := sp.Lanes(); lanes > 1 {
@@ -41,20 +34,12 @@ func RunSpecContext(ctx context.Context, cfg Config, sp *spec.Spec) (Result, err
 	return RunSourceContext(ctx, cfg, sp.Source(0, cfg.Seed))
 }
 
-// RunSpecMulti executes a WorkloadSpec across cores, one lane per core.
-func RunSpecMulti(tmpl Config, sp *spec.Spec) (MultiResult, error) {
-	return RunSpecMultiContext(context.Background(), tmpl, sp)
-}
-
 // RunSpecMultiContext runs each spec lane on its own core, all cores
 // configured from tmpl (Workload overwritten with the spec's name) and
 // contending for one shared memory bus. Spec clients generate into
 // disjoint per-client address windows, so no extra relocation is applied.
 func RunSpecMultiContext(ctx context.Context, tmpl Config, sp *spec.Spec) (MultiResult, error) {
-	if sp == nil {
-		return MultiResult{}, fmt.Errorf("%w: nil workload spec", ErrInvalidConfig)
-	}
-	if err := sp.Validate(); err != nil {
+	if err := validSpec(sp); err != nil {
 		return MultiResult{}, err
 	}
 	tmpl.Workload = sp.Name
@@ -65,20 +50,11 @@ func RunSpecMultiContext(ctx context.Context, tmpl Config, sp *spec.Spec) (Multi
 	return RunMultiContext(ctx, mc)
 }
 
-// RunSpecSMT executes a WorkloadSpec's lanes as hardware threads sharing
-// one cache hierarchy.
-func RunSpecSMT(base Config, sp *spec.Spec) (SMTResult, error) {
-	return RunSpecSMTContext(context.Background(), base, sp)
-}
-
 // RunSpecSMTContext runs each spec lane as one hardware thread over a
 // shared L2, prefetcher and FDP engine configured from base. The usual
 // SMT restrictions apply (no WarmupInsts).
 func RunSpecSMTContext(ctx context.Context, base Config, sp *spec.Spec) (SMTResult, error) {
-	if sp == nil {
-		return SMTResult{}, fmt.Errorf("%w: nil workload spec", ErrInvalidConfig)
-	}
-	if err := sp.Validate(); err != nil {
+	if err := validSpec(sp); err != nil {
 		return SMTResult{}, err
 	}
 	cfg := SMTConfig{Base: base, Sources: sp.Sources(base.Seed)}
@@ -116,10 +92,7 @@ func FingerprintSpec(cfg Config, sp *spec.Spec) (fp string, ok bool) {
 // must validate, fit on the single core a job runs on, and the pair must
 // be fingerprintable so the result is cacheable and deduplicatable.
 func ValidateSpecJob(cfg Config, sp *spec.Spec) error {
-	if sp == nil {
-		return fmt.Errorf("%w: nil workload spec", ErrInvalidConfig)
-	}
-	if err := sp.Validate(); err != nil {
+	if err := validSpec(sp); err != nil {
 		return err
 	}
 	if lanes := sp.Lanes(); lanes > 1 {
@@ -133,4 +106,12 @@ func ValidateSpecJob(cfg Config, sp *spec.Spec) error {
 		return fmt.Errorf("%w: custom prefetchers cannot run as jobs (no stable fingerprint)", ErrInvalidConfig)
 	}
 	return nil
+}
+
+// validSpec rejects a nil or invalid spec.
+func validSpec(sp *spec.Spec) error {
+	if sp == nil {
+		return fmt.Errorf("%w: nil workload spec", ErrInvalidConfig)
+	}
+	return sp.Validate()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -89,11 +90,11 @@ func TestRunSpecGoldenDeterminism(t *testing.T) {
 		t.Fatalf("fingerprint not stable: %s vs %s", fp1, fp2)
 	}
 
-	r1, err := RunSpec(cfg, sp)
+	r1, err := RunSpecContext(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSpec(cfg, sp)
+	r2, err := RunSpecContext(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRunSpecGoldenDeterminism(t *testing.T) {
 	}
 	replayCfg := cfg
 	replayCfg.Workload = sp.Name
-	r3, err := RunSource(replayCfg, r)
+	r3, err := RunSourceContext(context.Background(), replayCfg, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +150,12 @@ func TestRunSpecSeedSensitivity(t *testing.T) {
 	sp := oneLaneSpec()
 	cfg := specTestConfig()
 	cfg.Seed = 1
-	r1, err := RunSpec(cfg, sp)
+	r1, err := RunSpecContext(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	r2, err := RunSpec(cfg, sp)
+	r2, err := RunSpecContext(context.Background(), cfg, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +169,13 @@ func TestRunSpecSeedSensitivity(t *testing.T) {
 
 func TestRunSpecErrors(t *testing.T) {
 	cfg := specTestConfig()
-	if _, err := RunSpec(cfg, nil); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := RunSpecContext(context.Background(), cfg, nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("nil spec: %v", err)
 	}
-	if _, err := RunSpec(cfg, &spec.Spec{Name: "x"}); !errors.Is(err, spec.ErrInvalid) {
+	if _, err := RunSpecContext(context.Background(), cfg, &spec.Spec{Name: "x"}); !errors.Is(err, spec.ErrInvalid) {
 		t.Fatalf("invalid spec: %v", err)
 	}
-	if _, err := RunSpec(cfg, twoLaneSpec()); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := RunSpecContext(context.Background(), cfg, twoLaneSpec()); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("multi-lane spec on one core: %v", err)
 	}
 }
@@ -183,7 +184,7 @@ func TestRunSpecMulti(t *testing.T) {
 	sp := twoLaneSpec()
 	tmpl := specTestConfig()
 	tmpl.MaxInsts = 30000
-	res, err := RunSpecMulti(tmpl, sp)
+	res, err := RunSpecMultiContext(context.Background(), tmpl, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRunSpecMulti(t *testing.T) {
 		}
 	}
 	// Deterministic too.
-	res2, err := RunSpecMulti(tmpl, sp)
+	res2, err := RunSpecMultiContext(context.Background(), tmpl, sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestRunSpecSMT(t *testing.T) {
 	sp := twoLaneSpec()
 	base := specTestConfig()
 	base.MaxInsts = 30000
-	res, err := RunSpecSMT(base, sp)
+	res, err := RunSpecSMTContext(context.Background(), base, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

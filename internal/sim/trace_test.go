@@ -1,11 +1,11 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"fdpsim/internal/core"
 	"fdpsim/internal/prefetch"
-	"fdpsim/internal/stats"
 )
 
 // collectTracer retains every event (test sink).
@@ -19,27 +19,19 @@ type noopTracer struct{ n uint64 }
 
 func (t *noopTracer) TraceDecision(ev DecisionEvent) { t.n++ }
 
-// boundaryHarness builds a hierarchy whose FDP engine closes one sampling
-// interval per useful eviction, with the OnInterval hook wired the way
-// runWith wires it (including the attribution interval sample when
-// enabled). Driving OnEviction exercises the full interval-boundary path:
-// Equation 1 rolls, Table 2 lookup, level/insertion update, record
-// construction, sample assembly and tracer delivery.
+// boundaryHarness builds a one-core loop whose FDP engine closes one
+// sampling interval per useful eviction and returns its hierarchy; the
+// loop's own interval handler is installed (including the attribution
+// interval sample when enabled). Driving OnEviction exercises the full
+// interval-boundary path: Equation 1 rolls, Table 2 lookup,
+// level/insertion update, record construction, sample assembly and
+// tracer delivery.
 func boundaryHarness(tr Tracer, attribution bool) *hierarchy {
 	cfg := WithFDP(PrefStream)
 	cfg.FDP.TInterval = 1
 	cfg.Tracer = tr
 	cfg.Attribution = attribution
-	ctr := &stats.Counters{}
-	h := newHierarchy(&cfg, ctr)
-	h.fdp.OnInterval = func(rec core.IntervalRecord) {
-		var sample stats.IntervalSample
-		if h.attr != nil {
-			sample = h.attrIntervalSample()
-		}
-		h.traceDecision(rec, 123, 456, sample)
-	}
-	return h
+	return newLoop(context.Background(), cfg).nodes[0].h
 }
 
 // TestTraceDecisionAllocs pins the hot-path contract: an interval boundary
@@ -106,7 +98,7 @@ func TestDecisionTraceMatchesResult(t *testing.T) {
 	cfg.FDP.TInterval = 64
 	cfg.Tracer = tr
 
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -27,14 +27,15 @@ import (
 // A claim is a generation-numbered sidecar file
 // <dir>/<fp[:2]>/<fp>.claim<gen> holding the owner, a random nonce and a
 // lease expiry. Ownership belongs to the highest generation with a live
-// lease, and every ownership transition is an O_CREATE|O_EXCL create —
-// the one primitive POSIX serializes — so two racing workers can never
-// both acquire:
+// lease, and every ownership transition is an exclusive create — a claim
+// written whole under a temp name, then published with link(2), which
+// like O_CREATE|O_EXCL fails when the name exists — so two racing workers
+// can never both acquire, and no racer ever reads a half-written claim:
 //
 //   - fresh acquire: create generation 0 exclusively;
 //   - steal (highest generation expired, or torn by a crash mid-write):
 //     create generation highest+1 exclusively — concurrent thieves race
-//     one O_EXCL create and exactly one wins;
+//     one exclusive create and exactly one wins;
 //   - renew/release: rewrite or remove only one's own generation file,
 //     which no thief ever touches (thieves only create the next one).
 //
@@ -206,7 +207,11 @@ func (s *Store) ClaimTrace(fp, owner string, ttl time.Duration, trace string) (C
 	}
 }
 
-// createClaim exclusively creates one generation file.
+// createClaim exclusively creates one generation file. The claim is
+// written to a temp file in the bucket (writeAtomic's pattern, which
+// highestClaim ignores) and then hard-linked into place: a racer that saw
+// the name before its contents would take the empty file as torn and
+// steal the next generation, so two workers would both acquire.
 func (s *Store) createClaim(fp string, gen int, owner string, ttl time.Duration, trace string) (ClaimInfo, error) {
 	nonce, err := newNonce()
 	if err != nil {
@@ -221,18 +226,20 @@ func (s *Store) createClaim(fp string, gen int, owner string, ttl time.Duration,
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return ClaimInfo{}, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+fp+".tmp*")
 	if err != nil {
-		return ClaimInfo{}, err // fs.ErrExist = lost the race (not wrapped: callers errors.Is it)
+		return ClaimInfo{}, fmt.Errorf("store: %w", err)
 	}
-	if _, werr := f.Write(raw); werr != nil {
-		f.Close()
-		os.Remove(path)
+	defer os.Remove(tmp.Name())
+	_, werr := tmp.Write(raw)
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
 		return ClaimInfo{}, fmt.Errorf("store: %w", werr)
 	}
-	if cerr := f.Close(); cerr != nil {
-		os.Remove(path)
-		return ClaimInfo{}, fmt.Errorf("store: %w", cerr)
+	if err := os.Link(tmp.Name(), path); err != nil {
+		return ClaimInfo{}, err // fs.ErrExist = lost the race (not wrapped: callers errors.Is it)
 	}
 	return info, nil
 }

@@ -129,8 +129,10 @@ func WithFDPHistory() Option {
 	return func(cfg *Config) error { cfg.KeepFDPHistory = true; return nil }
 }
 
-// WithMaxCycles overrides the runaway-run safety valve (0 keeps the
-// generous default).
+// WithMaxCycles sets the cycle budget after which a run aborts with an
+// error, in every topology (a multi-core run uses its largest core
+// budget). 0 keeps the default: 500 cycles per instruction of warm-up
+// plus target, summed over a hierarchy's threads, and at least 10M.
 func WithMaxCycles(n uint64) Option {
 	return func(cfg *Config) error { cfg.MaxCycles = n; return nil }
 }
