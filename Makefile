@@ -51,9 +51,10 @@ perfbench-check:
 	cd perfbench && go test -count=1 .
 
 # What CI runs: a full build, vet, the race-enabled test suite (the
-# progress sinks cross goroutine boundaries, so -race is load-bearing),
-# the uncached fleet/sweep e2e smoke, the benchmark self-test, and the
-# interval-timeseries smoke.
+# service's interval sink hands each event to SSE subscribers on other
+# goroutines, so -race is load-bearing), the uncached fleet/sweep e2e
+# smoke, the benchmark self-test, and the interval-timeseries smoke with
+# its live fdptop check.
 check: build vet test-race fleet-e2e perfbench-check series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
@@ -121,8 +122,9 @@ trace-smoke: build-cmds
 # End-to-end interval-timeseries smoke: boot fdpserved with a store, run
 # one series-recorded job, fetch the series (JSON + CSV + downsampled),
 # check the sidecar landed on disk, self-diff the fingerprint expecting
-# zero residual, and check the /metrics families
-# (scripts/series-smoke.sh).
+# zero residual, check the /metrics families, and attach fdptop to the
+# job and to a cache-hit resubmission, expecting a closing frame with the
+# result's BPKI (scripts/series-smoke.sh).
 series-smoke: build-cmds
 	sh scripts/series-smoke.sh
 

@@ -64,15 +64,20 @@ func (r *reporter) onRun(done, total int, spec harness.RunSpec, res fdpsim.Resul
 	}
 }
 
-func (r *reporter) onSnapshot(spec harness.RunSpec, s fdpsim.Snapshot) {
-	if s.Final {
-		return // the completion line comes from onRun
+func (r *reporter) onInterval(spec harness.RunSpec, ev fdpsim.DecisionEvent) {
+	var ipc float64
+	if ev.Cycle > 0 {
+		ipc = float64(ev.Retired) / float64(ev.Cycle)
+	}
+	level := ev.DCCAfter
+	if spec.Cfg.StaticLevel > 0 {
+		level = spec.Cfg.StaticLevel
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fmt.Fprintf(os.Stderr, "    %s/%s interval %d: retired=%d IPC=%.3f acc=%.0f%% late=%.0f%% poll=%.0f%% level=%d insert=%s\n",
-		spec.Workload, spec.Config, s.Interval, s.Retired, s.IPC,
-		100*s.Accuracy, 100*s.Lateness, 100*s.Pollution, s.Level, s.Insertion)
+		spec.Workload, spec.Config, ev.Interval, ev.Retired, ipc,
+		100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, level, ev.Insertion)
 }
 
 func main() {
@@ -140,7 +145,7 @@ func main() {
 	}
 	if *progress {
 		rep := &reporter{}
-		p.Progress = &harness.Progress{OnRun: rep.onRun, OnSnapshot: rep.onSnapshot}
+		p.Progress = &harness.Progress{OnRun: rep.onRun, OnInterval: rep.onInterval}
 	}
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)

@@ -180,14 +180,24 @@ func printAttribution(a *stats.Attribution) {
 		a.FillToUse.Quantile(0.5), a.FillToUse.Quantile(0.9), a.LateBy.Quantile(0.5), a.PrefUnused)
 }
 
-// progressLine prints one FDP sampling interval to stderr.
-func progressLine(s fdpsim.Snapshot) {
-	if s.Final {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "interval %4d: retired=%9d/%d IPC=%.3f acc=%5.1f%% late=%5.1f%% poll=%5.1f%% level=%d insert=%-5s (%.1fs)\n",
-		s.Interval, s.Retired, s.Target, s.IPC,
-		100*s.Accuracy, 100*s.Lateness, 100*s.Pollution, s.Level, s.Insertion, s.Elapsed.Seconds())
+// progressTracer prints one line per FDP sampling interval to stderr.
+// The retire target, a pinned level and the wall clock come from cfg and
+// the tracer's own start time, not from the event.
+func progressTracer(cfg fdpsim.Config) fdpsim.Tracer {
+	start := time.Now()
+	return fdpsim.TracerFunc(func(ev fdpsim.DecisionEvent) {
+		var ipc float64
+		if ev.Cycle > 0 {
+			ipc = float64(ev.Retired) / float64(ev.Cycle)
+		}
+		level := ev.DCCAfter
+		if cfg.StaticLevel > 0 {
+			level = cfg.StaticLevel
+		}
+		fmt.Fprintf(os.Stderr, "interval %4d: retired=%9d/%d IPC=%.3f acc=%5.1f%% late=%5.1f%% poll=%5.1f%% level=%d insert=%-5s (%.1fs)\n",
+			ev.Interval, ev.Retired, cfg.MaxInsts, ipc,
+			100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, level, ev.Insertion, time.Since(start).Seconds())
+	})
 }
 
 // runMulticore executes one multi-core simulation with every core using
@@ -399,9 +409,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *progress {
-		cfg.Progress = progressLine
-	}
 	finishTrace := openTrace(&cfg, *traceOut, *traceFormat)
 	for _, finish := range []func(){openDecisionLog(&cfg, *decisionLog), openSeries(&cfg, *seriesOut)} {
 		if finish == nil {
@@ -414,6 +421,9 @@ func main() {
 			}
 			next()
 		}
+	}
+	if *progress {
+		cfg.Tracer = obs.Tee(cfg.Tracer, progressTracer(cfg))
 	}
 	stopProf := cli.StartProfiles(tool, *cpuProfile, *memProfile)
 	defer stopProf()

@@ -9,19 +9,15 @@ import (
 	"fdpsim/internal/stats"
 )
 
-// frame is one dashboard update — the common shape both sources map to:
-// an SSE "progress" Snapshot from fdpserved, or one DecisionEvent from a
-// replayed JSONL decision trace.
+// frame is one dashboard update, built from one DecisionEvent — an SSE
+// "progress" payload from fdpserved or a line of a replayed JSONL
+// decision trace; both sources carry the same object.
 type frame struct {
 	Core     int
 	Interval uint64
 	Cycle    uint64
 	Retired  uint64
 	IPC      float64
-	// BPKI is only carried by live Snapshots; replayed decision events
-	// don't record bus accesses, so HasBPKI gates the header cell.
-	BPKI    float64
-	HasBPKI bool
 
 	Accuracy  float64
 	Lateness  float64
@@ -30,26 +26,6 @@ type frame struct {
 	Insertion string
 
 	Sample stats.IntervalSample
-	Final  bool
-}
-
-func frameFromSnapshot(s fdpsim.Snapshot) frame {
-	return frame{
-		Core:      s.Core,
-		Interval:  s.Interval,
-		Cycle:     s.Cycle,
-		Retired:   s.Retired,
-		IPC:       s.IPC,
-		BPKI:      s.BPKI,
-		HasBPKI:   true,
-		Accuracy:  s.Accuracy,
-		Lateness:  s.Lateness,
-		Pollution: s.Pollution,
-		Level:     s.Level,
-		Insertion: s.Insertion.String(),
-		Sample:    s.Sample,
-		Final:     s.Final,
-	}
 }
 
 func frameFromEvent(ev fdpsim.DecisionEvent) frame {
@@ -85,13 +61,17 @@ type dash struct {
 	last   frame
 	ipcs   []float64 // trailing per-interval IPC history for the sparkline
 	frames uint64
+	done   bool
+	// res is the run's closing Result, once an attached job is done: the
+	// only source of BPKI, which no interval event carries.
+	res *fdpsim.Result
 }
 
 func newDash(source string) *dash { return &dash{source: source} }
 
 // observe folds one frame into the dashboard state. A frame without an
-// attribution sample keeps the previous one: the final snapshot closes
-// no interval, and the last interval's breakdown beats an empty pane.
+// attribution sample (a core still warming up) keeps the previous one:
+// the last interval's breakdown beats an empty pane.
 func (d *dash) observe(f frame) {
 	if f.Sample.Cycles.Total() == 0 && d.last.Sample.Cycles.Total() > 0 {
 		f.Sample = d.last.Sample
@@ -106,16 +86,30 @@ func (d *dash) observe(f frame) {
 	}
 }
 
+// finish marks the run done. A non-nil res is the run's Result, whose
+// whole-run numbers replace the last interval's in the header; it is the
+// closing frame even when no interval event arrived (a cache hit).
+func (d *dash) finish(res *fdpsim.Result) {
+	d.done = true
+	if res == nil {
+		return
+	}
+	d.res = res
+	f := &d.last
+	f.Interval, f.Cycle, f.Retired, f.IPC = res.Intervals, res.Counters.Cycles, res.Counters.Retired, res.IPC
+	f.Accuracy, f.Lateness, f.Pollution, f.Level = res.Accuracy, res.Lateness, res.Pollution, res.FinalLevel
+}
+
 // render writes one full dashboard frame.
 func (d *dash) render(w io.Writer) {
 	f := d.last
 	state := "running"
-	if f.Final {
+	if d.done {
 		state = "done"
 	}
 	fmt.Fprintf(w, "fdptop — %s  [%s]\n", d.source, state)
 	fmt.Fprintf(w, "interval %-6d cycle %-12d retired %-12d IPC %6.3f  %s\n",
-		f.Interval, f.Cycle, f.Retired, f.IPC, bpkiCell(f))
+		f.Interval, f.Cycle, f.Retired, f.IPC, d.bpkiCell())
 	fmt.Fprintf(w, "ipc   %s\n", sparkline(d.ipcs))
 	d.renderStalls(w, f.Sample.Cycles)
 	d.renderBus(w, f)
@@ -123,11 +117,11 @@ func (d *dash) render(w io.Writer) {
 		100*f.Accuracy, 100*f.Lateness, 100*f.Pollution, f.Level, f.Insertion)
 }
 
-func bpkiCell(f frame) string {
-	if !f.HasBPKI {
+func (d *dash) bpkiCell() string {
+	if d.res == nil {
 		return "BPKI     -"
 	}
-	return fmt.Sprintf("BPKI %6.2f", f.BPKI)
+	return fmt.Sprintf("BPKI %6.2f", d.res.BPKI)
 }
 
 // renderStalls draws the top-down cycle-accounting pane: one bar per

@@ -1,8 +1,8 @@
 // Command fdptop is a live terminal dashboard for the simulator's
 // cycle-accounting and bandwidth-attribution telemetry: per-FDP-interval
-// IPC and BPKI, a top-down stall breakdown that always sums to 100% of
-// the interval's cycles, bus utilization split by transaction kind, DRAM
-// row-hit rate, and MSHR/queue pressure.
+// IPC (and the run's BPKI once it is done), a top-down stall breakdown
+// that always sums to 100% of the interval's cycles, bus utilization split
+// by transaction kind, DRAM row-hit rate, and MSHR/queue pressure.
 //
 // It has four sources and one escape hatch:
 //
@@ -38,6 +38,7 @@ import (
 	"fdpsim"
 	"fdpsim/internal/cli"
 	"fdpsim/internal/obs"
+	"fdpsim/internal/service"
 )
 
 const tool = "fdptop"
@@ -119,9 +120,8 @@ func replayTrace(w io.Writer, path string, once bool, rate time.Duration) error 
 	d := newDash("replay " + path)
 	tty := isTTY(w)
 	for i, ev := range events {
-		fr := frameFromEvent(ev)
-		fr.Final = i == len(events)-1
-		d.observe(fr)
+		d.observe(frameFromEvent(ev))
+		d.done = i == len(events)-1
 		if once {
 			continue
 		}
@@ -143,8 +143,8 @@ func replayTrace(w io.Writer, path string, once bool, rate time.Duration) error 
 }
 
 // attach subscribes to a job's SSE event stream on fdpserved and renders
-// every "progress" snapshot until the "done" event arrives. With once
-// set, only the final frame (the last state at stream end) prints.
+// every "progress" event until the "done" event arrives, whose Result
+// closes the dashboard. With once set, only that closing frame prints.
 func attach(w io.Writer, addr, jobID string, once bool) error {
 	url := fmt.Sprintf("http://%s/v1/jobs/%s/events", addr, jobID)
 	resp, err := http.Get(url)
@@ -174,20 +174,19 @@ func attach(w io.Writer, addr, jobID string, once bool) error {
 	err = scanSSE(resp.Body, func(event string, data []byte) error {
 		switch event {
 		case "progress":
-			var snap fdpsim.Snapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
+			var ev fdpsim.DecisionEvent
+			if err := json.Unmarshal(data, &ev); err != nil {
 				return fmt.Errorf("progress event: %w", err)
 			}
-			d.observe(frameFromSnapshot(snap))
+			d.observe(frameFromEvent(ev))
 			draw()
 		case "done":
-			// The runner's final snapshot (Final=true) usually precedes this
-			// event; redraw only if it didn't arrive, to avoid a duplicate
-			// closing frame.
-			if !d.last.Final {
-				d.last.Final = true
-				draw()
+			var st service.JobStatus
+			if err := json.Unmarshal(data, &st); err != nil {
+				return fmt.Errorf("done event: %w", err)
 			}
+			d.finish(st.Result)
+			draw()
 			return errDone
 		}
 		return nil
@@ -195,8 +194,8 @@ func attach(w io.Writer, addr, jobID string, once bool) error {
 	if err != nil && err != errDone {
 		return err
 	}
-	if d.frames == 0 {
-		return fmt.Errorf("job %s produced no progress snapshots (submit with \"progress\" cadence or check the job ID)", jobID)
+	if d.frames == 0 && d.res == nil {
+		return fmt.Errorf("job %s closed no interval and has no result (check the job ID)", jobID)
 	}
 	if once {
 		d.render(w)

@@ -150,9 +150,6 @@ func TestFrameFromEvent(t *testing.T) {
 	if f.IPC != 0.5 {
 		t.Errorf("IPC = %v, want 0.5", f.IPC)
 	}
-	if f.HasBPKI {
-		t.Error("replayed events must not claim a BPKI")
-	}
 	if f.Level != 4 || f.Insertion != "MRU" || f.Sample.Cycles.RetireFull != 10 {
 		t.Errorf("mapping lost fields: %+v", f)
 	}
@@ -189,34 +186,40 @@ func TestScanSSE(t *testing.T) {
 }
 
 // TestAttachSSE drives attach against a fake fdpserved event stream and
-// checks the dashboard renders the live snapshots, attribution included.
+// checks the dashboard renders the live interval events, attribution
+// included, and closes on the done event's Result — the only source of
+// BPKI. A cache hit streams no interval and renders from the Result alone.
 func TestAttachSSE(t *testing.T) {
-	snaps := []fdpsim.Snapshot{
-		{Interval: 1, Cycle: 1000, Retired: 600, IPC: 0.6, BPKI: 12.5,
-			Level: 3, Sample: stats.IntervalSample{
+	events := []fdpsim.DecisionEvent{
+		{Interval: 1, Cycle: 1000, Retired: 600, DCCAfter: 3, Insertion: "MID",
+			Sample: stats.IntervalSample{
 				Cycles:          stats.CycleBuckets{RetireFull: 700, StallLoadMiss: 300},
 				BusDemandCycles: 400, BusUtilization: 0.4,
 				RowHits: 30, RowMisses: 10, MSHRMean: 2.5, QueueMean: 1.25,
 			}},
-		{Interval: 2, Cycle: 2000, Retired: 1300, IPC: 0.65, BPKI: 11.0, Level: 4,
+		{Interval: 2, Cycle: 2000, Retired: 1300, DCCAfter: 4, Insertion: "MRU",
 			Sample: stats.IntervalSample{Cycles: stats.CycleBuckets{RetireFull: 1000}}},
 	}
+	done := `{"id":"j1","state":"done","result":{"IPC":0.6,"BPKI":11.5,"Intervals":2,"FinalLevel":4}}`
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/jobs/j1/events" {
-			http.NotFound(w, r)
-			return
-		}
 		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprintf(w, "event: state\ndata: {\"id\":\"j1\"}\n\n")
-		for _, s := range snaps {
-			data, err := json.Marshal(s)
-			if err != nil {
-				t.Error(err)
-				return
+		switch r.URL.Path {
+		case "/v1/jobs/j1/events":
+			fmt.Fprintf(w, "event: state\ndata: {\"id\":\"j1\"}\n\n")
+			for _, ev := range events {
+				data, err := json.Marshal(ev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
 			}
-			fmt.Fprintf(w, "event: progress\ndata: %s\n\n", data)
+			fmt.Fprintf(w, "event: done\ndata: %s\n\n", done)
+		case "/v1/jobs/hit/events":
+			fmt.Fprintf(w, "event: state\ndata: {\"id\":\"hit\"}\n\nevent: done\ndata: %s\n\n", done)
+		default:
+			http.NotFound(w, r)
 		}
-		fmt.Fprintf(w, "event: done\ndata: {\"id\":\"j1\"}\n\n")
 	}))
 	defer srv.Close()
 	addr := strings.TrimPrefix(srv.URL, "http://")
@@ -226,30 +229,40 @@ func TestAttachSSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// Two progress frames plus the done redraw.
-	if n := strings.Count(out, "fdptop —"); n != 3 {
-		t.Fatalf("rendered %d frames, want 3\n%s", n, out)
+	// Two progress frames plus the closing frame.
+	frames := strings.Split(out, "fdptop —")[1:]
+	if len(frames) != 3 {
+		t.Fatalf("rendered %d frames, want 3\n%s", len(frames), out)
+	}
+	for i, want := range []string{"BPKI     -", "BPKI     -", "[done]"} {
+		if !strings.Contains(frames[i], want) {
+			t.Errorf("frame %d missing %q:\n%s", i, want, frames[i])
+		}
 	}
 	for _, want := range []string{
-		"job j1 @ " + addr, "[done]", "BPKI  12.50", "BPKI  11.00",
+		"job j1 @ " + addr, "IPC  0.600", "IPC  0.650", "BPKI  11.50",
 		"stall breakdown", "util  40.0%", "row-hit  75.0%",
-		"mshr mean  2.50", "queue mean  1.25",
+		"mshr mean  2.50", "queue mean  1.25", "insert MRU",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
 
-	// -once: only the final frame.
-	buf.Reset()
-	if err := attach(&buf, addr, "j1", true); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "fdptop —"); n != 1 {
-		t.Fatalf("-once rendered %d frames, want 1", n)
-	}
-	if !strings.Contains(buf.String(), "[done]") {
-		t.Errorf("-once frame not final:\n%s", buf.String())
+	// -once: only the closing frame.
+	for _, job := range []string{"j1", "hit"} {
+		buf.Reset()
+		if err := attach(&buf, addr, job, true); err != nil {
+			t.Fatalf("%s: %v", job, err)
+		}
+		if n := strings.Count(buf.String(), "fdptop —"); n != 1 {
+			t.Fatalf("%s: -once rendered %d frames, want 1", job, n)
+		}
+		for _, want := range []string{"[done]", "interval 2 ", "BPKI  11.50", "level 4"} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: -once frame missing %q:\n%s", job, want, buf.String())
+			}
+		}
 	}
 
 	// Unknown jobs surface the server's error.

@@ -17,9 +17,9 @@
 //
 // Runs are cancellable and observable: RunContext honors context
 // cancellation and deadlines (returning a partial Result plus an error
-// matching ErrCancelled), and WithProgress streams per-FDP-interval
-// telemetry Snapshots to a caller-supplied sink while the simulation is
-// in flight.
+// matching ErrCancelled), and WithTracer streams one DecisionEvent per
+// FDP sampling interval to a caller-supplied sink while the simulation is
+// in flight; the returned Result carries the closing numbers.
 package fdpsim
 
 import (
@@ -101,15 +101,6 @@ func PrefetcherKinds() []PrefetcherKind { return sim.PrefetcherKinds() }
 // harness memo and the job service's result store both key on it.
 func Fingerprint(cfg Config) (fp string, ok bool) { return sim.Fingerprint(cfg) }
 
-// Snapshot is one streaming progress record: per-FDP-interval IPC,
-// accuracy/lateness/pollution, aggressiveness level and insertion
-// position, plus a Final record matching the returned Result.
-type Snapshot = sim.Snapshot
-
-// ProgressFunc receives streaming Snapshots; see Config.Progress and
-// WithProgress.
-type ProgressFunc = sim.ProgressFunc
-
 // DecisionEvent is one FDP interval boundary's full feedback decision:
 // the raw and decayed counters, the classified metrics, the Table 2 case
 // taken, the DCC transition and the resulting prefetcher configuration.
@@ -119,6 +110,9 @@ type DecisionEvent = sim.DecisionEvent
 // see Config.Tracer, WithTracer and the internal/obs sinks behind the
 // fdpsim CLI's -trace-out flag.
 type Tracer = sim.Tracer
+
+// TracerFunc adapts an ordinary function to a Tracer.
+type TracerFunc = sim.TracerFunc
 
 // CancelError carries the stop-point metadata of a cancelled run. It
 // matches ErrCancelled and the context cause via errors.Is.
@@ -181,7 +175,7 @@ type CoreResult = sim.CoreResult
 func RunContext(ctx context.Context, cfg Config) (Result, error) { return sim.RunContext(ctx, cfg) }
 
 // RunMultiContext executes a multi-core simulation on a shared memory
-// bus under a context; Snapshot.Core identifies each streaming core.
+// bus under a context; DecisionEvent.Core identifies each tracing core.
 func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
 	return sim.RunMultiContext(ctx, mc)
 }

@@ -310,28 +310,6 @@ func (f *FDP) OnEviction(block uint64, used, demandFill, byPrefetch bool) {
 	}
 }
 
-// Metrics returns the decayed accuracy, lateness and pollution as of the
-// last interval boundary plus the current interval's raw counts — the
-// values the next boundary would classify.
-func (f *FDP) Metrics() (accuracy, lateness, pollution float64) {
-	return ratio(f.usedTotal, f.prefTotal),
-		ratio(f.lateTotal, f.usedTotal),
-		ratio(f.pollutionTotal, f.demandTotal)
-}
-
-func ratio(num, den counter) float64 {
-	n := num.value + num.during
-	d := den.value + den.during
-	if d == 0 {
-		return 0
-	}
-	v := float64(n) / float64(d)
-	if v > 1 {
-		v = 1
-	}
-	return v
-}
-
 // endInterval applies Equation 1 to every counter, classifies the three
 // metrics into a Signals value, consults the Decider, and applies its
 // Decision to the prefetcher aggressiveness and insertion policy for the

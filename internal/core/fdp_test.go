@@ -243,11 +243,13 @@ func TestAccuracyOnlyAblation(t *testing.T) {
 
 func TestLatePrefetchCountsAsUsed(t *testing.T) {
 	f := New(testConfig())
+	var rec IntervalRecord
+	f.OnInterval = func(r IntervalRecord) { rec = r }
 	f.OnPrefetchSent()
 	f.OnPrefetchLate()
-	acc, late, _ := f.Metrics()
-	if acc != 1 || late != 1 {
-		t.Fatalf("metrics after one late prefetch: acc=%v late=%v, want 1,1", acc, late)
+	endIntervals(f, 1)
+	if rec.Accuracy != 1 || rec.Lateness != 1 {
+		t.Fatalf("metrics after one late prefetch: acc=%v late=%v, want 1,1", rec.Accuracy, rec.Lateness)
 	}
 }
 

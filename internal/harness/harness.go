@@ -51,9 +51,9 @@ type Progress struct {
 	// OnRun fires when one simulation finishes (or fails): done counts
 	// completed sims including this one, total the sims in the experiment.
 	OnRun func(done, total int, spec RunSpec, res sim.Result, err error)
-	// OnSnapshot streams every simulation's per-FDP-interval telemetry.
-	// Memo-cached simulations replay no snapshots.
-	OnSnapshot func(spec RunSpec, s sim.Snapshot)
+	// OnInterval streams every simulation's per-FDP-interval record, the
+	// run's sim.Tracer stream. Memo-cached simulations replay none.
+	OnInterval func(spec RunSpec, ev sim.DecisionEvent)
 }
 
 // DefaultParams returns the standard experiment sizing.
@@ -201,9 +201,9 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 					}
 				}
 				cfg := job.Cfg
-				if p.Progress != nil && p.Progress.OnSnapshot != nil {
+				if p.Progress != nil && p.Progress.OnInterval != nil {
 					job := job
-					cfg.Progress = func(s sim.Snapshot) { p.Progress.OnSnapshot(job, s) }
+					cfg.Tracer = sim.TracerFunc(func(ev sim.DecisionEvent) { p.Progress.OnInterval(job, ev) })
 				}
 				var res sim.Result
 				var err error

@@ -66,28 +66,27 @@ func TestRunAllStreamsSnapshots(t *testing.T) {
 	ResetMemo()
 	cfg := sim.WithFDP(sim.PrefStream)
 	cfg.Workload = "seqstream"
-	cfg.MaxInsts = 30_000
-	cfg.FDP.TInterval = 256
+	cfg.MaxInsts = 150_000
+	cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
+	cfg.FDP.TInterval = 64
 
 	var mu sync.Mutex
-	var got []sim.Snapshot
+	var got []sim.DecisionEvent
 	p := Params{Workers: 1, Progress: &Progress{
-		OnSnapshot: func(spec RunSpec, s sim.Snapshot) {
+		OnInterval: func(spec RunSpec, ev sim.DecisionEvent) {
 			mu.Lock()
-			got = append(got, s)
+			got = append(got, ev)
 			mu.Unlock()
 		},
 	}}
-	if _, err := RunAll(context.Background(), []RunSpec{{Workload: "seqstream", Config: "c", Cfg: cfg}}, p); err != nil {
+	g, err := RunAll(context.Background(), []RunSpec{{Workload: "seqstream", Config: "c", Cfg: cfg}}, p)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) == 0 {
-		t.Fatal("no snapshots streamed through the harness")
-	}
-	if !got[len(got)-1].Final {
-		t.Error("final snapshot not streamed")
+	if res := g.MustGet("seqstream", "c"); res.Intervals == 0 || uint64(len(got)) != res.Intervals {
+		t.Fatalf("streamed %d interval events through the harness for %d intervals", len(got), res.Intervals)
 	}
 }
 
@@ -95,14 +94,14 @@ func TestFingerprintSemantics(t *testing.T) {
 	a := sim.WithFDP(sim.PrefStream)
 	a.Workload = "seqstream"
 	b := a
-	b.Progress = func(sim.Snapshot) {} // observability must not split memo entries
+	b.Tracer = sim.TracerFunc(func(sim.DecisionEvent) {}) // observability must not split memo entries
 	fpA, okA := sim.Fingerprint(a)
 	fpB, okB := sim.Fingerprint(b)
 	if !okA || !okB {
 		t.Fatal("builtin prefetcher configs must be memoizable")
 	}
 	if fpA != fpB {
-		t.Error("configs differing only in Progress fingerprint differently")
+		t.Error("configs differing only in Tracer fingerprint differently")
 	}
 
 	c := a

@@ -49,13 +49,13 @@ func TestRunAllReadsThroughStore(t *testing.T) {
 	// "Process restart": wipe the in-memory layer, keep the disk.
 	ResetMemo()
 	var snaps atomic.Int64
-	p.Progress = &Progress{OnSnapshot: func(RunSpec, sim.Snapshot) { snaps.Add(1) }}
+	p.Progress = &Progress{OnInterval: func(RunSpec, sim.DecisionEvent) { snaps.Add(1) }}
 	g2, err := RunAll(context.Background(), specs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := snaps.Load(); n != 0 {
-		t.Fatalf("store-served run streamed %d snapshots; it re-simulated", n)
+		t.Fatalf("store-served run streamed %d interval events; it re-simulated", n)
 	}
 	for _, s := range specs {
 		r1 := g1.MustGet(s.Workload, s.Config)

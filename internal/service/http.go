@@ -388,11 +388,12 @@ func (s *Server) keepaliveTicker() (*time.Ticker, <-chan time.Time) {
 	return t, t.C
 }
 
-// handleEvents streams a job's per-FDP-interval Snapshots as SSE
-// "progress" events, ending with one "done" event carrying the final
-// JobStatus (result included). Subscribing to a finished job yields the
-// "done" event immediately. Idle gaps are bridged with ": keepalive"
-// comment frames (Config.SSEKeepalive).
+// handleEvents streams a job's per-FDP-interval sim.DecisionEvents as SSE
+// "progress" events — each payload is the JSON object of one JSONL trace
+// line — ending with one "done" event carrying the final JobStatus, whose
+// Result holds the run's closing numbers. Subscribing to a finished job
+// yields its last interval event and then "done" immediately. Idle gaps
+// are bridged with ": keepalive" comment frames (Config.SSEKeepalive).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -419,8 +420,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if err := sseEvent(w, fl, "state", job.Status()); err != nil {
 		return
 	}
-	if last != nil {
-		if err := sseEvent(w, fl, "progress", *last); err != nil {
+	if last.Interval > 0 {
+		if err := sseEvent(w, fl, "progress", last); err != nil {
 			return
 		}
 	}
@@ -428,11 +429,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case snap := <-ch:
+		case ev := <-ch:
 			if ticker != nil {
 				ticker.Reset(s.cfg.SSEKeepalive)
 			}
-			if err := sseEvent(w, fl, "progress", snap); err != nil {
+			if err := sseEvent(w, fl, "progress", ev); err != nil {
 				return
 			}
 		case <-keepalive:
@@ -440,7 +441,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-job.Done():
-			// Trailing snapshots still in ch are superseded by the final
+			// Trailing events still in ch are superseded by the final
 			// status (its Result carries the authoritative numbers).
 			sseEvent(w, fl, "done", job.Status()) //nolint:errcheck
 			return

@@ -7,14 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"fdpsim/internal/obs"
 	"fdpsim/internal/sim"
 )
 
-// fastConfig is a snapshot-rich simulation that finishes in tens of
+// fastConfig is an interval-rich simulation that finishes in tens of
 // milliseconds: a small L2 makes the stream workload close FDP sampling
 // intervals every ~3k instructions.
 func fastConfig(insts, seed uint64) sim.Config {
@@ -193,8 +195,8 @@ func TestSSEStream(t *testing.T) {
 		switch msgs[i].Event {
 		case "progress":
 			progress++
-			var snap sim.Snapshot
-			if err := json.Unmarshal([]byte(msgs[i].Data), &snap); err != nil {
+			var ev sim.DecisionEvent
+			if err := json.Unmarshal([]byte(msgs[i].Data), &ev); err != nil {
 				t.Fatalf("progress payload: %v", err)
 			}
 		case "done":
@@ -219,6 +221,60 @@ func TestSSEStream(t *testing.T) {
 	late := readSSE(t, ts.Client(), ts.URL+"/v1/jobs/"+st.ID+"/events")
 	if last := late[len(late)-1]; last.Event != "done" {
 		t.Fatalf("late subscription ended with %q, want done", last.Event)
+	}
+}
+
+// TestSSEProgressMatchesTrace pins the one per-interval wire format:
+// every SSE "progress" payload decodes strictly into a sim.DecisionEvent
+// and is, byte for byte, the JSONL trace line of the same interval. Frames
+// are matched by Interval because slow subscribers may drop some.
+func TestSSEProgressMatchesTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+
+	cfg := fastConfig(400_000, 3)
+	var st JobStatus
+	if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs",
+		traceBody(t, JobRequest{Config: &cfg, Trace: true}), &st); code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	msgs := readSSE(t, ts.Client(), ts.URL+"/v1/jobs/"+st.ID+"/events")
+	code, raw, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("GET trace = %d (%s)", code, raw)
+	}
+	events, err := obs.ReadJSONL(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) != len(events) {
+		t.Fatalf("%d trace lines for %d events", len(lines), len(events))
+	}
+
+	frames := 0
+	for _, m := range msgs {
+		if m.Event != "progress" {
+			continue
+		}
+		frames++
+		dec := json.NewDecoder(strings.NewReader(m.Data))
+		dec.DisallowUnknownFields()
+		var ev sim.DecisionEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("progress payload is not a DecisionEvent: %v\n%s", err, m.Data)
+		}
+		if ev.Interval < 1 || ev.Interval > uint64(len(events)) {
+			t.Fatalf("progress frame for interval %d; the trace has %d", ev.Interval, len(events))
+		}
+		if want := events[ev.Interval-1]; !reflect.DeepEqual(ev, want) {
+			t.Errorf("interval %d: SSE frame %+v, trace event %+v", ev.Interval, ev, want)
+		}
+		if want := lines[ev.Interval-1]; m.Data != want {
+			t.Errorf("interval %d: SSE payload differs from the JSONL line:\n%s\n%s", ev.Interval, m.Data, want)
+		}
+	}
+	if frames == 0 {
+		t.Fatal("no progress frames")
 	}
 }
 

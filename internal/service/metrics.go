@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"fdpsim/internal/cache"
-	"fdpsim/internal/stats"
+	"fdpsim/internal/sim"
 )
 
 // metrics is the service's instrumentation: plain atomics and
@@ -159,28 +159,25 @@ func (m *metrics) countDiff(verdict string) {
 // empty: the paper's Table 2 policy is the default decision policy.
 const defaultController = "fdp"
 
-// observeSnapshot feeds the per-interval series from a run's progress
-// stream. Final snapshots close no interval and are skipped.
-func (m *metrics) observeSnapshot(snap intervalSample) {
-	if snap.final {
-		return
-	}
+// observeInterval feeds the per-interval series from a run's interval
+// stream.
+func (m *metrics) observeInterval(ev *sim.DecisionEvent) {
 	m.intervals.Add(1)
-	if p := int(snap.insertion); p >= 0 && p < int(cache.NumInsertPos) {
-		ctl := snap.controller
-		if ctl == "" {
-			ctl = defaultController
+	for p := cache.InsertPos(0); p < cache.NumInsertPos; p++ {
+		if p.String() != ev.Insertion {
+			continue
 		}
 		m.insertMu.Lock()
-		counts, ok := m.insertions[ctl]
+		counts, ok := m.insertions[ev.Controller]
 		if !ok {
 			counts = new([cache.NumInsertPos]uint64)
-			m.insertions[ctl] = counts
+			m.insertions[ev.Controller] = counts
 		}
 		counts[p]++
 		m.insertMu.Unlock()
+		break
 	}
-	if c := snap.sample.Cycles; c.Total() > 0 {
+	if c := ev.Sample.Cycles; c.Total() > 0 {
 		m.stallCycles[0].Add(c.RetireFull)
 		m.stallCycles[1].Add(c.RetirePartial)
 		m.stallCycles[2].Add(c.StallLoadMiss)
@@ -188,19 +185,10 @@ func (m *metrics) observeSnapshot(snap intervalSample) {
 		m.stallCycles[4].Add(c.StallDRAMBP)
 		m.stallCycles[5].Add(c.StallIFetch)
 		m.stallCycles[6].Add(c.StallFrontend)
-		m.busCycles[0].Add(snap.sample.BusDemandCycles)
-		m.busCycles[1].Add(snap.sample.BusPrefetchCycles)
-		m.busCycles[2].Add(snap.sample.BusWritebackCycles)
+		m.busCycles[0].Add(ev.Sample.BusDemandCycles)
+		m.busCycles[1].Add(ev.Sample.BusPrefetchCycles)
+		m.busCycles[2].Add(ev.Sample.BusWritebackCycles)
 	}
-}
-
-// intervalSample is the slice of a sim.Snapshot the metrics need; a named
-// struct keeps observeSnapshot testable without building full snapshots.
-type intervalSample struct {
-	final      bool
-	controller string // decision-policy label; empty means defaultController
-	insertion  cache.InsertPos
-	sample     stats.IntervalSample
 }
 
 // histogram is a fixed-bucket cumulative histogram (Prometheus semantics:

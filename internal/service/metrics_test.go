@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"fdpsim/internal/cache"
+	"fdpsim/internal/sim"
 )
 
 // TestHistogramInitSortsAndDedupes pins the registration-time cleanup:
@@ -73,11 +73,10 @@ func TestMetricsNewSeries(t *testing.T) {
 	var m metrics
 	m.init(nil)
 	for i := 0; i < 7; i++ {
-		m.observeSnapshot(intervalSample{insertion: cache.PosMID})
+		m.observeInterval(&sim.DecisionEvent{Controller: "fdp", Insertion: "MID"})
 	}
-	m.observeSnapshot(intervalSample{insertion: cache.PosMRU})
-	m.observeSnapshot(intervalSample{final: true, insertion: cache.PosMRU})                // ignored
-	m.observeSnapshot(intervalSample{controller: "dspatch-dual", insertion: cache.PosLRU}) // own series
+	m.observeInterval(&sim.DecisionEvent{Controller: "fdp", Insertion: "MRU"})
+	m.observeInterval(&sim.DecisionEvent{Controller: "dspatch-dual", Insertion: "LRU"}) // own series
 	m.httpDur.observe(0.002)
 
 	var buf bytes.Buffer

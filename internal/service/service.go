@@ -159,10 +159,13 @@ type Job struct {
 	result      *sim.Result
 	errMsg      string
 	cancel      context.CancelCauseFunc // set while running
-	lastSnap    *sim.Snapshot
-	subs        map[int]chan sim.Snapshot
-	nextSub     int
-	done        chan struct{}
+	// last is the run's latest interval event (zero Interval until the
+	// first boundary closes), replayed to late SSE subscribers and read by
+	// the dcc gauge; subs are the live SSE subscribers.
+	last    sim.DecisionEvent
+	subs    map[int]chan sim.DecisionEvent
+	nextSub int
+	done    chan struct{}
 
 	// trace, when non-nil, collects the run's FDP decision events (the
 	// job was submitted with WithDecisionTrace). traceJSONL is the
@@ -276,32 +279,32 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// publish is the job's sim.ProgressFunc: it retains the latest snapshot
-// for late subscribers and fans it out without blocking the simulation
-// (slow subscribers drop intermediate snapshots, never stall the run).
-func (j *Job) publish(s sim.Snapshot) {
+// publish retains the latest interval event for late subscribers and
+// fans it out without blocking the simulation (slow subscribers drop
+// intermediate events, never stall the run).
+func (j *Job) publish(ev sim.DecisionEvent) {
 	j.mu.Lock()
-	snap := s
-	j.lastSnap = &snap
+	j.last = ev
 	for _, ch := range j.subs {
 		select {
-		case ch <- s:
+		case ch <- ev:
 		default:
 		}
 	}
 	j.mu.Unlock()
 }
 
-// subscribe registers an SSE listener and returns the latest snapshot so
-// a late joiner sees where the run is immediately.
-func (j *Job) subscribe() (id int, ch chan sim.Snapshot, last *sim.Snapshot) {
+// subscribe registers an SSE listener and returns the latest interval
+// event (zero Interval if none closed yet) so a late joiner sees where
+// the run is immediately.
+func (j *Job) subscribe() (id int, ch chan sim.DecisionEvent, last sim.DecisionEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch = make(chan sim.Snapshot, 16)
+	ch = make(chan sim.DecisionEvent, 16)
 	id = j.nextSub
 	j.nextSub++
 	j.subs[id] = ch
-	return id, ch, j.lastSnap
+	return id, ch, j.last
 }
 
 func (j *Job) unsubscribe(id int) {
@@ -310,15 +313,16 @@ func (j *Job) unsubscribe(id int) {
 	j.mu.Unlock()
 }
 
-// finishLocked moves the job to a terminal state. Caller holds j.mu.
-func (j *Job) finishLocked(state JobState, res *sim.Result, errMsg string) {
+// finishLocked moves the job to a terminal state, finished at at, and
+// closes Done. Caller holds j.mu.
+func (j *Job) finishLocked(state JobState, res *sim.Result, errMsg string, at time.Time) {
 	if j.state.Terminal() {
 		return
 	}
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
-	j.finishedAt = time.Now()
+	j.finishedAt = at
 	close(j.done)
 }
 
@@ -553,8 +557,7 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 		// Unreachable: ValidateJob/ValidateSpecJob reject custom prefetchers.
 		return nil, fmt.Errorf("%w: configuration is not fingerprintable", sim.ErrInvalidConfig)
 	}
-	cfg.Progress = nil // the worker installs its own sinks
-	cfg.Tracer = nil
+	cfg.Tracer = nil // the worker installs its own sinks
 
 	tenant := o.tenant
 	if tenant == "" {
@@ -588,7 +591,7 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 		parentSpan:  o.parentSpan,
 		state:       StateQueued,
 		submittedAt: time.Now(),
-		subs:        make(map[int]chan sim.Snapshot),
+		subs:        make(map[int]chan sim.DecisionEvent),
 		done:        make(chan struct{}),
 	}
 	if o.trace {
@@ -614,17 +617,19 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 		if o.series && s.cfg.Store != nil {
 			seriesBin, _ = s.cfg.Store.GetSeries(fp)
 		}
+		// The root span and ledger line land before Done closes, so a
+		// reader woken by Done sees both (likewise in runJob).
+		finished := time.Now()
+		s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
+			Name: "job", Start: job.submittedAt, End: finished,
+			Attrs: map[string]string{"outcome": "cache_hit", "tenant": job.tenant}})
+		s.writeProvenance(job, store.OutcomeCacheHit, "", -1, false, 0, 0, 0, finished)
 		job.mu.Lock()
 		job.cacheHit = true
 		job.traceJSONL = trace
 		job.seriesBin = seriesBin
-		job.finishLocked(StateDone, &res, "")
-		submitted, finished := job.submittedAt, job.finishedAt
+		job.finishLocked(StateDone, &res, "", finished)
 		job.mu.Unlock()
-		s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-			Name: "job", Start: submitted, End: finished,
-			Attrs: map[string]string{"outcome": "cache_hit", "tenant": job.tenant}})
-		s.writeProvenance(job, store.OutcomeCacheHit, "", -1, false, 0, 0, 0)
 		s.log.Info("job done", "job", job.id, "cache_hit", true, "trace", trace != nil)
 		return job, nil
 	}
@@ -657,7 +662,7 @@ func (s *Server) dropJob(job *Job, cause error) {
 	delete(s.jobs, job.id)
 	s.mu.Unlock()
 	job.mu.Lock()
-	job.finishLocked(StateFailed, nil, cause.Error())
+	job.finishLocked(StateFailed, nil, cause.Error(), time.Now())
 	job.mu.Unlock()
 }
 
@@ -674,7 +679,7 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	state := job.state
 	switch job.state {
 	case StateQueued:
-		job.finishLocked(StateCancelled, nil, "cancelled before start")
+		job.finishLocked(StateCancelled, nil, "cancelled before start", time.Now())
 		s.m.cancelled.Add(1)
 	case StateRunning:
 		// The worker observes the cause via RunContext's CancelError and
@@ -712,7 +717,7 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	if s.baseCtx.Err() != nil { // shutdown won the race: never start
-		job.finishLocked(StateCancelled, nil, "server shutting down")
+		job.finishLocked(StateCancelled, nil, "server shutting down", time.Now())
 		job.mu.Unlock()
 		s.m.cancelled.Add(1)
 		return
@@ -764,15 +769,15 @@ func (s *Server) runJob(job *Job) {
 			s.storeResult(job.fp, res)
 			s.m.fleetAdopted.Add(1)
 			s.m.completed.Add(1)
+			finished := time.Now()
+			s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
+				Name: "job", Start: job.submittedAt, End: finished,
+				Attrs: map[string]string{"outcome": "adopted", "tenant": job.tenant}})
+			s.writeProvenance(job, store.OutcomeAdopted, "", -1, false, wait, 0, 0, finished)
 			job.mu.Lock()
 			job.cacheHit = true
-			job.finishLocked(StateDone, &res, "")
-			submitted, finished := job.submittedAt, job.finishedAt
+			job.finishLocked(StateDone, &res, "", finished)
 			job.mu.Unlock()
-			s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-				Name: "job", Start: submitted, End: finished,
-				Attrs: map[string]string{"outcome": "adopted", "tenant": job.tenant}})
-			s.writeProvenance(job, store.OutcomeAdopted, "", -1, false, wait, 0, 0)
 			s.log.Info("job finished", "job", job.id, "state", "done", "fleet_adopted", true)
 			return
 		}
@@ -794,38 +799,11 @@ func (s *Server) runJob(job *Job) {
 	}
 
 	cfg := job.cfg
-	ctl := controllerLabel(cfg)
-	cfg.Progress = func(snap sim.Snapshot) {
-		s.m.observeSnapshot(intervalSample{final: snap.Final, controller: ctl, insertion: snap.Insertion, sample: snap.Sample})
-		job.publish(snap)
-	}
-	// runEvents collects in-run span events (lease renewals and losses);
-	// Progress runs synchronously on this goroutine, so no lock is needed.
-	var runEvents []obs.SpanEvent
-	if fleetAcquired {
-		// Piggyback lease renewal on progress so a live simulation never
-		// loses its claim; a renewal that fails (lease stolen after a long
-		// stall) is logged but the run continues — the store's atomic Put
-		// keeps duplicate execution harmless.
-		inner := cfg.Progress
-		lastRenew := time.Now()
-		cfg.Progress = func(snap sim.Snapshot) {
-			inner(snap)
-			if time.Since(lastRenew) >= s.cfg.LeaseTTL/3 {
-				lastRenew = time.Now()
-				if s.cfg.Store.Renew(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL) {
-					runEvents = append(runEvents, obs.SpanEvent{Name: "lease-renew", Time: time.Now()})
-				} else {
-					s.m.leaseLost.Add(1)
-					runEvents = append(runEvents, obs.SpanEvent{Name: "lease-lost", Time: time.Now()})
-					s.log.Warn("fleet lease lost mid-run", "job", job.id, "fingerprint", shortFP(job.fp))
-				}
-			}
-		}
-	}
-	// The tracer fans out to whichever synchronous sinks the submission
-	// asked for (decision-trace collector, series recorder); obs.Tee
-	// collapses the common zero- and one-sink cases to no wrapper at all.
+	// The tracer delivers each interval to the synchronous sinks the
+	// submission asked for (decision-trace collector, series recorder),
+	// then to the job's own sink; obs.Tee collapses the common one-sink
+	// case to no wrapper at all.
+	sink := &jobSink{s: s, job: job, renew: fleetAcquired, lastRenew: time.Now()}
 	var sinks []sim.Tracer
 	if job.trace != nil {
 		sinks = append(sinks, job.trace)
@@ -833,7 +811,7 @@ func (s *Server) runJob(job *Job) {
 	if job.series != nil {
 		sinks = append(sinks, job.series)
 	}
-	cfg.Tracer = obs.Tee(sinks...)
+	cfg.Tracer = obs.Tee(append(sinks, sink)...)
 	s.m.executions.Add(1)
 	runStart := time.Now()
 	var res sim.Result
@@ -849,7 +827,7 @@ func (s *Server) runJob(job *Job) {
 	s.m.simNanos.Add(uint64(res.Elapsed.Nanoseconds()))
 
 	runSpan := obs.Span{Parent: job.rootSpan, Name: "run",
-		Start: runStart, End: runStart.Add(runDur), Events: runEvents,
+		Start: runStart, End: runStart.Add(runDur), Events: sink.events,
 		Attrs: map[string]string{
 			"workload":  cfg.Workload,
 			"intervals": strconv.FormatUint(res.Intervals, 10),
@@ -916,36 +894,28 @@ func (s *Server) runJob(job *Job) {
 		s.addSpan(job, obs.Span{Parent: job.rootSpan, Name: "store",
 			Start: storeStart, End: storeStart.Add(storeDur)})
 	}
-	job.mu.Lock()
-	job.traceJSONL = traceJSONL
-	job.seriesBin = seriesBin
+	state, result, outcome, errMsg := StateDone, &res, store.OutcomeExecuted, ""
 	switch {
 	case err == nil:
 		s.m.completed.Add(1)
-		job.finishLocked(StateDone, &res, "")
 	case errors.Is(err, sim.ErrCancelled):
 		s.m.cancelled.Add(1)
-		partial := res
-		job.finishLocked(StateCancelled, &partial, err.Error())
+		state, outcome, errMsg = StateCancelled, store.OutcomeCancelled, err.Error()
 	default:
 		s.m.failed.Add(1)
-		job.finishLocked(StateFailed, nil, err.Error())
+		state, result, outcome, errMsg = StateFailed, nil, store.OutcomeFailed, err.Error()
 	}
-	state, started := job.state, job.startedAt
-	submitted, finished := job.submittedAt, job.finishedAt
-	job.mu.Unlock()
-
+	finished := time.Now()
 	s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-		Name: "job", Start: submitted, End: finished,
+		Name: "job", Start: job.submittedAt, End: finished,
 		Attrs: map[string]string{"outcome": string(state), "tenant": job.tenant}})
-	outcome, errMsg := store.OutcomeExecuted, ""
-	switch {
-	case errors.Is(err, sim.ErrCancelled):
-		outcome, errMsg = store.OutcomeCancelled, err.Error()
-	case err != nil:
-		outcome, errMsg = store.OutcomeFailed, err.Error()
-	}
-	s.writeProvenance(job, outcome, errMsg, claimGen, claimStolen, wait, runDur, storeDur)
+	s.writeProvenance(job, outcome, errMsg, claimGen, claimStolen, wait, runDur, storeDur, finished)
+	job.mu.Lock()
+	job.traceJSONL = traceJSONL
+	job.seriesBin = seriesBin
+	job.finishLocked(state, result, errMsg, finished)
+	started := job.startedAt
+	job.mu.Unlock()
 
 	attrs := []any{"job", job.id, "state", string(state),
 		"duration", time.Since(started), "intervals", res.Intervals}
@@ -1027,34 +997,59 @@ func (s *Server) Tenants() []TenantSnapshot { return s.sched.snapshot() }
 // SetTenant registers or reconfigures a scheduler tenant at runtime.
 func (s *Server) SetTenant(name string, cfg TenantConfig) { s.sched.register(name, cfg) }
 
-// controllerLabel names a configuration's decision policy for metrics
-// series: the explicit Controller, or the paper default.
-func controllerLabel(cfg sim.Config) string {
-	if cfg.Controller != "" {
-		return cfg.Controller
-	}
-	return defaultController
-}
-
 // dccDistribution samples, for the metrics endpoint, how many currently
 // running jobs sit at each Dynamic Configuration Counter level (1..5,
-// from their latest progress snapshot), grouped by the job's decision
+// from their latest interval event), grouped by the job's decision
 // policy. Inner index 0 is unused.
 func (s *Server) dccDistribution() map[string][6]int {
 	dist := make(map[string][6]int)
 	for _, job := range s.Jobs() {
 		job.mu.Lock()
-		if job.state == StateRunning && job.lastSnap != nil {
-			if lvl := job.lastSnap.Level; lvl >= 1 && lvl <= 5 {
-				ctl := controllerLabel(job.cfg)
-				d := dist[ctl]
-				d[lvl]++
-				dist[ctl] = d
-			}
+		if ev := &job.last; job.state == StateRunning && ev.DCCAfter >= 1 && ev.DCCAfter <= 5 {
+			d := dist[ev.Controller]
+			d[ev.DCCAfter]++
+			dist[ev.Controller] = d
 		}
 		job.mu.Unlock()
 	}
 	return dist
+}
+
+// jobSink is a running job's own interval sink, teed after the trace
+// collector and series recorder. It feeds the interval metrics, retains
+// and fans out each event for SSE subscribers and the dcc gauge, and
+// keeps a fleet worker's claim alive. It runs synchronously on the
+// simulation goroutine, so its fields need no lock.
+type jobSink struct {
+	s   *Server
+	job *Job
+	// renew is set when the job holds a fleet claim; lastRenew is when the
+	// lease was last extended.
+	renew     bool
+	lastRenew time.Time
+	// events are the run span's lease renewals and losses.
+	events []obs.SpanEvent
+}
+
+// TraceDecision implements sim.Tracer. Lease renewal piggybacks on the
+// interval stream so a live simulation never loses its claim; a renewal
+// that fails (lease stolen after a long stall) is logged but the run
+// continues — the store's atomic Put keeps duplicate execution harmless.
+func (k *jobSink) TraceDecision(ev sim.DecisionEvent) {
+	s := k.s
+	s.m.observeInterval(&ev)
+	k.job.publish(ev)
+	if !k.renew || time.Since(k.lastRenew) < s.cfg.LeaseTTL/3 {
+		return
+	}
+	k.lastRenew = time.Now()
+	if s.cfg.Store.Renew(k.job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL) {
+		k.events = append(k.events, obs.SpanEvent{Name: "lease-renew", Time: time.Now()})
+		return
+	}
+	s.m.leaseLost.Add(1)
+	k.events = append(k.events, obs.SpanEvent{Name: "lease-lost", Time: time.Now()})
+	s.log.Warn("fleet lease lost mid-run", "job", k.job.id, "fingerprint", shortFP(k.job.fp))
 }
 
 // Shutdown stops intake (submissions fail with ErrShuttingDown), cancels

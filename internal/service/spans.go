@@ -103,17 +103,16 @@ func buildVersion() (version, goVersion string) {
 	return version, goVersion
 }
 
-// writeProvenance appends the job's ledger line — best-effort, like
-// storeResult: observability never fails a job.
+// writeProvenance appends the job's ledger line for a job finishing at
+// finished — best-effort, like storeResult: observability never fails a
+// job. Callers append it before the job's Done closes.
 func (s *Server) writeProvenance(j *Job, outcome, errMsg string, leaseGen int, stolen bool,
-	queueWait, run, storeDur time.Duration) {
+	queueWait, run, storeDur time.Duration, finished time.Time) {
 	if s.cfg.Store == nil {
 		return
 	}
 	version, goVersion := buildVersion()
-	j.mu.Lock()
-	submitted, finished := j.submittedAt, j.finishedAt
-	j.mu.Unlock()
+	submitted := j.submittedAt
 	wall := finished.Sub(submitted)
 	p := store.Provenance{
 		Fingerprint: j.fp,

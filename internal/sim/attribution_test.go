@@ -135,39 +135,6 @@ func TestAttributionConsistency(t *testing.T) {
 	}
 }
 
-// TestAttributionSnapshotSample checks the Progress path carries the same
-// per-interval samples as the tracer, plus a live BPKI.
-func TestAttributionSnapshotSample(t *testing.T) {
-	tr := &collectTracer{}
-	cfg := attrTestConfig()
-	cfg.Tracer = tr
-	var snaps []Snapshot
-	cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
-
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(snaps) != len(tr.events)+1 { // one per interval plus the Final
-		t.Fatalf("got %d snapshots for %d events", len(snaps), len(tr.events))
-	}
-	for i, ev := range tr.events {
-		if snaps[i].Sample != ev.Sample {
-			t.Fatalf("snapshot %d sample disagrees with trace event", i)
-		}
-	}
-	final := snaps[len(snaps)-1]
-	if !final.Final {
-		t.Fatal("last snapshot not Final")
-	}
-	if final.BPKI != res.BPKI {
-		t.Errorf("final snapshot BPKI = %g, want Result.BPKI %g", final.BPKI, res.BPKI)
-	}
-	if last := snaps[len(snaps)-2]; last.BPKI <= 0 {
-		t.Error("interval snapshots carry no live BPKI")
-	}
-}
-
 // TestAttributionWarmup checks the warmup reset: with WarmupInsts set the
 // buckets must still sum to the post-warmup Counters.Cycles exactly, and
 // the bus/row totals must cover post-warmup traffic only.

@@ -117,21 +117,17 @@ type Config struct {
 	// layer: top-down per-cycle stall classification, bus-occupancy and
 	// DRAM-pressure telemetry, and prefetch-timeliness histograms. Results
 	// land in Result.Attribution and in the per-interval Sample of
-	// DecisionEvent/Snapshot. Purely observational — simulation timing and
-	// all other counters are bit-identical with it on or off.
+	// DecisionEvent. Purely observational — simulation timing and all
+	// other counters are bit-identical with it on or off.
 	Attribution bool
 
-	// Progress, when set, streams one Snapshot per completed FDP sampling
-	// interval plus a Final snapshot at run end to the caller-supplied
-	// sink. Excluded from JSON round-trips (functions do not serialize)
-	// and from the harness memo fingerprint (it does not affect results).
-	Progress ProgressFunc `json:"-"`
-
 	// Tracer, when set, receives one DecisionEvent per FDP interval
-	// boundary — the feedback loop's full decision trace (see trace.go and
-	// internal/obs for sinks). Like Progress it is observation-only:
-	// excluded from JSON round-trips and from the fingerprint, and a nil
-	// tracer adds no work to the simulation loop.
+	// boundary — the run's one per-interval stream: the feedback loop's
+	// full decision trace plus the post-warm-up cycle and retire stamps
+	// progress displays need (see trace.go, and internal/obs for sinks).
+	// It is observation-only: excluded from JSON round-trips (functions
+	// and interfaces do not serialize) and from the fingerprint, and a
+	// nil tracer costs the simulation loop one branch per interval.
 	Tracer Tracer `json:"-"`
 
 	// MaxCycles is the cycle budget after which a run aborts (a safety

@@ -20,8 +20,8 @@ const fingerprintVersion = "fdpsim-fp-v2"
 
 // Fingerprint returns a stable content hash of the configuration's
 // semantic fields: two configurations share a fingerprint exactly when a
-// completed run of one is a valid result for the other. Result-irrelevant
-// fields (the Progress sink and the Tracer) are excluded. Custom-prefetcher runs are not
+// completed run of one is a valid result for the other. The Tracer does
+// not affect results and is excluded. Custom-prefetcher runs are not
 // fingerprintable (ok=false): the prefetcher instance is opaque, stateful,
 // and a pointer's address can alias a different instance after reuse.
 //
@@ -32,7 +32,6 @@ func Fingerprint(cfg Config) (fp string, ok bool) {
 		return "", false
 	}
 	cfg.Custom = nil
-	cfg.Progress = nil
 	cfg.Tracer = nil
 	sum := sha256.Sum256([]byte(fingerprintVersion + "\x00" + fmt.Sprintf("%+v", cfg)))
 	return hex.EncodeToString(sum[:]), true

@@ -20,9 +20,9 @@ func TestFingerprintStableAndSemantic(t *testing.T) {
 	}
 
 	// Result-irrelevant fields must not change the fingerprint.
-	b.Progress = func(Snapshot) {}
+	b.Tracer = TracerFunc(func(DecisionEvent) {})
 	if fb2, _ := Fingerprint(b); fb2 != fa {
-		t.Fatalf("Progress sink changed the fingerprint")
+		t.Fatalf("Tracer changed the fingerprint")
 	}
 
 	// Semantic fields must.

@@ -22,14 +22,14 @@ func TestRunContextCancelWithinOneInterval(t *testing.T) {
 	defer cancel()
 
 	cfg := fdpCfg("chaserand")
-	var cancelAt Snapshot
-	cfg.Progress = func(s Snapshot) {
-		if s.Final || cancelAt.Interval != 0 {
+	var cancelAt DecisionEvent
+	cfg.Tracer = TracerFunc(func(ev DecisionEvent) {
+		if cancelAt.Interval != 0 {
 			return
 		}
-		cancelAt = s
+		cancelAt = ev
 		cancel()
-	}
+	})
 
 	res, err := RunContext(ctx, cfg)
 	if err == nil {
@@ -56,9 +56,9 @@ func TestRunContextCancelWithinOneInterval(t *testing.T) {
 			ce.Retired, ce.Target, res.Counters.Retired, cfg.MaxInsts)
 	}
 	if cancelAt.Interval == 0 {
-		t.Fatal("progress sink never ran")
+		t.Fatal("tracer never ran")
 	}
-	// The cancel fired inside the sink for interval cancelAt.Interval, so
+	// The cancel fired inside the tracer for interval cancelAt.Interval, so
 	// the run must stop before another full sampling interval elapses.
 	if res.Intervals > cancelAt.Interval+1 {
 		t.Errorf("run continued for %d intervals after cancelling at interval %d",
@@ -96,49 +96,37 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-func TestProgressSnapshotsMonotonicAndFinalMatchesResult(t *testing.T) {
+// TestIntervalEventsMonotonic: the interval stream's stamps never go
+// backwards, its interval indices are contiguous, and it ends inside the
+// returned Result.
+func TestIntervalEventsMonotonic(t *testing.T) {
 	cfg := fdpCfg("mixedphase")
 	cfg.MaxInsts = 200_000
-	var snaps []Snapshot
-	cfg.Progress = func(s Snapshot) { snaps = append(snaps, s) }
+	cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
+	tr := &collectTracer{}
+	cfg.Tracer = tr
 
 	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no progress snapshots for an FDP run")
+	if len(tr.events) == 0 {
+		t.Fatal("no interval events for an FDP run")
 	}
-	var prev Snapshot
-	for i, s := range snaps[:len(snaps)-1] {
-		if s.Final {
-			t.Fatalf("snapshot %d marked Final before the end of the run", i)
+	var prev DecisionEvent
+	for i, ev := range tr.events {
+		if ev.Retired < prev.Retired || ev.Cycle < prev.Cycle {
+			t.Errorf("event %d went backwards: retired %d->%d, cycle %d->%d",
+				i, prev.Retired, ev.Retired, prev.Cycle, ev.Cycle)
 		}
-		if s.Retired < prev.Retired || s.Cycle < prev.Cycle {
-			t.Errorf("snapshot %d went backwards: retired %d->%d, cycle %d->%d",
-				i, prev.Retired, s.Retired, prev.Cycle, s.Cycle)
+		if ev.Interval != prev.Interval+1 {
+			t.Errorf("event %d: interval %d after %d", i, ev.Interval, prev.Interval)
 		}
-		if s.Interval != prev.Interval+1 {
-			t.Errorf("snapshot %d: interval %d after %d", i, s.Interval, prev.Interval)
-		}
-		if s.Target != cfg.MaxInsts {
-			t.Errorf("snapshot %d: target %d, want %d", i, s.Target, cfg.MaxInsts)
-		}
-		prev = s
+		prev = ev
 	}
-	last := snaps[len(snaps)-1]
-	if !last.Final {
-		t.Fatal("last snapshot not marked Final")
-	}
-	if last.Retired != res.Counters.Retired || last.Cycle != res.Counters.Cycles {
-		t.Errorf("final snapshot retired=%d cycle=%d, result retired=%d cycles=%d",
-			last.Retired, last.Cycle, res.Counters.Retired, res.Counters.Cycles)
-	}
-	if last.IPC != res.IPC {
-		t.Errorf("final snapshot IPC %v != result IPC %v", last.IPC, res.IPC)
-	}
-	if last.Interval != res.Intervals {
-		t.Errorf("final snapshot interval %d != result intervals %d", last.Interval, res.Intervals)
+	if prev.Retired > res.Counters.Retired || prev.Cycle > res.Counters.Cycles || prev.Interval != res.Intervals {
+		t.Errorf("last event retired=%d cycle=%d interval=%d, result retired=%d cycles=%d intervals=%d",
+			prev.Retired, prev.Cycle, prev.Interval, res.Counters.Retired, res.Counters.Cycles, res.Intervals)
 	}
 	if res.Partial {
 		t.Error("completed run marked Partial")
@@ -182,14 +170,14 @@ func TestRunMultiContextCancel(t *testing.T) {
 		cfg.WarmupInsts = 1_000
 		mc.Cores = append(mc.Cores, cfg)
 	}
-	var cancelAt Snapshot
-	mc.Cores[0].Progress = func(s Snapshot) {
-		if s.Final || cancelAt.Interval != 0 {
+	var cancelAt DecisionEvent
+	mc.Cores[0].Tracer = TracerFunc(func(ev DecisionEvent) {
+		if cancelAt.Interval != 0 {
 			return
 		}
-		cancelAt = s
+		cancelAt = ev
 		cancel()
-	}
+	})
 
 	res, err := RunMultiContext(ctx, mc)
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
@@ -209,7 +197,7 @@ func TestRunMultiContextCancel(t *testing.T) {
 		maxRetired = max(maxRetired, c.Counters.Retired)
 	}
 	if cancelAt.Interval == 0 {
-		t.Fatal("progress sink never ran")
+		t.Fatal("tracer never ran")
 	}
 	if got := res.Cores[0].Intervals; got > cancelAt.Interval+1 {
 		t.Errorf("core 0 ran %d intervals past the cancel at interval %d", got-cancelAt.Interval, cancelAt.Interval)
@@ -227,15 +215,14 @@ func TestRunSMTContextCancel(t *testing.T) {
 	defer cancel()
 
 	base := fdpCfg("seqstream")
-	var cancelAt uint64
-	base.Progress = func(s Snapshot) {
+	var cancelAt, events uint64
+	base.Tracer = TracerFunc(func(ev DecisionEvent) {
+		events++
 		if cancelAt == 0 {
-			cancelAt = s.Interval
+			cancelAt = ev.Interval
 			cancel()
 		}
-	}
-	tr := &collectTracer{}
-	base.Tracer = tr
+	})
 	smt := SMTConfig{Base: base, Workloads: []string{"seqstream", "chaserand"}}
 
 	res, err := RunSMTContext(ctx, smt)
@@ -246,9 +233,9 @@ func TestRunSMTContextCancel(t *testing.T) {
 		t.Error("SMT result not marked Partial")
 	}
 	if cancelAt == 0 {
-		t.Fatal("progress sink never ran")
+		t.Fatal("tracer never ran")
 	}
-	if got := uint64(len(tr.events)); got > cancelAt+1 {
-		t.Errorf("shared engine ran %d intervals past the cancel at interval %d", got-cancelAt, cancelAt)
+	if events > cancelAt+1 {
+		t.Errorf("shared engine ran %d intervals past the cancel at interval %d", events-cancelAt, cancelAt)
 	}
 }

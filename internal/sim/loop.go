@@ -364,13 +364,12 @@ func (n *node) finalLevel() int {
 }
 
 // onInterval is every node's FDP OnInterval hook. It flags the closed
-// interval for the cancellation poll and, when a tracer or progress sink
-// listens, delivers the interval's DecisionEvent and Snapshot, stamped
-// with the node's post-warm-up cycle and retire counts (zero while
-// warming up).
+// interval for the cancellation poll and, when a tracer listens, delivers
+// the interval's DecisionEvent, stamped with the node's post-warm-up cycle
+// and retire counts (zero while warming up).
 func (n *node) onInterval(rec core.IntervalRecord) {
 	n.l.intervalClosed = true
-	if n.cfg.Tracer == nil && n.cfg.Progress == nil {
+	if n.cfg.Tracer == nil {
 		return
 	}
 	var pcyc, pret uint64
@@ -382,36 +381,10 @@ func (n *node) onInterval(rec core.IntervalRecord) {
 		}
 	}
 	n.h.traceDecision(rec, pcyc, pret, sample)
-	if n.cfg.Progress == nil {
-		return
-	}
-	c := n.ctr // the live bus counters
-	c.Cycles, c.Retired = pcyc, pret
-	s := n.snapshot(&c, n.h.fdp.Intervals())
-	s.Accuracy, s.Lateness, s.Pollution, s.Case, s.Sample = rec.Accuracy, rec.Lateness, rec.Pollution, rec.Case, sample
-	n.cfg.Progress(s)
-}
-
-// snapshot starts a Snapshot of the node from counters whose Cycles and
-// Retired are post-warm-up.
-func (n *node) snapshot(c *stats.Counters, interval uint64) Snapshot {
-	return Snapshot{
-		Core:      n.h.coreID,
-		Cycle:     c.Cycles,
-		Retired:   c.Retired,
-		Target:    uint64(len(n.lanes)) * n.cfg.MaxInsts,
-		IPC:       c.IPC(),
-		BPKI:      c.BPKI(),
-		Interval:  interval,
-		Level:     n.finalLevel(),
-		Insertion: n.h.fdp.Insertion(),
-		Elapsed:   time.Since(n.l.start),
-	}
 }
 
 // finish shapes the node's frozen counters into a Result, with History
-// cut at the frozen interval count, and emits the node's Final snapshot,
-// which mirrors it.
+// cut at the frozen interval count.
 func (n *node) finish() Result {
 	ctr := n.snap
 	res := Result{
@@ -435,12 +408,6 @@ func (n *node) finish() Result {
 	}
 	if n.cfg.KeepFDPHistory {
 		res.History = n.h.fdp.History[:ctr.Intervals]
-	}
-	if n.cfg.Progress != nil {
-		s := n.snapshot(&ctr, ctr.Intervals)
-		s.Accuracy, s.Lateness, s.Pollution = n.h.fdp.Metrics()
-		s.Elapsed, s.Final = res.Elapsed, true
-		n.cfg.Progress(s)
 	}
 	return res
 }

@@ -9,27 +9,12 @@ import (
 	"fdpsim/internal/mem"
 )
 
-// recorder collects one run's interval stream: every progress snapshot
-// (wall-clock zeroed) and every decision event.
-type recorder struct {
-	snaps  []Snapshot
-	events collectTracer
-}
-
-func (r *recorder) install(cfg *Config) {
-	cfg.Progress = func(s Snapshot) {
-		s.Elapsed = 0
-		r.snaps = append(r.snaps, s)
-	}
-	cfg.Tracer = &r.events
-}
-
 // TestTopologiesMatchSingleCore is the differential oracle behind the one
 // run loop: a one-core multi-core run and a one-thread SMT run are the
 // single-core run. The multi-core Result must match field for field, and
-// its interval stream and Final snapshot too; the SMT result must match
-// on cycles, counters, thread IPC, BPKI, accuracy, pollution and final
-// level, and its interval stream. The pinned result-shape gaps (DESIGN.md,
+// its interval stream too; the SMT result must match on cycles, counters,
+// thread IPC, BPKI, accuracy, pollution and final level, and its interval
+// stream. The pinned result-shape gaps (DESIGN.md,
 // "Run loop") are asserted as explicit exceptions. SMT takes no warm-up.
 func TestTopologiesMatchSingleCore(t *testing.T) {
 	for _, w := range []string{"seqstream", "chaserand", "mixedphase"} {
@@ -45,9 +30,9 @@ func TestTopologiesMatchSingleCore(t *testing.T) {
 				cfg.KeepFDPHistory = true
 				ctx := context.Background()
 
-				var singleRec, multiRec, smtRec recorder
+				var singleRec, multiRec, smtRec collectTracer
 				sc := cfg
-				singleRec.install(&sc)
+				sc.Tracer = &singleRec
 				single, err := RunContext(ctx, sc)
 				if err != nil {
 					t.Fatal(err)
@@ -57,7 +42,7 @@ func TestTopologiesMatchSingleCore(t *testing.T) {
 				}
 
 				mcfg := cfg
-				multiRec.install(&mcfg)
+				mcfg.Tracer = &multiRec
 				multi, err := RunMultiContext(ctx, MultiConfig{Cores: []Config{mcfg}})
 				if err != nil {
 					t.Fatal(err)
@@ -79,20 +64,15 @@ func TestTopologiesMatchSingleCore(t *testing.T) {
 						core.FinishCycle, multi.Cycles, single.Counters.Cycles)
 				}
 				if !reflect.DeepEqual(singleRec, multiRec) {
-					t.Errorf("1-core multi-core interval stream differs: %d vs %d snapshots, %d vs %d events",
-						len(singleRec.snaps), len(multiRec.snaps), len(singleRec.events.events), len(multiRec.events.events))
-				}
-				final := multiRec.snaps[len(multiRec.snaps)-1]
-				if !final.Final || final.Retired != got.Counters.Retired || final.Cycle != got.Counters.Cycles ||
-					final.IPC != got.IPC || final.Interval != got.Intervals || final.Level != got.FinalLevel {
-					t.Errorf("Final snapshot %+v does not mirror the core result", final)
+					t.Errorf("1-core multi-core interval stream differs: %d vs %d events",
+						len(singleRec.events), len(multiRec.events))
 				}
 
 				if warm != 0 {
 					return
 				}
 				base := cfg
-				smtRec.install(&base)
+				base.Tracer = &smtRec
 				smt, err := RunSMTContext(ctx, SMTConfig{Base: base, Workloads: []string{w}})
 				if err != nil {
 					t.Fatal(err)
@@ -113,11 +93,8 @@ func TestTopologiesMatchSingleCore(t *testing.T) {
 						th.IPC, single.IPC, smt.BPKI, single.BPKI, smt.Accuracy, single.Accuracy,
 						smt.Pollution, single.Pollution, smt.FinalLevel, single.FinalLevel)
 				}
-				// SMT emits no Final snapshot (a pinned gap); its interval
-				// records carry the same stamps and target as single-core's.
-				if !reflect.DeepEqual(singleRec.snaps[:len(singleRec.snaps)-1], smtRec.snaps) ||
-					!reflect.DeepEqual(singleRec.events, smtRec.events) {
-					t.Errorf("1-thread SMT interval stream differs: %d vs %d snapshots", len(singleRec.snaps)-1, len(smtRec.snaps))
+				if !reflect.DeepEqual(singleRec, smtRec) {
+					t.Errorf("1-thread SMT interval stream differs: %d vs %d events", len(singleRec.events), len(smtRec.events))
 				}
 			})
 		}

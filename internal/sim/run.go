@@ -201,9 +201,9 @@ func RunSourceContext(ctx context.Context, cfg Config, src cpu.Source) (Result, 
 // RunMultiContext executes a multi-core simulation. Every core runs until
 // it has retired its MaxInsts; cores that finish early keep executing (so
 // the bus contention seen by laggards stays realistic) but their
-// statistics are frozen at the finish line. Each core's Config.Progress
-// streams that core's snapshots (Snapshot.Core identifies the emitter),
-// ending with a Final one that mirrors its CoreResult.
+// statistics are frozen at the finish line. Each core's Config.Tracer
+// streams that core's interval events (DecisionEvent.Core identifies the
+// emitter).
 func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
 	if len(mc.Cores) == 0 {
 		return MultiResult{}, fmt.Errorf("%w: multi-core run needs at least one core", ErrInvalidConfig)
@@ -246,9 +246,9 @@ func RunMultiContext(ctx context.Context, mc MultiConfig) (MultiResult, error) {
 // RunSMTContext executes threads over one shared hierarchy until every
 // thread has retired Base.MaxInsts instructions. Threads that finish keep
 // running (preserving contention); their IPC is fixed at the finish line.
-// Base.WarmupInsts is not supported in this mode. Base.Progress streams
-// the shared FDP engine's per-interval snapshots, whose feedback reflects
-// the combined access stream of all threads.
+// Base.WarmupInsts is not supported in this mode. Base.Tracer streams
+// the shared FDP engine's interval events, whose feedback reflects the
+// combined access stream of all threads.
 func RunSMTContext(ctx context.Context, cfg SMTConfig) (SMTResult, error) {
 	if len(cfg.Workloads) == 0 {
 		return SMTResult{}, fmt.Errorf("%w: SMT run needs at least one thread", ErrInvalidConfig)

@@ -18,7 +18,7 @@ import (
 // (and the content-addressed stores keyed on them) stable.
 
 // RunSpecContext executes a single-lane WorkloadSpec on one core, with
-// RunContext's cancellation, deadline and progress-streaming semantics.
+// RunContext's cancellation, deadline and interval-tracing semantics.
 // The config's Workload field is overwritten with the spec's name;
 // multi-lane specs must run through RunSpecMultiContext or
 // RunSpecSMTContext.
@@ -81,7 +81,6 @@ func FingerprintSpec(cfg Config, sp *spec.Spec) (fp string, ok bool) {
 		return "", false
 	}
 	cfg.Custom = nil
-	cfg.Progress = nil
 	cfg.Tracer = nil
 	cfg.Workload = sp.Name
 	sum := sha256.Sum256([]byte(fingerprintVersion + "\x00spec\x00" + string(canon) + "\x00" + fmt.Sprintf("%+v", cfg)))

@@ -23,7 +23,8 @@ type DecisionEvent struct {
 	// Interval is the 1-based index of the sampling interval that closed.
 	Interval uint64 `json:"interval"`
 	// Cycle and Retired stamp the boundary in simulated time (post-warmup,
-	// matching Result and Snapshot; zero while warming up).
+	// matching Result; zero while warming up). Retired/Cycle is the run's
+	// IPC so far.
 	Cycle   uint64 `json:"cycle"`
 	Retired uint64 `json:"retired"`
 
@@ -63,9 +64,10 @@ type DecisionEvent struct {
 	// dynamic aggressiveness is off).
 	DCCBefore int `json:"dcc_before"`
 	DCCAfter  int `json:"dcc_after"`
-	// Distance and Degree are the aggressiveness parameters DCCAfter
-	// selects (Table 1 for stream-style prefetchers; the GHB ladder uses
-	// one value for both).
+	// Distance and Degree are the aggressiveness parameters in effect for
+	// the next interval: those DCCAfter selects (Table 1 for stream-style
+	// prefetchers; the GHB ladder uses one value for both), or the pinned
+	// level's when Config.StaticLevel fixes the prefetcher's.
 	Distance int `json:"distance"`
 	Degree   int `json:"degree"`
 
@@ -90,6 +92,12 @@ type Tracer interface {
 	TraceDecision(ev DecisionEvent)
 }
 
+// TracerFunc adapts an ordinary function to a Tracer.
+type TracerFunc func(ev DecisionEvent)
+
+// TraceDecision implements Tracer by calling f(ev).
+func (f TracerFunc) TraceDecision(ev DecisionEvent) { f(ev) }
+
 // levelParams maps a Dynamic Configuration Counter value to the prefetch
 // (distance, degree) it configures for the given prefetcher kind.
 func levelParams(kind PrefetcherKind, level int) (distance, degree int) {
@@ -108,18 +116,18 @@ func levelParams(kind PrefetcherKind, level int) (distance, degree int) {
 }
 
 // traceDecision builds one DecisionEvent from a closed interval's record
-// and delivers it to the configured tracer. cycle and retired are the
-// post-warmup stamps (zero during warmup); sample is the interval's
-// attribution delta (zero when attribution is off). No-op without a
-// tracer; the event is stack-built and passed by value, so the call is
-// allocation-free either way.
+// and delivers it to the configured tracer, which the caller has checked
+// is set. cycle and retired are the post-warmup stamps (zero during
+// warmup); sample is the interval's attribution delta (zero when
+// attribution is off). The event is stack-built and passed by value, so
+// the call is allocation-free.
 func (h *hierarchy) traceDecision(rec core.IntervalRecord, cycle, retired uint64, sample stats.IntervalSample) {
-	t := h.cfg.Tracer
-	if t == nil {
-		return
+	level := rec.Level // the DCC drives the prefetcher...
+	if h.cfg.StaticLevel > 0 && h.pf != nil {
+		level = h.pf.Level() // ...unless its level is pinned
 	}
-	distance, degree := levelParams(h.cfg.Prefetcher, rec.Level)
-	t.TraceDecision(DecisionEvent{
+	distance, degree := levelParams(h.cfg.Prefetcher, level)
+	h.cfg.Tracer.TraceDecision(DecisionEvent{
 		Core:          h.coreID,
 		Interval:      h.fdp.Intervals(),
 		Cycle:         cycle,

@@ -84,64 +84,82 @@ func BenchmarkIntervalBoundary(b *testing.B) {
 	}
 }
 
-// TestDecisionTraceMatchesResult runs a short FDP simulation with a
-// collecting tracer and cross-checks the event stream against the run's
-// aggregate Result: one event per closed interval, contiguous interval
-// indices, a final DCC matching FinalLevel, and per-event invariants
-// (metric ranges, Table 1 distance/degree consistency, valid Table 2 case).
+// TestDecisionTraceMatchesResult runs short simulations with a collecting
+// tracer and cross-checks the event stream against the run's aggregate
+// Result: one event per closed interval, contiguous interval indices, a
+// final level matching FinalLevel, and per-event invariants (metric
+// ranges, Table 1 distance/degree of the level in effect, valid Table 2
+// case). Under FDP the level in effect is the DCC; with a pinned level the
+// DCC idles while the prefetcher runs at the pinned one.
 func TestDecisionTraceMatchesResult(t *testing.T) {
-	tr := &collectTracer{}
-	cfg := WithFDP(PrefStream)
-	cfg.Workload = "chaserand"
-	cfg.MaxInsts = 150_000
-	cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
-	cfg.FDP.TInterval = 64
-	cfg.Tracer = tr
-
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Intervals == 0 {
-		t.Fatal("run closed no FDP intervals; shrink L2 or TInterval")
-	}
-	if got := uint64(len(tr.events)); got != res.Intervals {
-		t.Fatalf("got %d decision events, want one per interval (%d)", got, res.Intervals)
-	}
-	last := tr.events[len(tr.events)-1]
-	if last.DCCAfter != res.FinalLevel {
-		t.Errorf("last event DCCAfter = %d, want Result.FinalLevel %d", last.DCCAfter, res.FinalLevel)
-	}
-	for i, ev := range tr.events {
-		if ev.Interval != uint64(i+1) {
-			t.Fatalf("event %d has interval %d, want %d", i, ev.Interval, i+1)
-		}
-		if ev.Case < 1 || ev.Case > 12 {
-			t.Errorf("event %d: Table 2 case %d out of range", i, ev.Case)
-		}
-		for name, v := range map[string]float64{
-			"accuracy": ev.Accuracy, "lateness": ev.Lateness, "pollution": ev.Pollution,
-		} {
-			if v < 0 || v > 1 {
-				t.Errorf("event %d: %s = %g out of [0,1]", i, name, v)
+	fdp := WithFDP(PrefStream)
+	fdp.Workload = "chaserand"
+	pinned := Conventional(PrefStream, 5)
+	pinned.Workload = "seqstream"
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"fdp", fdp}, {"pinned", pinned}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &collectTracer{}
+			cfg := tc.cfg
+			cfg.MaxInsts = 150_000
+			cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
+			cfg.FDP.TInterval = 64
+			cfg.Tracer = tr
+			inEffect := func(ev DecisionEvent) int {
+				if cfg.StaticLevel > 0 {
+					return cfg.StaticLevel
+				}
+				return ev.DCCAfter
 			}
-		}
-		if d := ev.DCCAfter - ev.DCCBefore; d != int(core.Decrement) && d != int(core.NoChange) && d != int(core.Increment) {
-			t.Errorf("event %d: DCC moved %d→%d (step %d)", i, ev.DCCBefore, ev.DCCAfter, d)
-		}
-		want := prefetch.StreamLevels[ev.DCCAfter]
-		if ev.Distance != want.Distance || ev.Degree != want.Degree {
-			t.Errorf("event %d: level %d gives (distance,degree)=(%d,%d), want Table 1 (%d,%d)",
-				i, ev.DCCAfter, ev.Distance, ev.Degree, want.Distance, want.Degree)
-		}
-		switch ev.Insertion {
-		case "MRU", "MID", "LRU-4", "LRU":
-		default:
-			t.Errorf("event %d: unexpected insertion %q", i, ev.Insertion)
-		}
-		if ev.Decayed.PrefUsed < ev.Raw.PrefUsed/2 && ev.Decayed.PrefUsed < ev.Raw.PrefUsed {
-			t.Errorf("event %d: decayed used %d below raw %d fold", i, ev.Decayed.PrefUsed, ev.Raw.PrefUsed)
-		}
+
+			res, err := RunContext(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Intervals == 0 {
+				t.Fatal("run closed no FDP intervals; shrink L2 or TInterval")
+			}
+			if got := uint64(len(tr.events)); got != res.Intervals {
+				t.Fatalf("got %d decision events, want one per interval (%d)", got, res.Intervals)
+			}
+			if last := inEffect(tr.events[len(tr.events)-1]); last != res.FinalLevel {
+				t.Errorf("last event's level = %d, want Result.FinalLevel %d", last, res.FinalLevel)
+			}
+			for i, ev := range tr.events {
+				if ev.Interval != uint64(i+1) {
+					t.Fatalf("event %d has interval %d, want %d", i, ev.Interval, i+1)
+				}
+				if ev.Case < 1 || ev.Case > 12 {
+					t.Errorf("event %d: Table 2 case %d out of range", i, ev.Case)
+				}
+				for name, v := range map[string]float64{
+					"accuracy": ev.Accuracy, "lateness": ev.Lateness, "pollution": ev.Pollution,
+				} {
+					if v < 0 || v > 1 {
+						t.Errorf("event %d: %s = %g out of [0,1]", i, name, v)
+					}
+				}
+				if d := ev.DCCAfter - ev.DCCBefore; d != int(core.Decrement) && d != int(core.NoChange) && d != int(core.Increment) {
+					t.Errorf("event %d: DCC moved %d→%d (step %d)", i, ev.DCCBefore, ev.DCCAfter, d)
+				}
+				level := inEffect(ev)
+				want := prefetch.StreamLevels[level]
+				if ev.Distance != want.Distance || ev.Degree != want.Degree {
+					t.Errorf("event %d: level %d gives (distance,degree)=(%d,%d), want Table 1 (%d,%d)",
+						i, level, ev.Distance, ev.Degree, want.Distance, want.Degree)
+				}
+				switch ev.Insertion {
+				case "MRU", "MID", "LRU-4", "LRU":
+				default:
+					t.Errorf("event %d: unexpected insertion %q", i, ev.Insertion)
+				}
+				if ev.Decayed.PrefUsed < ev.Raw.PrefUsed/2 && ev.Decayed.PrefUsed < ev.Raw.PrefUsed {
+					t.Errorf("event %d: decayed used %d below raw %d fold", i, ev.Decayed.PrefUsed, ev.Raw.PrefUsed)
+				}
+			}
+		})
 	}
 }
 
@@ -152,9 +170,8 @@ func TestTracerExcludedFromFingerprint(t *testing.T) {
 	cfg := WithFDP(PrefStream)
 	fp1, ok1 := Fingerprint(cfg)
 	cfg.Tracer = &noopTracer{}
-	cfg.Progress = func(Snapshot) {}
 	fp2, ok2 := Fingerprint(cfg)
 	if !ok1 || !ok2 || fp1 != fp2 {
-		t.Fatalf("fingerprint changed with tracer/progress installed: %q vs %q", fp1, fp2)
+		t.Fatalf("fingerprint changed with a tracer installed: %q vs %q", fp1, fp2)
 	}
 }

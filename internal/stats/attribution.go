@@ -257,9 +257,9 @@ func (a *Attribution) RowHitRate() float64 {
 }
 
 // IntervalSample is one FDP sampling interval's attribution delta,
-// embedded by value in sim.DecisionEvent and sim.Snapshot (zero, and
-// omitted from trace JSON, when attribution is off). All fields are
-// plain values so building and copying a sample allocates nothing.
+// embedded by value in sim.DecisionEvent (zero, and omitted from trace
+// JSON, when attribution is off). All fields are plain values so building
+// and copying a sample allocates nothing.
 type IntervalSample struct {
 	// Cycles is this interval's cycle classification; Cycles.Total() is
 	// the interval's core-cycle count.

@@ -107,13 +107,6 @@ func WithCustomPrefetcher(p Prefetcher) Option {
 	}
 }
 
-// WithProgress streams per-FDP-interval Snapshots (plus a Final one) to
-// the given sink while the run is in flight. The sink is called from the
-// simulation goroutine; see ProgressFunc.
-func WithProgress(fn ProgressFunc) Option {
-	return func(cfg *Config) error { cfg.Progress = fn; return nil }
-}
-
 // WithTracer streams one DecisionEvent per FDP sampling interval to the
 // given sink while the run is in flight. The sink is called from the
 // simulation goroutine at every interval boundary; a sink that does I/O

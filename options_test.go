@@ -81,16 +81,16 @@ func TestNewConfigErrors(t *testing.T) {
 	}
 }
 
-func TestWithProgressRoundTrip(t *testing.T) {
+func TestWithTracerRoundTrip(t *testing.T) {
 	called := false
-	cfg, err := NewConfig(PrefStream, WithProgress(func(Snapshot) { called = true }))
+	cfg, err := NewConfig(PrefStream, WithTracer(TracerFunc(func(DecisionEvent) { called = true })))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Progress == nil {
-		t.Fatal("WithProgress did not install the sink")
+	if cfg.Tracer == nil {
+		t.Fatal("WithTracer did not install the sink")
 	}
-	cfg.Progress(Snapshot{})
+	cfg.Tracer.TraceDecision(DecisionEvent{})
 	if !called {
 		t.Error("installed sink is not the supplied function")
 	}

@@ -8,7 +8,10 @@
 #   2. the sidecar landed in the store (<fp>.series.bin),
 #   3. a self-diff of the fingerprint (GET /v1/diff?a=fp&b=fp) passes
 #      with zero residual on every metric,
-#   4. /metrics carries the series and diff families.
+#   4. /metrics carries the series and diff families,
+#   5. fdptop attaches to the finished job, and to a cache-hit
+#      resubmission of it, and renders the closing frame from the done
+#      event's Result: [done] and the result's BPKI.
 #
 # No dependencies beyond a POSIX shell and curl; JSON checks fall back
 # from python3 to grep so the script runs in minimal CI images.
@@ -31,6 +34,7 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 [ -x bin/fdpserved ] || go build -o bin/ ./cmd/fdpserved
+[ -x bin/fdptop ] || go build -o bin/ ./cmd/fdptop
 
 bin/fdpserved -addr "$ADDR" -cache-dir "$WORK/store" \
     -log-level warn >"$WORK/served.log" 2>&1 &
@@ -123,5 +127,25 @@ for family in sim_series_points_total sim_series_bytes_total fdpserved_diff_requ
 done
 grep -q 'fdpserved_diff_requests_total{verdict="pass"} 1' "$WORK/metrics" \
     || die "diff verdict counter did not count the pass"
+
+# 5. Live dashboard: no interval event carries BPKI, so fdptop's closing
+# frame must take it from the done event's Result. The cache-hit job
+# streams no interval at all and renders from the Result alone.
+BPKI=$(sed -n 's/.*"BPKI": *\([-0-9.eE+]*\).*/\1/p' "$WORK/status.json" | head -1)
+[ -n "$BPKI" ] || die "no result BPKI in job status"
+WANT=$(awk -v b="$BPKI" 'BEGIN { printf "BPKI %6.2f", b }')
+curl -fsS -o "$WORK/hit.json" \
+    -H 'Content-Type: application/json' \
+    -d '{"workload":"seqstream","fdp":true,"insts":2000000,"seed":7,"tinterval":64,"series":true}' \
+    "http://$ADDR/v1/jobs" || die "cache-hit resubmission failed"
+grep -q '"cache_hit": *true' "$WORK/hit.json" || die "resubmission was not a cache hit"
+HIT=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$WORK/hit.json" | head -1)
+for id in "$JOB" "$HIT"; do
+    bin/fdptop -addr "$ADDR" -job "$id" -once >"$WORK/top.txt" 2>"$WORK/top.err" \
+        || { cat "$WORK/top.err" >&2; die "fdptop -job $id exited non-zero"; }
+    grep -q '\[done\]' "$WORK/top.txt" || die "fdptop -job $id rendered no [done] frame"
+    grep -qF "$WANT" "$WORK/top.txt" || die "fdptop -job $id: no '$WANT' in its closing frame"
+done
+echo "series-smoke: fdptop closing frames carry $WANT ($JOB, cache hit $HIT)"
 
 echo "series-smoke: PASS ($JOB, fp ${FP%"${FP#????????????}"}...)"
