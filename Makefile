@@ -53,9 +53,9 @@ perfbench-check:
 # What CI runs: a full build, vet, the race-enabled test suite (the
 # service's interval sink hands each event to SSE subscribers on other
 # goroutines, so -race is load-bearing), the uncached fleet/sweep e2e
-# smoke, the benchmark self-test, and the interval-timeseries smoke with
-# its live fdptop check.
-check: build vet test-race fleet-e2e perfbench-check series-smoke
+# smoke, the benchmark self-test, the fabric-tracing smoke, and the
+# interval-timeseries smoke with its live fdptop check.
+check: build vet test-race fleet-e2e perfbench-check trace-smoke series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
 bench:
@@ -137,21 +137,24 @@ experiments:
 serve:
 	go run ./cmd/fdpserved -addr :8080 -cache-dir .fdpcache
 
-# go test runs one fuzz target per invocation, so the decoders fuzz back
-# to back (patterns anchored: "FuzzReader" alone would match both trace
-# targets and go test refuses an ambiguous -fuzz). FuzzTreeModel hammers
-# the controller model loader: malformed JSON must return ErrInvalid,
-# never panic, and a model that loads must never decide out of range.
+# go test runs one fuzz target per invocation, so the targets fuzz back
+# to back (patterns anchored so a later target sharing a prefix cannot
+# make -fuzz ambiguous). FuzzJobRequest drives POST /v1/jobs bodies
+# through decode, validation and fingerprinting (and a short run): none
+# may panic a service worker. FuzzTreeModel hammers the controller model
+# loader: malformed JSON must return ErrInvalid, never panic, and a model
+# that loads must never decide out of range.
 fuzz:
-	go test ./internal/trace -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s
+	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
 
-# The 10-second-per-target slice CI runs on every PR, so decoder and
-# model-loader fuzz regressions surface before merge, not in nightlies.
+# The 10-second-per-target slice CI runs on every PR, so request,
+# decoder and model-loader fuzz regressions surface before merge, not in
+# nightlies.
 fuzz-smoke:
-	go test ./internal/trace -run xxx -fuzz 'FuzzReader$$' -fuzztime 10s
+	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s

@@ -15,10 +15,10 @@
 // name and lane 0; -lane selects another lane of a multicore/SMT spec.
 // Specs and flags are validated up front, before any file is created.
 //
-// Traces are written in the streaming v2 format by default (block-framed,
+// Traces are written in the streaming v2 format (block-framed,
 // CRC-protected, replayable at O(block) memory however long the trace);
-// -format v1 keeps the legacy whole-file format. -replay auto-detects the
-// version. Only run output goes to stdout; the -list listing is help text
+// -replay rejects a trace in the retired v1 format. Only run output goes
+// to stdout; the -list listing is help text
 // and prints to stderr. Exit codes follow the shared table in
 // internal/cli: 0 success, 1 runtime error, 2 bad usage (unknown
 // workload or prefetcher, invalid spec, and -list listings).
@@ -34,7 +34,6 @@ import (
 
 	"fdpsim"
 	"fdpsim/internal/cli"
-	"fdpsim/internal/cpu"
 	"fdpsim/internal/trace"
 	"fdpsim/internal/workload"
 )
@@ -48,7 +47,6 @@ func main() {
 		lane         = flag.Int("lane", 0, "spec lane to record (multicore/SMT specs)")
 		ops          = flag.Uint64("ops", 1_000_000, "micro-ops to record")
 		out          = flag.String("o", "", "output trace path (default <workload>.trc)")
-		format       = flag.String("format", "v2", "trace format to write: v2 (streaming) or v1 (legacy)")
 		replay       = flag.String("replay", "", "replay a trace file through the simulator instead of recording")
 		prefName     = flag.String("prefetcher", "stream", "prefetcher for -replay (see -list)")
 		level        = flag.Int("level", 5, "aggressiveness for -replay")
@@ -119,10 +117,6 @@ func main() {
 		return
 	}
 
-	if *format != "v1" && *format != "v2" {
-		cli.Fatalf(tool, cli.ExitUsage, "unknown -format %q (want v1 or v2)", *format)
-	}
-
 	// Same up-front check for the workload: no half-written trace file
 	// behind an unknown-name failure.
 	if !workload.Exists(*workloadName) {
@@ -153,18 +147,9 @@ func main() {
 	f, err := os.Create(path)
 	cli.FatalIf(tool, err)
 
-	// The v2 writer streams frame by frame: recording is O(frame) memory
-	// no matter how many ops -ops asks for.
-	type opWriter interface {
-		Write(cpu.MicroOp) error
-		Close() error
-	}
-	var w opWriter
-	if *format == "v1" {
-		w, err = trace.NewWriter(f, *workloadName)
-	} else {
-		w, err = trace.NewWriterV2(f, *workloadName)
-	}
+	// The writer streams frame by frame: recording is O(frame) memory no
+	// matter how many ops -ops asks for.
+	w, err := trace.NewWriterV2(f, *workloadName)
 	cli.FatalIf(tool, err)
 	for i := uint64(0); i < *ops; i++ {
 		cli.FatalIf(tool, w.Write(src.Next()))
@@ -173,8 +158,8 @@ func main() {
 	cli.FatalIf(tool, f.Close())
 	st, err := os.Stat(path)
 	cli.FatalIf(tool, err)
-	fmt.Printf("recorded %d ops of %s to %s (%s, %d bytes, %.2f bits/op)\n",
-		*ops, *workloadName, path, *format, st.Size(), 8*float64(st.Size())/float64(*ops))
+	fmt.Printf("recorded %d ops of %s to %s (v2, %d bytes, %.2f bits/op)\n",
+		*ops, *workloadName, path, st.Size(), 8*float64(st.Size())/float64(*ops))
 }
 
 func joinKinds() string {

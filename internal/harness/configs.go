@@ -85,7 +85,7 @@ func labeled(workloads []string, configs map[string]sim.Config, order []string, 
 		for _, c := range order {
 			cfg := p.apply(configs[c])
 			cfg.Workload = w
-			specs = append(specs, RunSpec{Workload: w, Config: c, Cfg: cfg})
+			specs = append(specs, RunSpec{Workload: w, Config: c, Job: sim.Job{Cfg: cfg}})
 		}
 	}
 	return specs
@@ -96,14 +96,14 @@ func labeled(workloads []string, configs map[string]sim.Config, order []string, 
 // over the same experiment machinery as the built-in benchmark names.
 // Each cell is keyed by (spec name, config label) in the result grid.
 // Only single-lane specs are runnable by the single-core worker; RunAll
-// surfaces sim.RunSpecContext's error for multi-lane ones.
+// surfaces the run's error for multi-lane ones.
 func SpecGrid(workloads []*spec.Spec, configs map[string]sim.Config, order []string, p Params) []RunSpec {
 	specs := make([]RunSpec, 0, len(workloads)*len(order))
 	for _, sp := range workloads {
 		for _, c := range order {
 			cfg := p.apply(configs[c])
 			cfg.Workload = sp.Name
-			specs = append(specs, RunSpec{Workload: sp.Name, Config: c, Cfg: cfg, Spec: sp})
+			specs = append(specs, RunSpec{Workload: sp.Name, Config: c, Job: sim.Job{Cfg: cfg, Spec: sp}})
 		}
 	}
 	return specs

@@ -86,7 +86,7 @@ func runTInterval(ctx context.Context, p Params) ([]Table, error) {
 		cfg := p.apply(fullFDP(sim.PrefStream))
 		cfg.FDP.TInterval = ti
 		cfg.Workload = "chaserand"
-		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "i", Cfg: cfg}}, p)
+		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "i", Job: sim.Job{Cfg: cfg}}}, p)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func runFilterSize(ctx context.Context, p Params) ([]Table, error) {
 		cfg := p.apply(fullFDP(sim.PrefStream))
 		cfg.FDP.FilterBits = bits
 		cfg.Workload = "chaserand"
-		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "f", Cfg: cfg}}, p)
+		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "f", Job: sim.Job{Cfg: cfg}}}, p)
 		if err != nil {
 			return nil, err
 		}

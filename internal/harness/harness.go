@@ -15,7 +15,6 @@ import (
 
 	"fdpsim/internal/sim"
 	"fdpsim/internal/store"
-	"fdpsim/internal/workload/spec"
 )
 
 // Params are the knobs shared by all experiments.
@@ -76,13 +75,11 @@ func (p Params) apply(cfg sim.Config) sim.Config {
 type RunSpec struct {
 	Workload string
 	Config   string // configuration label, e.g. "Very Aggressive"
-	Cfg      sim.Config
-	// Spec, when non-nil, runs this cell from a declarative WorkloadSpec
-	// instead of a registered workload name: the worker dispatches to
-	// sim.RunSpecContext and memoizes under sim.FingerprintSpec, so spec
-	// cells share the memo and on-disk store with named cells without ever
-	// colliding with them.
-	Spec *spec.Spec
+	// Job is the cell's run, from a registered workload name or, with Spec
+	// set, a declarative WorkloadSpec; the worker memoizes it under its
+	// Fingerprint, so spec cells share the memo and on-disk store with
+	// named cells without ever colliding with them.
+	sim.Job
 }
 
 // Key identifies the spec's cell in the result grid.
@@ -184,13 +181,7 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				var fp string
-				var memoizable bool
-				if job.Spec != nil {
-					fp, memoizable = sim.FingerprintSpec(job.Cfg, job.Spec)
-				} else {
-					fp, memoizable = sim.Fingerprint(job.Cfg)
-				}
+				fp, memoizable := job.Fingerprint()
 				if memoizable {
 					if res, ok := lookup(fp, p.Store); ok {
 						g.mu.Lock()
@@ -200,18 +191,12 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 						continue
 					}
 				}
-				cfg := job.Cfg
+				run := job.Job
 				if p.Progress != nil && p.Progress.OnInterval != nil {
 					job := job
-					cfg.Tracer = sim.TracerFunc(func(ev sim.DecisionEvent) { p.Progress.OnInterval(job, ev) })
+					run.Cfg.Tracer = sim.TracerFunc(func(ev sim.DecisionEvent) { p.Progress.OnInterval(job, ev) })
 				}
-				var res sim.Result
-				var err error
-				if job.Spec != nil {
-					res, err = sim.RunSpecContext(ctx, cfg, job.Spec)
-				} else {
-					res, err = sim.RunContext(ctx, cfg)
-				}
+				res, err := run.Run(ctx)
 				if err != nil {
 					record(fmt.Errorf("%s/%s: %w", job.Workload, job.Config, err))
 					finished(job, res, err)

@@ -78,8 +78,8 @@ func TestRunAllParallelAndMemoized(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 10_000
 	specs := []RunSpec{
-		{Workload: "tinyloop", Config: "a", Cfg: withWorkload(cfg, "tinyloop")},
-		{Workload: "cachefit", Config: "a", Cfg: withWorkload(cfg, "cachefit")},
+		{Workload: "tinyloop", Config: "a", Job: sim.Job{Cfg: withWorkload(cfg, "tinyloop")}},
+		{Workload: "cachefit", Config: "a", Job: sim.Job{Cfg: withWorkload(cfg, "cachefit")}},
 	}
 	g, err := RunAll(context.Background(), specs, Params{Workers: 2})
 	if err != nil {
@@ -111,7 +111,7 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 1000
 	cfg.Workload = "does-not-exist"
-	_, err := RunAll(context.Background(), []RunSpec{{Workload: "x", Config: "y", Cfg: cfg}}, Params{Workers: 1})
+	_, err := RunAll(context.Background(), []RunSpec{{Workload: "x", Config: "y", Job: sim.Job{Cfg: cfg}}}, Params{Workers: 1})
 	if err == nil {
 		t.Fatal("bad workload did not error")
 	}

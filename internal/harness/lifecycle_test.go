@@ -17,9 +17,9 @@ func TestRunAllStopsAfterFirstError(t *testing.T) {
 	bad := good
 	bad.Workload = "does-not-exist"
 
-	specs := []RunSpec{{Workload: "bad", Config: "c", Cfg: bad}}
+	specs := []RunSpec{{Workload: "bad", Config: "c", Job: sim.Job{Cfg: bad}}}
 	for _, w := range []string{"tinyloop", "cachefit", "seqstream", "hotcold"} {
-		specs = append(specs, RunSpec{Workload: w, Config: "c", Cfg: withWorkload(good, w)})
+		specs = append(specs, RunSpec{Workload: w, Config: "c", Job: sim.Job{Cfg: withWorkload(good, w)}})
 	}
 
 	var mu sync.Mutex
@@ -56,7 +56,7 @@ func TestRunAllHonoursContext(t *testing.T) {
 	cfg := sim.Default()
 	cfg.MaxInsts = 10_000
 	cfg.Workload = "tinyloop"
-	_, err := RunAll(ctx, []RunSpec{{Workload: "tinyloop", Config: "c", Cfg: cfg}}, Params{Workers: 1})
+	_, err := RunAll(ctx, []RunSpec{{Workload: "tinyloop", Config: "c", Job: sim.Job{Cfg: cfg}}}, Params{Workers: 1})
 	if !errors.Is(err, sim.ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled RunAll: err = %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRunAllStreamsSnapshots(t *testing.T) {
 			mu.Unlock()
 		},
 	}}
-	g, err := RunAll(context.Background(), []RunSpec{{Workload: "seqstream", Config: "c", Cfg: cfg}}, p)
+	g, err := RunAll(context.Background(), []RunSpec{{Workload: "seqstream", Config: "c", Job: sim.Job{Cfg: cfg}}}, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func storeSpecs() []RunSpec {
 	mk := func(w string) RunSpec {
 		cfg := sim.WithFDP(sim.PrefStream)
 		cfg.Workload = w
-		return RunSpec{Workload: w, Config: "FDP", Cfg: cfg}
+		return RunSpec{Workload: w, Config: "FDP", Job: sim.Job{Cfg: cfg}}
 	}
 	return []RunSpec{mk("seqstream"), mk("shortstream")}
 }

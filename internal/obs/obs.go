@@ -9,15 +9,11 @@
 //   - Chrome exports the Chrome trace_event format with counter tracks for
 //     accuracy, lateness, pollution, the DCC and the prefetch distance and
 //     degree, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-//   - Async wraps any sink so a slow or blocking consumer can never stall
-//     the simulation: events are dropped (and counted) instead of queued
-//     unboundedly or delivered synchronously.
 //   - Collector retains events in memory (the job service's per-job
 //     buffer, also convenient in tests).
 //
 // All sinks implement sim.Tracer and are driven synchronously from the
-// simulation loop; only Async is safe for use when the consumer is slower
-// than the producer.
+// simulation loop, so a slow consumer slows the run.
 package obs
 
 import (

@@ -8,9 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"fdpsim/internal/obs"
 	"fdpsim/internal/sim"
@@ -147,53 +145,6 @@ func TestChromeTrace(t *testing.T) {
 		if got := tracks[want]; got != int(res.Intervals) {
 			t.Errorf("counter track %q has %d points, want one per interval (%d)", want, got, res.Intervals)
 		}
-	}
-}
-
-// blockingSink simulates a wedged consumer: every delivery blocks until
-// the test releases it.
-type blockingSink struct {
-	release <-chan struct{}
-	n       atomic.Uint64
-}
-
-func (b *blockingSink) TraceDecision(ev sim.DecisionEvent) {
-	<-b.release
-	b.n.Add(1)
-}
-
-// TestAsyncBlockingSink proves the run-stall contract under -race: with
-// the drain goroutine wedged on a blocking sink, the simulation still
-// completes (events are dropped and counted, the retire loop never
-// blocks), and delivered + dropped accounts for every interval.
-func TestAsyncBlockingSink(t *testing.T) {
-	release := make(chan struct{})
-	sink := &blockingSink{release: release}
-	async := obs.NewAsync(sink, 2)
-
-	cfg := hostileTraceConfig()
-	cfg.Tracer = async
-	start := time.Now()
-	res, err := sim.RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Run with blocked sink: %v", err)
-	}
-	elapsed := time.Since(start)
-	if res.Intervals < 8 {
-		t.Fatalf("run closed only %d intervals; the scenario needs sustained interval traffic", res.Intervals)
-	}
-	if async.Dropped() == 0 {
-		t.Fatal("no events dropped despite a wedged sink and a 2-event buffer")
-	}
-	t.Logf("run finished in %v with sink wedged: %d intervals, %d dropped", elapsed, res.Intervals, async.Dropped())
-
-	close(release) // un-wedge the consumer; Close drains the buffer
-	if err := async.Close(); err != nil {
-		t.Fatalf("async close: %v", err)
-	}
-	if got := sink.n.Load() + async.Dropped(); got != res.Intervals {
-		t.Errorf("delivered(%d) + dropped(%d) = %d, want every interval (%d)",
-			sink.n.Load(), async.Dropped(), got, res.Intervals)
 	}
 }
 

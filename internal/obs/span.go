@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -17,10 +16,8 @@ import (
 // sweep's) life across processes; spans parent onto each other to form
 // the submit → queue → claim → run → store tree.
 //
-// The same discipline as the decision tracer applies: recording a span
-// must never block or stall the caller. SpanBuffer drops (and counts)
-// once full; AsyncSpans decouples I/O sinks exactly like Async does for
-// decision events.
+// Recording a span must never block or stall the caller: SpanBuffer
+// evicts (and counts) once full.
 
 // NewTraceID returns a 128-bit random trace identifier (32 hex chars).
 func NewTraceID() string { return randomHex(16) }
@@ -97,13 +94,6 @@ func (s Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// SpanSink consumes completed spans. Implementations must not assume
-// call ordering: spans arrive at completion time, so a child ("queue")
-// lands before its parent ("job").
-type SpanSink interface {
-	RecordSpan(Span)
-}
-
 // SpanBuffer is a bounded in-memory span recorder: the service's
 // flight-recorder backing store and the default sink in tests. Recording
 // never blocks beyond a brief mutex; once Limit spans are held, the
@@ -123,7 +113,8 @@ type SpanBuffer struct {
 
 const defaultSpanBufferLimit = 4096
 
-// RecordSpan implements SpanSink.
+// RecordSpan adds one completed span. Spans arrive at completion time, so
+// a child ("queue") lands before its parent ("job").
 func (b *SpanBuffer) RecordSpan(s Span) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -168,71 +159,4 @@ func (b *SpanBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.n
-}
-
-// AsyncSpans decouples a SpanSink that does I/O (the provenance ledger,
-// a network exporter) from the recording path, with the same contract as
-// Async for decision events: RecordSpan NEVER blocks — a full buffer or
-// a closed tracer drops the span and counts it, and a drain goroutine
-// delivers in order. See TestAsyncSpansBlockingSink for the wedged-
-// consumer guarantee.
-type AsyncSpans struct {
-	sink    SpanSink
-	ch      chan Span
-	done    chan struct{}
-	closed  atomic.Bool
-	dropped atomic.Uint64
-}
-
-// NewAsyncSpans wraps sink with a buffer-sized queue and starts the
-// drain goroutine. buffer <= 0 defaults to 256 spans.
-func NewAsyncSpans(sink SpanSink, buffer int) *AsyncSpans {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	a := &AsyncSpans{
-		sink: sink,
-		ch:   make(chan Span, buffer),
-		done: make(chan struct{}),
-	}
-	go func() {
-		defer close(a.done)
-		for s := range a.ch {
-			a.sink.RecordSpan(s)
-		}
-	}()
-	return a
-}
-
-// RecordSpan implements SpanSink; it never blocks.
-func (a *AsyncSpans) RecordSpan(s Span) {
-	if a.closed.Load() {
-		a.dropped.Add(1)
-		return
-	}
-	select {
-	case a.ch <- s:
-	default:
-		a.dropped.Add(1)
-	}
-}
-
-// Dropped reports how many spans were discarded (full buffer or a send
-// after Close).
-func (a *AsyncSpans) Dropped() uint64 { return a.dropped.Load() }
-
-// Close stops intake, waits for buffered spans to drain, and closes the
-// wrapped sink if it has a Close. Like Async, call Close only once
-// producers have stopped recording.
-func (a *AsyncSpans) Close() error {
-	if a.closed.Swap(true) {
-		<-a.done
-	} else {
-		close(a.ch)
-		<-a.done
-	}
-	if c, ok := a.sink.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
 }

@@ -63,11 +63,11 @@ func TestFleetTwoWorkers(t *testing.T) {
 		if i%2 == 1 {
 			first, second = srvB, srvA
 		}
-		j1, err := first.Submit(cfg)
+		j1, err := first.Submit(sim.Job{Cfg: cfg})
 		if err != nil {
 			t.Fatalf("submit %d to first: %v", i, err)
 		}
-		j2, err := second.Submit(cfg)
+		j2, err := second.Submit(sim.Job{Cfg: cfg})
 		if err != nil {
 			t.Fatalf("submit %d to second: %v", i, err)
 		}

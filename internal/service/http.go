@@ -78,7 +78,7 @@ type JobRequest struct {
 }
 
 // BuildConfig assembles the simulation configuration. Validation happens
-// in Submit (ValidateJob), not here.
+// in Submit (sim.Job.Validate), not here.
 func (r *JobRequest) BuildConfig() sim.Config {
 	var cfg sim.Config
 	switch {
@@ -209,13 +209,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job request: %v", err)
 		return
 	}
-	cfg := req.BuildConfig()
+	run := sim.Job{Cfg: req.BuildConfig(), Spec: req.Spec}
 
 	// Idempotent retries: a client that saw a submission's fingerprint but
 	// lost the response echoes it back; an existing job for it — in any
-	// state — answers the retry instead of a duplicate being created.
+	// state — answers the retry instead of a duplicate being created. A
+	// request that cannot fingerprint skips the check; Submit reports why.
 	if req.IdempotencyKey != "" {
-		if fp, ok := fingerprintRequest(cfg, req.Spec); ok && fp != req.IdempotencyKey {
+		if fp, ok := run.Fingerprint(); ok && fp != req.IdempotencyKey {
 			writeError(w, http.StatusConflict,
 				"idempotency key %s does not match this request's fingerprint %s",
 				shortFP(req.IdempotencyKey), shortFP(fp))
@@ -234,9 +235,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if req.Series {
 		opts = append(opts, WithSeriesRecording())
 	}
-	if req.Spec != nil {
-		opts = append(opts, WithWorkloadSpec(req.Spec))
-	}
 	if req.Tenant != "" {
 		opts = append(opts, WithTenant(req.Tenant))
 	}
@@ -246,7 +244,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if traceID, parent := parseTraceHeader(r.Header.Get(TraceHeader)); traceID != "" {
 		opts = append(opts, WithTraceContext(traceID, parent))
 	}
-	job, err := s.Submit(cfg, opts...)
+	job, err := s.Submit(run, opts...)
 	switch {
 	case err == nil:
 		st := job.Status()
@@ -274,17 +272,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // retryAfterSeconds is the backoff hint sent with 429 responses: a 1–3s
 // jittered window rather than a fixed constant.
 func retryAfterSeconds() int { return 1 + rand.IntN(3) }
-
-// fingerprintRequest computes the fingerprint Submit would assign,
-// for idempotency-key verification. ok is false for configurations the
-// fingerprint machinery rejects — Submit then reports the real error.
-func fingerprintRequest(cfg sim.Config, sp *spec.Spec) (string, bool) {
-	if sp != nil {
-		cfg.Workload = sp.Name
-		return sim.FingerprintSpec(cfg, sp)
-	}
-	return sim.Fingerprint(cfg)
-}
 
 // jobByFingerprint finds the most recent job for a fingerprint.
 func (s *Server) jobByFingerprint(fp string) (*Job, bool) {

@@ -14,6 +14,7 @@ import (
 
 	"fdpsim/internal/obs"
 	"fdpsim/internal/sim"
+	"fdpsim/internal/store"
 )
 
 // fastConfig is an interval-rich simulation that finishes in tens of
@@ -325,6 +326,148 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// Unblock the worker.
 	doJSON(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+running.ID, nil, nil)
+}
+
+// TestNeverStartedJobsRecorded pins finish for jobs that never start: a
+// job cancelled while queued, and one the shutdown reaches before it
+// starts, each leave a root "job" span and one cancelled ledger line by
+// the time Done closes.
+func TestNeverStartedJobsRecorded(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, QueueDepth: 4, Store: st})
+	running, err := srv.Submit(sim.Job{Cfg: slowConfig(930)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.Status().State != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := srv.Submit(sim.Job{Cfg: slowConfig(931)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind, err := srv.Submit(sim.Job{Cfg: slowConfig(932)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown cancels the running job; the worker then reaches behind and
+	// finishes it without starting it.
+	ctx, cancel := testContext(30 * time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		job    *Job
+		errMsg string
+	}{{queued, "cancelled before start"}, {behind, "server shutting down"}} {
+		<-tc.job.Done()
+		if got := tc.job.Status(); got.State != StateCancelled || got.Error != tc.errMsg {
+			t.Fatalf("%s: state %s (%q), want cancelled (%q)", tc.job.ID(), got.State, got.Error, tc.errMsg)
+		}
+		roots := 0
+		for _, sp := range tc.job.Spans() {
+			if sp.Name == "job" && sp.Attrs["outcome"] == store.OutcomeCancelled {
+				roots++
+			}
+		}
+		if roots != 1 {
+			t.Fatalf("%s: %d cancelled root spans, want 1 (spans %+v)", tc.job.ID(), roots, tc.job.Spans())
+		}
+		lines, err := st.ReadProvenance(tc.job.Status().Fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lines) != 1 || lines[0].Outcome != store.OutcomeCancelled || lines[0].Error != tc.errMsg ||
+			lines[0].JobID != tc.job.ID() {
+			t.Fatalf("%s: ledger = %+v, want one cancelled line", tc.job.ID(), lines)
+		}
+	}
+}
+
+// TestCancelRaceFinishesOnce races Cancel against the workers picking
+// jobs up: whichever path moves a job out of queued must finish it alone,
+// so every job ends with exactly one root span and one ledger line.
+func TestCancelRaceFinishesOnce(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 64, Store: st})
+	jobs := make(chan *Job, 32)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for j := range jobs {
+			srv.Cancel(j.ID()) //nolint:errcheck // the job exists
+		}
+	}()
+	var all []*Job
+	for seed := uint64(950); seed < 982; seed++ {
+		j, err := srv.Submit(sim.Job{Cfg: fastConfig(2_000, seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs <- j
+		all = append(all, j)
+	}
+	close(jobs)
+	<-done
+	for _, j := range all {
+		<-j.Done()
+		roots := 0
+		for _, sp := range j.Spans() {
+			if sp.Name == "job" {
+				roots++
+			}
+		}
+		lines, err := st.ReadProvenance(j.Status().Fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if roots != 1 || len(lines) != 1 {
+			t.Fatalf("%s (%s): %d root spans and %d ledger lines, want 1 and 1",
+				j.ID(), j.Status().State, roots, len(lines))
+		}
+	}
+}
+
+// TestSubmitRejectsPanickingConfig: a "config" the simulator's
+// constructors would panic on, or one over the job size caps, is bad
+// input (400) that never reaches a worker, so the daemon keeps serving.
+func TestSubmitRejectsPanickingConfig(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for i, mutate := range []func(*sim.Config){
+		func(c *sim.Config) { c.L2Blocks = 1000 },
+		func(c *sim.Config) { c.L1Ways = 3 },
+		func(c *sim.Config) { c.MSHRs = -1 },
+		func(c *sim.Config) { c.DRAM.Banks = 3 },
+		func(c *sim.Config) { c.DRAM.QueueCap = -1 },
+		func(c *sim.Config) { c.FDP.FilterBits = 32 },
+		func(c *sim.Config) { c.CPU.ROB = 1 << 40 },
+	} {
+		cfg := fastConfig(20_000, 940)
+		mutate(&cfg)
+		var apiErr apiError
+		if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", submitBody(t, cfg), &apiErr); code != http.StatusBadRequest {
+			t.Fatalf("case %d: submit = %d (%s), want 400", i, code, apiErr.Error)
+		}
+	}
+	var st JobStatus
+	if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", submitBody(t, fastConfig(20_000, 941)), &st); code != http.StatusAccepted {
+		t.Fatalf("valid submit after the rejections = %d, want 202", code)
+	}
+	final := pollUntil(t, ts.Client(), ts.URL+"/v1/jobs/"+st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != StateDone {
+		t.Fatalf("valid job after the rejections ended %s (%s)", final.State, final.Error)
+	}
 }
 
 func TestBackpressure429(t *testing.T) {

@@ -35,7 +35,6 @@ import (
 	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/store"
-	"fdpsim/internal/workload/spec"
 )
 
 // Sentinel errors; the HTTP layer maps them to status codes.
@@ -134,23 +133,23 @@ func (s JobState) Terminal() bool {
 }
 
 // Job is one submitted simulation. All mutable fields are guarded by mu;
-// done is closed exactly once when the job reaches a terminal state.
+// done is closed exactly once, by finish, when the job reaches a terminal
+// state.
 type Job struct {
-	id  string
-	fp  string
-	cfg sim.Config
-	// spec, when non-nil, is the declarative WorkloadSpec this job runs
-	// instead of a registered workload name (WithWorkloadSpec). The
-	// fingerprint is then sim.FingerprintSpec's domain-separated digest, so
-	// spec jobs share the cache machinery without aliasing named jobs.
-	spec *spec.Spec
+	id string
+	fp string
+	// run is what the job simulates: a configuration and, for a spec job,
+	// the WorkloadSpec it runs.
+	run sim.Job
 	// tenant and priority place the job in the fair scheduler; sweepID
 	// links it to the sweep that expanded it (empty for direct jobs).
 	tenant   string
 	priority int
 	sweepID  string
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// state leaves queued once: start moves it to running, or Cancel, or
+	// start at shutdown, to cancelled; whichever does owns the job's finish.
 	state       JobState
 	cacheHit    bool
 	submittedAt time.Time
@@ -255,8 +254,8 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Workload:    j.cfg.Workload,
-		Prefetcher:  string(j.cfg.Prefetcher),
+		Workload:    j.run.Cfg.Workload,
+		Prefetcher:  string(j.run.Cfg.Prefetcher),
 		Fingerprint: j.fp,
 		Tenant:      j.tenant,
 		Priority:    j.priority,
@@ -311,19 +310,6 @@ func (j *Job) unsubscribe(id int) {
 	j.mu.Lock()
 	delete(j.subs, id)
 	j.mu.Unlock()
-}
-
-// finishLocked moves the job to a terminal state, finished at at, and
-// closes Done. Caller holds j.mu.
-func (j *Job) finishLocked(state JobState, res *sim.Result, errMsg string, at time.Time) {
-	if j.state.Terminal() {
-		return
-	}
-	j.state = state
-	j.result = res
-	j.errMsg = errMsg
-	j.finishedAt = at
-	close(j.done)
 }
 
 // Server owns the job table, the worker pool and the result cache.
@@ -469,8 +455,6 @@ type SubmitOption func(*submitOptions)
 type submitOptions struct {
 	trace      bool
 	series     bool
-	spec       *spec.Spec
-	specSet    bool // WithWorkloadSpec given, even with a nil spec (rejected)
 	tenant     string
 	priority   int
 	sweepID    string // set by SubmitSweep; sweep jobs bypass queued quotas
@@ -495,17 +479,6 @@ func WithSeriesRecording() SubmitOption {
 	return func(o *submitOptions) { o.series = true }
 }
 
-// WithWorkloadSpec makes the job run a declarative WorkloadSpec instead
-// of a registered workload name: the configuration's Workload field is
-// overwritten with the spec's name, validation goes through
-// sim.ValidateSpecJob (single-lane specs only — a multi-lane spec needs a
-// multicore run the job service does not model), and deduplication keys
-// on sim.FingerprintSpec, which canonicalizes the spec so spelled-out
-// defaults hit the same cache entry.
-func WithWorkloadSpec(sp *spec.Spec) SubmitOption {
-	return func(o *submitOptions) { o.spec, o.specSet = sp, true }
-}
-
 // WithTenant attributes the job to a scheduler tenant for fair queueing
 // and quotas. Empty (or omitted) means the default tenant. Under a
 // strict roster, an unknown tenant fails the submission with
@@ -527,37 +500,29 @@ func forSweep(id string) SubmitOption {
 	return func(o *submitOptions) { o.sweepID = id }
 }
 
-// Submit validates a configuration and either completes it from cache,
-// enqueues it, or rejects it (ErrQueueFull, ErrShuttingDown, or a
-// validation error wrapping sim.ErrInvalidConfig/sim.ErrUnknownWorkload).
+// Submit validates a run and either completes it from cache, enqueues it,
+// or rejects it (ErrQueueFull, ErrShuttingDown, or a validation error
+// wrapping sim.ErrInvalidConfig, sim.ErrUnknownWorkload or
+// spec.ErrInvalid). Jobs are deduplicated under the run's fingerprint,
+// which for a spec run canonicalizes the spec so spelled-out defaults hit
+// the same cache entry. A refused submission never becomes a visible job.
 //
 // Two identical submissions racing before either completes both simulate;
 // the store's atomic Put makes the duplicate write harmless. Deduplication
 // is an at-most-once-after-completion guarantee, not an in-flight one.
-func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
+func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 	var o submitOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var fp string
-	var ok bool
-	if o.specSet {
-		if err := sim.ValidateSpecJob(cfg, o.spec); err != nil {
-			return nil, err
-		}
-		cfg.Workload = o.spec.Name
-		fp, ok = sim.FingerprintSpec(cfg, o.spec)
-	} else {
-		if err := cfg.ValidateJob(); err != nil {
-			return nil, err
-		}
-		fp, ok = sim.Fingerprint(cfg)
+	if err := run.Validate(); err != nil {
+		return nil, err
 	}
-	if !ok {
-		// Unreachable: ValidateJob/ValidateSpecJob reject custom prefetchers.
-		return nil, fmt.Errorf("%w: configuration is not fingerprintable", sim.ErrInvalidConfig)
+	fp, _ := run.Fingerprint() // Validate rejects what cannot fingerprint
+	if run.Spec != nil {
+		run.Cfg.Workload = run.Spec.Name // listed under the name its result reports
 	}
-	cfg.Tracer = nil // the worker installs its own sinks
+	run.Cfg.Tracer = nil // the run stage installs its own sinks
 
 	tenant := o.tenant
 	if tenant == "" {
@@ -578,11 +543,12 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	s.nextID++
+	id := s.nextID
+	s.mu.Unlock()
 	job := &Job{
-		id:          fmt.Sprintf("job-%06d", s.nextID),
+		id:          fmt.Sprintf("job-%06d", id),
 		fp:          fp,
-		cfg:         cfg,
-		spec:        o.spec,
+		run:         run,
 		tenant:      tenant,
 		priority:    o.priority,
 		sweepID:     o.sweepID,
@@ -600,50 +566,36 @@ func (s *Server) Submit(cfg sim.Config, opts ...SubmitOption) (*Job, error) {
 	if o.series {
 		job.series = &series.Recorder{Limit: s.cfg.SeriesLimit}
 	}
-	s.jobs[job.id] = job
-	s.mu.Unlock()
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", cfg.Workload, "prefetcher", cfg.Prefetcher, "trace", o.trace, "series", o.series)
+		"workload", run.Cfg.Workload, "prefetcher", run.Cfg.Prefetcher, "trace", o.trace, "series", o.series)
 
 	if res, ok := s.cacheLookup(fp); ok {
 		s.m.cacheHits.Add(1)
-		s.m.completed.Add(1)
-		var trace []byte
-		if o.trace && s.cfg.Store != nil {
-			trace, _ = s.cfg.Store.GetTrace(fp)
+		a := attempt{outcome: store.OutcomeCacheHit, res: &res, leaseGen: -1}
+		if s.cfg.Store != nil {
+			if o.trace {
+				a.trace, _ = s.cfg.Store.GetTrace(fp)
+			}
+			if o.series {
+				a.series, _ = s.cfg.Store.GetSeries(fp)
+			}
 		}
-		var seriesBin []byte
-		if o.series && s.cfg.Store != nil {
-			seriesBin, _ = s.cfg.Store.GetSeries(fp)
+		s.finish(job, &a)
+	} else {
+		s.m.cacheMisses.Add(1)
+		// Sweep jobs bypass the queued quotas: the sweep was admitted whole
+		// at expansion and fairness, not admission, spreads its load.
+		if err := s.sched.push(job, o.sweepID != ""); err != nil {
+			if errors.Is(err, ErrQueueFull) {
+				s.m.rejected.Add(1)
+			}
+			return nil, err
 		}
-		// The root span and ledger line land before Done closes, so a
-		// reader woken by Done sees both (likewise in runJob).
-		finished := time.Now()
-		s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-			Name: "job", Start: job.submittedAt, End: finished,
-			Attrs: map[string]string{"outcome": "cache_hit", "tenant": job.tenant}})
-		s.writeProvenance(job, store.OutcomeCacheHit, "", -1, false, 0, 0, 0, finished)
-		job.mu.Lock()
-		job.cacheHit = true
-		job.traceJSONL = trace
-		job.seriesBin = seriesBin
-		job.finishLocked(StateDone, &res, "", finished)
-		job.mu.Unlock()
-		s.log.Info("job done", "job", job.id, "cache_hit", true, "trace", trace != nil)
-		return job, nil
 	}
-	s.m.cacheMisses.Add(1)
-
-	// Sweep jobs bypass the queued quotas: the sweep was admitted whole
-	// at expansion and fairness, not admission, spreads its load.
-	if err := s.sched.push(job, o.sweepID != ""); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.m.rejected.Add(1)
-		}
-		s.dropJob(job, err)
-		return nil, err
-	}
+	s.mu.Lock()
+	s.jobs[job.id] = job
+	s.mu.Unlock()
 	return job, nil
 }
 
@@ -656,17 +608,7 @@ func shortFP(fp string) string {
 	return fp
 }
 
-// dropJob removes a job that never entered the queue.
-func (s *Server) dropJob(job *Job, cause error) {
-	s.mu.Lock()
-	delete(s.jobs, job.id)
-	s.mu.Unlock()
-	job.mu.Lock()
-	job.finishLocked(StateFailed, nil, cause.Error(), time.Now())
-	job.mu.Unlock()
-}
-
-// Cancel stops a job: a queued job is finalized in place, a running one
+// Cancel stops a job: a queued job is finished in place, a running one
 // is cancelled at the next FDP interval boundary (its partial result is
 // preserved when the worker finishes it). Cancelling a terminal job is a
 // no-op. Returns ErrUnknownJob for an ID that was never issued.
@@ -677,16 +619,18 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	}
 	job.mu.Lock()
 	state := job.state
-	switch job.state {
+	switch state {
 	case StateQueued:
-		job.finishLocked(StateCancelled, nil, "cancelled before start", time.Now())
-		s.m.cancelled.Add(1)
+		job.state = StateCancelled // the worker now skips it
 	case StateRunning:
-		// The worker observes the cause via RunContext's CancelError and
-		// finalizes the job with its partial result.
+		// The worker observes the cause via the run's CancelError and
+		// finishes the job with its partial result.
 		job.cancel(errors.New("cancelled by client"))
 	}
 	job.mu.Unlock()
+	if state == StateQueued {
+		s.finish(job, &attempt{outcome: store.OutcomeCancelled, errMsg: "cancelled before start", leaseGen: -1})
+	}
 	s.log.Info("job cancel requested", "job", job.id, "state", string(state))
 	return job, nil
 }
@@ -709,258 +653,141 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one queued job end to end.
+// attempt is one job's path through the stages. Each stage records its
+// own span and leaves here what finish reports in the root span, the
+// ledger line and the job's terminal state. It lives on the stack of the
+// path that finishes the job.
+type attempt struct {
+	outcome          string        // store.Outcome*: the ledger vocabulary
+	res              *sim.Result   // nil for failed and never-started jobs
+	errMsg           string        // why the job failed or was cancelled
+	wait, run, store time.Duration // the queue, run and store stages
+	leaseGen         int           // the fleet lease this worker holds; -1 for none
+	stolen           bool          // the lease was stolen from an expired holder
+	trace, series    []byte        // the rendered decision trace and series sidecar
+}
+
+// runJob takes one queued job through its stages — start, claim, run,
+// store — to finish.
 func (s *Server) runJob(job *Job) {
+	a := attempt{leaseGen: -1}
+	ctx, stop := s.start(job, &a)
+	if ctx == nil {
+		return
+	}
+	defer stop()
+	if !s.claim(ctx, job, &a) {
+		if a.leaseGen >= 0 {
+			// Released on every exit, so a failed run frees the fingerprint.
+			defer s.cfg.Store.Release(job.fp, s.cfg.FleetWorker)
+		}
+		s.run(ctx, job, &a)
+		s.store(job, &a)
+	}
+	s.finish(job, &a)
+}
+
+// start moves a queued job to running and records its queue span. It
+// returns the run's context, ended by Cancel, Shutdown or the job
+// timeout, and the function that releases it. A nil context means the
+// job never starts: Cancel finished it while it waited, or the shutdown
+// reached it first, which start finishes as cancelled.
+func (s *Server) start(job *Job, a *attempt) (context.Context, func()) {
 	job.mu.Lock()
-	if job.state != StateQueued { // cancelled while waiting
+	switch {
+	case job.state != StateQueued:
 		job.mu.Unlock()
-		return
-	}
-	if s.baseCtx.Err() != nil { // shutdown won the race: never start
-		job.finishLocked(StateCancelled, nil, "server shutting down", time.Now())
+		return nil, nil
+	case s.baseCtx.Err() != nil:
+		job.state = StateCancelled
 		job.mu.Unlock()
-		s.m.cancelled.Add(1)
-		return
+		a.outcome, a.errMsg = store.OutcomeCancelled, "server shutting down"
+		s.finish(job, a)
+		return nil, nil
 	}
-	wait := time.Since(job.submittedAt)
 	job.state = StateRunning
 	job.startedAt = time.Now()
+	a.wait = job.startedAt.Sub(job.submittedAt)
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	job.cancel = cancel
 	job.mu.Unlock()
-	defer cancel(nil)
 
-	s.m.queueWait.observe(wait.Seconds())
-	s.m.observeTenantWait(job.tenant, wait.Seconds())
+	s.m.queueWait.observe(a.wait.Seconds())
+	s.m.observeTenantWait(job.tenant, a.wait.Seconds())
 	s.m.running.Add(1)
-	defer s.m.running.Add(-1)
-	s.log.Info("job started", "job", job.id, "queue_wait", wait)
+	s.log.Info("job started", "job", job.id, "queue_wait", a.wait)
 	s.addSpan(job, obs.Span{Parent: job.rootSpan, Name: "queue",
 		Start: job.submittedAt, End: job.startedAt,
 		Attrs: map[string]string{"tenant": job.tenant}})
 
-	runCtx := ctx
+	stopTimer := context.CancelFunc(func() {})
 	if s.cfg.JobTimeout > 0 {
-		var tcancel context.CancelFunc
-		runCtx, tcancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer tcancel()
+		ctx, stopTimer = context.WithTimeout(ctx, s.cfg.JobTimeout)
 	}
-
-	// Fleet coordination: claim the fingerprint before simulating. Another
-	// worker may already have the result (adopt it), hold a live lease
-	// (wait with backoff, steal past expiry), or have crashed mid-write
-	// (the claim machinery recovers). Exhausted attempts fall back to
-	// executing locally: execution is at-least-once, results are
-	// exactly-once through the store's atomic Put.
-	var fleetAcquired bool
-	claimGen, claimStolen := -1, false
-	if s.cfg.FleetWorker != "" {
-		claimStart := time.Now()
-		acquired, res, fromStore, info, claimEvents := s.fleetClaim(runCtx, job)
-		claimSpan := obs.Span{Parent: job.rootSpan, Name: "claim",
-			Start: claimStart, End: time.Now(), Events: claimEvents,
-			Attrs: map[string]string{"worker": s.cfg.FleetWorker}}
-		if fromStore {
-			claimSpan.Attrs["outcome"] = "adopted"
-			if info.Trace != "" {
-				claimSpan.Attrs["executor_trace"] = info.Trace
-			}
-			s.addSpan(job, claimSpan)
-			s.storeResult(job.fp, res)
-			s.m.fleetAdopted.Add(1)
-			s.m.completed.Add(1)
-			finished := time.Now()
-			s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-				Name: "job", Start: job.submittedAt, End: finished,
-				Attrs: map[string]string{"outcome": "adopted", "tenant": job.tenant}})
-			s.writeProvenance(job, store.OutcomeAdopted, "", -1, false, wait, 0, 0, finished)
-			job.mu.Lock()
-			job.cacheHit = true
-			job.finishLocked(StateDone, &res, "", finished)
-			job.mu.Unlock()
-			s.log.Info("job finished", "job", job.id, "state", "done", "fleet_adopted", true)
-			return
-		}
-		fleetAcquired = acquired
-		if fleetAcquired {
-			claimGen, claimStolen = info.Gen(), info.Stolen
-			claimSpan.Attrs["outcome"] = "acquired"
-			claimSpan.Attrs["lease_gen"] = strconv.Itoa(claimGen)
-			if claimStolen {
-				claimSpan.Attrs["stolen"] = "true"
-			}
-			// The claim outlives the run only until the result is stored;
-			// released on every exit so a failed run frees the fingerprint.
-			defer s.cfg.Store.Release(job.fp, s.cfg.FleetWorker)
-		} else {
-			claimSpan.Attrs["outcome"] = "local_fallback"
-		}
-		s.addSpan(job, claimSpan)
+	return ctx, func() {
+		stopTimer()
+		cancel(nil)
+		s.m.running.Add(-1)
 	}
-
-	cfg := job.cfg
-	// The tracer delivers each interval to the synchronous sinks the
-	// submission asked for (decision-trace collector, series recorder),
-	// then to the job's own sink; obs.Tee collapses the common one-sink
-	// case to no wrapper at all.
-	sink := &jobSink{s: s, job: job, renew: fleetAcquired, lastRenew: time.Now()}
-	var sinks []sim.Tracer
-	if job.trace != nil {
-		sinks = append(sinks, job.trace)
-	}
-	if job.series != nil {
-		sinks = append(sinks, job.series)
-	}
-	cfg.Tracer = obs.Tee(append(sinks, sink)...)
-	s.m.executions.Add(1)
-	runStart := time.Now()
-	var res sim.Result
-	var err error
-	if job.spec != nil {
-		res, err = sim.RunSpecContext(runCtx, cfg, job.spec)
-	} else {
-		res, err = sim.RunContext(runCtx, cfg)
-	}
-	runDur := time.Since(runStart)
-
-	s.m.simCycles.Add(res.Counters.Cycles)
-	s.m.simNanos.Add(uint64(res.Elapsed.Nanoseconds()))
-
-	runSpan := obs.Span{Parent: job.rootSpan, Name: "run",
-		Start: runStart, End: runStart.Add(runDur), Events: sink.events,
-		Attrs: map[string]string{
-			"workload":  cfg.Workload,
-			"intervals": strconv.FormatUint(res.Intervals, 10),
-		}}
-	if job.trace != nil {
-		// Link the fabric span to the in-run DecisionEvent stream it wraps.
-		runSpan.Attrs["decision_events"] = strconv.Itoa(len(job.trace.Events()))
-	}
-	s.addSpan(job, runSpan)
-
-	// Render the decision trace before finishing so Trace() and the HTTP
-	// trace endpoint see a complete artifact the moment Done() closes.
-	// Cancelled runs keep their partial trace (it matches the partial
-	// result) but only full runs are persisted, mirroring store.Put.
-	var traceJSONL []byte
-	if job.trace != nil {
-		events := job.trace.Events()
-		var buf bytes.Buffer
-		if werr := obs.WriteJSONL(&buf, events); werr == nil {
-			traceJSONL = buf.Bytes()
-		}
-		s.m.traces.Add(1)
-		s.m.traceEvents.Add(uint64(len(events)))
-		s.m.traceTruncated.Add(job.trace.Truncated())
-		if truncated := job.trace.Truncated(); truncated > 0 {
-			s.log.Warn("decision trace truncated", "job", job.id,
-				"kept", len(events), "truncated", truncated)
-		}
-		if traceJSONL != nil && err == nil && s.cfg.Store != nil {
-			// Best-effort, like storeResult: losing it costs a future
-			// cache-hit trace, not this job.
-			_ = s.cfg.Store.PutTrace(job.fp, traceJSONL)
-		}
-	}
-
-	// Encode the interval-timeseries sidecar under the same contract:
-	// available the moment Done() closes, persisted only for full runs.
-	var seriesBin []byte
-	if job.series != nil {
-		sr := job.series.Series()
-		sr.Meta.Workload = cfg.Workload
-		sr.Meta.Prefetcher = string(cfg.Prefetcher)
-		if doc, serr := series.Encode(sr); serr == nil {
-			seriesBin = doc
-			s.m.seriesPoints.Add(uint64(sr.Len() * len(sr.Meta.Metrics)))
-			s.m.seriesBytes.Add(uint64(len(doc)))
-			if err == nil && s.cfg.Store != nil {
-				_ = s.cfg.Store.PutSeries(job.fp, doc)
-			}
-		}
-		if truncated := job.series.Truncated(); truncated > 0 {
-			s.log.Warn("interval series truncated", "job", job.id,
-				"kept", job.series.Len(), "truncated", truncated)
-		}
-	}
-
-	var storeDur time.Duration
-	if err == nil {
-		// Cache before finishing so a poller that sees state "done" and
-		// immediately resubmits an identical config gets the hit.
-		storeStart := time.Now()
-		s.storeResult(job.fp, res)
-		storeDur = time.Since(storeStart)
-		s.addSpan(job, obs.Span{Parent: job.rootSpan, Name: "store",
-			Start: storeStart, End: storeStart.Add(storeDur)})
-	}
-	state, result, outcome, errMsg := StateDone, &res, store.OutcomeExecuted, ""
-	switch {
-	case err == nil:
-		s.m.completed.Add(1)
-	case errors.Is(err, sim.ErrCancelled):
-		s.m.cancelled.Add(1)
-		state, outcome, errMsg = StateCancelled, store.OutcomeCancelled, err.Error()
-	default:
-		s.m.failed.Add(1)
-		state, result, outcome, errMsg = StateFailed, nil, store.OutcomeFailed, err.Error()
-	}
-	finished := time.Now()
-	s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
-		Name: "job", Start: job.submittedAt, End: finished,
-		Attrs: map[string]string{"outcome": string(state), "tenant": job.tenant}})
-	s.writeProvenance(job, outcome, errMsg, claimGen, claimStolen, wait, runDur, storeDur, finished)
-	job.mu.Lock()
-	job.traceJSONL = traceJSONL
-	job.seriesBin = seriesBin
-	job.finishLocked(state, result, errMsg, finished)
-	started := job.startedAt
-	job.mu.Unlock()
-
-	attrs := []any{"job", job.id, "state", string(state),
-		"duration", time.Since(started), "intervals", res.Intervals}
-	if err != nil {
-		attrs = append(attrs, "error", err.Error())
-		s.log.Warn("job finished", attrs...)
-		return
-	}
-	s.log.Info("job finished", attrs...)
 }
 
-// fleetClaim negotiates fingerprint ownership with the rest of the
-// fleet. It returns fromStore with the finished result when another
-// worker completed it, acquired when this worker won the claim, or
-// neither when the bounded retries ran out (execute locally) or ctx
-// ended (the run exits immediately anyway). info describes the claim
-// outcome (the acquired lease, or the holder observed last); events are
-// the negotiation's span events (waits, steals) for the claim span.
-func (s *Server) fleetClaim(ctx context.Context, job *Job) (acquired bool, res sim.Result, fromStore bool, info store.ClaimInfo, events []obs.SpanEvent) {
+// claim negotiates the job's fingerprint with the rest of a worker fleet
+// and records the claim span; outside a fleet it does nothing. Another
+// worker may already have the result (claim adopts it and reports true,
+// leaving the job only to finish), hold a live lease (claim waits with
+// backoff and steals it past expiry), or have crashed mid-write (the
+// claim machinery recovers). Otherwise this worker runs the job, holding
+// the lease it won or none when the bounded retries run out or ctx ends:
+// execution is at-least-once, results exactly-once through the store's
+// atomic Put.
+func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool) {
+	if s.cfg.FleetWorker == "" {
+		return false
+	}
+	sp := obs.Span{Parent: job.rootSpan, Name: "claim", Start: time.Now(),
+		Attrs: map[string]string{"worker": s.cfg.FleetWorker, "outcome": "local_fallback"}}
+	defer func() {
+		sp.End = time.Now()
+		s.addSpan(job, sp)
+	}()
 	st := s.cfg.Store
 	backoff := 25 * time.Millisecond
-	for attempt := 0; attempt < s.cfg.ClaimAttempts; attempt++ {
+	for range s.cfg.ClaimAttempts {
 		state, cur, err := st.ClaimTrace(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL, job.traceID)
 		if err != nil {
 			s.log.Warn("fleet claim error; executing locally", "job", job.id, "error", err)
-			return false, sim.Result{}, false, cur, events
+			return false
 		}
 		switch state {
 		case store.ClaimDone:
-			if r, ok := st.Get(job.fp); ok {
-				return false, r, true, cur, events
+			res, ok := st.Get(job.fp)
+			if !ok {
+				// The result was discarded as corrupt between Claim and
+				// Get; recover by executing locally.
+				return false
 			}
-			// The result was discarded as corrupt between Claim and Get;
-			// recover by executing locally.
-			return false, sim.Result{}, false, cur, events
+			sp.Attrs["outcome"] = "adopted"
+			if cur.Trace != "" {
+				sp.Attrs["executor_trace"] = cur.Trace
+			}
+			s.storeResult(job.fp, res)
+			s.m.fleetAdopted.Add(1)
+			a.outcome, a.res = store.OutcomeAdopted, &res
+			return true
 		case store.ClaimAcquired:
 			s.m.claimsAcquired.Add(1)
+			a.leaseGen, a.stolen = cur.Gen(), cur.Stolen
+			sp.Attrs["outcome"] = "acquired"
+			sp.Attrs["lease_gen"] = strconv.Itoa(a.leaseGen)
 			if cur.Stolen {
 				s.m.claimsStolen.Add(1)
-				events = append(events, obs.SpanEvent{Name: "lease-steal", Time: time.Now(),
-					Attrs: map[string]string{"lease_gen": strconv.Itoa(cur.Gen())}})
+				sp.Attrs["stolen"] = "true"
+				sp.Events = append(sp.Events, obs.SpanEvent{Name: "lease-steal", Time: time.Now(),
+					Attrs: map[string]string{"lease_gen": sp.Attrs["lease_gen"]}})
 				s.log.Info("fleet claim stolen from expired lease", "job", job.id,
 					"fingerprint", shortFP(job.fp))
 			}
-			return true, sim.Result{}, false, cur, events
+			return false
 		case store.ClaimHeld:
 			s.m.claimsWaited.Add(1)
 			wait := backoff
@@ -969,11 +796,11 @@ func (s *Server) fleetClaim(ctx context.Context, job *Job) (acquired bool, res s
 			if until := time.Until(cur.Expires); until > 0 && until+5*time.Millisecond < wait {
 				wait = until + 5*time.Millisecond
 			}
-			events = append(events, obs.SpanEvent{Name: "claim-wait", Time: time.Now(),
+			sp.Events = append(sp.Events, obs.SpanEvent{Name: "claim-wait", Time: time.Now(),
 				Attrs: map[string]string{"holder": cur.Owner, "wait": wait.String()}})
 			select {
 			case <-ctx.Done():
-				return false, sim.Result{}, false, cur, events
+				return false
 			case <-time.After(wait):
 			}
 			if backoff < 2*time.Second {
@@ -983,7 +810,150 @@ func (s *Server) fleetClaim(ctx context.Context, job *Job) (acquired bool, res s
 	}
 	s.log.Warn("fleet claim attempts exhausted; executing locally",
 		"job", job.id, "fingerprint", shortFP(job.fp), "attempts", s.cfg.ClaimAttempts)
-	return false, sim.Result{}, false, store.ClaimInfo{}, events
+	return false
+}
+
+// run executes the job under the sinks its submission asked for and
+// records the run span, then renders the decision trace and the series
+// sidecar, so both are complete the moment Done closes. A cancelled run
+// keeps its partial artifacts, which match its partial result.
+func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
+	// The tracer delivers each interval to the synchronous sinks the
+	// submission asked for (decision-trace collector, series recorder),
+	// then to the job's own sink; obs.Tee collapses the common one-sink
+	// case to no wrapper at all.
+	sink := &jobSink{s: s, job: job, renew: a.leaseGen >= 0, lastRenew: time.Now()}
+	var sinks []sim.Tracer
+	if job.trace != nil {
+		sinks = append(sinks, job.trace)
+	}
+	if job.series != nil {
+		sinks = append(sinks, job.series)
+	}
+	run := job.run
+	run.Cfg.Tracer = obs.Tee(append(sinks, sink)...)
+	s.m.executions.Add(1)
+	start := time.Now()
+	res, err := run.Run(ctx)
+	a.run = time.Since(start)
+	s.m.simCycles.Add(res.Counters.Cycles)
+	s.m.simNanos.Add(uint64(res.Elapsed.Nanoseconds()))
+	switch {
+	case err == nil:
+		a.outcome, a.res = store.OutcomeExecuted, &res
+	case errors.Is(err, sim.ErrCancelled):
+		a.outcome, a.res, a.errMsg = store.OutcomeCancelled, &res, err.Error()
+	default:
+		a.outcome, a.errMsg = store.OutcomeFailed, err.Error()
+	}
+
+	sp := obs.Span{Parent: job.rootSpan, Name: "run",
+		Start: start, End: start.Add(a.run), Events: sink.events,
+		Attrs: map[string]string{
+			"workload":  run.Cfg.Workload,
+			"intervals": strconv.FormatUint(res.Intervals, 10),
+		}}
+	if job.trace != nil {
+		// Link the fabric span to the in-run DecisionEvent stream it wraps.
+		sp.Attrs["decision_events"] = strconv.Itoa(len(job.trace.Events()))
+	}
+	s.addSpan(job, sp)
+
+	if job.trace != nil {
+		events := job.trace.Events()
+		var buf bytes.Buffer
+		if werr := obs.WriteJSONL(&buf, events); werr == nil {
+			a.trace = buf.Bytes()
+		}
+		s.m.traces.Add(1)
+		s.m.traceEvents.Add(uint64(len(events)))
+		s.m.traceTruncated.Add(job.trace.Truncated())
+		if truncated := job.trace.Truncated(); truncated > 0 {
+			s.log.Warn("decision trace truncated", "job", job.id,
+				"kept", len(events), "truncated", truncated)
+		}
+	}
+	if job.series != nil {
+		sr := job.series.Series()
+		sr.Meta.Workload = run.Cfg.Workload
+		sr.Meta.Prefetcher = string(run.Cfg.Prefetcher)
+		if doc, serr := series.Encode(sr); serr == nil {
+			a.series = doc
+			s.m.seriesPoints.Add(uint64(sr.Len() * len(sr.Meta.Metrics)))
+			s.m.seriesBytes.Add(uint64(len(doc)))
+		}
+		if truncated := job.series.Truncated(); truncated > 0 {
+			s.log.Warn("interval series truncated", "job", job.id,
+				"kept", job.series.Len(), "truncated", truncated)
+		}
+	}
+}
+
+// store writes a full run's sidecars and then its result under one store
+// span — sidecars first, so whoever finds the result finds them too, and
+// all before finish, so a client that sees "done" and resubmits at once
+// gets the cache hit. Cancelled and failed runs store nothing.
+func (s *Server) store(job *Job, a *attempt) {
+	if a.outcome != store.OutcomeExecuted {
+		return
+	}
+	start := time.Now()
+	if st := s.cfg.Store; st != nil {
+		// Best-effort, like storeResult: a lost sidecar costs a future
+		// cache hit its artifact, not this job.
+		if a.trace != nil {
+			_ = st.PutTrace(job.fp, a.trace)
+		}
+		if a.series != nil {
+			_ = st.PutSeries(job.fp, a.series)
+		}
+	}
+	s.storeResult(job.fp, *a.res)
+	a.store = time.Since(start)
+	s.addSpan(job, obs.Span{Parent: job.rootSpan, Name: "store",
+		Start: start, End: start.Add(a.store)})
+}
+
+// finish ends every terminal path a client can see — a cache hit, an
+// adoption, an executed, failed or cancelled run, and a job cancelled or
+// shut down before it started. It counts the outcome and records the
+// root "job" span and the ledger line before the terminal state closes
+// Done, so a reader woken by Done sees both. It runs without job.mu
+// held, because addSpan takes it.
+func (s *Server) finish(job *Job, a *attempt) {
+	state := StateDone
+	switch a.outcome {
+	case store.OutcomeFailed:
+		state = StateFailed
+		s.m.failed.Add(1)
+	case store.OutcomeCancelled:
+		state = StateCancelled
+		s.m.cancelled.Add(1)
+	default:
+		s.m.completed.Add(1)
+	}
+	finished := time.Now()
+	s.addSpan(job, obs.Span{SpanID: job.rootSpan, Parent: job.parentSpan,
+		Name: "job", Start: job.submittedAt, End: finished,
+		Attrs: map[string]string{"outcome": a.outcome, "tenant": job.tenant}})
+	s.writeProvenance(job, a, finished)
+	job.mu.Lock()
+	job.state = state // a never-started job already reads cancelled
+	job.cacheHit = a.outcome == store.OutcomeCacheHit || a.outcome == store.OutcomeAdopted
+	job.result, job.errMsg, job.finishedAt = a.res, a.errMsg, finished
+	job.traceJSONL, job.seriesBin = a.trace, a.series
+	close(job.done)
+	job.mu.Unlock()
+	// Attrs, not key-value pairs: boxing the strings would cost the
+	// cache-hit path an allocation each.
+	id, outcome := slog.String("job", job.id), slog.String("outcome", a.outcome)
+	wall := slog.Duration("wall", finished.Sub(job.submittedAt))
+	if a.errMsg != "" {
+		s.log.LogAttrs(context.Background(), slog.LevelWarn, "job finished", id, outcome, wall,
+			slog.String("error", a.errMsg))
+		return
+	}
+	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job finished", id, outcome, wall)
 }
 
 // Executions returns how many simulations this server actually ran

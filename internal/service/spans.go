@@ -103,17 +103,14 @@ func buildVersion() (version, goVersion string) {
 	return version, goVersion
 }
 
-// writeProvenance appends the job's ledger line for a job finishing at
-// finished — best-effort, like storeResult: observability never fails a
-// job. Callers append it before the job's Done closes.
-func (s *Server) writeProvenance(j *Job, outcome, errMsg string, leaseGen int, stolen bool,
-	queueWait, run, storeDur time.Duration, finished time.Time) {
+// writeProvenance appends the job's ledger line, finished at finished,
+// from its attempt — best-effort, like storeResult: observability never
+// fails a job. finish appends it before the job's Done closes.
+func (s *Server) writeProvenance(j *Job, a *attempt, finished time.Time) {
 	if s.cfg.Store == nil {
 		return
 	}
 	version, goVersion := buildVersion()
-	submitted := j.submittedAt
-	wall := finished.Sub(submitted)
 	p := store.Provenance{
 		Fingerprint: j.fp,
 		TraceID:     j.traceID,
@@ -121,18 +118,18 @@ func (s *Server) writeProvenance(j *Job, outcome, errMsg string, leaseGen int, s
 		SweepID:     j.sweepID,
 		Tenant:      j.tenant,
 		Worker:      s.actor(),
-		LeaseGen:    leaseGen,
-		Stolen:      stolen,
-		Outcome:     outcome,
-		Error:       errMsg,
+		LeaseGen:    a.leaseGen,
+		Stolen:      a.stolen,
+		Outcome:     a.outcome,
+		Error:       a.errMsg,
 		GoVersion:   goVersion,
 		Build:       version,
-		Submitted:   submitted,
+		Submitted:   j.submittedAt,
 		Finished:    finished,
-		QueueWaitMS: float64(queueWait.Microseconds()) / 1e3,
-		RunMS:       float64(run.Microseconds()) / 1e3,
-		StoreMS:     float64(storeDur.Microseconds()) / 1e3,
-		WallMS:      float64(wall.Microseconds()) / 1e3,
+		QueueWaitMS: float64(a.wait.Microseconds()) / 1e3,
+		RunMS:       float64(a.run.Microseconds()) / 1e3,
+		StoreMS:     float64(a.store.Microseconds()) / 1e3,
+		WallMS:      float64(finished.Sub(j.submittedAt).Microseconds()) / 1e3,
 	}
 	if err := s.cfg.Store.AppendProvenance(p); err != nil {
 		s.log.Warn("provenance append failed", "job", j.id, "error", err)

@@ -30,7 +30,7 @@ func TestSubmitSpecJob(t *testing.T) {
 	sp := serviceSpec("svc.spec")
 	cfg := fastConfig(60_000, 7)
 
-	job, err := srv.Submit(cfg, WithWorkloadSpec(sp))
+	job, err := srv.Submit(sim.Job{Cfg: cfg, Spec: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSubmitSpecJob(t *testing.T) {
 	}
 
 	// An identical resubmission is a cache hit with the same result.
-	again, err := srv.Submit(cfg, WithWorkloadSpec(sp))
+	again, err := srv.Submit(sim.Job{Cfg: cfg, Spec: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSubmitSpecJob(t *testing.T) {
 	// job's cache entry.
 	named := cfg
 	named.Workload = "seqstream"
-	nj, err := srv.Submit(named)
+	nj, err := srv.Submit(sim.Job{Cfg: named})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +75,12 @@ func TestSubmitSpecJobRejections(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	cfg := fastConfig(10_000, 1)
 
-	if _, err := srv.Submit(cfg, WithWorkloadSpec(nil)); !errors.Is(err, sim.ErrInvalidConfig) {
-		t.Fatalf("nil spec: %v", err)
-	}
-	if _, err := srv.Submit(cfg, WithWorkloadSpec(&spec.Spec{Name: "x"})); !errors.Is(err, spec.ErrInvalid) {
+	if _, err := srv.Submit(sim.Job{Cfg: cfg, Spec: &spec.Spec{Name: "x"}}); !errors.Is(err, spec.ErrInvalid) {
 		t.Fatalf("invalid spec: %v", err)
 	}
 	multi := serviceSpec("svc.multi")
 	multi.Phases[0].Clients[1].Lane = 1
-	if _, err := srv.Submit(cfg, WithWorkloadSpec(multi)); !errors.Is(err, sim.ErrInvalidConfig) {
+	if _, err := srv.Submit(sim.Job{Cfg: cfg, Spec: multi}); !errors.Is(err, sim.ErrInvalidConfig) {
 		t.Fatalf("multi-lane spec: %v", err)
 	}
 }

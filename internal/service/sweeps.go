@@ -133,13 +133,10 @@ func (s *Server) SubmitSweepTrace(req sweep.Request, traceID, parentSpan string)
 		}
 		opts := []SubmitOption{WithTenant(tenant), WithPriority(req.Priority), forSweep(sw.id),
 			WithTraceContext(sw.traceID, sw.rootSpan)}
-		if u.Spec != nil {
-			opts = append(opts, WithWorkloadSpec(u.Spec))
-		}
 		if req.Series {
 			opts = append(opts, WithSeriesRecording())
 		}
-		j, err := s.Submit(u.Cfg, opts...)
+		j, err := s.Submit(u.Job, opts...)
 		if err != nil {
 			// Unreachable except for a shutdown racing the admission:
 			// validation happened at Expand and sweep jobs bypass quotas.

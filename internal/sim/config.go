@@ -200,6 +200,38 @@ func (c *Config) Validate() error {
 	if c.L1Blocks <= 0 || c.L2Blocks <= 0 {
 		return fmt.Errorf("%w: cache sizes must be positive", ErrInvalidConfig)
 	}
+	// Reject every geometry the constructors panic on: a panic in a
+	// service worker would take the whole daemon down.
+	for _, g := range [...]struct {
+		name         string
+		blocks, ways int
+		built        bool
+	}{
+		{"L1D", c.L1Blocks, c.L1Ways, true},
+		{"L1I", c.L1IBlocks, c.L1IWays, c.ModelIFetch && c.L1IBlocks > 0},
+		{"L2", c.L2Blocks, c.L2Ways, true},
+		{"prefetch cache", c.PrefCacheBlocks, c.PrefCacheWays, c.PrefCacheBlocks > 0},
+	} {
+		// cache.New's rule: ways outside 1..blocks mean fully associative,
+		// and the ways must split the blocks into a power-of-two set count.
+		ways := g.ways
+		if ways <= 0 || ways > g.blocks {
+			ways = g.blocks
+		}
+		if g.built && (g.blocks%ways != 0 || !pow2(g.blocks/ways)) {
+			return fmt.Errorf("%w: %s of %d blocks in %d ways: the set count must be a power of two",
+				ErrInvalidConfig, g.name, g.blocks, g.ways)
+		}
+	}
+	if c.MSHRs <= 0 || c.DRAM.QueueCap <= 0 {
+		return fmt.Errorf("%w: MSHRs and DRAM.QueueCap must be positive", ErrInvalidConfig)
+	}
+	if !pow2(c.DRAM.Banks) || !pow2(c.DRAM.BlocksPerRow) {
+		return fmt.Errorf("%w: DRAM.Banks and DRAM.BlocksPerRow must be positive powers of two", ErrInvalidConfig)
+	}
+	if bits := c.FDP.FilterBits; bits != 0 && (bits < 64 || !pow2(bits)) {
+		return fmt.Errorf("%w: FDP.FilterBits %d must be 0 (4096) or a power of two of at least 64", ErrInvalidConfig, bits)
+	}
 	if c.StaticLevel < 0 || c.StaticLevel > 5 {
 		return fmt.Errorf("%w: StaticLevel %d out of range 0..5", ErrInvalidConfig, c.StaticLevel)
 	}
@@ -228,3 +260,6 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// pow2 reports whether n is a positive power of two.
+func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
-	"fdpsim/internal/workload"
 )
 
 // fingerprintVersion is folded into every fingerprint so that cached
@@ -44,22 +42,4 @@ func PrefetcherKinds() []PrefetcherKind {
 	return []PrefetcherKind{
 		PrefNone, PrefStream, PrefGHB, PrefStride, PrefNextLine, PrefDahlgren, PrefHybrid,
 	}
-}
-
-// ValidateJob extends Validate with the checks a job service needs before
-// queueing work it did not construct itself: the workload name must
-// resolve now (Run would only discover a typo after the job waited in the
-// queue), and the configuration must be fingerprintable so the result is
-// cacheable and the submission deduplicatable.
-func (c *Config) ValidateJob() error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if !workload.Exists(c.Workload) {
-		return fmt.Errorf("%w %q (have %v)", ErrUnknownWorkload, c.Workload, workload.Names())
-	}
-	if c.Prefetcher == PrefCustom {
-		return fmt.Errorf("%w: custom prefetchers cannot run as jobs (no stable fingerprint)", ErrInvalidConfig)
-	}
-	return nil
 }

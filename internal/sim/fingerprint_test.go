@@ -41,27 +41,71 @@ func TestFingerprintRejectsCustom(t *testing.T) {
 	}
 }
 
+// TestValidateJob covers Job.Validate for named-workload runs; spec runs
+// are TestValidateSpecJob's.
 func TestValidateJob(t *testing.T) {
-	cfg := WithFDP(PrefStream)
-	if err := cfg.ValidateJob(); err != nil {
-		t.Fatalf("valid job config rejected: %v", err)
-	}
-
-	bad := cfg
-	bad.Workload = "no-such-workload"
-	if err := bad.ValidateJob(); !errors.Is(err, ErrUnknownWorkload) {
-		t.Fatalf("unknown workload: got %v, want ErrUnknownWorkload", err)
-	}
-	// Plain Validate accepts it (workloads resolve at run time)…
-	if err := bad.Validate(); err != nil {
-		t.Fatalf("Validate should not check workload names: %v", err)
-	}
-
+	named := WithFDP(PrefStream)
+	unknown := named
+	unknown.Workload = "no-such-workload"
 	cust := Default()
 	cust.Prefetcher = PrefCustom
 	cust.Custom = prefetch.NewStream(4)
-	if err := cust.ValidateJob(); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("custom prefetcher job: got %v, want ErrInvalidConfig", err)
+	atCap := named
+	atCap.L2Blocks = maxJobBlocks
+	overCap := named
+	overCap.L2Blocks = 2 * maxJobBlocks
+	hugeROB := named
+	hugeROB.CPU.ROB = 1 << 40
+
+	cases := []jobValidateCase{
+		{"named", Job{Cfg: named}, nil},
+		{"unknown workload", Job{Cfg: unknown}, ErrUnknownWorkload},
+		{"custom prefetcher", Job{Cfg: cust}, ErrInvalidConfig},
+		{"at the size cap", Job{Cfg: atCap}, nil},
+		{"over the size cap", Job{Cfg: overCap}, ErrInvalidConfig},
+		{"ROB over the size cap", Job{Cfg: hugeROB}, ErrInvalidConfig},
+	}
+	checkJobValidate(t, cases)
+	// Plain Validate accepts an unknown name (workloads resolve at run
+	// time) and applies no size cap: only queued jobs are capped.
+	for _, cfg := range []Config{unknown, overCap} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Config.Validate rejected a direct-run config: %v", err)
+		}
+	}
+}
+
+type jobValidateCase struct {
+	name string
+	job  Job
+	want error // nil: valid
+}
+
+func checkJobValidate(t *testing.T, cases []jobValidateCase) {
+	t.Helper()
+	for _, tc := range cases {
+		err := tc.job.Validate()
+		if tc.want == nil && err != nil {
+			t.Errorf("%s: valid job rejected: %v", tc.name, err)
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestJobFingerprint pins Job's key to the two functions it chooses
+// between, so stores written before Job existed stay warm.
+func TestJobFingerprint(t *testing.T) {
+	cfg := specTestConfig()
+	sp := oneLaneSpec()
+	want, _ := Fingerprint(cfg)
+	if got, ok := (Job{Cfg: cfg}).Fingerprint(); !ok || got != want {
+		t.Fatalf("named Job fingerprint = %q, %v; want Fingerprint's %q", got, ok, want)
+	}
+	want, _ = FingerprintSpec(cfg, sp)
+	if got, ok := (Job{Cfg: cfg, Spec: sp}).Fingerprint(); !ok || got != want {
+		t.Fatalf("spec Job fingerprint = %q, %v; want FingerprintSpec's %q", got, ok, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -36,6 +37,69 @@ func TestConfigValidate(t *testing.T) {
 	cfg := Default()
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+// TestValidateRejectsPanickingGeometry pins a probe of every integer
+// Config field: each single-field value below once passed Validate and
+// then panicked while the topology was built or on the first
+// pollution-filter access, which in a service worker took the whole
+// daemon down. Geometries the constructors accept must stay valid.
+func TestValidateRejectsPanickingGeometry(t *testing.T) {
+	invalid := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"L1Blocks=12", func(c *Config) { c.L1Blocks = 12 }},
+		{"L1Blocks=1000", func(c *Config) { c.L1Blocks = 1000 }},
+		{"L1Ways=3", func(c *Config) { c.L1Ways = 3 }},
+		{"L1Ways=1000", func(c *Config) { c.L1Ways = 1000 }},
+		{"L1IBlocks=12", func(c *Config) { c.L1IBlocks = 12 }},
+		{"L1IBlocks=1000", func(c *Config) { c.L1IBlocks = 1000 }},
+		{"L1IWays=3", func(c *Config) { c.L1IWays = 3 }},
+		{"L2Blocks=1000", func(c *Config) { c.L2Blocks = 1000 }},
+		{"L2Ways=3", func(c *Config) { c.L2Ways = 3 }},
+		{"L2Ways=100", func(c *Config) { c.L2Ways = 100 }},
+		{"MSHRs=-1", func(c *Config) { c.MSHRs = -1 }},
+		{"DRAM.Banks=-1", func(c *Config) { c.DRAM.Banks = -1 }},
+		{"DRAM.Banks=0", func(c *Config) { c.DRAM.Banks = 0 }},
+		{"DRAM.Banks=3", func(c *Config) { c.DRAM.Banks = 3 }},
+		{"DRAM.BlocksPerRow=-1", func(c *Config) { c.DRAM.BlocksPerRow = -1 }},
+		{"DRAM.BlocksPerRow=0", func(c *Config) { c.DRAM.BlocksPerRow = 0 }},
+		{"DRAM.BlocksPerRow=100", func(c *Config) { c.DRAM.BlocksPerRow = 100 }},
+		{"DRAM.QueueCap=-1", func(c *Config) { c.DRAM.QueueCap = -1 }},
+		{"FDP.FilterBits=3", func(c *Config) { c.FDP.FilterBits = 3 }},
+		{"FDP.FilterBits=32", func(c *Config) { c.FDP.FilterBits = 32 }},
+		{"FDP.FilterBits=1000", func(c *Config) { c.FDP.FilterBits = 1000 }},
+		{"prefetch cache 1000 blocks in 16 ways", func(c *Config) { c.PrefCacheBlocks, c.PrefCacheWays = 1000, 16 }},
+		{"MSHRs=0", func(c *Config) { c.MSHRs = 0 }},
+		{"DRAM.QueueCap=0", func(c *Config) { c.DRAM.QueueCap = 0 }},
+	}
+	for _, tc := range invalid {
+		cfg := WithFDP(PrefStream)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidConfig", tc.name, err)
+		}
+	}
+
+	valid := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"fully associative L2", func(c *Config) { c.L2Ways = 0 }},
+		{"FDP.FilterBits=64", func(c *Config) { c.FDP.FilterBits = 64 }},
+		{"default L1I geometry", func(c *Config) { c.L1IBlocks, c.L1IWays = 0, 3 }},
+		{"unbuilt L1I", func(c *Config) { c.ModelIFetch, c.L1IBlocks = false, 1000 }},
+		{"fully associative prefetch cache", func(c *Config) { c.PrefCacheBlocks = 32 }},
+		{"16-way prefetch cache", func(c *Config) { c.PrefCacheBlocks, c.PrefCacheWays = 512, 16 }},
+	}
+	for _, tc := range valid {
+		cfg := WithFDP(PrefStream)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		}
 	}
 }
 

@@ -87,26 +87,6 @@ func FingerprintSpec(cfg Config, sp *spec.Spec) (fp string, ok bool) {
 	return hex.EncodeToString(sum[:]), true
 }
 
-// ValidateSpecJob is ValidateJob for spec-driven submissions: the spec
-// must validate, fit on the single core a job runs on, and the pair must
-// be fingerprintable so the result is cacheable and deduplicatable.
-func ValidateSpecJob(cfg Config, sp *spec.Spec) error {
-	if err := validSpec(sp); err != nil {
-		return err
-	}
-	if lanes := sp.Lanes(); lanes > 1 {
-		return fmt.Errorf("%w: spec %s targets %d lanes; jobs run on one core", ErrInvalidConfig, sp.Name, lanes)
-	}
-	cfg.Workload = sp.Name
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Prefetcher == PrefCustom {
-		return fmt.Errorf("%w: custom prefetchers cannot run as jobs (no stable fingerprint)", ErrInvalidConfig)
-	}
-	return nil
-}
-
 // validSpec rejects a nil or invalid spec.
 func validSpec(sp *spec.Spec) error {
 	if sp == nil {

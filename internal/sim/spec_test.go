@@ -227,6 +227,24 @@ func TestRunSpecSMT(t *testing.T) {
 	}
 }
 
+// TestValidateSpecJob covers Job.Validate for spec runs: the spec must
+// validate and fit on one core, the workload name is not consulted, and
+// the configuration rules of named runs still hold.
+func TestValidateSpecJob(t *testing.T) {
+	cfg := specTestConfig()
+	unknown := cfg
+	unknown.Workload = "no-such-workload"
+	cust := cfg
+	cust.Prefetcher = PrefCustom
+	checkJobValidate(t, []jobValidateCase{
+		{"spec", Job{Cfg: cfg, Spec: oneLaneSpec()}, nil},
+		{"spec with an unknown workload name", Job{Cfg: unknown, Spec: oneLaneSpec()}, nil},
+		{"invalid spec", Job{Cfg: cfg, Spec: &spec.Spec{Name: "x"}}, spec.ErrInvalid},
+		{"multi-lane spec", Job{Cfg: cfg, Spec: twoLaneSpec()}, ErrInvalidConfig},
+		{"spec with a custom prefetcher", Job{Cfg: cust, Spec: oneLaneSpec()}, ErrInvalidConfig},
+	})
+}
+
 func TestFingerprintSpecProperties(t *testing.T) {
 	cfg := specTestConfig()
 	sp := oneLaneSpec()
@@ -271,23 +289,5 @@ func TestFingerprintSpecProperties(t *testing.T) {
 	}
 	if _, ok := FingerprintSpec(cfg, &spec.Spec{Name: "x"}); ok {
 		t.Fatal("invalid spec fingerprinted")
-	}
-}
-
-func TestValidateSpecJob(t *testing.T) {
-	cfg := specTestConfig()
-	if err := ValidateSpecJob(cfg, oneLaneSpec()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateSpecJob(cfg, nil); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("nil spec: %v", err)
-	}
-	if err := ValidateSpecJob(cfg, twoLaneSpec()); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("multi-lane spec: %v", err)
-	}
-	bad := cfg
-	bad.Prefetcher = PrefCustom
-	if err := ValidateSpecJob(bad, oneLaneSpec()); err == nil {
-		t.Fatal("custom prefetcher accepted as a spec job")
 	}
 }

@@ -85,7 +85,7 @@ type DecisionEvent struct {
 // Tracer receives one DecisionEvent per FDP interval boundary. It is
 // called synchronously from the simulation loop (never concurrently for
 // one core), so implementations must be cheap or hand off — internal/obs
-// provides file sinks and a non-blocking Async wrapper. A nil tracer
+// provides the file and in-memory sinks. A nil tracer
 // costs nothing on the hot path (guarded by BenchmarkTraceDecision and
 // TestTraceDecisionAllocs).
 type Tracer interface {

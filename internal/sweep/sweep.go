@@ -197,8 +197,10 @@ type Unit struct {
 	// two cells.
 	Seed uint64
 
-	Cfg  sim.Config
-	Spec *spec.Spec
+	// Job is the cell's run; its Fingerprint is the deduplication key the
+	// job service, the harness memo and the on-disk store share, so sweep
+	// cells share their caches.
+	sim.Job
 }
 
 // Key identifies the cell within its sweep.
@@ -259,7 +261,7 @@ func (r *Request) Expand() ([]Unit, error) {
 	}
 
 	units := make([]Unit, 0, total)
-	addRow := func(name string, sp *spec.Spec) error {
+	addRow := func(kind, name string, sp *spec.Spec) error {
 		for _, col := range cols {
 			for _, seed := range seeds {
 				cfg := col.cfg
@@ -275,14 +277,11 @@ func (r *Request) Expand() ([]Unit, error) {
 					cfg.FDP.TInterval = r.TInterval
 				}
 				cfg.Attribution = r.Attribution
-				if sp == nil {
-					if err := cfg.ValidateJob(); err != nil {
-						return fmt.Errorf("%w: workload %q: %w", ErrInvalid, name, err)
-					}
-				} else if err := sim.ValidateSpecJob(cfg, sp); err != nil {
-					return fmt.Errorf("%w: spec %q: %w", ErrInvalid, name, err)
+				run := sim.Job{Cfg: cfg, Spec: sp}
+				if err := run.Validate(); err != nil {
+					return fmt.Errorf("%w: %s %q: %w", ErrInvalid, kind, name, err)
 				}
-				units = append(units, Unit{Workload: name, Config: col.label, Seed: seed, Cfg: cfg, Spec: sp})
+				units = append(units, Unit{Workload: name, Config: col.label, Seed: seed, Job: run})
 			}
 		}
 		return nil
@@ -291,25 +290,14 @@ func (r *Request) Expand() ([]Unit, error) {
 		if strings.TrimSpace(w) == "" {
 			return nil, fmt.Errorf("%w: empty workload name", ErrInvalid)
 		}
-		if err := addRow(w, nil); err != nil {
+		if err := addRow("workload", w, nil); err != nil {
 			return nil, err
 		}
 	}
 	for _, sp := range r.Specs {
-		if err := addRow(sp.Name, sp); err != nil {
+		if err := addRow("spec", sp.Name, sp); err != nil {
 			return nil, err
 		}
 	}
 	return units, nil
-}
-
-// Fingerprint returns the unit's deduplication key: the domain-separated
-// spec fingerprint for spec cells, the plain configuration fingerprint
-// otherwise — the same keys the job service, the harness memo and the
-// on-disk store already use, so sweep cells share their caches.
-func (u Unit) Fingerprint() (string, bool) {
-	if u.Spec != nil {
-		return sim.FingerprintSpec(u.Cfg, u.Spec)
-	}
-	return sim.Fingerprint(u.Cfg)
 }

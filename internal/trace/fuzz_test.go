@@ -8,42 +8,6 @@ import (
 	"fdpsim/internal/cpu"
 )
 
-// FuzzReader ensures arbitrary byte streams never panic the decoder: they
-// either parse as a valid trace or return an error.
-func FuzzReader(f *testing.F) {
-	// Seed with a valid trace and a few corruptions of it.
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "seed")
-	w.Write(cpu.MicroOp{Kind: cpu.Nop})
-	w.Write(cpu.MicroOp{Kind: cpu.Load, Addr: 4096, PC: 64, Dep: 2})
-	w.Write(cpu.MicroOp{Kind: cpu.Store, Addr: 128, PC: 68})
-	w.Close()
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte{})
-	f.Add([]byte("FDPTRC\x00\x01"))
-	mutated := append([]byte(nil), valid...)
-	if len(mutated) > 10 {
-		mutated[10] ^= 0xFF
-	}
-	f.Add(mutated)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return // rejected: fine
-		}
-		// Accepted traces must be safely replayable.
-		for i := 0; i < r.Len()+4; i++ {
-			op := r.Next()
-			if op.Kind != cpu.Nop && op.Kind != cpu.Load && op.Kind != cpu.Store {
-				t.Fatalf("decoded invalid op kind %d", op.Kind)
-			}
-		}
-	})
-}
-
 // FuzzReaderV2 ensures the streaming v2 decoder never panics or
 // over-allocates on arbitrary bytes: malformed frames must error. Both
 // the seekable path (footer pre-read) and the plain-stream path run.

@@ -9,22 +9,9 @@ import (
 	"fdpsim/internal/workload"
 )
 
-func roundTrip(t *testing.T, name string, ops []cpu.MicroOp) *Reader {
+func roundTrip(t *testing.T, name string, ops []cpu.MicroOp) *ReaderV2 {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range ops {
-		if err := w.Write(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReaderV2(bytes.NewReader(encodeV2(t, name, ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +28,8 @@ func TestRoundTripMixed(t *testing.T) {
 		{Kind: cpu.Load, Addr: 1 << 40, PC: 0x400008},
 	}
 	r := roundTrip(t, "mix", ops)
-	if r.Name() != "mix" || r.Len() != len(ops) {
-		t.Fatalf("name=%q len=%d", r.Name(), r.Len())
+	if r.Name() != "mix" || r.Ops() != uint64(len(ops)) {
+		t.Fatalf("name=%q ops=%d", r.Name(), r.Ops())
 	}
 	for i, want := range ops {
 		if got := r.Next(); got != want {
@@ -67,7 +54,7 @@ func TestReaderLoops(t *testing.T) {
 		{Kind: cpu.Load, Addr: 64, PC: 1},
 		{Kind: cpu.Store, Addr: 128, PC: 2},
 	})
-	r.Loop = true
+	r.SetLoop(true)
 	for i := 0; i < 7; i++ {
 		r.Next()
 	}
@@ -80,25 +67,21 @@ func TestReaderLoops(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a trace file"))); err == nil {
+	if _, err := NewReaderV2(bytes.NewReader([]byte("not a trace file"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestTruncatedStreamRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "t")
-	w.Write(cpu.MicroOp{Kind: cpu.Load, Addr: 64, PC: 1})
-	w.Close()
-	raw := buf.Bytes()
-	if _, err := NewReader(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+	raw := encodeV2(t, "t", []cpu.MicroOp{{Kind: cpu.Load, Addr: 64, PC: 1}})
+	if _, err := NewReaderV2(bytes.NewReader(raw[:len(raw)-1])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
 
 func TestWriteAfterClose(t *testing.T) {
 	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "t")
+	w, _ := NewWriterV2(&buf, "t")
 	w.Close()
 	if err := w.Write(cpu.MicroOp{}); err == nil {
 		t.Fatal("write after Close succeeded")
@@ -123,19 +106,28 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompressionReasonable: records are run-length and delta encoded, so
+// a run of non-memory ops costs one record per frame whatever its length,
+// and a strided load stream costs a few bytes per load whether its
+// addresses sit low or high in the address space.
 func TestCompressionReasonable(t *testing.T) {
-	// Streaming workloads must encode compactly (delta + RLE): well under
-	// 4 bytes per op.
-	src, _ := workload.New("seqstream", 1)
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "seqstream")
 	const n = 100000
-	for i := 0; i < n; i++ {
-		w.Write(src.Next())
+	if perOp := float64(len(encodeV2(t, "nops", make([]cpu.MicroOp, n)))) / n; perOp > 0.01 {
+		t.Fatalf("Nop run: %.4f bytes/op, want < 0.01", perOp)
 	}
-	w.Close()
-	if perOp := float64(buf.Len()) / n; perOp > 4 {
-		t.Fatalf("%.2f bytes/op, want < 4", perOp)
+	strided := func(base uint64) int {
+		ops := make([]cpu.MicroOp, n)
+		for i := range ops {
+			ops[i] = cpu.MicroOp{Kind: cpu.Load, Addr: base + uint64(i)*64, PC: 0x400000}
+		}
+		return len(encodeV2(t, "strided", ops))
+	}
+	low, high := strided(0), strided(1<<40)
+	if perOp := float64(high) / n; perOp > 6 {
+		t.Fatalf("strided loads: %.2f bytes/op, want < 6", perOp)
+	}
+	if float64(high-low) > 0.01*float64(low) {
+		t.Fatalf("strided loads at 1<<40 take %d bytes, at 0 %d: addresses are not delta encoded", high, low)
 	}
 }
 
@@ -156,7 +148,7 @@ func TestRoundTripProperty(t *testing.T) {
 			ops = append(ops, op)
 		}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf, "q")
+		w, err := NewWriterV2(&buf, "q")
 		if err != nil {
 			return false
 		}
@@ -171,8 +163,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if w.Count() != uint64(len(ops)) {
 			return false
 		}
-		r, err := NewReader(&buf)
-		if err != nil || r.Len() != len(ops) {
+		r, err := NewReaderV2(bytes.NewReader(buf.Bytes()))
+		if err != nil || r.Ops() != uint64(len(ops)) {
 			return false
 		}
 		for _, want := range ops {

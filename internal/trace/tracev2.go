@@ -12,23 +12,23 @@ import (
 	"fdpsim/internal/cpu"
 )
 
-// Trace format v2: the same varint/zigzag record encoding as v1, but
-// block-framed so billion-access traces stream at O(frame) memory instead
-// of being decoded whole:
+// Trace format v2: varint/zigzag records (the tags in trace.go), block-
+// framed so billion-access traces stream at O(frame) memory instead of
+// being decoded whole:
 //
 //	header  := magicV2  uvarint(len(name))  name
 //	frames  := frame*  uvarint(0)
 //	frame   := uvarint(payloadLen)  uvarint(opCount)  crc32le  payload
 //	footer  := uint64le(totalOps)  endMagicV2
 //
-// payload holds opCount micro-ops in the v1 record encoding with the
-// delta state (lastAddr, lastPC) reset at the frame boundary, so every
+// payload holds opCount micro-ops in the record encoding with the delta
+// state (lastAddr, lastPC) reset at the frame boundary, so every
 // frame decodes independently and corruption is contained to one frame.
 // The zero-length-frame terminator separates the frame stream from the
 // fixed 16-byte footer, which lets a seekable reader learn the op count
 // with one seek instead of a full scan, and lets Loop rewind precisely.
 
-// magicV2 identifies v2 trace files (same prefix as v1, version byte 2).
+// magicV2 identifies v2 trace files (v1's prefix, version byte 2).
 var magicV2 = [8]byte{'F', 'D', 'P', 'T', 'R', 'C', 0, 2}
 
 // endMagicV2 terminates the fixed footer.
@@ -44,23 +44,23 @@ const (
 	footerLen       = 16
 )
 
-// ReplaySource is the interface shared by both trace format readers;
-// Open returns it so replay code handles either version uniformly.
+// ReplaySource is what Open returns: a trace reader replay code drives
+// without naming the format version.
 type ReplaySource interface {
 	cpu.Source
-	// Ops is the recorded micro-op count: exact for v1 and for seekable
-	// v2 inputs, 0 for a non-seekable v2 stream until it is exhausted.
+	// Ops is the recorded micro-op count: exact for seekable inputs, 0
+	// for a non-seekable stream until it is exhausted.
 	Ops() uint64
 	// SetLoop makes the source restart instead of padding Nops when the
-	// recording runs out. A v2 reader can only loop over an io.Seeker.
+	// recording runs out. A reader can only loop over an io.Seeker.
 	SetLoop(bool)
 	// Exhausted reports that a non-looping source ran past its recording.
 	Exhausted() bool
 }
 
-// Open sniffs the version byte and returns the matching reader. The
-// seekable requirement is what replay needs anyway: op counts up front
-// and the ability to loop.
+// Open sniffs the version byte and returns the reader for a v2 trace, or
+// ErrFormatV1 for a v1 one. The seekable requirement is what replay
+// needs anyway: op counts up front and the ability to loop.
 func Open(r io.ReadSeeker) (ReplaySource, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
@@ -70,8 +70,8 @@ func Open(r io.ReadSeeker) (ReplaySource, error) {
 		return nil, err
 	}
 	switch m {
-	case magic:
-		return NewReader(r)
+	case magicV1:
+		return nil, ErrFormatV1
 	case magicV2:
 		return NewReaderV2(r)
 	default:

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -201,38 +202,31 @@ func TestV2CompressionReasonable(t *testing.T) {
 	}
 }
 
-// TestOpenSniffsVersions: Open dispatches on the version byte.
+// TestOpenSniffsVersions: Open dispatches on the version byte — a v2
+// trace opens, a retired v1 trace is named by ErrFormatV1, and anything
+// else is rejected.
 func TestOpenSniffsVersions(t *testing.T) {
 	ops := sampleOps(64)
+	r, err := Open(bytes.NewReader(encodeV2(t, "w", ops)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Name() != "w" || r.Ops() != uint64(len(ops)) {
+		t.Fatalf("Open: name=%q ops=%d", r.Name(), r.Ops())
+	}
+	for i, want := range ops {
+		if got := r.Next(); got != want {
+			t.Fatalf("op %d = %+v, want %+v", i, got, want)
+		}
+	}
 
-	var v1 bytes.Buffer
-	w1, _ := NewWriter(&v1, "w")
-	for _, op := range ops {
-		w1.Write(op)
+	// A v1 header: magic, then the name "w" and a Nop run.
+	v1 := append(magicV1[:], 1, 'w', tagNops, 3)
+	if _, err := Open(bytes.NewReader(v1)); !errors.Is(err, ErrFormatV1) {
+		t.Fatalf("Open(v1) = %v, want ErrFormatV1", err)
 	}
-	w1.Close()
-	v2 := encodeV2(t, "w", ops)
-
-	for _, raw := range [][]byte{v1.Bytes(), v2} {
-		r, err := Open(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Name() != "w" || r.Ops() != uint64(len(ops)) {
-			t.Fatalf("Open: name=%q ops=%d", r.Name(), r.Ops())
-		}
-		for i, want := range ops {
-			if got := r.Next(); got != want {
-				t.Fatalf("op %d = %+v, want %+v", i, got, want)
-			}
-		}
-	}
-	if _, err := Open(bytes.NewReader([]byte("garbage bytes here"))); err == nil {
-		t.Fatal("Open accepted garbage")
-	}
-	// v1 NewReader names the fix when handed a v2 file.
-	if _, err := NewReader(bytes.NewReader(v2)); err == nil {
-		t.Fatal("v1 reader accepted a v2 file")
+	if _, err := Open(bytes.NewReader([]byte("garbage bytes here"))); err == nil || errors.Is(err, ErrFormatV1) {
+		t.Fatalf("Open(garbage) = %v, want a bad-magic error", err)
 	}
 }
 

@@ -4,7 +4,9 @@
 # Boots fdpserved with an on-disk store, submits a tiny sweep, waits for
 # it to finish, then validates the observability surface the daemon is
 # supposed to expose:
-#   1. the whole-sweep Chrome trace has complete ("X") events,
+#   1. the whole-sweep Chrome trace has complete ("X") events, among them
+#      every job stage's span: job, queue, claim (the daemon is a fleet
+#      worker), run and store,
 #   2. the submit response echoes the X-Fdp-Trace header,
 #   3. the provenance ledger beside the store has entries for the sweep,
 #   4. /metrics carries the build-info and span families.
@@ -80,13 +82,16 @@ assert xs, "no complete (X) events in Chrome trace"
 ids = {e["args"]["trace_id"] for e in xs if "args" in e}
 assert ids == {sys.argv[2]}, f"trace IDs {ids} != submitted header"
 names = {e["name"] for e in xs}
-for want in ("job", "queue", "run"):
+for want in ("job", "queue", "claim", "run", "store"):
     assert want in names, f"missing {want!r} span (have {sorted(names)})"
 print(f"trace-smoke: {len(xs)} complete events on trace {sys.argv[2][:12]}...")
 EOF
 else
     grep -o '"ph":"X"' "$WORK/trace.json" >/dev/null || die "no complete events in Chrome trace"
     grep -o "$TRACE" "$WORK/trace.json" >/dev/null || die "submitted trace ID absent from export"
+    for want in job queue claim run store; do
+        grep -o "\"name\":\"$want\"" "$WORK/trace.json" >/dev/null || die "missing $want span in Chrome trace"
+    done
 fi
 
 # 2. Provenance ledger: one .prov.jsonl per distinct fingerprint, each
