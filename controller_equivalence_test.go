@@ -10,8 +10,8 @@ import (
 
 // TestControllerEquivalence is the controller-refactor counterpart of
 // TestEngineGolden: selecting the Table 2 policy *explicitly* (Config.
-// Controller = "fdp", routed through the internal/control registry and
-// the Decider seam) must reproduce the seed engine bit for bit. Every
+// Controller = "fdp", which takes the engine's direct PaperDecision call
+// like the default) must reproduce the seed engine bit for bit. Every
 // single-core golden FDP case reruns with the explicit controller and is
 // diffed against the same checked-in fingerprints — only the Result's
 // Controller echo (absent from the goldens by construction) is zeroed

@@ -29,12 +29,11 @@ var ErrInvalid = errors.New("control: invalid")
 
 // Controller is a named decision policy. Decide is called synchronously
 // at every sampling-interval boundary and must be cheap and
-// allocation-free (enforced by TestDecideAllocs); Name and Describe feed
-// the registry listing, result labeling, and config fingerprints.
+// allocation-free (enforced by TestDecideAllocs); Name feeds result
+// labeling and config fingerprints (listings read Info.Description).
 type Controller interface {
 	core.Decider
 	Name() string
-	Describe() string
 }
 
 // Params carries the per-run inputs a controller build may consume: the

@@ -102,9 +102,6 @@ func TestRegistry(t *testing.T) {
 		if c.Name() != w {
 			t.Errorf("Build(%q).Name() = %q", w, c.Name())
 		}
-		if c.Describe() == "" {
-			t.Errorf("%s: empty Describe()", w)
-		}
 	}
 	if !Known("") {
 		t.Error("Known(\"\") = false, want true (alias for fdp)")

@@ -17,9 +17,6 @@ type fdpController struct {
 }
 
 func (c fdpController) Name() string { return "fdp" }
-func (c fdpController) Describe() string {
-	return "Table 2 feedback policy + pollution-directed insertion (the paper)"
-}
 
 func (c fdpController) Decide(s Signals) Decision {
 	return core.PaperDecision(s, c.th, c.accuracyOnly)
@@ -49,9 +46,6 @@ func staticBuilder(level int) func(p Params) (Controller, error) {
 }
 
 func (c staticController) Name() string { return fmt.Sprintf("static-%d", c.level) }
-func (c staticController) Describe() string {
-	return fmt.Sprintf("fixed aggressiveness level %d, paper insertion", c.level)
-}
 
 func (c staticController) Decide(s Signals) Decision {
 	return Decision{
@@ -105,9 +99,6 @@ var (
 )
 
 func (c dspatchController) Name() string { return "dspatch-dual" }
-func (c dspatchController) Describe() string {
-	return "dual coverage/accuracy bias switched on bus occupancy; Table 2 in the middle band"
-}
 
 func (c dspatchController) Decide(s Signals) Decision {
 	ins := core.InsertionFor(s.Pollution, c.th.PLow, c.th.PHigh)

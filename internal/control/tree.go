@@ -284,9 +284,6 @@ func insName(ins int8) string {
 }
 
 func (c *treeController) Name() string { return "tree" }
-func (c *treeController) Describe() string {
-	return fmt.Sprintf("trained decision tree (%d nodes) over interval signals", len(c.nodes))
-}
 
 func (c *treeController) Decide(s Signals) Decision {
 	i := int32(0)

@@ -30,7 +30,8 @@ func TestAllTwelveCasesEndToEnd(t *testing.T) {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			f := New(testConfig())
-			f.KeepHistory = true
+			var decisions []Decision
+			f.OnInterval = func(_ *Signals, d Decision) { decisions = append(decisions, d) }
 
 			// Accuracy: sent=100; used per class.
 			used := map[AccuracyClass]int{AccHigh: 90, AccMedium: 50, AccLow: 10}[sc.acc]
@@ -63,17 +64,17 @@ func TestAllTwelveCasesEndToEnd(t *testing.T) {
 			}
 			endIntervals(f, 1)
 
-			if len(f.History) != 1 {
-				t.Fatalf("intervals recorded = %d", len(f.History))
+			if len(decisions) != 1 {
+				t.Fatalf("intervals recorded = %d", len(decisions))
 			}
-			rec := f.History[0]
+			d := decisions[0]
 			want := LookupPolicy(sc.acc, sc.late, sc.polluting)
-			if rec.Case.Case != want.Case {
-				t.Fatalf("classified as case %d (%+v), want case %d", rec.Case.Case, rec, want.Case)
+			if d.Case.Case != want.Case {
+				t.Fatalf("classified as case %d (%+v), want case %d", d.Case.Case, d, want.Case)
 			}
 			wantLevel := 3 + int(want.Update)
-			if f.Level() != wantLevel {
-				t.Fatalf("level = %d, want %d (update %v)", f.Level(), wantLevel, want.Update)
+			if f.Level() != wantLevel || d.Level != wantLevel {
+				t.Fatalf("level = %d, decision level %d, want %d (update %v)", f.Level(), d.Level, wantLevel, want.Update)
 			}
 		})
 	}

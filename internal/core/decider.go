@@ -74,12 +74,14 @@ type Decision struct {
 	Case      PolicyCase
 }
 
-// Decider is the pluggable decision-policy seam: the FDP engine calls
-// Decide at every sampling interval boundary, synchronously from the
-// eviction path. Implementations must be cheap, allocation-free, and
-// must not re-enter the engine. internal/control implements the registry
-// of named controllers (the paper's Table 2 policy, static baselines,
-// and learned competitors) behind this interface.
+// Decider is the pluggable decision-policy seam: an FDP engine with a
+// Decider set calls Decide at every sampling interval boundary,
+// synchronously from the eviction path (without one it calls
+// PaperDecision directly). Implementations must be cheap,
+// allocation-free, and must not re-enter the engine. internal/control
+// implements the registry of named controllers (the paper's Table 2
+// policy, static baselines, and learned competitors) behind this
+// interface.
 type Decider interface {
 	Decide(s Signals) Decision
 }
@@ -101,9 +103,9 @@ func ClampLevel(level int) int {
 // classified signals (or the Section 5.6 accuracy-only ablation when
 // accuracyOnly is set) plus the Section 3.3.2 pollution-directed
 // insertion position. This is the single source of truth for the default
-// behavior: the engine's built-in decider and internal/control's "fdp"
-// controller both delegate here, so the pluggable seam cannot drift from
-// the hard-wired policy it replaced.
+// behavior: the engine calls it directly when no Decider is set, and
+// internal/control's "fdp" controller delegates here, so the pluggable
+// seam cannot drift from the hard-wired policy it replaced.
 func PaperDecision(s Signals, th Thresholds, accuracyOnly bool) Decision {
 	pc := LookupPolicy(s.AccClass, s.Late, s.Polluting)
 	update := pc.Update
@@ -123,17 +125,4 @@ func PaperDecision(s Signals, th Thresholds, accuracyOnly bool) Decision {
 		Insertion: InsertionFor(s.Pollution, th.PLow, th.PHigh),
 		Case:      pc,
 	}
-}
-
-// paperDecider is the engine's built-in Decider: the paper policy over
-// the engine's configured thresholds. Installed by New when no external
-// controller is injected, so a bare core.FDP behaves exactly as before
-// the seam existed.
-type paperDecider struct {
-	th           Thresholds
-	accuracyOnly bool
-}
-
-func (d paperDecider) Decide(s Signals) Decision {
-	return PaperDecision(s, d.th, d.accuracyOnly)
 }

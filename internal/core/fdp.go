@@ -122,41 +122,6 @@ type IntervalCounts struct {
 	DemandMisses    uint64 `json:"demand_misses"`    // all demand misses
 }
 
-// IntervalRecord captures one completed sampling interval for analysis:
-// the inputs the boundary saw (raw and decayed counters), the metric
-// values and their threshold classifications, the Table 2 case that fired,
-// and the resulting counter and insertion-policy state.
-type IntervalRecord struct {
-	Accuracy  float64
-	Lateness  float64
-	Pollution float64
-	Case      PolicyCase
-	Level     int // level in effect for the next interval
-	Insertion cache.InsertPos
-
-	// Raw holds the in-interval event counts; Decayed holds the Equation 1
-	// accumulated values after the boundary's halving fold — the numbers
-	// the three metrics above were computed from.
-	Raw     IntervalCounts
-	Decayed IntervalCounts
-
-	// AccClass, Late and Polluting are the threshold classifications that
-	// selected Case from Table 2.
-	AccClass  AccuracyClass
-	Late      bool
-	Polluting bool
-
-	// BusUtilization is the fraction of the interval's cycles the shared
-	// data bus was busy, as observed by the embedding simulator through
-	// the OnSignals hook (zero in standalone core use).
-	BusUtilization float64
-
-	// LevelBefore is the Dynamic Configuration Counter value before this
-	// boundary's update; Level is the value after (they are equal when the
-	// update was NoChange, saturated, or dynamic aggressiveness is off).
-	LevelBefore int
-}
-
 // FDP is the feedback engine. The memory hierarchy calls the On* hooks as
 // events occur; FDP adjusts the prefetcher via the OnLevel callback and
 // answers InsertionPos queries for prefetch fills.
@@ -175,11 +140,12 @@ type FDP struct {
 	insertion cache.InsertPos
 
 	// Decider is the decision policy consulted at every interval boundary.
-	// New installs the paper's Table 2 policy; replace it (before the
-	// first interval closes) to evaluate an alternative controller. The
-	// engine still owns when decisions apply: Level takes effect only
-	// under DynamicAggressiveness and Insertion only under
-	// DynamicInsertion, and Level is clamped to MinLevel..MaxLevel.
+	// Nil means the paper's Table 2 policy (PaperDecision, called
+	// directly); set it before the first interval closes to evaluate an
+	// alternative controller. The engine still owns when decisions apply:
+	// Level takes effect only under DynamicAggressiveness and Insertion
+	// only under DynamicInsertion, and Level is clamped to
+	// MinLevel..MaxLevel.
 	Decider Decider
 
 	// OnSignals, when set, may enrich the Signals value before it reaches
@@ -192,11 +158,14 @@ type FDP struct {
 	// each interval boundary (even if unchanged).
 	OnLevel func(level int)
 
-	// OnInterval, when set, receives every completed sampling interval's
-	// record as it closes — the streaming counterpart of History. It is
-	// called synchronously from the eviction path, so it must be cheap
-	// and must not re-enter the engine.
-	OnInterval func(rec IntervalRecord)
+	// OnInterval, when set, receives every completed sampling interval as
+	// it closes: the Signals the decision saw (s.Level is the level
+	// before the update) and the Decision as applied (the level after the
+	// clamp and the DynamicAggressiveness gate, the insertion after the
+	// DynamicInsertion gate, and the decider's Case). It is called
+	// synchronously from the eviction path, so it must be cheap, must not
+	// re-enter the engine and must not retain s.
+	OnInterval func(s *Signals, d Decision)
 
 	// LevelDist and InsertDist feed Figures 6 and 8: the former counts
 	// sampling intervals per counter value, the latter counts prefetch
@@ -204,15 +173,11 @@ type FDP struct {
 	LevelDist  *stats.Distribution
 	InsertDist *stats.Distribution
 
-	// History retains per-interval records when KeepHistory is set.
-	KeepHistory bool
-	History     []IntervalRecord
-
 	intervals uint64
 
 	// sig is the Signals scratch value rebuilt at each boundary; keeping
-	// it on the (heap-allocated) engine lets OnSignals take its address
-	// without forcing a per-interval heap escape.
+	// it on the (heap-allocated) engine lets OnSignals and OnInterval take
+	// its address without forcing a per-interval heap escape.
 	sig Signals
 }
 
@@ -227,7 +192,6 @@ func New(cfg Config) *FDP {
 	f := &FDP{
 		cfg:       cfg,
 		filter:    NewPollutionFilter(cfg.FilterBits),
-		Decider:   paperDecider{th: cfg.Thresholds, accuracyOnly: cfg.AccuracyOnly},
 		level:     cfg.InitLevel,
 		insertion: cfg.StaticInsertion,
 		LevelDist: stats.NewDistribution("level",
@@ -311,68 +275,61 @@ func (f *FDP) OnEviction(block uint64, used, demandFill, byPrefetch bool) {
 }
 
 // endInterval applies Equation 1 to every counter, classifies the three
-// metrics into a Signals value, consults the Decider, and applies its
-// Decision to the prefetcher aggressiveness and insertion policy for the
-// next interval (each gated by its Dynamic* config switch).
+// metrics into a Signals value, decides — through the Decider, or the
+// paper policy when none is set — and applies the Decision to the
+// prefetcher aggressiveness and insertion policy for the next interval
+// (each gated by its Dynamic* config switch).
 func (f *FDP) endInterval() {
 	f.evictions = 0
 	f.intervals++
 
-	raw := IntervalCounts{
-		PrefSent:        f.prefTotal.during,
-		PrefUsed:        f.usedTotal.during,
-		PrefLate:        f.lateTotal.during,
-		PollutionMisses: f.pollutionTotal.during,
-		DemandMisses:    f.demandTotal.during,
-	}
-	pref := f.prefTotal.roll()
-	used := f.usedTotal.roll()
-	late := f.lateTotal.roll()
-	poll := f.pollutionTotal.roll()
-	demand := f.demandTotal.roll()
-
-	accuracy := safeDiv(used, pref)
-	lateness := safeDiv(late, used)
-	pollution := safeDiv(poll, demand)
-
-	th := f.cfg.Thresholds
-	var accClass AccuracyClass
-	switch {
-	case accuracy >= th.AHigh:
-		accClass = AccHigh
-	case accuracy >= th.ALow:
-		accClass = AccMedium
-	default:
-		accClass = AccLow
-	}
-	isLate := lateness >= th.TLateness
-	polluting := pollution >= th.TPollution
-
-	f.sig = Signals{
-		Interval:  f.intervals,
-		Accuracy:  accuracy,
-		Lateness:  lateness,
-		Pollution: pollution,
-		AccClass:  accClass,
-		Late:      isLate,
-		Polluting: polluting,
-		Raw:       raw,
-		Decayed: IntervalCounts{
-			PrefSent:        pref,
-			PrefUsed:        used,
-			PrefLate:        late,
-			PollutionMisses: poll,
-			DemandMisses:    demand,
+	s := &f.sig
+	*s = Signals{
+		Interval: f.intervals,
+		Raw: IntervalCounts{
+			PrefSent:        f.prefTotal.during,
+			PrefUsed:        f.usedTotal.during,
+			PrefLate:        f.lateTotal.during,
+			PollutionMisses: f.pollutionTotal.during,
+			DemandMisses:    f.demandTotal.during,
 		},
 		Level:     f.level,
 		Insertion: f.insertion,
 	}
-	if f.OnSignals != nil {
-		f.OnSignals(&f.sig)
+	// The rolls reset the raw counts, so they run after Raw is read.
+	s.Decayed = IntervalCounts{
+		PrefSent:        f.prefTotal.roll(),
+		PrefUsed:        f.usedTotal.roll(),
+		PrefLate:        f.lateTotal.roll(),
+		PollutionMisses: f.pollutionTotal.roll(),
+		DemandMisses:    f.demandTotal.roll(),
 	}
-	d := f.Decider.Decide(f.sig)
+	c := &s.Decayed
+	s.Accuracy = safeDiv(c.PrefUsed, c.PrefSent)
+	s.Lateness = safeDiv(c.PrefLate, c.PrefUsed)
+	s.Pollution = safeDiv(c.PollutionMisses, c.DemandMisses)
 
-	levelBefore := f.level
+	th := f.cfg.Thresholds
+	switch {
+	case s.Accuracy >= th.AHigh:
+		s.AccClass = AccHigh
+	case s.Accuracy >= th.ALow:
+		s.AccClass = AccMedium
+	default:
+		s.AccClass = AccLow
+	}
+	s.Late = s.Lateness >= th.TLateness
+	s.Polluting = s.Pollution >= th.TPollution
+	if f.OnSignals != nil {
+		f.OnSignals(s)
+	}
+	var d Decision
+	if f.Decider != nil {
+		d = f.Decider.Decide(*s)
+	} else {
+		d = PaperDecision(*s, th, f.cfg.AccuracyOnly)
+	}
+
 	if f.cfg.DynamicAggressiveness {
 		f.level = ClampLevel(d.Level)
 		if f.OnLevel != nil {
@@ -383,35 +340,10 @@ func (f *FDP) endInterval() {
 		f.insertion = d.Insertion
 	}
 	f.LevelDist.Add(f.level - 1)
-
-	if f.KeepHistory || f.OnInterval != nil {
-		rec := IntervalRecord{
-			Accuracy:       accuracy,
-			Lateness:       lateness,
-			Pollution:      pollution,
-			Case:           d.Case,
-			Level:          f.level,
-			Insertion:      f.insertion,
-			Raw:            raw,
-			Decayed:        f.sig.Decayed,
-			AccClass:       accClass,
-			Late:           isLate,
-			Polluting:      polluting,
-			BusUtilization: f.sig.BusUtilization,
-			LevelBefore:    levelBefore,
-		}
-		if f.KeepHistory {
-			f.History = append(f.History, rec)
-		}
-		if f.OnInterval != nil {
-			f.OnInterval(rec)
-		}
+	if f.OnInterval != nil {
+		f.OnInterval(s, Decision{Level: f.level, Insertion: f.insertion, Case: d.Case})
 	}
 }
-
-// Insertion returns the stack position currently chosen for prefetch
-// fills without recording it in the Figure 8 distribution.
-func (f *FDP) Insertion() cache.InsertPos { return f.insertion }
 
 func safeDiv(n, d uint64) float64 {
 	if d == 0 {

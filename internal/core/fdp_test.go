@@ -91,7 +91,8 @@ func TestIntervalTriggersOnUsefulEvictionsOnly(t *testing.T) {
 
 func TestLevelIncreasesWhenAccurateAndLate(t *testing.T) {
 	f := New(testConfig())
-	f.KeepHistory = true
+	var decisions []Decision
+	f.OnInterval = func(_ *Signals, d Decision) { decisions = append(decisions, d) }
 	var levels []int
 	f.OnLevel = func(l int) { levels = append(levels, l) }
 	// High accuracy, all late, no pollution -> Case 1 -> increment.
@@ -105,8 +106,8 @@ func TestLevelIncreasesWhenAccurateAndLate(t *testing.T) {
 	if f.Level() != 5 {
 		t.Fatalf("level = %d, want saturation at 5 after 3 increments from 3", f.Level())
 	}
-	if len(f.History) != 3 || f.History[0].Case.Case != 1 {
-		t.Fatalf("history = %+v", f.History)
+	if len(decisions) != 3 || decisions[0].Case.Case != 1 || decisions[0].Level != 4 || decisions[2].Level != 5 {
+		t.Fatalf("decisions = %+v", decisions)
 	}
 	if len(levels) != 3 || levels[0] != 4 || levels[2] != 5 {
 		t.Fatalf("OnLevel calls = %v", levels)
@@ -243,13 +244,13 @@ func TestAccuracyOnlyAblation(t *testing.T) {
 
 func TestLatePrefetchCountsAsUsed(t *testing.T) {
 	f := New(testConfig())
-	var rec IntervalRecord
-	f.OnInterval = func(r IntervalRecord) { rec = r }
+	var sig Signals
+	f.OnInterval = func(s *Signals, _ Decision) { sig = *s }
 	f.OnPrefetchSent()
 	f.OnPrefetchLate()
 	endIntervals(f, 1)
-	if rec.Accuracy != 1 || rec.Lateness != 1 {
-		t.Fatalf("metrics after one late prefetch: acc=%v late=%v, want 1,1", rec.Accuracy, rec.Lateness)
+	if sig.Accuracy != 1 || sig.Lateness != 1 {
+		t.Fatalf("metrics after one late prefetch: acc=%v late=%v, want 1,1", sig.Accuracy, sig.Lateness)
 	}
 }
 

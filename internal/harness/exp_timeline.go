@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"fdpsim/internal/core"
 	"fdpsim/internal/sim"
 )
 
@@ -36,14 +37,14 @@ func runTimeline(ctx context.Context, p Params) ([]Table, error) {
 		limit = 64 // keep the table printable; the shape shows quickly
 	}
 	for i := 0; i < limit; i++ {
-		r := res.History[i]
+		ev := res.History[i]
 		t.AddRow(
-			fmt.Sprintf("%d", i+1),
-			pct(r.Accuracy), pct(r.Lateness), pct(r.Pollution),
-			fmt.Sprintf("%d", r.Case.Case),
-			r.Case.Update.String(),
-			fmt.Sprintf("%d", r.Level),
-			r.Insertion.String(),
+			fmt.Sprintf("%d", ev.Interval),
+			pct(ev.Accuracy), pct(ev.Lateness), pct(ev.Pollution),
+			fmt.Sprintf("%d", ev.Case),
+			core.CounterUpdate(ev.Update).String(),
+			fmt.Sprintf("%d", ev.DCCAfter),
+			ev.Insertion,
 		)
 	}
 	if limit == 0 {

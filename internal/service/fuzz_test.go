@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzJobRequest drives arbitrary bytes through the POST /v1/jobs
-// decode path — strict JSON, BuildConfig, Job.Validate, Job.Fingerprint
+// decode path — strict JSON, buildConfig, Job.Validate, Job.Fingerprint
 // — which must never panic. A request that validates must fingerprint,
 // the same way twice, and one without a spec must also build its
 // topology and run to its first retired instruction under a small cycle
@@ -45,7 +45,11 @@ func FuzzJobRequest(f *testing.F) {
 		if dec.Decode(&req) != nil {
 			return
 		}
-		run := sim.Job{Cfg: req.BuildConfig(), Spec: req.Spec}
+		cfg, err := req.buildConfig()
+		if err != nil {
+			return
+		}
+		run := sim.Job{Cfg: cfg, Spec: req.Spec}
 		if run.Validate() != nil {
 			return
 		}

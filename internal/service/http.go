@@ -18,10 +18,11 @@ import (
 )
 
 // JobRequest is the POST /v1/jobs body. Either set the simple fields —
-// they assemble a configuration exactly like the fdpsim CLI's flags — or
-// supply a complete sim.Config under "config" for full control; the
-// simple sizing fields (insts, warmup, seed, tinterval) still apply on
-// top of an explicit config when non-zero.
+// prefetcher, level, fdp, dynamic_insertion and controller work exactly
+// like a sweep config axis (sweep.ConfigAxis.Build) — or supply a
+// complete sim.Config under "config" for full control; the simple sizing
+// fields (insts, warmup, seed, tinterval) still apply on top of an
+// explicit config when non-zero.
 type JobRequest struct {
 	Workload         string `json:"workload"`
 	Prefetcher       string `json:"prefetcher"`           // default "stream"
@@ -77,32 +78,27 @@ type JobRequest struct {
 	Spec *spec.Spec `json:"spec,omitempty"`
 }
 
-// BuildConfig assembles the simulation configuration. Validation happens
-// in Submit (sim.Job.Validate), not here.
+// BuildConfig assembles the simulation configuration, or returns the
+// zero Config (which sim.Job.Validate rejects) when the simple fields are
+// inconsistent; the HTTP layer reports why through buildConfig.
 func (r *JobRequest) BuildConfig() sim.Config {
+	cfg, _ := r.buildConfig()
+	return cfg
+}
+
+// buildConfig assembles the simulation configuration. The simple fields
+// go through the sweep axis builder, whose errors match sweep.ErrInvalid;
+// validation of the result happens in Submit (sim.Job.Validate).
+func (r *JobRequest) buildConfig() (sim.Config, error) {
 	var cfg sim.Config
-	switch {
-	case r.Config != nil:
+	if r.Config != nil {
 		cfg = *r.Config
-	default:
-		kind := sim.PrefetcherKind(r.Prefetcher)
-		if r.Prefetcher == "" {
-			kind = sim.PrefStream
-		}
-		switch {
-		case r.FDP:
-			cfg = sim.WithFDP(kind)
-		case kind == sim.PrefNone:
-			cfg = sim.Default()
-		default:
-			level := r.Level
-			if level == 0 {
-				level = 5
-			}
-			cfg = sim.Conventional(kind, level)
-		}
-		if r.DynamicInsertion {
-			cfg.FDP.DynamicInsertion = true
+	} else {
+		var err error
+		axis := sweep.ConfigAxis{Prefetcher: r.Prefetcher, Level: r.Level, FDP: r.FDP,
+			DynamicInsertion: r.DynamicInsertion, Controller: r.Controller}
+		if cfg, err = axis.Build(); err != nil {
+			return sim.Config{}, err
 		}
 		if r.Workload != "" {
 			cfg.Workload = r.Workload
@@ -126,7 +122,7 @@ func (r *JobRequest) BuildConfig() sim.Config {
 	if r.Attribution {
 		cfg.Attribution = true
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Handler returns the service's HTTP API:
@@ -209,7 +205,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job request: %v", err)
 		return
 	}
-	run := sim.Job{Cfg: req.BuildConfig(), Spec: req.Spec}
+	cfg, err := req.buildConfig()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid job request: %v", err)
+		return
+	}
+	run := sim.Job{Cfg: cfg, Spec: req.Spec}
 
 	// Idempotent retries: a client that saw a submission's fingerprint but
 	// lost the response echoes it back; an existing job for it — in any

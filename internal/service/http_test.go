@@ -568,6 +568,35 @@ func TestValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestJobRequestMatchesSweepAxis pins the one mapping from a job's simple
+// fields to a configuration: bodies a sweep config axis rejects answer 400
+// on POST /v1/jobs too, instead of running with a field dropped or a
+// controller that never steers, and a valid body still completes.
+func TestJobRequestMatchesSweepAxis(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	client := ts.Client()
+	for _, body := range []string{
+		`{"workload":"seqstream","fdp":true,"level":3}`,
+		`{"workload":"seqstream","prefetcher":"none","level":3}`,
+		`{"workload":"seqstream","controller":"tree"}`,
+	} {
+		var e apiError
+		if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &e); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%q), want 400", body, code, e.Error)
+		}
+	}
+
+	var st JobStatus
+	body := `{"workload":"seqstream","fdp":true,"controller":"tree","insts":20000}`
+	if code := doJSON(t, client, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader([]byte(body)), &st); code != http.StatusAccepted {
+		t.Fatalf("valid body: status %d, want 202", code)
+	}
+	final := pollUntil(t, client, ts.URL+"/v1/jobs/"+st.ID, func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != StateDone || final.Result == nil || final.Result.Controller != "tree" {
+		t.Fatalf("valid body ended %s (%s), result %+v", final.State, final.Error, final.Result)
+	}
+}
+
 // metricValue extracts one series' value from /metrics.
 func metricValue(t *testing.T, client *http.Client, url, name string) float64 {
 	t.Helper()

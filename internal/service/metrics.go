@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -82,9 +81,8 @@ type metrics struct {
 	// tenantWait buckets queue wait per tenant (the SLO signal the fair
 	// scheduler is judged by). Tenants appear on first observation; the
 	// bucket ladder is queueWait's.
-	tenantMu    sync.Mutex
-	tenantWait  map[string]*histogram
-	waitBuckets []float64
+	tenantMu   sync.Mutex
+	tenantWait map[string]*histogram
 }
 
 // observeTenantWait records one job's queue wait under its tenant.
@@ -93,7 +91,7 @@ func (m *metrics) observeTenantWait(tenant string, seconds float64) {
 	h, ok := m.tenantWait[tenant]
 	if !ok {
 		h = &histogram{}
-		h.init(m.waitBuckets)
+		h.init(defaultQueueWaitBuckets)
 		m.tenantWait[tenant] = h
 	}
 	m.tenantMu.Unlock()
@@ -132,14 +130,10 @@ var defaultQueueWaitBuckets = []float64{0.001, 0.01, 0.1, 1, 10}
 // long-polled SSE attach.
 var defaultHTTPBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
 
-func (m *metrics) init(queueWaitBuckets []float64) {
-	if len(queueWaitBuckets) == 0 {
-		queueWaitBuckets = defaultQueueWaitBuckets
-	}
-	m.queueWait.init(queueWaitBuckets)
+func (m *metrics) init() {
+	m.queueWait.init(defaultQueueWaitBuckets)
 	m.httpDur.init(defaultHTTPBuckets)
 	m.tenantWait = make(map[string]*histogram)
-	m.waitBuckets = queueWaitBuckets
 	// Pre-seed the default controller so the family is present (all-zero)
 	// on an idle server, matching the old unlabeled series' behavior.
 	m.insertions = map[string]*[cache.NumInsertPos]uint64{defaultController: new([cache.NumInsertPos]uint64)}
@@ -201,26 +195,10 @@ type histogram struct {
 	count  uint64
 }
 
-// init registers the bucket bounds. Prometheus requires histogram buckets
-// in increasing order with no duplicates, so misconfigured bounds are
-// sorted and deduplicated here — at registration — rather than emitted
-// broken on every scrape. NaN and +Inf bounds are dropped (+Inf is the
-// implicit final bucket).
+// init registers the bucket bounds, which must be finite and strictly
+// increasing, as Prometheus requires (+Inf is the implicit final bucket).
 func (h *histogram) init(bounds []float64) {
-	clean := make([]float64, 0, len(bounds))
-	for _, b := range bounds {
-		if !math.IsNaN(b) && !math.IsInf(b, +1) {
-			clean = append(clean, b)
-		}
-	}
-	sort.Float64s(clean)
-	dedup := clean[:0]
-	for i, b := range clean {
-		if i == 0 || b != dedup[len(dedup)-1] {
-			dedup = append(dedup, b)
-		}
-	}
-	h.bounds = dedup
+	h.bounds = bounds
 	h.counts = make([]uint64, len(h.bounds)+1)
 }
 

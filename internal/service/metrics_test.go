@@ -2,8 +2,6 @@ package service
 
 import (
 	"bytes"
-	"math"
-	"net/http"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -13,21 +11,14 @@ import (
 	"fdpsim/internal/sim"
 )
 
-// TestHistogramInitSortsAndDedupes pins the registration-time cleanup:
-// out-of-order and duplicated bucket bounds would otherwise render a
-// histogram Prometheus rejects (buckets must be strictly increasing).
-func TestHistogramInitSortsAndDedupes(t *testing.T) {
+// TestHistogramObserveSnapshot checks that observations land in the
+// first bucket whose bound holds them, and that snapshots are cumulative.
+func TestHistogramObserveSnapshot(t *testing.T) {
 	var h histogram
-	h.init([]float64{10, 0.1, 1, 0.1, 10, math.NaN(), math.Inf(+1), 0.001})
-	want := []float64{0.001, 0.1, 1, 10}
-	if !reflect.DeepEqual(h.bounds, want) {
-		t.Fatalf("bounds = %v, want %v", h.bounds, want)
+	h.init([]float64{0.001, 0.1, 1, 10})
+	if len(h.counts) != 5 {
+		t.Fatalf("counts has %d slots, want 5 (bounds + +Inf)", len(h.counts))
 	}
-	if len(h.counts) != len(want)+1 {
-		t.Fatalf("counts has %d slots, want %d (bounds + +Inf)", len(h.counts), len(want)+1)
-	}
-
-	// Observations land in the right (deduplicated) buckets.
 	h.observe(0.05) // ≤ 0.1
 	h.observe(0.05)
 	h.observe(5)   // ≤ 10
@@ -41,28 +32,15 @@ func TestHistogramInitSortsAndDedupes(t *testing.T) {
 	}
 }
 
-// TestQueueWaitBucketsConfig checks the misconfiguration end to end: a
-// server configured with unsorted, duplicated queue-wait buckets must
-// scrape with sorted, unique le= bounds.
-func TestQueueWaitBucketsConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueWaitBuckets: []float64{5, 0.5, 5, 0.05}})
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+// TestBuildVersionReadOnce checks that the build info is read once per
+// process: every finished job's ledger line asks for it again.
+func TestBuildVersionReadOnce(t *testing.T) {
+	version, goVersion := buildVersion()
+	if version == "" || goVersion == "" {
+		t.Fatalf("buildVersion() = %q, %q", version, goVersion)
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body) //nolint:errcheck
-
-	re := regexp.MustCompile(`fdpserved_queue_wait_seconds_bucket\{le="([^"]+)"\}`)
-	var got []string
-	for _, m := range re.FindAllStringSubmatch(buf.String(), -1) {
-		got = append(got, m[1])
-	}
-	want := []string{"0.05", "0.5", "5", "+Inf"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rendered le bounds = %v, want %v", got, want)
+	if allocs := testing.AllocsPerRun(100, func() { buildVersion() }); allocs != 0 {
+		t.Fatalf("buildVersion allocated %.1f objects per call after the first, want 0", allocs)
 	}
 }
 
@@ -71,7 +49,7 @@ func TestQueueWaitBucketsConfig(t *testing.T) {
 // distribution gauges, the trace counters and the HTTP histogram.
 func TestMetricsNewSeries(t *testing.T) {
 	var m metrics
-	m.init(nil)
+	m.init()
 	for i := 0; i < 7; i++ {
 		m.observeInterval(&sim.DecisionEvent{Controller: "fdp", Insertion: "MID"})
 	}

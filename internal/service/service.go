@@ -67,19 +67,6 @@ type Config struct {
 	// Logger receives structured job-lifecycle and HTTP request logs.
 	// Nil discards them.
 	Logger *slog.Logger
-	// QueueWaitBuckets overrides the queue-wait histogram's bucket upper
-	// bounds (seconds). Bounds are sorted and deduplicated at registration,
-	// so misconfigured orderings cannot produce broken scrape output.
-	// Empty means the default sub-millisecond-to-tens-of-seconds ladder.
-	QueueWaitBuckets []float64
-	// TraceLimit caps the number of decision events retained per traced
-	// job; later intervals are counted as truncated instead of growing the
-	// buffer without bound. 0 means 16384 events (~5 MB of JSONL).
-	TraceLimit int
-	// SeriesLimit caps the interval count recorded per series-enabled job;
-	// later boundaries are counted as truncated in the sidecar's Meta.
-	// 0 means 65536 intervals (~13 MB of columns in memory).
-	SeriesLimit int
 
 	// Tenants is the scheduler roster: per-tenant fair-share weights and
 	// quotas. Tenants absent from the roster auto-register at weight 1
@@ -338,10 +325,14 @@ type Server struct {
 	spans *obs.SpanBuffer
 }
 
-// defaultTraceLimit bounds a traced job's in-memory event buffer.
+// defaultTraceLimit caps the decision events retained per traced job
+// (~5 MB of JSONL); later intervals are counted as truncated instead of
+// growing the buffer without bound.
 const defaultTraceLimit = 16384
 
-// defaultSeriesLimit bounds a series-enabled job's recorded intervals.
+// defaultSeriesLimit caps the intervals recorded per series-enabled job
+// (~13 MB of columns in memory); later boundaries are counted as
+// truncated in the sidecar's Meta.
 const defaultSeriesLimit = 65536
 
 // New builds a Server and starts its worker pool.
@@ -351,12 +342,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.TraceLimit <= 0 {
-		cfg.TraceLimit = defaultTraceLimit
-	}
-	if cfg.SeriesLimit <= 0 {
-		cfg.SeriesLimit = defaultSeriesLimit
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -387,7 +372,7 @@ func New(cfg Config) *Server {
 		started:    time.Now(),
 		spans:      &obs.SpanBuffer{Limit: cfg.SpanLimit},
 	}
-	s.m.init(cfg.QueueWaitBuckets)
+	s.m.init()
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -463,7 +448,7 @@ type submitOptions struct {
 }
 
 // WithDecisionTrace makes the job collect its FDP decision trace (one
-// event per sampling interval, bounded by Config.TraceLimit), downloadable
+// event per sampling interval, at most defaultTraceLimit), downloadable
 // at GET /v1/jobs/{id}/trace once the job is terminal. Cache hits reuse
 // the persisted trace when the store still has one.
 func WithDecisionTrace() SubmitOption {
@@ -471,7 +456,7 @@ func WithDecisionTrace() SubmitOption {
 }
 
 // WithSeriesRecording makes the job record its interval timeseries (one
-// catalog row per FDP sampling interval, bounded by Config.SeriesLimit),
+// catalog row per FDP sampling interval, at most defaultSeriesLimit),
 // queryable at GET /v1/jobs/{id}/series and diffable at GET /v1/diff once
 // the job is terminal. Cache hits reuse the persisted sidecar when the
 // store still has one.
@@ -561,10 +546,10 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		done:        make(chan struct{}),
 	}
 	if o.trace {
-		job.trace = &obs.Collector{Limit: s.cfg.TraceLimit}
+		job.trace = &obs.Collector{Limit: defaultTraceLimit}
 	}
 	if o.series {
-		job.series = &series.Recorder{Limit: s.cfg.SeriesLimit}
+		job.series = &series.Recorder{Limit: defaultSeriesLimit}
 	}
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),

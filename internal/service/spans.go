@@ -3,6 +3,7 @@ package service
 import (
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"fdpsim/internal/obs"
@@ -86,8 +87,9 @@ func (j *Job) Spans() []obs.Span {
 func (j *Job) TraceID() string { return j.traceID }
 
 // buildVersion reports the module version and Go toolchain baked into
-// this binary, for build_info metrics and provenance entries.
-func buildVersion() (version, goVersion string) {
+// this binary, for build_info metrics and provenance entries. The build
+// info is read once per process: every finished job writes a ledger line.
+var buildVersion = sync.OnceValues(func() (version, goVersion string) {
 	version, goVersion = "devel", "unknown"
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		goVersion = bi.GoVersion
@@ -101,7 +103,7 @@ func buildVersion() (version, goVersion string) {
 		}
 	}
 	return version, goVersion
-}
+})
 
 // writeProvenance appends the job's ledger line, finished at finished,
 // from its attempt — best-effort, like storeResult: observability never

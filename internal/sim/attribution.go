@@ -145,12 +145,12 @@ func (h *hierarchy) attrIntervalSample() stats.IntervalSample {
 	a := h.attr
 	cur := a.cpu
 	ms := h.dram.Stats()
-	tr := h.dram.Config().Transfer
+	bus := h.busCycles(ms, a.lastMem)
 	s := stats.IntervalSample{
 		Cycles:             cur.Sub(a.lastCycles),
-		BusDemandCycles:    (ms.Started[mem.Demand] - a.lastMem.Started[mem.Demand]) * tr,
-		BusPrefetchCycles:  (ms.Started[mem.Prefetch] - a.lastMem.Started[mem.Prefetch]) * tr,
-		BusWritebackCycles: (ms.Started[mem.Writeback] - a.lastMem.Started[mem.Writeback]) * tr,
+		BusDemandCycles:    bus[mem.Demand],
+		BusPrefetchCycles:  bus[mem.Prefetch],
+		BusWritebackCycles: bus[mem.Writeback],
 		RowHits:            ms.RowHits - a.lastMem.RowHits,
 		RowMisses:          ms.RowMisses - a.lastMem.RowMisses,
 	}
@@ -178,10 +178,10 @@ func (h *hierarchy) attrFinalize() *stats.Attribution {
 	out := a.agg
 	out.Cycles = a.cpu.Sub(a.warmCycles)
 	ms := h.dram.Stats()
-	tr := h.dram.Config().Transfer
-	out.BusDemandCycles = (ms.Started[mem.Demand] - a.warmMem.Started[mem.Demand]) * tr
-	out.BusPrefetchCycles = (ms.Started[mem.Prefetch] - a.warmMem.Started[mem.Prefetch]) * tr
-	out.BusWritebackCycles = (ms.Started[mem.Writeback] - a.warmMem.Started[mem.Writeback]) * tr
+	bus := h.busCycles(ms, a.warmMem)
+	out.BusDemandCycles = bus[mem.Demand]
+	out.BusPrefetchCycles = bus[mem.Prefetch]
+	out.BusWritebackCycles = bus[mem.Writeback]
 	out.RowHits = ms.RowHits - a.warmMem.RowHits
 	out.RowMisses = ms.RowMisses - a.warmMem.RowMisses
 	return &out

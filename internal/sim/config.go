@@ -109,8 +109,9 @@ type Config struct {
 	PrefCacheBlocks int
 	PrefCacheWays   int // 0 = fully associative
 
-	// KeepFDPHistory records every sampling interval's metrics and
-	// decisions in Result.History (for adaptation-timeline analysis).
+	// KeepFDPHistory keeps every interval's DecisionEvent — the events
+	// Tracer receives — in Result.History (for adaptation-timeline
+	// analysis).
 	KeepFDPHistory bool
 
 	// Attribution enables the cycle-accounting and bandwidth-attribution

@@ -80,9 +80,9 @@ func TestControllerStaticPins(t *testing.T) {
 		if res.Intervals == 0 {
 			t.Fatalf("static-%d: no intervals closed", level)
 		}
-		for _, rec := range res.History {
-			if rec.Level != level {
-				t.Fatalf("static-%d: interval at level %d", level, rec.Level)
+		for _, ev := range res.History {
+			if ev.DCCAfter != level {
+				t.Fatalf("static-%d: interval at level %d", level, ev.DCCAfter)
 			}
 		}
 		if res.FinalLevel != level {
@@ -102,11 +102,11 @@ func TestControllerSignalsFilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	saw := false
-	for _, rec := range res.History {
-		if rec.BusUtilization < 0 || rec.BusUtilization > 1 {
-			t.Fatalf("BusUtilization %v out of [0,1]", rec.BusUtilization)
+	for _, ev := range res.History {
+		if ev.BusUtil < 0 || ev.BusUtil > 1 {
+			t.Fatalf("BusUtil %v out of [0,1]", ev.BusUtil)
 		}
-		if rec.BusUtilization > 0 {
+		if ev.BusUtil > 0 {
 			saw = true
 		}
 	}

@@ -25,13 +25,14 @@ type memClient interface {
 // merge. A block may be wanted by the data side, the instruction-fetch
 // side, or both (self-modifying-code layouts aside, "both" only happens
 // when a workload reads its own code region). Waiters are pooled event
-// nodes; entries themselves live in a slab indexed by the l1Misses map.
+// nodes, FIFO per side: waiters[0] holds evLoadDone nodes, waiters[1]
+// evFetchDone nodes. Entries themselves live in a slab indexed by the
+// l1Misses map.
 type l1Miss struct {
-	waiters      evList // evLoadDone nodes, FIFO
-	fetchWaiters evList // evFetchDone nodes, FIFO
-	anyStore     bool
-	wantData     bool
-	wantFetch    bool
+	waiters   [2]evList
+	anyStore  bool
+	wantData  bool
+	wantFetch bool
 }
 
 // demandRetry is one structurally-stalled demand access awaiting replay.
@@ -93,11 +94,9 @@ type hierarchy struct {
 	// Config.Attribution is set; nil otherwise (one branch per hook site).
 	attr *attribution
 
-	// controller is the injected feedback policy (nil = the engine's
-	// built-in paper policy); ctrlName is its registry name, precomputed
-	// for allocation-free tracing.
-	controller control.Controller
-	ctrlName   string
+	// ctrlName is the feedback policy's registry name, precomputed for
+	// allocation-free tracing.
+	ctrlName string
 
 	// sigLastCycle/sigLastStats are the previous interval boundary's
 	// clock and bus counters; fillSignals diffs against them to give the
@@ -114,30 +113,28 @@ type hierarchy struct {
 // allocation-free.
 func (h *hierarchy) fillSignals(s *core.Signals) {
 	ms := h.dram.Stats()
-	tr := h.dram.Config().Transfer
-	cycles := h.cyc - h.sigLastCycle
-	var busy, pref uint64
-	for k := range ms.Started {
-		d := (ms.Started[k] - h.sigLastStats.Started[k]) * tr
-		busy += d
-		if mem.Kind(k) == mem.Prefetch {
-			pref = d
-		}
-	}
+	bus := h.busCycles(ms, h.sigLastStats)
+	s.IntervalCycles = h.cyc - h.sigLastCycle
+	s.BusBusyCycles = bus[mem.Demand] + bus[mem.Prefetch] + bus[mem.Writeback]
+	s.BusPrefetchCycles = bus[mem.Prefetch]
 	h.sigLastCycle = h.cyc
 	h.sigLastStats = ms
-	s.IntervalCycles = cycles
-	s.BusBusyCycles = busy
-	s.BusPrefetchCycles = pref
-	if cycles > 0 {
+	if s.IntervalCycles > 0 {
 		// Transfers that straddle the boundary can push the estimate past
 		// the interval span; utilization is a fraction, so clamp.
-		u := float64(busy) / float64(cycles)
-		if u > 1 {
-			u = 1
-		}
-		s.BusUtilization = u
+		s.BusUtilization = min(float64(s.BusBusyCycles)/float64(s.IntervalCycles), 1)
 	}
+}
+
+// busCycles returns the data-bus cycles each request kind (indexed by
+// mem.Kind) occupied between two DRAM statistics snapshots: the transfers
+// started in between times the transfer time.
+func (h *hierarchy) busCycles(cur, prev mem.Stats) (c [3]uint64) {
+	tr := h.dram.Config().Transfer
+	for k := range c {
+		c[k] = (cur.Started[k] - prev.Started[k]) * tr
+	}
+	return c
 }
 
 // newHierarchy builds core coreID's hierarchy around the DRAM it shares
@@ -175,7 +172,6 @@ func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) 
 		if err != nil {
 			panic("sim: unvalidated controller config: " + err.Error())
 		}
-		h.controller = ctrl
 		h.ctrlName = ctrl.Name()
 		h.fdp.Decider = ctrl
 	}
@@ -315,22 +311,11 @@ func (h *hierarchy) Access(client int32, addr, pc uint64, store bool, robIdx int
 		return
 	}
 	h.ctr.L1Misses++
-	if mi, ok := h.l1Misses[block]; ok {
-		m := &h.missSlab[mi]
-		m.anyStore = m.anyStore || store
-		if robIdx >= 0 {
-			m.waiters.push(h.pool, h.pool.alloc(evLoadDone, client, robIdx, seq))
-		}
-		return
-	}
-	mi := h.allocMiss()
-	m := &h.missSlab[mi]
-	*m = l1Miss{anyStore: store, wantData: true, waiters: newEvList(), fetchWaiters: newEvList()}
+	waiter := nilEvent
 	if robIdx >= 0 {
-		m.waiters.push(h.pool, h.pool.alloc(evLoadDone, client, robIdx, seq))
+		waiter = h.pool.alloc(evLoadDone, client, robIdx, seq)
 	}
-	h.l1Misses[block] = mi
-	h.l2Demand(block, pc)
+	h.missL1(block, pc, false, store, waiter)
 }
 
 // Fetch asks for the instruction block containing pc on behalf of the
@@ -344,19 +329,36 @@ func (h *hierarchy) Fetch(client int32, pc uint64) bool {
 		return true
 	}
 	h.ctr.IFetchL1Misses++
-	if mi, ok := h.l1Misses[block]; ok {
-		m := &h.missSlab[mi]
-		m.wantFetch = true
-		m.fetchWaiters.push(h.pool, h.pool.alloc(evFetchDone, client, 0, 0))
-		return false
-	}
-	mi := h.allocMiss()
-	m := &h.missSlab[mi]
-	*m = l1Miss{wantFetch: true, waiters: newEvList(), fetchWaiters: newEvList()}
-	m.fetchWaiters.push(h.pool, h.pool.alloc(evFetchDone, client, 0, 0))
-	h.l1Misses[block] = mi
-	h.l2Demand(block, 0)
+	h.missL1(block, 0, true, false, h.pool.alloc(evFetchDone, client, 0, 0))
 	return false
+}
+
+// missL1 joins the outstanding L1 miss on block, or opens one and sends
+// the block to the L2, and queues waiter (nilEvent for a store) on the
+// requesting side: the L1I for a fetch, the L1D otherwise. A fetch that
+// joins a data miss marks the block wanted by the L1I as well; a data
+// access that joins a fetch-only miss does not mark it wanted by the L1D
+// (TestHierarchyL1MissJoinAsymmetry pins this asymmetry).
+func (h *hierarchy) missL1(block cache.Addr, pc uint64, fetch, store bool, waiter int32) {
+	mi, joined := h.l1Misses[block]
+	if !joined {
+		mi = h.allocMiss()
+		h.missSlab[mi] = l1Miss{wantData: !fetch, waiters: [2]evList{newEvList(), newEvList()}}
+	}
+	m := &h.missSlab[mi]
+	m.anyStore = m.anyStore || store
+	m.wantFetch = m.wantFetch || fetch
+	if waiter != nilEvent {
+		side := 0
+		if fetch {
+			side = 1
+		}
+		m.waiters[side].push(h.pool, waiter)
+	}
+	if !joined {
+		h.l1Misses[block] = mi
+		h.l2Demand(block, pc)
+	}
 }
 
 // fillL1 completes an outstanding L1 miss: the block is inserted into the
@@ -376,15 +378,12 @@ func (h *hierarchy) fillL1(block cache.Addr) {
 	if m.wantFetch && h.l1i != nil {
 		h.l1i.Insert(block, cache.PosMRU, false, false)
 	}
-	for id := m.waiters.take(); id != nilEvent; {
-		next := h.pool.at(id).next
-		h.wh.schedule(h.cfg.L1Latency, id)
-		id = next
-	}
-	for id := m.fetchWaiters.take(); id != nilEvent; {
-		next := h.pool.at(id).next
-		h.wh.schedule(h.cfg.L1Latency, id)
-		id = next
+	for side := range m.waiters {
+		for id := m.waiters[side].take(); id != nilEvent; {
+			next := h.pool.at(id).next
+			h.wh.schedule(h.cfg.L1Latency, id)
+			id = next
+		}
 	}
 	h.missFree = append(h.missFree, mi)
 }
@@ -430,12 +429,8 @@ func (h *hierarchy) lookupL2Hit(block cache.Addr) bool {
 	h.ctr.L2DemandHits++
 	if b.Pref {
 		b.Pref = false
-		h.ctr.PrefUsed++
-		h.fdp.OnPrefetchUsed()
 		h.pfEv.PrefHit = true
-		if h.attr != nil {
-			h.attrPrefUsed(block)
-		}
+		h.prefUsed(block)
 	}
 	h.wh.schedule(h.cfg.L2Latency, h.pool.alloc(evFillL1, 0, 0, block))
 	return true
@@ -452,14 +447,19 @@ func (h *hierarchy) lookupPrefCache(block cache.Addr) bool {
 	}
 	h.ctr.L2DemandAccesses++
 	h.ctr.PrefCacheHits++
+	h.prefUsed(block)
+	h.l2.Insert(block, cache.PosMRU, false, false)
+	h.wh.schedule(h.cfg.L2Latency, h.pool.alloc(evFillL1, 0, 0, block))
+	return true
+}
+
+// prefUsed counts a demand's first use of a prefetched block.
+func (h *hierarchy) prefUsed(block cache.Addr) {
 	h.ctr.PrefUsed++
 	h.fdp.OnPrefetchUsed()
 	if h.attr != nil {
 		h.attrPrefUsed(block)
 	}
-	h.l2.Insert(block, cache.PosMRU, false, false)
-	h.wh.schedule(h.cfg.L2Latency, h.pool.alloc(evFillL1, 0, 0, block))
-	return true
 }
 
 // l2Miss handles a demand L2 miss: merge into an in-flight request (late
@@ -471,14 +471,18 @@ func (h *hierarchy) lookupPrefCache(block cache.Addr) bool {
 // can owe is a single fillL1 — recorded by the DemandMerged bit and
 // scheduled by onFill.
 func (h *hierarchy) l2Miss(block cache.Addr) bool {
-	if e := h.mshr.Lookup(block); e != nil {
-		h.ctr.L2DemandAccesses++
-		h.ctr.L2DemandMisses++
-		h.ctr.DemandMisses++
-		if h.fdp.OnDemandMiss(block) {
-			h.ctr.PollutionHits++
-		}
-		h.pfEv.Miss = true
+	e := h.mshr.Lookup(block)
+	if e == nil && (h.mshr.Full() || !h.dram.CanEnqueue(mem.Demand)) {
+		return false
+	}
+	h.ctr.L2DemandAccesses++
+	h.ctr.L2DemandMisses++
+	h.ctr.DemandMisses++
+	if h.fdp.OnDemandMiss(block) {
+		h.ctr.PollutionHits++
+	}
+	h.pfEv.Miss = true
+	if e != nil {
 		if e.Pref {
 			// Demand hit an in-flight prefetch: the prefetch is late.
 			e.Pref = false
@@ -493,17 +497,7 @@ func (h *hierarchy) l2Miss(block cache.Addr) bool {
 		e.DemandMerged = true
 		return true
 	}
-	if h.mshr.Full() || !h.dram.CanEnqueue(mem.Demand) {
-		return false
-	}
-	h.ctr.L2DemandAccesses++
-	h.ctr.L2DemandMisses++
-	h.ctr.DemandMisses++
-	if h.fdp.OnDemandMiss(block) {
-		h.ctr.PollutionHits++
-	}
-	h.pfEv.Miss = true
-	e := h.mshr.Allocate(block, false, h.cyc)
+	e = h.mshr.Allocate(block, false, h.cyc)
 	e.DemandMerged = true
 	e.Issued = true
 	r := h.dram.Acquire()
@@ -519,12 +513,7 @@ func (h *hierarchy) l2Miss(block cache.Addr) bool {
 // the bounded queue.
 func (h *hierarchy) enqueuePrefetch(block cache.Addr) {
 	h.ctr.PrefIssued++
-	if h.prefQSet[block] || h.l2.Contains(block) ||
-		(h.pc != nil && h.pc.Contains(block)) || h.mshr.Lookup(block) != nil {
-		h.ctr.PrefDropped++
-		return
-	}
-	if h.prefQ.len() >= h.cfg.PrefQueueCap {
+	if h.prefQSet[block] || h.covered(block) || h.prefQ.len() >= h.cfg.PrefQueueCap {
 		h.ctr.PrefDropped++
 		return
 	}
@@ -538,7 +527,7 @@ func (h *hierarchy) enqueuePrefetch(block cache.Addr) {
 func (h *hierarchy) drainPrefetchQueue() {
 	for k := 0; k < h.cfg.PrefDrainPerTick && h.prefQ.len() > 0; k++ {
 		block := h.prefQ.peek()
-		if h.l2.Contains(block) || (h.pc != nil && h.pc.Contains(block)) || h.mshr.Lookup(block) != nil {
+		if h.covered(block) {
 			h.prefQ.pop()
 			delete(h.prefQSet, block)
 			h.ctr.PrefDropped++
@@ -557,6 +546,12 @@ func (h *hierarchy) drainPrefetchQueue() {
 	}
 }
 
+// covered reports whether block is resident in the L2 or the prefetch
+// cache, or in flight in an MSHR: a prefetch for it would be wasted.
+func (h *hierarchy) covered(block cache.Addr) bool {
+	return h.l2.Contains(block) || (h.pc != nil && h.pc.Contains(block)) || h.mshr.Lookup(block) != nil
+}
+
 // onFill receives a completed memory read: release the MSHR, insert the
 // block (into the prefetch cache for prefetches when one is configured,
 // otherwise into the L2 at the policy-selected stack position), and wake
@@ -570,21 +565,19 @@ func (h *hierarchy) onFill(r *mem.Request) {
 	if h.attr != nil && r.WasPrefetch {
 		h.attrPrefFilled(r.Block, stillPref)
 	}
-	if stillPref && h.pc != nil {
-		h.pc.Insert(r.Block, cache.PosMRU, true, false)
-		h.ctr.PrefetchFilled++
-		h.fdp.OnPrefetchFill(r.Block)
-		return
-	}
 	pos := cache.PosMRU
 	if stillPref {
-		if h.cfg.FDP.DynamicInsertion {
-			pos = h.fdp.InsertionPos()
-		} else {
-			pos = h.cfg.FDP.StaticInsertion
-		}
+		// The filter bit clears before the insert can set a victim's.
 		h.ctr.PrefetchFilled++
 		h.fdp.OnPrefetchFill(r.Block)
+		if h.pc != nil {
+			h.pc.Insert(r.Block, cache.PosMRU, true, false)
+			return
+		}
+		pos = h.cfg.FDP.StaticInsertion
+		if h.cfg.FDP.DynamicInsertion {
+			pos = h.fdp.InsertionPos()
+		}
 	}
 	h.l2.Insert(r.Block, pos, stillPref, false)
 	if demandMerged {
@@ -621,12 +614,20 @@ func (h *hierarchy) onL2Evict(ev cache.Evicted) {
 	}
 }
 
+// writeback sends block to memory, parking it in pendingWB when the
+// writeback queue is full.
 func (h *hierarchy) writeback(block cache.Addr) {
-	r := h.dram.Acquire()
-	r.Block, r.Kind, r.Owner = block, mem.Writeback, h.coreID
-	if !h.dram.Enqueue(r, h.cyc) {
+	if !h.enqueueWriteback(block) {
 		h.pendingWB.push(block)
 	}
+}
+
+// enqueueWriteback hands a writeback of block to the DRAM, reporting
+// whether its queue took it.
+func (h *hierarchy) enqueueWriteback(block cache.Addr) bool {
+	r := h.dram.Acquire()
+	r.Block, r.Kind, r.Owner = block, mem.Writeback, h.coreID
+	return h.dram.Enqueue(r, h.cyc)
 }
 
 // onBusStart counts bus transactions at the moment a request wins the bus,
@@ -646,12 +647,7 @@ func (h *hierarchy) onBusStart(r *mem.Request) {
 
 // retryPending replays structural-stall victims in arrival order.
 func (h *hierarchy) retryPending() {
-	for h.pendingWB.len() > 0 {
-		r := h.dram.Acquire()
-		r.Block, r.Kind, r.Owner = h.pendingWB.peek(), mem.Writeback, h.coreID
-		if !h.dram.Enqueue(r, h.cyc) {
-			break
-		}
+	for h.pendingWB.len() > 0 && h.enqueueWriteback(h.pendingWB.peek()) {
 		h.pendingWB.pop()
 	}
 	for tries := 0; tries < 8 && h.pendingDemand.len() > 0; tries++ {

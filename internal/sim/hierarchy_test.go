@@ -96,6 +96,36 @@ func TestHierarchyL1MergesSameBlock(t *testing.T) {
 	}
 }
 
+// TestHierarchyL1MissJoinAsymmetry pins how a miss joined from the other
+// L1 side fills: a fetch that joins a data miss fills the L1I as well, but
+// a load that joins a fetch-only miss completes without filling the L1D.
+func TestHierarchyL1MissJoinAsymmetry(t *testing.T) {
+	for _, fetchFirst := range []bool{false, true} {
+		r := newRig(nil)
+		r.step(1)
+		const addr = 0x20000
+		block := cache.Addr(addr >> r.h.cfg.BlockShift)
+		var done *bool
+		if fetchFirst {
+			r.h.Fetch(r.id, addr)
+			done = r.load(addr)
+		} else {
+			done = r.load(addr)
+			r.h.Fetch(r.id, addr)
+		}
+		r.step(3000)
+		if !*done {
+			t.Fatalf("fetchFirst=%v: joined load never completed", fetchFirst)
+		}
+		if !r.h.l1i.Contains(block) {
+			t.Errorf("fetchFirst=%v: block not in the L1I", fetchFirst)
+		}
+		if got := r.h.l1.Contains(block); got == fetchFirst {
+			t.Errorf("fetchFirst=%v: block in the L1D = %v, want %v", fetchFirst, got, !fetchFirst)
+		}
+	}
+}
+
 func TestHierarchyLatePrefetchProtocol(t *testing.T) {
 	// Inject a prefetch, then demand the same block while it is in
 	// flight: late-total and used-total must both increment, and the

@@ -67,6 +67,11 @@ type node struct {
 	// snap holds the counters frozen when the node's last lane finished,
 	// or at the stop cycle of a cancelled run.
 	snap stats.Counters
+	// emit is set when a tracer listens or the run keeps its history:
+	// only then does an interval build its DecisionEvent, which history
+	// retains under Config.KeepFDPHistory.
+	emit    bool
+	history []DecisionEvent
 }
 
 // lane is one CPU on a node, finishing at target retirements (warm-up
@@ -89,8 +94,8 @@ func newLoop(ctx context.Context, cfgs ...Config) *loop {
 	for i := range l.nodes {
 		n := &l.nodes[i]
 		n.l, n.cfg, n.warmed = l, cfgs[i], cfgs[i].WarmupInsts == 0
+		n.emit = n.cfg.Tracer != nil || n.cfg.KeepFDPHistory
 		n.h = newHierarchy(&n.cfg, &n.ctr, l.dram, i)
-		n.h.fdp.KeepHistory = n.cfg.KeepFDPHistory
 		n.h.fdp.OnInterval = n.onInterval
 	}
 	l.dram.OnStart = l.onBusStart
@@ -364,23 +369,28 @@ func (n *node) finalLevel() int {
 }
 
 // onInterval is every node's FDP OnInterval hook. It flags the closed
-// interval for the cancellation poll and, when a tracer listens, delivers
-// the interval's DecisionEvent, stamped with the node's post-warm-up cycle
-// and retire counts (zero while warming up).
-func (n *node) onInterval(rec core.IntervalRecord) {
+// interval for the cancellation poll and, when the node emits, builds the
+// interval's one DecisionEvent, stamped with the node's post-warm-up
+// cycle and retire counts (zero while warming up), and hands it to the
+// tracer and the history.
+func (n *node) onInterval(s *core.Signals, d core.Decision) {
 	n.l.intervalClosed = true
-	if n.cfg.Tracer == nil {
+	if !n.emit {
 		return
 	}
-	var pcyc, pret uint64
-	var sample stats.IntervalSample
+	ev := n.h.decisionEvent(s, d)
 	if n.warmed {
-		pcyc, pret = n.l.cycle-n.warmCycle, n.retired()
+		ev.Cycle, ev.Retired = n.l.cycle-n.warmCycle, n.retired()
 		if n.h.attr != nil {
-			sample = n.h.attrIntervalSample()
+			ev.Sample = n.h.attrIntervalSample()
 		}
 	}
-	n.h.traceDecision(rec, pcyc, pret, sample)
+	if n.cfg.Tracer != nil {
+		n.cfg.Tracer.TraceDecision(ev)
+	}
+	if n.cfg.KeepFDPHistory {
+		n.history = append(n.history, ev)
+	}
 }
 
 // finish shapes the node's frozen counters into a Result, with History
@@ -407,7 +417,7 @@ func (n *node) finish() Result {
 		Controller:  n.cfg.Controller,
 	}
 	if n.cfg.KeepFDPHistory {
-		res.History = n.h.fdp.History[:ctr.Intervals]
+		res.History = n.history[:ctr.Intervals]
 	}
 	return res
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"fdpsim/internal/core"
 	"fdpsim/internal/cpu"
 	"fdpsim/internal/mem"
 	"fdpsim/internal/stats"
@@ -40,9 +39,11 @@ type Result struct {
 	InsertDist *stats.Distribution
 	Intervals  uint64
 
-	// History holds per-interval FDP records when Config.KeepFDPHistory
-	// is set: the decision trace behind the distributions.
-	History []core.IntervalRecord
+	// History holds the run's DecisionEvents when Config.KeepFDPHistory
+	// is set: the same events, in the same order, that Config.Tracer
+	// receives — the decision trace behind the distributions. A run
+	// without history marshals it as null.
+	History []DecisionEvent
 
 	FinalLevel int
 

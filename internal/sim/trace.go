@@ -115,41 +115,36 @@ func levelParams(kind PrefetcherKind, level int) (distance, degree int) {
 	return sl.Distance, sl.Degree
 }
 
-// traceDecision builds one DecisionEvent from a closed interval's record
-// and delivers it to the configured tracer, which the caller has checked
-// is set. cycle and retired are the post-warmup stamps (zero during
-// warmup); sample is the interval's attribution delta (zero when
-// attribution is off). The event is stack-built and passed by value, so
-// the call is allocation-free.
-func (h *hierarchy) traceDecision(rec core.IntervalRecord, cycle, retired uint64, sample stats.IntervalSample) {
-	level := rec.Level // the DCC drives the prefetcher...
+// decisionEvent explains one closed interval: s is what the decision saw
+// (s.Level the counter before it) and d the decision as the engine
+// applied it. The caller stamps Cycle, Retired and Sample. The event is
+// built on the stack, so the call is allocation-free.
+func (h *hierarchy) decisionEvent(s *core.Signals, d core.Decision) DecisionEvent {
+	level := d.Level // the DCC drives the prefetcher...
 	if h.cfg.StaticLevel > 0 && h.pf != nil {
 		level = h.pf.Level() // ...unless its level is pinned
 	}
 	distance, degree := levelParams(h.cfg.Prefetcher, level)
-	h.cfg.Tracer.TraceDecision(DecisionEvent{
+	return DecisionEvent{
 		Core:          h.coreID,
-		Interval:      h.fdp.Intervals(),
-		Cycle:         cycle,
-		Retired:       retired,
-		Raw:           rec.Raw,
-		Decayed:       rec.Decayed,
-		Accuracy:      rec.Accuracy,
-		Lateness:      rec.Lateness,
-		Pollution:     rec.Pollution,
-		AccuracyClass: rec.AccClass.String(),
-		Late:          rec.Late,
-		Polluting:     rec.Polluting,
+		Interval:      s.Interval,
+		Raw:           s.Raw,
+		Decayed:       s.Decayed,
+		Accuracy:      s.Accuracy,
+		Lateness:      s.Lateness,
+		Pollution:     s.Pollution,
+		AccuracyClass: s.AccClass.String(),
+		Late:          s.Late,
+		Polluting:     s.Polluting,
 		Controller:    h.ctrlName,
-		BusUtil:       rec.BusUtilization,
-		Case:          rec.Case.Case,
-		Update:        int(rec.Case.Update),
-		Reason:        rec.Case.Reason,
-		DCCBefore:     rec.LevelBefore,
-		DCCAfter:      rec.Level,
+		BusUtil:       s.BusUtilization,
+		Case:          d.Case.Case,
+		Update:        int(d.Case.Update),
+		Reason:        d.Case.Reason,
+		DCCBefore:     s.Level,
+		DCCAfter:      d.Level,
 		Distance:      distance,
 		Degree:        degree,
-		Insertion:     rec.Insertion.String(),
-		Sample:        sample,
-	})
+		Insertion:     d.Insertion.String(),
+	}
 }

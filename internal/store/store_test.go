@@ -1,6 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,6 +132,55 @@ func TestVersionSkewIsMissNotDeletion(t *testing.T) {
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("version skew should not unlink (a newer binary may own it): %v", err)
+	}
+}
+
+// TestIntervalRecordHistoryIsMiss covers entries written before
+// Result.History held DecisionEvents: a History in the old per-interval
+// record shape no longer decodes, so the entry is a miss (the run is
+// simulated again and stored afresh), never a wrong result.
+func TestIntervalRecordHistoryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	if err := s.Put(fp(0), testResult(1.0)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fp(0)[:2], fp(0)+".json")
+	raw, _ := os.ReadFile(path)
+	var e entry
+	var res map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(e.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	res["History"] = json.RawMessage(`[{"Accuracy":0.9,"Lateness":0.5,"Pollution":0.01,` +
+		`"Case":{"Case":1,"Accuracy":2,"Late":true,"Polluting":false,"Update":1,"Reason":"to increase timeliness"},` +
+		`"Level":4,"Insertion":2,` +
+		`"Raw":{"pref_sent":100,"pref_used":90,"pref_late":45,"pollution_misses":0,"demand_misses":100},` +
+		`"Decayed":{"pref_sent":100,"pref_used":90,"pref_late":45,"pollution_misses":0,"demand_misses":100},` +
+		`"AccClass":2,"Late":true,"Polluting":false,"BusUtilization":0.4,"LevelBefore":3}]`)
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Result = payload
+	sum := sha256.Sum256(e.Result)
+	e.Checksum = hex.EncodeToString(sum[:])
+	old, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(path, old, 0o644)
+	if got, ok := s.Get(fp(0)); ok {
+		t.Fatalf("entry with an old-shape History served as a hit: %+v", got)
+	}
+	if err := s.Put(fp(0), testResult(2.0)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(fp(0)); !ok || got.IPC != 2.0 {
+		t.Fatalf("store did not take the re-simulated result: ok=%v got=%+v", ok, got)
 	}
 }
 

@@ -132,9 +132,12 @@ func (a ConfigAxis) label() string {
 	}
 }
 
-// build assembles the axis's simulator configuration (before the shared
-// sizing and the workload are stamped on).
-func (a ConfigAxis) build() (sim.Config, error) {
+// Build assembles the axis's simulator configuration (before the shared
+// sizing and the workload are stamped on). It is the one mapping from
+// these simple fields to a configuration: POST /v1/jobs builds its
+// simple fields through it too. Inconsistent fields report errors
+// matching ErrInvalid.
+func (a ConfigAxis) Build() (sim.Config, error) {
 	kind := sim.PrefetcherKind(a.Prefetcher)
 	if a.Prefetcher == "" {
 		kind = sim.PrefStream
@@ -236,7 +239,7 @@ func (r *Request) Expand() ([]Unit, error) {
 	cols := make([]column, 0, len(r.Configs))
 	seen := make(map[string]bool, len(r.Configs))
 	for _, a := range r.Configs {
-		cfg, err := a.build()
+		cfg, err := a.Build()
 		if err != nil {
 			return nil, err
 		}

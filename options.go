@@ -116,8 +116,8 @@ func WithTracer(t Tracer) Option {
 	return func(cfg *Config) error { cfg.Tracer = t; return nil }
 }
 
-// WithFDPHistory records every sampling interval's metrics and decisions
-// in Result.History.
+// WithFDPHistory keeps the run's DecisionEvents in Result.History: the
+// same events, in the same order, that a WithTracer sink receives.
 func WithFDPHistory() Option {
 	return func(cfg *Config) error { cfg.KeepFDPHistory = true; return nil }
 }
