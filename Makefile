@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet lint test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet fmt-check lint test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -15,9 +15,16 @@ build-cmds:
 vet:
 	go vet ./...
 
-# Static analysis: go vet always; staticcheck when installed (CI installs
-# it, local machines may not — the gate degrades to vet, not to a failure).
-lint: vet
+# Formatting gate: fails, naming the files, when gofmt would rewrite any
+# tracked Go file.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -w needed on:"; echo "$$out"; exit 1; fi
+
+# Static analysis: the formatting gate and go vet always; staticcheck when
+# installed (CI installs it, local machines may not — the gate degrades to
+# vet, not to a failure).
+lint: fmt-check vet
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -55,7 +62,7 @@ perfbench-check:
 # goroutines, so -race is load-bearing), the uncached fleet/sweep e2e
 # smoke, the benchmark self-test, the fabric-tracing smoke, and the
 # interval-timeseries smoke with its live fdptop check.
-check: build vet test-race fleet-e2e perfbench-check trace-smoke series-smoke
+check: build fmt-check vet test-race fleet-e2e perfbench-check trace-smoke series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
 bench:
@@ -80,24 +87,37 @@ bench-core:
 	@command -v benchstat >/dev/null 2>&1 || \
 		echo "benchstat not installed (go install golang.org/x/perf/cmd/benchstat@latest) — single run only, no comparison"
 
+# Benchmark snapshot numbering: BENCH_LAST is the newest checked-in
+# BENCH_N.json, BENCH_TOP the newest on disk (a fresh, uncommitted one once
+# bench-json has run), BENCH_NEXT the next free number.
+bench_max = $(shell printf '%s\n' $(1) | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1)
+BENCH_LAST = $(call bench_max,$(shell git ls-files 'BENCH_*.json'))
+BENCH_TOP = $(call bench_max,$(wildcard BENCH_*.json))
+BENCH_NEXT = $(shell echo $$(( $(or $(BENCH_TOP),0) + 1 )))
+
 # Machine-readable benchmark snapshot: runs the core hot-path
-# benchmarks and archives them as BENCH_9.json at the repo root (CI
-# uploads the same file as a build artifact). The JSON carries goos/
-# goarch/cpu context, so snapshots from different machines are
+# benchmarks and archives them as the next free BENCH_N.json at the repo
+# root (CI uploads the same file as a build artifact). The JSON carries
+# goos/goarch/cpu context, so snapshots from different machines are
 # distinguishable; compare like with like.
 bench-json:
 	go test ./internal/sim -run xxx -bench 'BenchmarkIntervalBoundary|BenchmarkPerInstruction' -benchmem \
-		| go run ./cmd/benchjson -out BENCH_9.json
+		| go run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json
 
-# Compare the freshly archived snapshot against the previous PR's
-# (BENCH_8.json, checked in), matched by package+benchmark name. Any
-# allocs/op growth fails outright — that gate is machine-independent and
-# is the real contract. Shared runners make wall time noisy even on an
-# identical CPU model (2-3x swings between runs an hour apart are in the
-# archives), so the ns/op threshold here is deliberately loose; tighten
-# it locally (-threshold 0.1) when comparing runs on a quiet machine.
-bench-diff: bench-json
-	go run ./cmd/benchjson -diff -threshold 3.0 BENCH_8.json BENCH_9.json
+# Compare a fresh snapshot — the newest on disk, or one bench-json writes
+# now when none is newer than the checked-in ones — against the newest
+# checked-in snapshot, matched by package+benchmark name. Any allocs/op
+# growth fails outright — that gate is machine-independent and is the
+# real contract. Shared runners make wall time noisy even on an identical
+# CPU model (2-3x swings between runs an hour apart are in the archives),
+# so the ns/op threshold here is deliberately loose; tighten it locally
+# (-threshold 0.1) when comparing runs on a quiet machine.
+bench-diff:
+	@last=$(BENCH_LAST); fresh=$(BENCH_TOP); \
+	if [ -z "$$last" ]; then echo "bench-diff: no checked-in BENCH_N.json"; exit 1; fi; \
+	if [ "$$fresh" = "$$last" ]; then $(MAKE) --no-print-directory bench-json || exit 1; fresh=$$((last + 1)); fi; \
+	echo "bench-diff: BENCH_$$last.json -> BENCH_$$fresh.json"; \
+	go run ./cmd/benchjson -diff -threshold 3.0 BENCH_$$last.json BENCH_$$fresh.json
 
 # The controller-refactor equivalence gate: the engine goldens, plus the
 # same single-core FDP suite rerun with the Table 2 policy selected

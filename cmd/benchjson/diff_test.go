@@ -23,10 +23,10 @@ func TestDiffReports(t *testing.T) {
 		bench("p", "Removed", 100, 0),
 	}}
 	cur := Report{CPU: "cpu-a", Benchmarks: []Benchmark{
-		bench("p", "Steady", 105, 0),  // +5%: inside the 10% band
-		bench("p", "Slower", 150, 0),  // +50%: time regression
-		bench("p", "Allocs", 90, 2),   // faster but allocating: alloc regression
-		bench("p", "Added", 100, 0),   // unmatched: ignored
+		bench("p", "Steady", 105, 0), // +5%: inside the 10% band
+		bench("p", "Slower", 150, 0), // +50%: time regression
+		bench("p", "Allocs", 90, 2),  // faster but allocating: alloc regression
+		bench("p", "Added", 100, 0),  // unmatched: ignored
 	}}
 
 	deltas, comparable := diffReports(old, cur, 0.10)

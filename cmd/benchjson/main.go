@@ -4,7 +4,7 @@
 //
 //	go test ./internal/sim -bench . -benchmem | benchjson -out BENCH.json
 //	benchjson -in bench.txt
-//	benchjson -diff BENCH_8.json BENCH_9.json
+//	benchjson -diff BENCH_9.json BENCH_10.json
 //	benchjson -diff -threshold 0.25 old.json new.json
 //
 // -diff compares two archived reports benchmark-by-benchmark (matched by

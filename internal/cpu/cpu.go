@@ -214,36 +214,61 @@ func (c *CPU) Tick() {
 	}
 	before := c.retired
 	c.retire()
-	c.classify(c.retired - before)
+	c.classify(c.retired-before, 1)
 	c.issue()
 	c.dispatch()
 }
 
-// classify attributes the current cycle to one bucket, given how many ops
-// just retired. Precedence is documented on stats.CycleBuckets. The
+// Idle reports whether a Tick would change nothing but the stall
+// counters: no load is ready to issue, the ROB head (if any) awaits its
+// data, and dispatch is blocked — the core is halted, the ROB is full, or
+// fetch is stalled. Only a CompleteLoad or CompleteFetch ends idleness.
+func (c *CPU) Idle() bool {
+	return c.readyCount == 0 && (c.count == 0 || !c.rob[c.head].completed) &&
+		(c.halted || c.count == len(c.rob) || c.fetchStalled)
+}
+
+// SkipIdle accounts k idle cycles exactly as k calls to Tick would: the
+// core must be Idle, and stays so. A full ROB counts as a ROB-full stall,
+// else a stalled fetch as a fetch stall; a halted core counts neither.
+func (c *CPU) SkipIdle(k uint64) {
+	if c.attr != nil {
+		c.classify(0, k)
+	}
+	switch {
+	case c.halted:
+	case c.count == len(c.rob):
+		c.stallROBFull += k
+	case c.fetchStalled:
+		c.stallFetch += k
+	}
+}
+
+// classify attributes k cycles to one bucket, given how many ops retired
+// in each. Precedence is documented on stats.CycleBuckets. The
 // ROB-occupied cases rely on an invariant of this core: only loads ever
 // sit incomplete in the ROB (nops and stores complete at dispatch), so a
 // non-retiring occupied ROB always means the head is a load awaiting data.
-func (c *CPU) classify(ret uint64) {
+func (c *CPU) classify(ret, k uint64) {
 	b := c.attr
 	switch {
 	case ret >= uint64(c.cfg.Width):
-		b.RetireFull++
+		b.RetireFull += k
 	case ret > 0:
-		b.RetirePartial++
+		b.RetirePartial += k
 	case c.count > 0:
 		switch {
 		case c.count == len(c.rob):
-			b.StallROBFull++
+			b.StallROBFull += k
 		case c.memBP != nil && c.memBP():
-			b.StallDRAMBP++
+			b.StallDRAMBP += k
 		default:
-			b.StallLoadMiss++
+			b.StallLoadMiss += k
 		}
 	case c.fetchStalled:
-		b.StallIFetch++
+		b.StallIFetch += k
 	default:
-		b.StallFrontend++
+		b.StallFrontend += k
 	}
 }
 

@@ -262,9 +262,28 @@ func (d *DRAM) Promote(block cache.Addr) bool {
 }
 
 // Busy reports whether any request is queued or in flight.
-func (d *DRAM) Busy() bool {
-	return len(d.pending) > 0 ||
-		len(d.queues[Demand]) > 0 || len(d.queues[Prefetch]) > 0 || len(d.queues[Writeback]) > 0
+func (d *DRAM) Busy() bool { return len(d.pending) > 0 || d.queued() }
+
+// queued reports whether any request waits in a queue.
+func (d *DRAM) queued() bool {
+	return len(d.queues[Demand]) > 0 || len(d.queues[Prefetch]) > 0 || len(d.queues[Writeback]) > 0
+}
+
+// NextEvent returns the first cycle at which Tick may change any state:
+// the earliest pending completion, or, while a queue holds work, the
+// memoized cycle before which no queued request can win the command bus
+// — 0 ("tick now") when no scan has bounded it since the queues last
+// changed. ^uint64(0) means nothing is queued or in flight. Between now
+// and then, absent an Enqueue or Promote, every Tick is a no-op.
+func (d *DRAM) NextEvent() uint64 {
+	next := ^uint64(0)
+	if len(d.pending) > 0 {
+		next = d.pending[0].Finished
+	}
+	if d.queued() {
+		next = min(next, d.nextSchedule)
+	}
+	return next
 }
 
 // Tick advances the model to the given cycle: it starts at most one new

@@ -270,3 +270,93 @@ func TestLatencyAccounting(t *testing.T) {
 		t.Fatalf("latency stats: count=%d sum=%d", st.DemandCount, st.DemandLatencySum)
 	}
 }
+
+// TestNextEventBoundsQuietTicks drives a DRAM with queued and in-flight
+// requests of every kind (bank conflicts, row hits, a late arrival)
+// cycle by cycle: every Tick before NextEvent() must leave Stats alone
+// and fire no OnStart and no Done, and the requests must all complete.
+func TestNextEventBoundsQuietTicks(t *testing.T) {
+	cfg := DefaultConfig()
+	d := New(cfg)
+	var events, completed int
+	d.OnStart = func(*Request) { events++ }
+	done := func(*Request) { events++; completed++ }
+	sameBank := uint64(cfg.Banks * cfg.BlocksPerRow)
+	reqs := []*Request{
+		{Block: 0, Kind: Demand, Done: done},
+		{Block: sameBank, Kind: Demand, Done: done}, // bank conflict
+		{Block: 32, Kind: Demand, Done: done},       // row hit after the first
+		{Block: 1, Kind: Prefetch, Done: done},
+		{Block: 2, Kind: Writeback},
+	}
+	for _, r := range reqs {
+		d.Enqueue(r, 0)
+	}
+	late := &Request{Block: 3, Kind: Demand, Done: done}
+	var cycle, quiet uint64
+	for d.Busy() || late.Enqueued == 0 {
+		next := d.NextEvent()
+		for c := cycle + 1; c < next && c < 100_000; c++ {
+			st, n := d.Stats(), events
+			d.Tick(c)
+			if d.Stats() != st || events != n {
+				t.Fatalf("cycle %d before NextEvent %d: stats %+v -> %+v, events %d -> %d", c, next, st, d.Stats(), n, events)
+			}
+			quiet++
+		}
+		cycle = max(next, cycle+1)
+		if cycle >= 100_000 {
+			t.Fatal("the DRAM never drained")
+		}
+		d.Tick(cycle)
+		if cycle >= 700 && late.Enqueued == 0 {
+			d.Enqueue(late, cycle)
+			if late.Enqueued == 0 {
+				t.Fatal("late request stamped at cycle 0")
+			}
+		}
+	}
+	if completed != 5 {
+		t.Fatalf("%d reads completed, want 5", completed)
+	}
+	if quiet < 1000 {
+		t.Fatalf("only %d quiet cycles; the check is vacuous", quiet)
+	}
+	if d.NextEvent() != ^uint64(0) {
+		t.Fatalf("drained DRAM's NextEvent = %d", d.NextEvent())
+	}
+}
+
+// TestNextEventTickNowAfterQueueChange checks that NextEvent answers 0
+// ("tick now") right after anything that invalidates the scheduler's
+// memo while a queue holds work: a start, an Enqueue and a Promote.
+func TestNextEventTickNowAfterQueueChange(t *testing.T) {
+	cfg := DefaultConfig()
+	d := New(cfg)
+	started := false
+	d.OnStart = func(*Request) { started = true }
+	d.Enqueue(&Request{Block: 0, Kind: Demand}, 0)
+	d.Enqueue(&Request{Block: 1, Kind: Prefetch}, 0)
+	if got := d.NextEvent(); got != 0 {
+		t.Fatalf("after Enqueue: NextEvent = %d, want 0", got)
+	}
+	d.Tick(1) // nothing is past its command latency yet
+	if got, want := d.NextEvent(), cfg.CmdLatency; got != want {
+		t.Fatalf("after a failed scan: NextEvent = %d, want %d", got, want)
+	}
+	d.Promote(1)
+	if got := d.NextEvent(); got != 0 {
+		t.Fatalf("after Promote: NextEvent = %d, want 0", got)
+	}
+	d.Tick(2)
+	d.Enqueue(&Request{Block: 2, Kind: Writeback}, 2)
+	if got := d.NextEvent(); got != 0 {
+		t.Fatalf("after Enqueue behind a memo: NextEvent = %d, want 0", got)
+	}
+	for c := uint64(3); !started; c++ {
+		d.Tick(c)
+	}
+	if got := d.NextEvent(); got != 0 {
+		t.Fatalf("after a start with work queued: NextEvent = %d, want 0", got)
+	}
+}

@@ -150,7 +150,7 @@ func TestStreamLRUReplacement(t *testing.T) {
 		t.Fatalf("regions = %d, want 2", len(s.MonitorRegions()))
 	}
 	observe(s, Event{Block: 103}) // keep stream 1 recently used
-	missAt(s, 5000)              // replaces stream 2
+	missAt(s, 5000)               // replaces stream 2
 	if got := len(s.MonitorRegions()); got != 1 {
 		t.Fatalf("regions after replacement = %d, want 1", got)
 	}

@@ -452,6 +452,8 @@ func TestSubmitRejectsPanickingConfig(t *testing.T) {
 		func(c *sim.Config) { c.DRAM.QueueCap = -1 },
 		func(c *sim.Config) { c.FDP.FilterBits = 32 },
 		func(c *sim.Config) { c.CPU.ROB = 1 << 40 },
+		func(c *sim.Config) { c.L1Latency = 1<<64 - 2 },
+		func(c *sim.Config) { c.DRAM.Transfer = 1<<32 + 1 },
 	} {
 		cfg := fastConfig(20_000, 940)
 		mutate(&cfg)

@@ -41,8 +41,8 @@ func TestSeriesEndpoint(t *testing.T) {
 		t.Fatalf("GET series = %d (%s)", code, raw)
 	}
 	var resp struct {
-		Meta series.Meta `json:"meta"`
-		Step int         `json:"step"`
+		Meta    series.Meta `json:"meta"`
+		Step    int         `json:"step"`
 		Metrics []struct {
 			Name    string          `json:"name"`
 			Values  []float64       `json:"values"`
@@ -184,10 +184,10 @@ func TestSeriesCacheHitAndDiff(t *testing.T) {
 		}
 	}
 
-	if code, _, _ := getBody(t, ts.URL + "/v1/diff?a=" + fin.Fingerprint); code != http.StatusBadRequest {
+	if code, _, _ := getBody(t, ts.URL+"/v1/diff?a="+fin.Fingerprint); code != http.StatusBadRequest {
 		t.Fatalf("diff without b = %d, want 400", code)
 	}
-	if code, _, _ := getBody(t, ts.URL + "/v1/diff?a=" + fin.Fingerprint + "&b=" + strings.Repeat("0", 64)); code != http.StatusNotFound {
+	if code, _, _ := getBody(t, ts.URL+"/v1/diff?a="+fin.Fingerprint+"&b="+strings.Repeat("0", 64)); code != http.StatusNotFound {
 		t.Fatalf("diff of unknown fingerprint = %d, want 404", code)
 	}
 

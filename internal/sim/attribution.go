@@ -59,21 +59,23 @@ func (h *hierarchy) backpressured() bool {
 	return h.pendingDemand.len() > 0 || h.mshr.Full()
 }
 
-// attrSampleCycle records the per-cycle occupancy samples (MSHR file and
-// DRAM queue depths). Called from Tick when attribution is on.
-func (h *hierarchy) attrSampleCycle() {
+// attrSampleCycles records k cycles' occupancy samples (MSHR file and
+// DRAM queue depths), all equal to the current ones. Called from Tick
+// with k = 1 when attribution is on, and by the run loop for a skipped
+// stretch, over which the depths cannot change.
+func (h *hierarchy) attrSampleCycles(k uint64) {
 	a := h.attr
 	mo := uint64(h.mshr.Used())
 	qd := uint64(h.dram.QueueLen(mem.Demand))
 	qp := uint64(h.dram.QueueLen(mem.Prefetch))
 	qw := uint64(h.dram.QueueLen(mem.Writeback))
-	a.agg.MSHROcc.Add(mo)
-	a.agg.QueueDemand.Add(qd)
-	a.agg.QueuePrefetch.Add(qp)
-	a.agg.QueueWriteback.Add(qw)
-	a.mshrSum += mo
-	a.queueSum += qd + qp + qw
-	a.sampleCount++
+	a.agg.MSHROcc.AddN(mo, k)
+	a.agg.QueueDemand.AddN(qd, k)
+	a.agg.QueuePrefetch.AddN(qp, k)
+	a.agg.QueueWriteback.AddN(qw, k)
+	a.mshrSum += k * mo
+	a.queueSum += k * (qd + qp + qw)
+	a.sampleCount += k
 }
 
 // attrPrefFilled records a prefetch fill completing at the current cycle

@@ -224,6 +224,22 @@ func (c *Config) Validate() error {
 				ErrInvalidConfig, g.name, g.blocks, g.ways)
 		}
 	}
+	// Past maxLatency, an event's due cycle (the wheel's now+delay, the
+	// DRAM's cycle+latency) could wrap and fire early: a plausible, wrong
+	// result instead of a stall.
+	d := &c.DRAM
+	for _, l := range [...]struct {
+		name string
+		v    uint64
+	}{
+		{"L1Latency", c.L1Latency}, {"L2Latency", c.L2Latency},
+		{"DRAM.CmdLatency", d.CmdLatency}, {"DRAM.RowHit", d.RowHit}, {"DRAM.RowConflict", d.RowConflict},
+		{"DRAM.BusyHit", d.BusyHit}, {"DRAM.BusyConflict", d.BusyConflict}, {"DRAM.Transfer", d.Transfer},
+	} {
+		if l.v > maxLatency {
+			return fmt.Errorf("%w: %s %d exceeds %d cycles", ErrInvalidConfig, l.name, l.v, uint64(maxLatency))
+		}
+	}
 	if c.MSHRs <= 0 || c.DRAM.QueueCap <= 0 {
 		return fmt.Errorf("%w: MSHRs and DRAM.QueueCap must be positive", ErrInvalidConfig)
 	}
@@ -261,6 +277,9 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// maxLatency bounds every configured latency, in cycles.
+const maxLatency = 1 << 32
 
 // pow2 reports whether n is a positive power of two.
 func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }

@@ -291,8 +291,23 @@ func (h *hierarchy) Tick(cycle uint64) {
 	h.retryPending()
 	h.drainPrefetchQueue()
 	if h.attr != nil {
-		h.attrSampleCycle()
+		h.attrSampleCycles(1)
 	}
+}
+
+// quiet reports whether a Tick would only advance the clock (and sample
+// attribution) until the DRAM or the wheel next has work: nothing awaits
+// replay, and the prefetch queue is empty or blocked — its head is not
+// covered and the MSHR file or the DRAM's prefetch queue is full, so
+// drainPrefetchQueue returns at once. A parked demand or writeback is
+// never quiet: each failed retry counts (L2 accesses and misses, DRAM
+// drops), so skipping one would have to replay it.
+func (h *hierarchy) quiet() bool {
+	if h.pendingDemand.len() > 0 || h.pendingWB.len() > 0 {
+		return false
+	}
+	return h.prefQ.len() == 0 ||
+		(h.mshr.Full() || !h.dram.CanEnqueue(mem.Prefetch)) && !h.covered(h.prefQ.peek())
 }
 
 // Access submits a memory access from the given client. Loads (robIdx >=

@@ -150,6 +150,11 @@ func (o *offsetSource) Next() cpu.MicroOp {
 	return op
 }
 
+// skipDead switches the fast-forward over dead cycles in step. It is on
+// in every run; TestSkipMatchesTicking turns it off to prove that the
+// skip changes no Result, event or error.
+var skipDead = true
+
 // onBusStart routes the DRAM's bus-start events to the requesting node.
 func (l *loop) onBusStart(r *mem.Request) { l.nodes[r.Owner].h.onBusStart(r) }
 
@@ -158,7 +163,9 @@ func (l *loop) onBusStart(r *mem.Request) { l.nodes[r.Owner].h.onBusStart(r) }
 // interval closes; each cycle ticks the DRAM, then each hierarchy
 // followed by its CPUs. It is the only code that moves the clock. Marks
 // change only between calls, so a stretch of cycles runs with no
-// bookkeeping at all.
+// bookkeeping at all. A stretch of dead cycles — ones in which no
+// component can change state — is jumped in one go (see deadUntil), but
+// never past stop.
 //
 // A hierarchy alone on the DRAM (single-core and SMT runs) is stamped
 // with the new cycle before the DRAM's fill and bus-start callbacks run;
@@ -168,6 +175,14 @@ func (l *loop) onBusStart(r *mem.Request) { l.nodes[r.Owner].h.onBusStart(r) }
 func (l *loop) step(stop uint64) {
 	lone := len(l.nodes) == 1
 	for {
+		if skipDead {
+			if target := l.deadUntil(stop); target > l.cycle {
+				l.skip(target)
+				if l.cycle >= stop {
+					return
+				}
+			}
+		}
 		l.cycle++
 		if lone {
 			l.nodes[0].h.cyc = l.cycle
@@ -186,6 +201,55 @@ func (l *loop) step(stop uint64) {
 			return
 		}
 	}
+}
+
+// deadUntil returns the last cycle, capped at stop, before the next one
+// in which a component can change state; l.cycle when that is the next
+// cycle. The cycles in between are dead when every CPU is Idle, every
+// hierarchy quiet, and neither the DRAM nor any wheel has an event due:
+// ticking them would only count stalls and occupancy samples and advance
+// the clocks, which skip does in one go. Cheapest test first: this runs
+// before every live cycle.
+func (l *loop) deadUntil(stop uint64) uint64 {
+	for i := range l.nodes {
+		for j := range l.nodes[i].lanes {
+			if !l.nodes[i].lanes[j].cpu.Idle() {
+				return l.cycle
+			}
+		}
+	}
+	next := l.dram.NextEvent()
+	for i := range l.nodes {
+		next = min(next, l.nodes[i].h.wh.nextEvent())
+	}
+	if next <= l.cycle+1 {
+		return l.cycle
+	}
+	for i := range l.nodes {
+		if !l.nodes[i].h.quiet() {
+			return l.cycle
+		}
+	}
+	return min(next-1, stop)
+}
+
+// skip jumps the clock over the dead cycles up to target, accounting
+// them exactly as ticking would: each CPU's stall counters and cycle
+// buckets, each hierarchy's occupancy samples, and the hierarchy and
+// wheel clocks.
+func (l *loop) skip(target uint64) {
+	k := target - l.cycle
+	for i := range l.nodes {
+		n := &l.nodes[i]
+		n.h.cyc, n.h.wh.now = target, target
+		if n.h.attr != nil {
+			n.h.attrSampleCycles(k)
+		}
+		for j := range n.lanes {
+			n.lanes[j].cpu.SkipIdle(k)
+		}
+	}
+	l.cycle = target
 }
 
 // settle does the bookkeeping after a stretch that ended due: a node's

@@ -74,6 +74,15 @@ func TestValidateRejectsPanickingGeometry(t *testing.T) {
 		{"prefetch cache 1000 blocks in 16 ways", func(c *Config) { c.PrefCacheBlocks, c.PrefCacheWays = 1000, 16 }},
 		{"MSHRs=0", func(c *Config) { c.MSHRs = 0 }},
 		{"DRAM.QueueCap=0", func(c *Config) { c.DRAM.QueueCap = 0 }},
+		// Latencies whose due cycles would wrap.
+		{"L1Latency=2^64-2", func(c *Config) { c.L1Latency = 1<<64 - 2 }},
+		{"L2Latency=2^32+1", func(c *Config) { c.L2Latency = 1<<32 + 1 }},
+		{"DRAM.CmdLatency=2^40", func(c *Config) { c.DRAM.CmdLatency = 1 << 40 }},
+		{"DRAM.RowHit=2^32+1", func(c *Config) { c.DRAM.RowHit = 1<<32 + 1 }},
+		{"DRAM.RowConflict=2^32+1", func(c *Config) { c.DRAM.RowConflict = 1<<32 + 1 }},
+		{"DRAM.BusyHit=2^32+1", func(c *Config) { c.DRAM.BusyHit = 1<<32 + 1 }},
+		{"DRAM.BusyConflict=2^32+1", func(c *Config) { c.DRAM.BusyConflict = 1<<32 + 1 }},
+		{"DRAM.Transfer=2^64-1", func(c *Config) { c.DRAM.Transfer = 1<<64 - 1 }},
 	}
 	for _, tc := range invalid {
 		cfg := WithFDP(PrefStream)
@@ -93,6 +102,9 @@ func TestValidateRejectsPanickingGeometry(t *testing.T) {
 		{"unbuilt L1I", func(c *Config) { c.ModelIFetch, c.L1IBlocks = false, 1000 }},
 		{"fully associative prefetch cache", func(c *Config) { c.PrefCacheBlocks = 32 }},
 		{"16-way prefetch cache", func(c *Config) { c.PrefCacheBlocks, c.PrefCacheWays = 512, 16 }},
+		{"latencies at 2^32", func(c *Config) {
+			c.L1Latency, c.L2Latency, c.DRAM.CmdLatency, c.DRAM.Transfer = 1<<32, 1<<32, 1<<32, 1<<32
+		}},
 	}
 	for _, tc := range valid {
 		cfg := WithFDP(PrefStream)

@@ -139,3 +139,20 @@ func TestGeoMeanBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestLogHistAddNEqualsRepeatedAdd(t *testing.T) {
+	var one, many LogHist
+	for _, v := range []uint64{0, 1, 5, 1 << 40} {
+		for i := 0; i < 7; i++ {
+			one.Add(v)
+		}
+		many.AddN(v, 7)
+	}
+	many.AddN(3, 0)
+	if one != many {
+		t.Fatalf("AddN: %v, repeated Add: %v", many.Counts, one.Counts)
+	}
+	if many.Total() != 28 {
+		t.Fatalf("Total = %d, want 28", many.Total())
+	}
+}

@@ -44,12 +44,12 @@ const (
 // satisfy QueueWaitMS + RunMS + StoreMS <= WallMS (within scheduling
 // noise the invariant the e2e suite checks).
 type Provenance struct {
-	Version     int       `json:"version"`
-	Fingerprint string    `json:"fingerprint"`
-	TraceID     string    `json:"trace_id,omitempty"`
-	JobID       string    `json:"job_id,omitempty"`
-	SweepID     string    `json:"sweep_id,omitempty"`
-	Tenant      string    `json:"tenant,omitempty"`
+	Version     int    `json:"version"`
+	Fingerprint string `json:"fingerprint"`
+	TraceID     string `json:"trace_id,omitempty"`
+	JobID       string `json:"job_id,omitempty"`
+	SweepID     string `json:"sweep_id,omitempty"`
+	Tenant      string `json:"tenant,omitempty"`
 	// Worker is the executing process's identity (fleet worker name, or
 	// "local" for a standalone daemon).
 	Worker string `json:"worker,omitempty"`
