@@ -163,21 +163,24 @@ serve:
 # through decode, validation and fingerprinting (and a short run): none
 # may panic a service worker. FuzzTreeModel hammers the controller model
 # loader: malformed JSON must return ErrInvalid, never panic, and a model
-# that loads must never decide out of range.
+# that loads must never decide out of range. FuzzBlockIndex checks the
+# memory path's open-addressed block index against a Go map.
 fuzz:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
+	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 30s
 
 # The 10-second-per-target slice CI runs on every PR, so request,
-# decoder and model-loader fuzz regressions surface before merge, not in
-# nightlies.
+# decoder, model-loader and block-index fuzz regressions surface before
+# merge, not in nightlies.
 fuzz-smoke:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s
+	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 10s
 
 clean:
 	go clean ./...

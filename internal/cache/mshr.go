@@ -17,21 +17,20 @@ type MSHREntry struct {
 	// DemandMerged is true once at least one demand request merged into
 	// this entry; the fill then completes those demands.
 	DemandMerged bool
-	// Issued is true once the request has been handed to the bus queue.
-	Issued bool
 	// AllocCycle records when the entry was allocated (for tests/debug).
 	AllocCycle uint64
 }
 
 // MSHRFile models a fully associative miss-status holding register file
 // with merging: one entry per in-flight block. Entries live in a slab
-// sized at construction, so the allocate/release cycle of the simulator's
-// steady state touches no heap memory.
+// sized at construction, addressed by a BlockIndex sized so it never
+// grows, so the allocate/release cycle of the simulator's steady state
+// touches no heap memory.
 type MSHRFile struct {
 	cap     int
 	slab    []MSHREntry
 	free    []int32
-	entries map[Addr]int32
+	entries BlockIndex
 	// peakUsed tracks the high-water mark for statistics.
 	peakUsed int
 }
@@ -42,7 +41,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 		cap:     capacity,
 		slab:    make([]MSHREntry, capacity),
 		free:    make([]int32, capacity),
-		entries: make(map[Addr]int32, capacity),
+		entries: NewBlockIndex(capacity),
 	}
 	for i := range m.free {
 		m.free[i] = int32(capacity - 1 - i)
@@ -54,7 +53,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 // into the slab: it stays valid while the entry is live, and its contents
 // only until the slot is released and reallocated.
 func (m *MSHRFile) Lookup(block Addr) *MSHREntry {
-	i, ok := m.entries[block]
+	i, ok := m.entries.Get(block)
 	if !ok {
 		return nil
 	}
@@ -62,10 +61,10 @@ func (m *MSHRFile) Lookup(block Addr) *MSHREntry {
 }
 
 // Full reports whether no further entries can be allocated.
-func (m *MSHRFile) Full() bool { return len(m.entries) >= m.cap }
+func (m *MSHRFile) Full() bool { return m.entries.Len() >= m.cap }
 
 // Used returns the number of live entries.
-func (m *MSHRFile) Used() int { return len(m.entries) }
+func (m *MSHRFile) Used() int { return m.entries.Len() }
 
 // Peak returns the high-water mark of live entries.
 func (m *MSHRFile) Peak() int { return m.peakUsed }
@@ -77,15 +76,15 @@ func (m *MSHRFile) Allocate(block Addr, pref bool, cycle uint64) *MSHREntry {
 	if m.Full() {
 		return nil
 	}
-	if _, ok := m.entries[block]; ok {
+	if _, ok := m.entries.Get(block); ok {
 		return nil
 	}
 	i := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	m.slab[i] = MSHREntry{Block: block, Pref: pref, AllocCycle: cycle}
-	m.entries[block] = i
-	if len(m.entries) > m.peakUsed {
-		m.peakUsed = len(m.entries)
+	m.entries.Put(block, i)
+	if n := m.entries.Len(); n > m.peakUsed {
+		m.peakUsed = n
 	}
 	return &m.slab[i]
 }
@@ -94,11 +93,10 @@ func (m *MSHRFile) Allocate(block Addr, pref bool, cycle uint64) *MSHREntry {
 // if no entry existed. The returned pointer's contents are valid until the
 // next Allocate reuses the slot.
 func (m *MSHRFile) Release(block Addr) *MSHREntry {
-	i, ok := m.entries[block]
+	i, ok := m.entries.Delete(block)
 	if !ok {
 		return nil
 	}
-	delete(m.entries, block)
 	m.free = append(m.free, i)
 	return &m.slab[i]
 }

@@ -6,11 +6,7 @@
 // load/store requests.
 package mem
 
-import (
-	"container/heap"
-
-	"fdpsim/internal/cache"
-)
+import "fdpsim/internal/cache"
 
 // Kind classifies a bus request.
 type Kind int
@@ -104,22 +100,6 @@ type bank struct {
 	hasOpen bool
 }
 
-// completion heap ordered by finish cycle.
-type completionHeap []*Request
-
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].Finished < h[j].Finished }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(*Request)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
-}
-
 // Stats counts bus-level activity.
 type Stats struct {
 	Started   [3]uint64 // requests that won the bus, by kind
@@ -141,7 +121,10 @@ type DRAM struct {
 	banks     []bank
 	queues    [numKinds][]*Request
 	busFreeAt uint64
-	pending   completionHeap
+	// pending[head:] holds the started requests in start order, which is
+	// finish order (see start), so completions drain from its head.
+	pending []*Request
+	head    int
 	// OnStart fires when a request wins the command bus — the paper's
 	// "goes out on the bus" moment used to count sent prefetches.
 	OnStart func(r *Request)
@@ -177,13 +160,13 @@ func New(cfg Config) *DRAM {
 	}
 	// Pre-size every request-holding structure to its working depth so the
 	// simulation loop never grows them: the queues to their cap, the
-	// completion heap to a generous transfer backlog, and the request pool
+	// completion FIFO to a generous transfer backlog, and the request pool
 	// to the worst-case in-flight population (all queues full plus the
 	// backlog) — after which Acquire/release recycle without allocating.
 	for k := range d.queues {
 		d.queues[k] = make([]*Request, 0, d.cfg.QueueCap)
 	}
-	d.pending = make(completionHeap, 0, 64)
+	d.pending = make([]*Request, 0, 64)
 	d.freeReqs = make([]*Request, 0, 3*d.cfg.QueueCap+64)
 	for i := 0; i < cap(d.freeReqs); i++ {
 		d.freeReqs = append(d.freeReqs, &Request{pooled: true})
@@ -262,7 +245,10 @@ func (d *DRAM) Promote(block cache.Addr) bool {
 }
 
 // Busy reports whether any request is queued or in flight.
-func (d *DRAM) Busy() bool { return len(d.pending) > 0 || d.queued() }
+func (d *DRAM) Busy() bool { return d.inFlight() || d.queued() }
+
+// inFlight reports whether any started request has yet to complete.
+func (d *DRAM) inFlight() bool { return d.head < len(d.pending) }
 
 // queued reports whether any request waits in a queue.
 func (d *DRAM) queued() bool {
@@ -277,8 +263,8 @@ func (d *DRAM) queued() bool {
 // and then, absent an Enqueue or Promote, every Tick is a no-op.
 func (d *DRAM) NextEvent() uint64 {
 	next := ^uint64(0)
-	if len(d.pending) > 0 {
-		next = d.pending[0].Finished
+	if d.inFlight() {
+		next = d.pending[d.head].Finished
 	}
 	if d.queued() {
 		next = min(next, d.nextSchedule)
@@ -287,12 +273,14 @@ func (d *DRAM) NextEvent() uint64 {
 }
 
 // Tick advances the model to the given cycle: it starts at most one new
-// bank access (command-bus limit) and fires Done for every transfer that
-// has completed by this cycle.
+// bank access (command-bus limit) and fires Done, in start order, for
+// every transfer that has completed by this cycle.
 func (d *DRAM) Tick(cycle uint64) {
 	d.schedule(cycle)
-	for len(d.pending) > 0 && d.pending[0].Finished <= cycle {
-		r := heap.Pop(&d.pending).(*Request)
+	for d.inFlight() && d.pending[d.head].Finished <= cycle {
+		r := d.pending[d.head]
+		d.pending[d.head] = nil
+		d.head++
 		if r.Kind == Demand {
 			d.stats.DemandLatencySum += r.Latency()
 			d.stats.DemandCount++
@@ -301,6 +289,9 @@ func (d *DRAM) Tick(cycle uint64) {
 			r.Done(r)
 		}
 		d.release(r)
+	}
+	if !d.inFlight() {
+		d.pending, d.head = d.pending[:0], 0
 	}
 }
 
@@ -353,6 +344,14 @@ func (d *DRAM) schedule(cycle uint64) {
 	d.nextSchedule = earliest
 }
 
+// start puts r on the bus at cycle. Its transfer begins once both its bank
+// access and the data bus are done, and then holds the bus, so
+//
+//	Finished = max(cycle+latency, busFreeAt) + Transfer;  busFreeAt = Finished
+//
+// and every started request finishes no earlier than the one started
+// before it — strictly later when Transfer ≥ 1. Start order is therefore
+// finish order, and pending needs no sorting: r joins its tail.
 func (d *DRAM) start(r *Request, cycle uint64) {
 	b := &d.banks[r.bank]
 	latency, busy := d.cfg.RowConflict, d.cfg.BusyConflict
@@ -376,5 +375,13 @@ func (d *DRAM) start(r *Request, cycle uint64) {
 	if d.OnStart != nil {
 		d.OnStart(r)
 	}
-	heap.Push(&d.pending, r)
+	if len(d.pending) == cap(d.pending) && 2*d.head >= len(d.pending) {
+		// At least half the slice has drained: slide the in-flight tail to
+		// the front rather than grow, so each push moves at most one entry
+		// on average.
+		n := copy(d.pending, d.pending[d.head:])
+		clear(d.pending[n:])
+		d.pending, d.head = d.pending[:n], 0
+	}
+	d.pending = append(d.pending, r)
 }

@@ -1,8 +1,12 @@
 package mem
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"fdpsim/internal/cache"
 )
 
 // drain ticks the model until quiet, returning the completion cycles seen.
@@ -358,5 +362,112 @@ func TestNextEventTickNowAfterQueueChange(t *testing.T) {
 	}
 	if got := d.NextEvent(); got != 0 {
 		t.Fatalf("after a start with work queued: NextEvent = %d, want 0", got)
+	}
+}
+
+// TestCompletionsFireInStartOrder drives a seeded random mix of demand,
+// prefetch and writeback requests, with promotions, through the DRAM:
+// every started request must finish strictly after the one started
+// before it, and Done must fire in start order, at the finish cycle.
+func TestCompletionsFireInStartOrder(t *testing.T) {
+	fast := DefaultConfig()
+	fast.Transfer = 1
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"transfer=1", fast},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := New(tc.cfg)
+			rng := rand.New(rand.NewSource(17))
+			started := map[*Request]int{} // in flight: start sequence number
+			var lastFinished uint64
+			nStarted, nDone := 0, 0
+			var cycle uint64
+			d.OnStart = func(r *Request) {
+				if nStarted > 0 && r.Finished <= lastFinished {
+					t.Fatalf("start %d finishes at %d, not after the previous start's %d", nStarted, r.Finished, lastFinished)
+				}
+				lastFinished = r.Finished
+				started[r] = nStarted
+				nStarted++
+			}
+			done := func(r *Request) {
+				seq, ok := started[r]
+				if !ok || seq != nDone {
+					t.Fatalf("Done fired for start %d (known %v), want start %d", seq, ok, nDone)
+				}
+				if r.Finished != cycle {
+					t.Fatalf("start %d fired at cycle %d, finished %d", seq, cycle, r.Finished)
+				}
+				delete(started, r)
+				nDone++
+			}
+			var prefetches []cache.Addr
+			promoted := 0
+			for cycle = 0; cycle < 200_000; cycle++ {
+				if rng.Intn(8) == 0 {
+					r := d.Acquire()
+					r.Block = cache.Addr(rng.Intn(1 << 16))
+					r.Kind = Kind(rng.Intn(int(numKinds)))
+					r.Done = done // writebacks too, to observe their order
+					if d.Enqueue(r, cycle) && r.Kind == Prefetch {
+						prefetches = append(prefetches, r.Block)
+					}
+				}
+				if len(prefetches) > 0 && rng.Intn(16) == 0 {
+					i := rng.Intn(len(prefetches))
+					if d.Promote(prefetches[i]) {
+						promoted++
+					}
+					prefetches = append(prefetches[:i], prefetches[i+1:]...)
+				}
+				d.Tick(cycle)
+			}
+			for ; d.Busy(); cycle++ {
+				d.Tick(cycle)
+			}
+			st := d.Stats()
+			if nStarted < 1000 || promoted == 0 || nDone != nStarted || st.Started[Demand]+st.Started[Prefetch]+st.Started[Writeback] != uint64(nStarted) {
+				t.Fatalf("started %d, promoted %d, done %d, stats %v", nStarted, promoted, nDone, st.Started)
+			}
+			t.Logf("started %d (by kind %v), promoted %d", nStarted, st.Started, promoted)
+		})
+	}
+}
+
+// TestTiedCompletionsFireInStartOrder: with Transfer = 0, requests whose
+// transfers end in the same cycle fire Done in the order they started.
+func TestTiedCompletionsFireInStartOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Transfer = 0
+	d := New(cfg)
+	// Open row 0 in banks 1 and 2.
+	d.Enqueue(&Request{Block: 1, Kind: Demand}, 0)
+	d.Enqueue(&Request{Block: 2, Kind: Demand}, 0)
+	drain(d, 0, 10000)
+	// A (bank 0) conflicts and starts first; B and C (banks 1 and 2) hit
+	// their open rows a cycle apart after it, so all three transfers end
+	// when A's does.
+	var fired []string
+	var at []uint64
+	for _, req := range []struct {
+		name  string
+		block cache.Addr
+	}{{"A", 0}, {"B", 1 + 32}, {"C", 2 + 32}} {
+		name := req.name
+		d.Enqueue(&Request{Block: req.block, Kind: Demand, Done: func(r *Request) {
+			fired = append(fired, name)
+			at = append(at, r.Finished)
+		}}, 20000)
+	}
+	drain(d, 20000, 40000)
+	if len(at) != 3 || at[0] != at[1] || at[1] != at[2] {
+		t.Fatalf("finish cycles %v, want three equal", at)
+	}
+	if got := strings.Join(fired, ""); got != "ABC" {
+		t.Fatalf("tied completions fired %s, want start order ABC", got)
 	}
 }

@@ -12,6 +12,8 @@ package prefetch
 // this prefetcher, Prefetch Distance and Prefetch Degree are the same
 // parameter (the paper's footnote 14).
 
+import "fdpsim/internal/cache"
+
 const (
 	ghbMaxHistory = 64 // deepest zone history walked for delta correlation
 )
@@ -23,6 +25,7 @@ type ghbEntry struct {
 }
 
 type ghbIndexEntry struct {
+	zone uint64 // the C-Zone this entry indexes
 	idx  int    // GHB index of the newest entry for this zone
 	seq  uint64 // sequence number of that entry, to detect overwrites
 	used uint64 // LRU tick for index-table replacement
@@ -30,12 +33,13 @@ type ghbIndexEntry struct {
 
 // GHBPrefetcher implements Prefetcher.
 type GHBPrefetcher struct {
-	buf        []ghbEntry
-	head       int
-	seq        uint64
-	index      map[uint64]*ghbIndexEntry
-	freeIndex  []*ghbIndexEntry // recycled index entries (bounded by indexCap)
-	indexCap   int
+	buf  []ghbEntry
+	head int
+	seq  uint64
+	// index maps a zone to its entry in entries, whose capacity is the
+	// index table's size.
+	index      cache.BlockIndex
+	entries    []ghbIndexEntry
 	czoneShift uint
 	level      int
 	tick       uint64
@@ -67,8 +71,8 @@ func NewGHB(bufSize, indexEntries, czoneBlocks int) *GHBPrefetcher {
 	}
 	g := &GHBPrefetcher{
 		buf:        make([]ghbEntry, bufSize),
-		index:      make(map[uint64]*ghbIndexEntry, indexEntries),
-		indexCap:   indexEntries,
+		index:      cache.NewBlockIndex(indexEntries),
+		entries:    make([]ghbIndexEntry, 0, indexEntries),
 		czoneShift: shift,
 		level:      3,
 		maxBlock:   1 << 58,
@@ -109,9 +113,19 @@ func (g *GHBPrefetcher) Observe(ev *Event, out []uint64) []uint64 {
 	return g.correlate(hist, out)
 }
 
+// lookup returns the zone's index entry, or nil.
+func (g *GHBPrefetcher) lookup(zone uint64) *ghbIndexEntry {
+	if i, ok := g.index.Get(zone); ok {
+		return &g.entries[i]
+	}
+	return nil
+}
+
 // push records a miss in the GHB, linking it to the zone's previous entry.
+// Each push stamps the zone's entry with the miss's own tick, so no two
+// entries share a used value.
 func (g *GHBPrefetcher) push(zone, block uint64) {
-	ie := g.index[zone]
+	ie := g.lookup(zone)
 	prev := -1
 	if ie != nil && g.valid(ie.idx, ie.seq) {
 		prev = ie.idx
@@ -119,17 +133,15 @@ func (g *GHBPrefetcher) push(zone, block uint64) {
 	g.seq++
 	g.buf[g.head] = ghbEntry{block: block, prev: prev, seq: g.seq}
 	if ie == nil {
-		if len(g.index) >= g.indexCap {
-			g.evictIndex()
-		}
-		if n := len(g.freeIndex); n > 0 {
-			ie = g.freeIndex[n-1]
-			g.freeIndex = g.freeIndex[:n-1]
-			*ie = ghbIndexEntry{}
+		i := len(g.entries)
+		if i < cap(g.entries) {
+			g.entries = g.entries[:i+1]
 		} else {
-			ie = &ghbIndexEntry{}
+			i = g.evictIndex()
 		}
-		g.index[zone] = ie
+		g.index.Put(zone, int32(i))
+		ie = &g.entries[i]
+		*ie = ghbIndexEntry{zone: zone}
 	}
 	ie.idx = g.head
 	ie.seq = g.seq
@@ -143,25 +155,23 @@ func (g *GHBPrefetcher) valid(idx int, seq uint64) bool {
 	return idx >= 0 && idx < len(g.buf) && g.buf[idx].seq == seq
 }
 
-func (g *GHBPrefetcher) evictIndex() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	for z, ie := range g.index {
-		if ie.used < oldest {
-			oldest = ie.used
-			victim = z
+// evictIndex drops the least recently used zone from the full index
+// table and returns its entry's position for reuse.
+func (g *GHBPrefetcher) evictIndex() int {
+	victim := 0
+	for i := range g.entries {
+		if g.entries[i].used < g.entries[victim].used {
+			victim = i
 		}
 	}
-	if ie, ok := g.index[victim]; ok {
-		g.freeIndex = append(g.freeIndex, ie)
-	}
-	delete(g.index, victim)
+	g.index.Delete(g.entries[victim].zone)
+	return victim
 }
 
 // history walks the zone's chain and returns miss addresses newest-first.
 // The returned slice is g.hist, valid until the next call.
 func (g *GHBPrefetcher) history(zone uint64) []uint64 {
-	ie := g.index[zone]
+	ie := g.lookup(zone)
 	if ie == nil || !g.valid(ie.idx, ie.seq) {
 		return nil
 	}

@@ -107,8 +107,46 @@ func TestGHBIndexTableEviction(t *testing.T) {
 	for z := uint64(0); z < 10; z++ {
 		missAt(g, z*64)
 	}
-	if len(g.index) > 4 {
-		t.Fatalf("index table grew to %d entries, cap 4", len(g.index))
+	if n := g.index.Len(); n > 4 {
+		t.Fatalf("index table grew to %d entries, cap 4", n)
+	}
+}
+
+// TestGHBEvictsLeastRecentlyUsedZone: a full index table gives up the
+// zone whose last miss is oldest, not the zone inserted first.
+func TestGHBEvictsLeastRecentlyUsedZone(t *testing.T) {
+	const zone = 64 // blocks per zone
+	g := NewGHB(1024, 4, zone)
+	g.SetLevel(2) // degree 4
+	a, b, c, d, e := uint64(0), uint64(1), uint64(2), uint64(3), uint64(4)
+	for _, blk := range []uint64{0, 1, 4, 5, 8, 9} { // deltas +1,+3 in zone A
+		missAt(g, a*zone+blk)
+	}
+	missAt(g, b*zone)
+	missAt(g, c*zone)
+	missAt(g, d*zone)
+	missAt(g, a*zone+12) // A becomes the most recently used zone
+	missAt(g, e*zone)    // the table is full: B, the LRU zone, goes
+	if h := g.history(b); h != nil {
+		t.Fatalf("zone B kept its history %v after eviction", h)
+	}
+	for _, z := range []uint64{a, c, d, e} {
+		if g.history(z) == nil {
+			t.Fatalf("zone %d lost its history; only B should be evicted", z)
+		}
+	}
+	if n := g.index.Len(); n != 4 {
+		t.Fatalf("index table holds %d zones, want 4", n)
+	}
+	out := missAt(g, a*zone+13)
+	want := []uint64{16, 17, 20, 21}
+	if len(out) != len(want) {
+		t.Fatalf("zone A prefetches = %v, want %v", out, want)
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("zone A prefetches = %v, want %v", out, want)
+		}
 	}
 }
 

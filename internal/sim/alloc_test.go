@@ -8,12 +8,10 @@ import (
 	"fdpsim/internal/workload"
 )
 
-// newEngine builds a one-core loop over a small, interval-heavy
-// configuration (tiny L2 and TInterval so FDP decisions fire constantly —
-// the hardest case for the allocation guarantee) whose retire target is
-// never reached, and returns it with its CPU.
-func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*loop, *cpu.CPU) {
-	tb.Helper()
+// engineConfig is a small, interval-heavy configuration (tiny L2 and
+// TInterval so FDP decisions fire constantly — the hardest case for the
+// allocation guarantee) whose retire target is never reached.
+func engineConfig(wl string, kind PrefetcherKind, attr bool) Config {
 	cfg := WithFDP(kind)
 	cfg.Workload = wl
 	cfg.MaxInsts = 1 << 40
@@ -23,13 +21,41 @@ func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*loop,
 	cfg.PrefQueueCap = 32
 	cfg.FDP.TInterval = 64
 	cfg.Attribution = attr
+	return cfg
+}
+
+// newEngine builds a one-core loop over engineConfig and returns it with
+// its CPU.
+func newEngine(tb testing.TB, wl string, kind PrefetcherKind, attr bool) (*loop, *cpu.CPU) {
+	tb.Helper()
 	src, err := workload.New(wl, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	l := newLoop(context.Background(), cfg)
+	l := newLoop(context.Background(), engineConfig(wl, kind, attr))
 	l.add(&l.nodes[0], src)
 	return l, l.nodes[0].lanes[0].cpu
+}
+
+// newTopology builds nodes hierarchies over engineConfig on one DRAM,
+// each with lanes CPUs. The topology's lanes alternate a streaming and a
+// pointer-chasing workload, each relocated by laneSource as the
+// multi-core and SMT entry points do.
+func newTopology(tb testing.TB, nodes, lanes int, attr bool) *loop {
+	tb.Helper()
+	cfgs := make([]Config, nodes)
+	for i := range cfgs {
+		cfgs[i] = engineConfig("mixedphase", PrefStream, attr)
+	}
+	l := newLoop(context.Background(), cfgs...)
+	for i := 0; i < nodes*lanes; i++ {
+		src, err := laneSource(nil, []string{"mixedphase", "chaserand"}[i%2], 1, i)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		l.add(&l.nodes[i/lanes], src)
+	}
+	return l
 }
 
 // cycles runs n cycles of the loop as run does, in stretches that end at
@@ -71,12 +97,38 @@ func TestPerInstructionAllocs(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			l, _ := newEngine(t, tc.wl, tc.kind, tc.attr)
-			l.cycles(300_000)
-			allocs := testing.AllocsPerRun(5, func() { l.cycles(20_000) })
-			if allocs != 0 {
-				t.Fatalf("steady-state heap allocations: %.1f per 20k cycles, want 0", allocs)
-			}
+			assertWarmedLoopAllocs(t, l)
 		})
+	}
+	// The shared-memory topologies: two cores on one DRAM, and two SMT
+	// threads on one hierarchy.
+	for _, tc := range []struct {
+		name         string
+		nodes, lanes int
+	}{
+		{"multicore", 2, 1},
+		{"smt", 1, 2},
+	} {
+		for _, attr := range []bool{false, true} {
+			name := tc.name
+			if attr {
+				name += "/attribution"
+			}
+			t.Run(name, func(t *testing.T) {
+				assertWarmedLoopAllocs(t, newTopology(t, tc.nodes, tc.lanes, attr))
+			})
+		}
+	}
+}
+
+// assertWarmedLoopAllocs warms l for 300k cycles and fails unless 20k
+// more allocate nothing.
+func assertWarmedLoopAllocs(t *testing.T, l *loop) {
+	t.Helper()
+	l.cycles(300_000)
+	allocs := testing.AllocsPerRun(5, func() { l.cycles(20_000) })
+	if allocs != 0 {
+		t.Fatalf("steady-state heap allocations: %.1f per 20k cycles, want 0", allocs)
 	}
 }
 

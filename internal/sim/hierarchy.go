@@ -27,7 +27,7 @@ type memClient interface {
 // when a workload reads its own code region). Waiters are pooled event
 // nodes, FIFO per side: waiters[0] holds evLoadDone nodes, waiters[1]
 // evFetchDone nodes. Entries themselves live in a slab indexed by the
-// l1Misses map.
+// l1Misses block index.
 type l1Miss struct {
 	waiters   [2]evList
 	anyStore  bool
@@ -67,13 +67,15 @@ type hierarchy struct {
 
 	clients []memClient
 
-	// Outstanding L1 misses: slab + free list, addressed by block.
-	l1Misses map[cache.Addr]int32
+	// Outstanding L1 misses: slab + free list, addressed by block. Store
+	// misses and parked demands keep misses open, so the table has no
+	// fixed cap; its index grows during warm-up.
+	l1Misses cache.BlockIndex
 	missSlab []l1Miss
 	missFree []int32
 
-	prefQ    ring[cache.Addr]    // Prefetch Request Queue
-	prefQSet map[cache.Addr]bool // membership filter for the queue
+	prefQ    ring[cache.Addr] // Prefetch Request Queue
+	prefQSet cache.BlockIndex // membership filter for the queue; no values
 
 	// pendingDemand holds demand L2 accesses stalled on a full MSHR file
 	// or bus queue; retried in order each cycle.
@@ -153,8 +155,8 @@ func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) 
 		dram:     dram,
 		pool:     pool,
 		wh:       newWheel(4096, pool),
-		l1Misses: make(map[cache.Addr]int32),
-		prefQSet: make(map[cache.Addr]bool),
+		l1Misses: cache.NewBlockIndex(cfg.MSHRs),
+		prefQSet: cache.NewBlockIndex(cfg.PrefQueueCap),
 		pfOut:    make([]uint64, 0, 64),
 	}
 	h.wh.run = h.runEvent
@@ -355,7 +357,7 @@ func (h *hierarchy) Fetch(client int32, pc uint64) bool {
 // access that joins a fetch-only miss does not mark it wanted by the L1D
 // (TestHierarchyL1MissJoinAsymmetry pins this asymmetry).
 func (h *hierarchy) missL1(block cache.Addr, pc uint64, fetch, store bool, waiter int32) {
-	mi, joined := h.l1Misses[block]
+	mi, joined := h.l1Misses.Get(block)
 	if !joined {
 		mi = h.allocMiss()
 		h.missSlab[mi] = l1Miss{wantData: !fetch, waiters: [2]evList{newEvList(), newEvList()}}
@@ -371,7 +373,7 @@ func (h *hierarchy) missL1(block cache.Addr, pc uint64, fetch, store bool, waite
 		m.waiters[side].push(h.pool, waiter)
 	}
 	if !joined {
-		h.l1Misses[block] = mi
+		h.l1Misses.Put(block, mi)
 		h.l2Demand(block, pc)
 	}
 }
@@ -381,11 +383,10 @@ func (h *hierarchy) missL1(block cache.Addr, pc uint64, fetch, store bool, waite
 // (no copy — the nodes move from the waiter list into a bucket) to fire
 // after the L1 latency.
 func (h *hierarchy) fillL1(block cache.Addr) {
-	mi, ok := h.l1Misses[block]
+	mi, ok := h.l1Misses.Delete(block)
 	if !ok {
 		return
 	}
-	delete(h.l1Misses, block)
 	m := &h.missSlab[mi]
 	if m.wantData {
 		h.l1.Insert(block, cache.PosMRU, false, m.anyStore)
@@ -514,7 +515,6 @@ func (h *hierarchy) l2Miss(block cache.Addr) bool {
 	}
 	e = h.mshr.Allocate(block, false, h.cyc)
 	e.DemandMerged = true
-	e.Issued = true
 	r := h.dram.Acquire()
 	r.Block, r.Kind, r.Owner, r.Done = block, mem.Demand, h.coreID, h.onFillFn
 	h.dram.Enqueue(r, h.cyc)
@@ -528,12 +528,12 @@ func (h *hierarchy) l2Miss(block cache.Addr) bool {
 // the bounded queue.
 func (h *hierarchy) enqueuePrefetch(block cache.Addr) {
 	h.ctr.PrefIssued++
-	if h.prefQSet[block] || h.covered(block) || h.prefQ.len() >= h.cfg.PrefQueueCap {
+	if _, queued := h.prefQSet.Get(block); queued || h.covered(block) || h.prefQ.len() >= h.cfg.PrefQueueCap {
 		h.ctr.PrefDropped++
 		return
 	}
 	h.prefQ.push(block)
-	h.prefQSet[block] = true
+	h.prefQSet.Put(block, 0)
 }
 
 // drainPrefetchQueue moves prefetch requests from the Prefetch Request
@@ -544,7 +544,7 @@ func (h *hierarchy) drainPrefetchQueue() {
 		block := h.prefQ.peek()
 		if h.covered(block) {
 			h.prefQ.pop()
-			delete(h.prefQSet, block)
+			h.prefQSet.Delete(block)
 			h.ctr.PrefDropped++
 			continue
 		}
@@ -552,9 +552,8 @@ func (h *hierarchy) drainPrefetchQueue() {
 			return
 		}
 		h.prefQ.pop()
-		delete(h.prefQSet, block)
-		e := h.mshr.Allocate(block, true, h.cyc)
-		e.Issued = true
+		h.prefQSet.Delete(block)
+		h.mshr.Allocate(block, true, h.cyc)
 		r := h.dram.Acquire()
 		r.Block, r.Kind, r.Owner, r.WasPrefetch, r.Done = block, mem.Prefetch, h.coreID, true, h.onFillFn
 		h.dram.Enqueue(r, h.cyc)
