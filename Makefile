@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet fmt-check lint test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet fmt-check lint loc test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -30,6 +30,12 @@ lint: fmt-check vet
 	else \
 		echo "staticcheck not installed; ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# Non-test Go lines in the root module, perfbench/ excluded: the size
+# ROADMAP.md and CHANGES.md cite for "net lines deleted". A report, not a
+# gate.
+loc:
+	@git ls-files '*.go' ':!perfbench' ':!*_test.go' | xargs cat | wc -l
 
 test:
 	go test ./...

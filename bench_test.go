@@ -6,15 +6,15 @@ package fdpsim
 // every result at benchmark scale; `cmd/experiments` prints the full
 // tables at larger instruction counts.
 //
-// The harness memoizes identical simulations, so each benchmark iteration
-// after the first measures only unmemoized work; ResetMemo keeps the
-// measurements honest.
+// The harness memoizes identical simulations within one memo, so each
+// benchmark iteration gets a fresh one to keep the measurements honest.
 
 import (
 	"context"
 	"testing"
 
 	"fdpsim/internal/harness"
+	"fdpsim/internal/store"
 )
 
 // benchParams sizes experiments for benchmarking: large enough that every
@@ -31,8 +31,9 @@ func benchmarkExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		harness.ResetMemo()
-		tables, err := e.Run(context.Background(), benchParams())
+		p := benchParams()
+		p.Memo = store.NewMemo(nil)
+		tables, err := e.Run(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func main() {
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		cli.FatalIf("experiments", err)
-		p.Store = st
+		p.Memo = store.NewMemo(st)
 	}
 
 	for _, id := range ids {

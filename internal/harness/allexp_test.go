@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"testing"
+
+	"fdpsim/internal/store"
 )
 
 // TestEveryExperimentRunsAtSmallScale executes every registered experiment
@@ -13,8 +15,7 @@ func TestEveryExperimentRunsAtSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	ResetMemo()
-	p := Params{Insts: 8_000, Warmup: 2_000, TInterval: 256, Seed: 1, Workers: 2}
+	p := Params{Insts: 8_000, Warmup: 2_000, TInterval: 256, Seed: 1, Workers: 2, Memo: store.NewMemo(nil)}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"fdpsim/internal/control"
 	"fdpsim/internal/series"
@@ -32,66 +31,41 @@ const seriesDiffBaseline = "fdp"
 // seriesDiffMetrics are the catalog columns the merged table summarises.
 var seriesDiffMetrics = []string{"ipc", "bpki", "accuracy", "bus_util", "dcc_level"}
 
+// seriesDiffWorkloads are the workloads every controller runs.
+var seriesDiffWorkloads = []string{"seqstream", "mixedphase", "chaserand"}
+
+// seriesDiffCells is the workload × controller grid, each cell labelled
+// with its controller's name.
+func seriesDiffCells(p Params) []RunSpec {
+	configs := map[string]sim.Config{}
+	var order []string
+	for _, info := range control.List() {
+		cfg := withAttr(fullFDP(sim.PrefStream))
+		cfg.Controller = info.Name
+		configs[info.Name] = cfg
+		order = append(order, info.Name)
+	}
+	return labeled(seriesDiffWorkloads, configs, order, p)
+}
+
 func runSeriesDiff(ctx context.Context, p Params) ([]Table, error) {
-	ws := []string{"seqstream", "mixedphase", "chaserand"}
+	ws := seriesDiffWorkloads
 	infos := control.List()
 
-	// The memo replays no tracer events, so the cells run through
-	// sim.RunContext directly with a series recorder attached — recording
-	// must not depend on whether an earlier experiment already simulated
-	// the same configuration.
-	workers := p.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	// A memoized cell replays no intervals, so every cell simulates with
+	// its own series recorder attached: recording must not depend on
+	// whether an earlier experiment already simulated the same
+	// configuration.
+	p.Memo = nil
 	type cellKey struct{ workload, controller string }
-	recorded := make(map[cellKey]*series.Series, len(ws)*len(infos))
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for _, w := range ws {
-		for _, info := range infos {
-			w, name := w, info.Name
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
-				case <-ctx.Done():
-					return
-				}
-				cfg := withAttr(fullFDP(sim.PrefStream))
-				cfg.Controller = name
-				cfg.Workload = w
-				cfg = p.apply(cfg)
-				rec := &series.Recorder{}
-				cfg.Tracer = rec
-				if _, err := sim.RunContext(ctx, cfg); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("seriesdiff %s/%s: %w", w, name, err)
-					}
-					mu.Unlock()
-					return
-				}
-				sr := rec.Series()
-				sr.Meta.Workload = w
-				sr.Meta.Prefetcher = string(cfg.Prefetcher)
-				mu.Lock()
-				recorded[cellKey{w, name}] = sr
-				mu.Unlock()
-			}()
-		}
+	recorders := map[cellKey]*series.Recorder{}
+	cells := seriesDiffCells(p)
+	for i, c := range cells {
+		rec := &series.Recorder{}
+		cells[i].Cfg.Tracer = rec
+		recorders[cellKey{c.Workload, c.Config}] = rec
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	if _, err := RunAll(ctx, cells, p); err != nil {
 		return nil, err
 	}
 
@@ -116,12 +90,8 @@ func runSeriesDiff(ctx context.Context, p Params) ([]Table, error) {
 		verdict := series.VerdictPass
 		var perWorkload []string
 		for _, w := range ws {
-			base, okA := recorded[cellKey{w, seriesDiffBaseline}]
-			cur, okB := recorded[cellKey{w, info.Name}]
-			if !okA || !okB {
-				return nil, fmt.Errorf("seriesdiff: missing series for %s/%s", w, info.Name)
-			}
-			rep := series.Diff(base, cur, series.Options{})
+			base, cur := recorders[cellKey{w, seriesDiffBaseline}], recorders[cellKey{w, info.Name}]
+			rep := series.Diff(base.Series(), cur.Series(), series.Options{})
 			if rep.Verdict == series.VerdictFail {
 				verdict = series.VerdictFail
 			}

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"fdpsim/internal/obs"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/store"
 )
@@ -35,12 +36,14 @@ type Params struct {
 	Workers   int
 	// Progress, when non-nil, receives live events from RunAll.
 	Progress *Progress
-	// Store, when non-nil, persists completed results on disk keyed by
-	// sim.Fingerprint and serves identical configurations across process
-	// restarts. The in-process memo acts as a read-through layer over it:
-	// lookups go memo → Store → simulate, and completed runs are written
-	// back to both.
-	Store *store.Store
+	// Memo, when non-nil, caches completed results by sim.Fingerprint.
+	// Simulations are deterministic, so experiments sharing cells (e.g.
+	// Figures 1, 2 and 3 all simulate the same four configurations) run
+	// each configuration once per memo; a memo over an on-disk store also
+	// serves them across process restarts. Params is copied by value, so
+	// every experiment run with one Params shares its memo. Without a
+	// memo every cell simulates.
+	Memo *store.Memo
 }
 
 // Progress is RunAll's live event sink. Both callbacks are invoked from
@@ -51,13 +54,16 @@ type Progress struct {
 	// completed sims including this one, total the sims in the experiment.
 	OnRun func(done, total int, spec RunSpec, res sim.Result, err error)
 	// OnInterval streams every simulation's per-FDP-interval record, the
-	// run's sim.Tracer stream. Memo-cached simulations replay none.
+	// run's sim.Tracer stream, after the cell's own Cfg.Tracer.
+	// Memo-cached simulations replay none.
 	OnInterval func(spec RunSpec, ev sim.DecisionEvent)
 }
 
-// DefaultParams returns the standard experiment sizing.
+// DefaultParams returns the standard experiment sizing with a fresh
+// in-memory memo.
 func DefaultParams() Params {
-	return Params{Insts: 1_000_000, Warmup: 250_000, TInterval: 2048, Seed: 1, Workers: runtime.GOMAXPROCS(0)}
+	return Params{Insts: 1_000_000, Warmup: 250_000, TInterval: 2048, Seed: 1, Workers: runtime.GOMAXPROCS(0),
+		Memo: store.NewMemo(nil)}
 }
 
 // apply stamps the shared parameters onto a configuration.
@@ -106,38 +112,13 @@ func (g *Grid) MustGet(workload, config string) sim.Result {
 	return r
 }
 
-// memo caches completed simulations by their semantic configuration
-// fingerprint (sim.Fingerprint). Simulations are deterministic, so
-// experiments sharing cells (e.g. Figures 1, 2 and 3 all simulate the
-// same four configurations) run each configuration once per process.
-// When Params.Store is set, the memo is a read-through layer over the
-// on-disk store, so configurations also run once across restarts.
-var memo sync.Map // config fingerprint -> sim.Result
-
-// lookup consults the memo, then the optional on-disk store (populating
-// the memo on a store hit so the disk is read once per process).
-func lookup(fp string, st *store.Store) (sim.Result, bool) {
-	if cached, ok := memo.Load(fp); ok {
-		return cached.(sim.Result), true
-	}
-	if st != nil {
-		if res, ok := st.Get(fp); ok {
-			memo.Store(fp, res)
-			return res, true
-		}
-	}
-	return sim.Result{}, false
-}
-
-// ResetMemo clears the cross-experiment simulation cache (tests use this).
-func ResetMemo() { memo = sync.Map{} }
-
 // RunAll executes every spec across a worker pool (p.Workers wide) and
 // collects the grid. The first simulation error cancels the context every
 // in-flight run observes and stops new launches; the error returned is
 // the first real failure (a run's own cancellation error is reported only
-// when the caller's ctx itself was cancelled). Live progress streams to
-// p.Progress when set.
+// when the caller's ctx itself was cancelled). Cells read through and
+// write back to p.Memo when set. Live progress streams to p.Progress when
+// set.
 func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 	workers := p.Workers
 	if workers <= 0 {
@@ -182,8 +163,9 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 			defer wg.Done()
 			for job := range jobs {
 				fp, memoizable := job.Fingerprint()
+				memoizable = memoizable && p.Memo != nil
 				if memoizable {
-					if res, ok := lookup(fp, p.Store); ok {
+					if res, ok := p.Memo.Get(fp); ok {
 						g.mu.Lock()
 						g.results[job.Key()] = res
 						g.mu.Unlock()
@@ -194,7 +176,8 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 				run := job.Job
 				if p.Progress != nil && p.Progress.OnInterval != nil {
 					job := job
-					run.Cfg.Tracer = sim.TracerFunc(func(ev sim.DecisionEvent) { p.Progress.OnInterval(job, ev) })
+					run.Cfg.Tracer = obs.Tee(run.Cfg.Tracer,
+						sim.TracerFunc(func(ev sim.DecisionEvent) { p.Progress.OnInterval(job, ev) }))
 				}
 				res, err := run.Run(ctx)
 				if err != nil {
@@ -203,12 +186,9 @@ func RunAll(ctx context.Context, specs []RunSpec, p Params) (*Grid, error) {
 					continue
 				}
 				if memoizable {
-					memo.Store(fp, res)
-					if p.Store != nil {
-						// Best-effort write-back: a full disk costs future
-						// cache hits, not this experiment.
-						_ = p.Store.Put(fp, res)
-					}
+					// Best-effort write-back: a full disk costs future
+					// cache hits, not this experiment.
+					_ = p.Memo.Put(fp, res)
 				}
 				g.mu.Lock()
 				g.results[job.Key()] = res

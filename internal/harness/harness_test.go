@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fdpsim/internal/sim"
+	"fdpsim/internal/store"
 	"fdpsim/internal/workload/spec"
 )
 
@@ -74,14 +75,14 @@ func TestTable2RenderMatchesPaperRows(t *testing.T) {
 }
 
 func TestRunAllParallelAndMemoized(t *testing.T) {
-	ResetMemo()
 	cfg := sim.Default()
 	cfg.MaxInsts = 10_000
 	specs := []RunSpec{
 		{Workload: "tinyloop", Config: "a", Job: sim.Job{Cfg: withWorkload(cfg, "tinyloop")}},
 		{Workload: "cachefit", Config: "a", Job: sim.Job{Cfg: withWorkload(cfg, "cachefit")}},
 	}
-	g, err := RunAll(context.Background(), specs, Params{Workers: 2})
+	p := Params{Workers: 2, Memo: store.NewMemo(nil)}
+	g, err := RunAll(context.Background(), specs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRunAllParallelAndMemoized(t *testing.T) {
 		t.Fatal("empty result")
 	}
 	// Second run must return the memoized result (same values).
-	g2, err := RunAll(context.Background(), specs, Params{Workers: 2})
+	g2, err := RunAll(context.Background(), specs, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,6 @@ func TestSmallExperimentEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	ResetMemo()
 	e, _ := Lookup("fig14")
 	tables, err := e.Run(context.Background(), testParams())
 	if err != nil {
@@ -208,14 +208,13 @@ func harnessSpec(name string) *spec.Spec {
 }
 
 func TestSpecGridRunAll(t *testing.T) {
-	ResetMemo()
 	sp := harnessSpec("grid.mix")
 	configs := map[string]sim.Config{
 		cfgVA:  static(sim.PrefStream, 5),
 		cfgFDP: fullFDP(sim.PrefStream),
 	}
 	order := []string{cfgVA, cfgFDP}
-	p := Params{Insts: 10_000, TInterval: 256, Seed: 3, Workers: 2}
+	p := Params{Insts: 10_000, TInterval: 256, Seed: 3, Workers: 2, Memo: store.NewMemo(nil)}
 	specs := SpecGrid([]*spec.Spec{sp}, configs, order, p)
 	if len(specs) != 2 {
 		t.Fatalf("SpecGrid built %d cells, want 2", len(specs))

@@ -11,7 +11,6 @@ import (
 )
 
 func TestRunAllStopsAfterFirstError(t *testing.T) {
-	ResetMemo()
 	good := sim.Default()
 	good.MaxInsts = 10_000
 	bad := good
@@ -50,7 +49,6 @@ func TestRunAllStopsAfterFirstError(t *testing.T) {
 }
 
 func TestRunAllHonoursContext(t *testing.T) {
-	ResetMemo()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := sim.Default()
@@ -63,12 +61,14 @@ func TestRunAllHonoursContext(t *testing.T) {
 }
 
 func TestRunAllStreamsSnapshots(t *testing.T) {
-	ResetMemo()
 	cfg := sim.WithFDP(sim.PrefStream)
 	cfg.Workload = "seqstream"
 	cfg.MaxInsts = 150_000
 	cfg.L2Blocks = 1024 // small L2 so useful evictions (and intervals) come fast
 	cfg.FDP.TInterval = 64
+	// The cell's own tracer keeps every event beside the progress sink.
+	var own int
+	cfg.Tracer = sim.TracerFunc(func(sim.DecisionEvent) { own++ })
 
 	var mu sync.Mutex
 	var got []sim.DecisionEvent
@@ -87,6 +87,9 @@ func TestRunAllStreamsSnapshots(t *testing.T) {
 	defer mu.Unlock()
 	if res := g.MustGet("seqstream", "c"); res.Intervals == 0 || uint64(len(got)) != res.Intervals {
 		t.Fatalf("streamed %d interval events through the harness for %d intervals", len(got), res.Intervals)
+	}
+	if own != len(got) {
+		t.Fatalf("the cell's own tracer saw %d interval events, the progress sink %d", own, len(got))
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -20,7 +21,7 @@ func storeSpecs() []RunSpec {
 }
 
 // TestRunAllReadsThroughStore is the restart scenario: a second process
-// (simulated by ResetMemo) pointed at the same store directory must serve
+// (simulated by a fresh memo) pointed at the same store directory must serve
 // every cell from disk — observable as zero streamed snapshots, since
 // cached simulations replay none.
 func TestRunAllReadsThroughStore(t *testing.T) {
@@ -28,14 +29,11 @@ func TestRunAllReadsThroughStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetMemo()
-	defer ResetMemo()
-
 	p := DefaultParams()
 	p.Insts = 20_000
 	p.Warmup = 0
 	p.TInterval = 256
-	p.Store = st
+	p.Memo = store.NewMemo(st)
 
 	specs := storeSpecs()
 	g1, err := RunAll(context.Background(), specs, p)
@@ -46,8 +44,8 @@ func TestRunAllReadsThroughStore(t *testing.T) {
 		t.Fatalf("store holds %d entries after first run, want %d", st.Len(), len(specs))
 	}
 
-	// "Process restart": wipe the in-memory layer, keep the disk.
-	ResetMemo()
+	// "Process restart": a fresh in-memory layer over the same disk.
+	p.Memo = store.NewMemo(st)
 	var snaps atomic.Int64
 	p.Progress = &Progress{OnInterval: func(RunSpec, sim.DecisionEvent) { snaps.Add(1) }}
 	g2, err := RunAll(context.Background(), specs, p)
@@ -63,5 +61,51 @@ func TestRunAllReadsThroughStore(t *testing.T) {
 		if r1.IPC != r2.IPC || r1.Counters.Cycles != r2.Counters.Cycles {
 			t.Fatalf("%s: store round trip changed the result: %v vs %v", s.Workload, r1.IPC, r2.IPC)
 		}
+	}
+}
+
+// TestSeriesDiffIgnoresWarmMemo: seriesdiff diffs the trajectories its
+// cells record, and a memo hit records none, so a memo already holding
+// every seriesdiff cell must leave its tables as a cold run prints them.
+func TestSeriesDiffIgnoresWarmMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	// At this scale chaserand closes intervals and the controllers diverge.
+	p := Params{Insts: 30_000, Warmup: 5_000, TInterval: 64, Seed: 1, Workers: 2}
+	render := func(p Params) string {
+		t.Helper()
+		tables, err := runSeriesDiff(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for i := range tables {
+			tables[i].Render(&sb)
+		}
+		return sb.String()
+	}
+
+	cold := p
+	cold.Memo = store.NewMemo(nil)
+	want := render(cold)
+	if !strings.Contains(want, "fail") {
+		t.Fatalf("no controller diverged from fdp; the comparison proves nothing:\n%s", want)
+	}
+
+	warm := p
+	warm.Memo = store.NewMemo(nil)
+	cells := seriesDiffCells(warm)
+	if _, err := RunAll(context.Background(), cells, warm); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		fp, _ := c.Fingerprint()
+		if _, ok := warm.Memo.Get(fp); !ok {
+			t.Fatalf("memo not warm for %s/%s", c.Workload, c.Config)
+		}
+	}
+	if got := render(warm); got != want {
+		t.Fatalf("seriesdiff over a warm memo:\n%s\nwant (cold):\n%s", got, want)
 	}
 }

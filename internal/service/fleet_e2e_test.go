@@ -1,6 +1,9 @@
 package service
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -122,5 +125,71 @@ func TestFleetTwoWorkers(t *testing.T) {
 		if state, info, err := stA.Claim(fp, "probe", time.Minute); err != nil || state != store.ClaimDone {
 			t.Fatalf("post-run claim for %s = %v (%+v), %v, want done", shortFP(fp), state, info, err)
 		}
+	}
+}
+
+// TestFleetAdoptionKeepsEntry: a worker waiting on another worker's claim
+// adopts the result that worker stored by reading it, not by writing it
+// back — the store entry it found is the one left on disk.
+func TestFleetAdoptionKeepsEntry(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, Store: st, FleetWorker: "worker-a", LeaseTTL: time.Second})
+	t.Cleanup(func() {
+		ctx, cancel := testContext(30 * time.Second)
+		defer cancel()
+		srv.Shutdown(ctx) //nolint:errcheck
+	})
+
+	cfg := fastConfig(20_000, 4343)
+	fp, ok := sim.Fingerprint(cfg)
+	if !ok {
+		t.Fatal("config not fingerprintable")
+	}
+	// A live executor elsewhere in the fleet: its long lease keeps this
+	// worker waiting on the claim until the result appears.
+	if state, _, err := st.Claim(fp, "ghost", time.Minute); err != nil || state != store.ClaimAcquired {
+		t.Fatalf("seeding ghost claim: %v, %v", state, err)
+	}
+	job, err := srv.Submit(sim.Job{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The other executor finishes and stores its result.
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(fp, res); err != nil {
+		t.Fatal(err)
+	}
+	entry := filepath.Join(dir, fp[:2], fp+".json")
+	before, err := os.Stat(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case <-job.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("job never finished")
+	}
+	js := job.Status()
+	if js.State != StateDone || !js.CacheHit || js.Result == nil || js.Result.Counters != res.Counters {
+		t.Fatalf("job = %s, cache_hit %v, result %+v; want the adopted result", js.State, js.CacheHit, js.Result)
+	}
+	if n := srv.Executions(); n != 0 {
+		t.Fatalf("worker executed %d simulations; want it to adopt", n)
+	}
+	after, err := os.Stat(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("adoption rewrote the store entry another worker had written")
 	}
 }

@@ -353,41 +353,21 @@ func sseEvent(w http.ResponseWriter, fl http.Flusher, event string, v any) error
 	return nil
 }
 
-// sseKeepalive writes one SSE comment frame — invisible to EventSource
-// clients, but enough traffic to keep proxies and LBs from reaping an
-// idle stream.
-func sseKeepalive(w http.ResponseWriter, fl http.Flusher) error {
-	if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-		return err
-	}
-	fl.Flush()
-	return nil
+// sseFrame is one SSE event: its name and its JSON payload.
+type sseFrame struct {
+	event string
+	data  any
 }
 
-// keepaliveTicker returns the idle-keepalive channel for an SSE stream
-// (nil — blocking forever — when keepalives are disabled) and its stop
-// function. Callers Reset the ticker whenever they send a real event so
-// comment frames only fill genuine idle gaps.
-func (s *Server) keepaliveTicker() (*time.Ticker, <-chan time.Time) {
-	if s.cfg.SSEKeepalive <= 0 {
-		return nil, nil
-	}
-	t := time.NewTicker(s.cfg.SSEKeepalive)
-	return t, t.C
-}
-
-// handleEvents streams a job's per-FDP-interval sim.DecisionEvents as SSE
-// "progress" events — each payload is the JSON object of one JSONL trace
-// line — ending with one "done" event carrying the final JobStatus, whose
-// Result holds the run's closing numbers. Subscribing to a finished job
-// yields its last interval event and then "done" immediately. Idle gaps
-// are bridged with ": keepalive" comment frames (Config.SSEKeepalive).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
+// streamFeed is the one SSE loop behind the job and sweep event streams.
+// It subscribes to f and writes the frames first returns for the feed's
+// latest value, so a late joiner sees where the stream already is. It
+// then relays each published value as an event called name, and ends
+// with one "done" frame carrying final() once done closes; values still
+// buffered then are superseded by that status. Idle gaps are bridged
+// with ": keepalive" comment frames (Config.SSEKeepalive).
+func streamFeed[T any](s *Server, w http.ResponseWriter, r *http.Request, f *feed[T], name string,
+	first func(last T) []sseFrame, done <-chan struct{}, final func() any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -397,19 +377,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	id, ch, last := job.subscribe()
-	defer job.unsubscribe(id)
-	ticker, keepalive := s.keepaliveTicker()
-	if ticker != nil {
+	id, ch, last := f.subscribe()
+	defer f.unsubscribe(id)
+	var keepalive <-chan time.Time // nil, blocking forever, when disabled
+	var ticker *time.Ticker
+	if s.cfg.SSEKeepalive > 0 {
+		ticker = time.NewTicker(s.cfg.SSEKeepalive)
 		defer ticker.Stop()
+		keepalive = ticker.C
 	}
 
-	// Late joiners first see where the run already is.
-	if err := sseEvent(w, fl, "state", job.Status()); err != nil {
-		return
-	}
-	if last.Interval > 0 {
-		if err := sseEvent(w, fl, "progress", last); err != nil {
+	for _, fr := range first(last) {
+		if err := sseEvent(w, fl, fr.event, fr.data); err != nil {
 			return
 		}
 	}
@@ -417,24 +396,47 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev := <-ch:
+		case v := <-ch:
 			if ticker != nil {
+				// Comment frames only fill genuine idle gaps.
 				ticker.Reset(s.cfg.SSEKeepalive)
 			}
-			if err := sseEvent(w, fl, "progress", ev); err != nil {
+			if err := sseEvent(w, fl, name, v); err != nil {
 				return
 			}
 		case <-keepalive:
-			if err := sseKeepalive(w, fl); err != nil {
+			// A comment frame: invisible to EventSource clients, but enough
+			// traffic to keep proxies and LBs from reaping an idle stream.
+			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
 				return
 			}
-		case <-job.Done():
-			// Trailing events still in ch are superseded by the final
-			// status (its Result carries the authoritative numbers).
-			sseEvent(w, fl, "done", job.Status()) //nolint:errcheck
+			fl.Flush()
+		case <-done:
+			sseEvent(w, fl, "done", final()) //nolint:errcheck
 			return
 		}
 	}
+}
+
+// handleEvents streams a job's per-FDP-interval sim.DecisionEvents as SSE
+// "progress" events — each payload is the JSON object of one JSONL trace
+// line — ending with one "done" event carrying the final JobStatus, whose
+// Result holds the run's closing numbers. A subscriber first gets a
+// "state" event and the latest interval event, so subscribing to a
+// finished job yields its last interval event and then "done" at once.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.Job(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return
+	}
+	streamFeed(s, w, r, &job.progress, "progress", func(last sim.DecisionEvent) []sseFrame {
+		frames := []sseFrame{{"state", job.Status()}}
+		if last.Interval > 0 {
+			frames = append(frames, sseFrame{"progress", last})
+		}
+		return frames
+	}, job.Done(), func() any { return job.Status() })
 }
 
 // handleTrace serves a terminal job's FDP decision trace: JSONL by
@@ -633,52 +635,17 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 // handleSweepEvents streams the sweep's aggregate as SSE "summary"
 // events — one frame per completed cell with counts, rolling IPC/BPKI
 // means and an ETA — ending with one "done" event carrying the final
-// status. Subscribing to a finished sweep yields "done" immediately.
+// status. A subscriber first gets the current summary, so subscribing to
+// a finished sweep yields it and then "done" at once.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	id, ch := sw.subscribe()
-	defer sw.unsubscribe(id)
-	ticker, keepalive := s.keepaliveTicker()
-	if ticker != nil {
-		defer ticker.Stop()
-	}
-
-	if err := sseEvent(w, fl, "summary", sw.event()); err != nil {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			if ticker != nil {
-				ticker.Reset(s.cfg.SSEKeepalive)
-			}
-			if err := sseEvent(w, fl, "summary", ev); err != nil {
-				return
-			}
-		case <-keepalive:
-			if err := sseKeepalive(w, fl); err != nil {
-				return
-			}
-		case <-sw.Done():
-			sseEvent(w, fl, "done", sw.Status()) //nolint:errcheck
-			return
-		}
-	}
+	streamFeed(s, w, r, &sw.events, "summary", func(SweepEvent) []sseFrame {
+		return []sseFrame{{"summary", sw.event()}}
+	}, sw.Done(), func() any { return sw.Status() })
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

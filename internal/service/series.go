@@ -190,15 +190,10 @@ func (s *Server) handleSweepSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw.mu.Lock()
-	jobs := sw.jobs
+	jobs := sw.distinct
 	sw.mu.Unlock()
 	var runs []*series.Series
-	seen := map[string]bool{}
 	for _, j := range jobs {
-		if j == nil || seen[j.id] {
-			continue
-		}
-		seen[j.id] = true
 		if !j.Status().State.Terminal() {
 			continue
 		}

@@ -5,10 +5,10 @@
 // studies — can drive concurrently.
 //
 // Jobs are deduplicated by their configuration fingerprint
-// (sim.Fingerprint): an in-memory memo acts as a read-through layer over
-// an optional content-addressed on-disk store (internal/store), so an
-// identical submission — even across daemon restarts — completes
-// immediately as a cache hit without re-simulating.
+// (sim.Fingerprint): a store.Memo reads through to an optional
+// content-addressed on-disk store (internal/store), so an identical
+// submission — even across daemon restarts — completes immediately as a
+// cache hit without re-simulating.
 //
 // Lifecycle: Submit validates and either answers from cache, enqueues, or
 // reports backpressure (ErrQueueFull → HTTP 429). Cancel stops a queued
@@ -145,13 +145,12 @@ type Job struct {
 	result      *sim.Result
 	errMsg      string
 	cancel      context.CancelCauseFunc // set while running
-	// last is the run's latest interval event (zero Interval until the
-	// first boundary closes), replayed to late SSE subscribers and read by
-	// the dcc gauge; subs are the live SSE subscribers.
-	last    sim.DecisionEvent
-	subs    map[int]chan sim.DecisionEvent
-	nextSub int
-	done    chan struct{}
+	done        chan struct{}
+
+	// progress carries the run's interval events to SSE subscribers; its
+	// latest event (zero Interval until the first boundary closes) is
+	// replayed to late subscribers and read by the dcc gauge.
+	progress feed[sim.DecisionEvent]
 
 	// trace, when non-nil, collects the run's FDP decision events (the
 	// job was submitted with WithDecisionTrace). traceJSONL is the
@@ -241,7 +240,7 @@ func (j *Job) Status() JobStatus {
 	st := JobStatus{
 		ID:          j.id,
 		State:       j.state,
-		Workload:    j.run.Cfg.Workload,
+		Workload:    j.run.Workload(),
 		Prefetcher:  string(j.run.Cfg.Prefetcher),
 		Fingerprint: j.fp,
 		Tenant:      j.tenant,
@@ -265,40 +264,6 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// publish retains the latest interval event for late subscribers and
-// fans it out without blocking the simulation (slow subscribers drop
-// intermediate events, never stall the run).
-func (j *Job) publish(ev sim.DecisionEvent) {
-	j.mu.Lock()
-	j.last = ev
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	j.mu.Unlock()
-}
-
-// subscribe registers an SSE listener and returns the latest interval
-// event (zero Interval if none closed yet) so a late joiner sees where
-// the run is immediately.
-func (j *Job) subscribe() (id int, ch chan sim.DecisionEvent, last sim.DecisionEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ch = make(chan sim.DecisionEvent, 16)
-	id = j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	return id, ch, j.last
-}
-
-func (j *Job) unsubscribe(id int) {
-	j.mu.Lock()
-	delete(j.subs, id)
-	j.mu.Unlock()
-}
-
 // Server owns the job table, the worker pool and the result cache.
 type Server struct {
 	cfg Config
@@ -308,10 +273,10 @@ type Server struct {
 	baseCancel context.CancelCauseFunc
 	sched      *fairQueue
 	wg         sync.WaitGroup
+	memo       *store.Memo
 
 	mu        sync.Mutex
 	jobs      map[string]*Job
-	memo      map[string]sim.Result
 	sweeps    map[string]*Sweep
 	nextID    uint64
 	nextSweep uint64
@@ -366,8 +331,8 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sched:      newFairQueue(cfg.QueueDepth, cfg.StrictTenants, cfg.Tenants),
+		memo:       store.NewMemo(cfg.Store),
 		jobs:       make(map[string]*Job),
-		memo:       make(map[string]sim.Result),
 		sweeps:     make(map[string]*Sweep),
 		started:    time.Now(),
 		spans:      &obs.SpanBuffer{Limit: cfg.SpanLimit},
@@ -401,37 +366,6 @@ func (s *Server) Jobs() []*Job {
 		out = append(out, j)
 	}
 	return out
-}
-
-// cacheLookup consults the memo, then the on-disk store (populating the
-// memo on a store hit so the disk is read once per fingerprint).
-func (s *Server) cacheLookup(fp string) (sim.Result, bool) {
-	s.mu.Lock()
-	res, ok := s.memo[fp]
-	s.mu.Unlock()
-	if ok {
-		return res, true
-	}
-	if s.cfg.Store != nil {
-		if res, ok := s.cfg.Store.Get(fp); ok {
-			s.mu.Lock()
-			s.memo[fp] = res
-			s.mu.Unlock()
-			return res, true
-		}
-	}
-	return sim.Result{}, false
-}
-
-// storeResult writes a completed result back through both cache layers.
-func (s *Server) storeResult(fp string, res sim.Result) {
-	s.mu.Lock()
-	s.memo[fp] = res
-	s.mu.Unlock()
-	if s.cfg.Store != nil {
-		// Best-effort: a full disk costs future cache hits, not this job.
-		_ = s.cfg.Store.Put(fp, res)
-	}
 }
 
 // SubmitOption customizes one submission.
@@ -504,10 +438,7 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		return nil, err
 	}
 	fp, _ := run.Fingerprint() // Validate rejects what cannot fingerprint
-	if run.Spec != nil {
-		run.Cfg.Workload = run.Spec.Name // listed under the name its result reports
-	}
-	run.Cfg.Tracer = nil // the run stage installs its own sinks
+	run.Cfg.Tracer = nil       // the run stage installs its own sinks
 
 	tenant := o.tenant
 	if tenant == "" {
@@ -542,7 +473,6 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		parentSpan:  o.parentSpan,
 		state:       StateQueued,
 		submittedAt: time.Now(),
-		subs:        make(map[int]chan sim.DecisionEvent),
 		done:        make(chan struct{}),
 	}
 	if o.trace {
@@ -553,9 +483,9 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 	}
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", run.Cfg.Workload, "prefetcher", run.Cfg.Prefetcher, "trace", o.trace, "series", o.series)
+		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "trace", o.trace, "series", o.series)
 
-	if res, ok := s.cacheLookup(fp); ok {
+	if res, ok := s.memo.Get(fp); ok {
 		s.m.cacheHits.Add(1)
 		a := attempt{outcome: store.OutcomeCacheHit, res: &res, leaseGen: -1}
 		if s.cfg.Store != nil {
@@ -745,7 +675,7 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 		}
 		switch state {
 		case store.ClaimDone:
-			res, ok := st.Get(job.fp)
+			res, ok := s.memo.Get(job.fp)
 			if !ok {
 				// The result was discarded as corrupt between Claim and
 				// Get; recover by executing locally.
@@ -755,7 +685,6 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 			if cur.Trace != "" {
 				sp.Attrs["executor_trace"] = cur.Trace
 			}
-			s.storeResult(job.fp, res)
 			s.m.fleetAdopted.Add(1)
 			a.outcome, a.res = store.OutcomeAdopted, &res
 			return true
@@ -835,7 +764,7 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 	sp := obs.Span{Parent: job.rootSpan, Name: "run",
 		Start: start, End: start.Add(a.run), Events: sink.events,
 		Attrs: map[string]string{
-			"workload":  run.Cfg.Workload,
+			"workload":  run.Workload(),
 			"intervals": strconv.FormatUint(res.Intervals, 10),
 		}}
 	if job.trace != nil {
@@ -860,7 +789,7 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 	}
 	if job.series != nil {
 		sr := job.series.Series()
-		sr.Meta.Workload = run.Cfg.Workload
+		sr.Meta.Workload = run.Workload()
 		sr.Meta.Prefetcher = string(run.Cfg.Prefetcher)
 		if doc, serr := series.Encode(sr); serr == nil {
 			a.series = doc
@@ -883,9 +812,9 @@ func (s *Server) store(job *Job, a *attempt) {
 		return
 	}
 	start := time.Now()
+	// Best-effort: a full disk or a lost sidecar costs future cache hits,
+	// not this job.
 	if st := s.cfg.Store; st != nil {
-		// Best-effort, like storeResult: a lost sidecar costs a future
-		// cache hit its artifact, not this job.
 		if a.trace != nil {
 			_ = st.PutTrace(job.fp, a.trace)
 		}
@@ -893,7 +822,7 @@ func (s *Server) store(job *Job, a *attempt) {
 			_ = st.PutSeries(job.fp, a.series)
 		}
 	}
-	s.storeResult(job.fp, *a.res)
+	_ = s.memo.Put(job.fp, *a.res)
 	a.store = time.Since(start)
 	s.addSpan(job, obs.Span{Parent: job.rootSpan, Name: "store",
 		Start: start, End: start.Add(a.store)})
@@ -960,12 +889,13 @@ func (s *Server) dccDistribution() map[string][6]int {
 	dist := make(map[string][6]int)
 	for _, job := range s.Jobs() {
 		job.mu.Lock()
-		if ev := &job.last; job.state == StateRunning && ev.DCCAfter >= 1 && ev.DCCAfter <= 5 {
+		running := job.state == StateRunning
+		job.mu.Unlock()
+		if ev := job.progress.latest(); running && ev.DCCAfter >= 1 && ev.DCCAfter <= 5 {
 			d := dist[ev.Controller]
 			d[ev.DCCAfter]++
 			dist[ev.Controller] = d
 		}
-		job.mu.Unlock()
 	}
 	return dist
 }
@@ -993,7 +923,7 @@ type jobSink struct {
 func (k *jobSink) TraceDecision(ev sim.DecisionEvent) {
 	s := k.s
 	s.m.observeInterval(&ev)
-	k.job.publish(ev)
+	k.job.progress.publish(ev)
 	if !k.renew || time.Since(k.lastRenew) < s.cfg.LeaseTTL/3 {
 		return
 	}

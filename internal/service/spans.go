@@ -106,8 +106,8 @@ var buildVersion = sync.OnceValues(func() (version, goVersion string) {
 })
 
 // writeProvenance appends the job's ledger line, finished at finished,
-// from its attempt — best-effort, like storeResult: observability never
-// fails a job. finish appends it before the job's Done closes.
+// from its attempt — best-effort, like the store stage: observability
+// never fails a job. finish appends it before the job's Done closes.
 func (s *Server) writeProvenance(j *Job, a *attempt, finished time.Time) {
 	if s.cfg.Store == nil {
 		return

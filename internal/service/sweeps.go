@@ -33,11 +33,13 @@ type Sweep struct {
 
 	mu         sync.Mutex
 	jobs       []*Job // parallel to units; shared jobs repeat
+	distinct   []*Job // each job once, in order of first appearance
 	state      string // running, done, cancelled
 	finishedAt time.Time
-	subs       map[int]chan SweepEvent
-	nextSub    int
 	done       chan struct{}
+
+	// events carries the aggregate SSE frames, one per finished job.
+	events feed[SweepEvent]
 }
 
 // ID returns the sweep's identifier.
@@ -115,7 +117,6 @@ func (s *Server) SubmitSweepTrace(req sweep.Request, traceID, parentSpan string)
 		rootSpan: obs.NewSpanID(),
 		units:    units,
 		state:    "running",
-		subs:     make(map[int]chan SweepEvent),
 		done:     make(chan struct{}),
 	}
 	sw.parentSpan = parentSpan
@@ -143,7 +144,7 @@ func (s *Server) SubmitSweepTrace(req sweep.Request, traceID, parentSpan string)
 			// Leave already-submitted jobs to the shutdown drain and hand
 			// back a partially-submitted, cancelled sweep.
 			sw.mu.Lock()
-			sw.jobs = jobs[:i]
+			sw.jobs, sw.distinct = jobs[:i], distinct
 			sw.finishLocked("cancelled")
 			sw.mu.Unlock()
 			return nil, err
@@ -153,7 +154,7 @@ func (s *Server) SubmitSweepTrace(req sweep.Request, traceID, parentSpan string)
 		distinct = append(distinct, j)
 	}
 	sw.mu.Lock()
-	sw.jobs = jobs
+	sw.jobs, sw.distinct = jobs, distinct
 	sw.mu.Unlock()
 
 	s.m.sweepsSubmitted.Add(1)
@@ -214,14 +215,9 @@ func (s *Server) CancelSweep(id string) (*Sweep, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	sw.mu.Lock()
-	jobs := sw.jobs
+	jobs := sw.distinct
 	sw.mu.Unlock()
-	seen := map[string]bool{}
 	for _, j := range jobs {
-		if j == nil || seen[j.id] {
-			continue
-		}
-		seen[j.id] = true
 		_, _ = s.Cancel(j.id)
 	}
 	s.log.Info("sweep cancel requested", "sweep", sw.id)
@@ -270,12 +266,6 @@ func (sw *Sweep) Tables() []harness.Table {
 func (sw *Sweep) Status() SweepStatus {
 	cells := sw.Cells()
 	sum := sweep.Summarize(cells)
-	jobs := map[string]bool{}
-	for _, c := range cells {
-		if c.JobID != "" {
-			jobs[c.JobID] = true
-		}
-	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	st := SweepStatus{
@@ -285,7 +275,7 @@ func (sw *Sweep) Status() SweepStatus {
 		State:     sw.state,
 		CreatedAt: sw.created,
 		Cells:     len(cells),
-		Jobs:      len(jobs),
+		Jobs:      len(sw.distinct),
 		Summary:   sum,
 	}
 	if !sw.finishedAt.IsZero() {
@@ -308,36 +298,23 @@ func etaSeconds(sum sweep.Summary, elapsed time.Duration) float64 {
 	return perCell * float64(sum.Total-finished)
 }
 
-// event builds one SSE frame from the sweep's current state.
+// event builds the SSE frame for the sweep's current state.
 func (sw *Sweep) event() SweepEvent {
-	cells := sw.Cells()
-	sum := sweep.Summarize(cells)
+	sum := sweep.Summarize(sw.Cells())
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	ev := SweepEvent{ID: sw.id, State: sw.state, Summary: sum,
-		ElapsedSeconds: time.Since(sw.created).Seconds()}
+	return sw.eventLocked(sum)
+}
+
+// eventLocked builds the SSE frame for a summary of the sweep's cells.
+// Caller holds sw.mu.
+func (sw *Sweep) eventLocked(sum sweep.Summary) SweepEvent {
+	elapsed := time.Since(sw.created)
+	ev := SweepEvent{ID: sw.id, State: sw.state, Summary: sum, ElapsedSeconds: elapsed.Seconds()}
 	if sw.state == "running" {
-		ev.ETASeconds = etaSeconds(sum, time.Since(sw.created))
+		ev.ETASeconds = etaSeconds(sum, elapsed)
 	}
 	return ev
-}
-
-// subscribe registers an SSE listener; the caller immediately sends the
-// returned current event so late joiners see the sweep's position.
-func (sw *Sweep) subscribe() (id int, ch chan SweepEvent) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	ch = make(chan SweepEvent, 16)
-	id = sw.nextSub
-	sw.nextSub++
-	sw.subs[id] = ch
-	return id, ch
-}
-
-func (sw *Sweep) unsubscribe(id int) {
-	sw.mu.Lock()
-	delete(sw.subs, id)
-	sw.mu.Unlock()
 }
 
 // finishLocked moves the sweep to a terminal state. Caller holds sw.mu.
@@ -350,12 +327,11 @@ func (sw *Sweep) finishLocked(state string) {
 	close(sw.done)
 }
 
-// sweepTick recomputes the aggregate after a job completes, fans the
-// frame out to SSE subscribers (drop-not-block, like job progress), and
-// finalizes the sweep when the last cell lands.
+// sweepTick recomputes the aggregate after a job completes, publishes the
+// frame to SSE subscribers, and finalizes the sweep when the last cell
+// lands.
 func (s *Server) sweepTick(sw *Sweep) {
-	cells := sw.Cells()
-	sum := sweep.Summarize(cells)
+	sum := sweep.Summarize(sw.Cells())
 
 	sw.mu.Lock()
 	if sum.Terminal() && sw.state == "running" {
@@ -365,17 +341,7 @@ func (s *Server) sweepTick(sw *Sweep) {
 		}
 		sw.finishLocked(state)
 	}
-	ev := SweepEvent{ID: sw.id, State: sw.state, Summary: sum,
-		ElapsedSeconds: time.Since(sw.created).Seconds()}
-	if sw.state == "running" {
-		ev.ETASeconds = etaSeconds(sum, time.Since(sw.created))
-	}
-	for _, ch := range sw.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
+	sw.events.publish(sw.eventLocked(sum))
 	state := sw.state
 	created, finished := sw.created, sw.finishedAt
 	sw.mu.Unlock()
@@ -404,7 +370,7 @@ func (s *Server) sweepTick(sw *Sweep) {
 // trace still renders.
 func (s *Server) sweepSpans(sw *Sweep) []obs.Span {
 	sw.mu.Lock()
-	jobs := sw.jobs
+	jobs := sw.distinct
 	state := sw.state
 	created, finished := sw.created, sw.finishedAt
 	sw.mu.Unlock()
@@ -417,12 +383,7 @@ func (s *Server) sweepSpans(sw *Sweep) []obs.Span {
 		Start: created, End: finished,
 		Attrs: map[string]string{"sweep": sw.id, "outcome": state},
 	}}
-	seen := map[string]bool{}
 	for _, j := range jobs {
-		if j == nil || seen[j.id] {
-			continue
-		}
-		seen[j.id] = true
 		out = append(out, j.Spans()...)
 	}
 	return out

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -119,5 +120,37 @@ func TestPrefetcherKindsValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("kind %q rejected by Validate: %v", k, err)
 		}
+	}
+}
+
+// TestJobWorkload pins the run's label to the name its Result reports:
+// the spec's name for a spec run, whatever Cfg.Workload says.
+func TestJobWorkload(t *testing.T) {
+	cfg := specTestConfig()
+	cfg.MaxInsts = 5000
+	relabelled := cfg
+	relabelled.Workload = "chaserand"
+	sp := oneLaneSpec()
+	for _, tc := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"named", Job{Cfg: cfg}, cfg.Workload},
+		{"spec", Job{Cfg: cfg, Spec: sp}, sp.Name},
+		{"spec over a named config", Job{Cfg: relabelled, Spec: sp}, sp.Name},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.job.Workload(); got != tc.want {
+				t.Fatalf("Workload() = %q, want %q", got, tc.want)
+			}
+			res, err := tc.job.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Workload != tc.want {
+				t.Fatalf("Result.Workload = %q, want %q", res.Workload, tc.want)
+			}
+		})
 	}
 }

@@ -86,6 +86,15 @@ func (j Job) Fingerprint() (fp string, ok bool) {
 	return Fingerprint(j.Cfg)
 }
 
+// Workload is the run's label, the name its Result reports: the spec's
+// name for a spec run, Cfg.Workload otherwise.
+func (j Job) Workload() string {
+	if j.Spec != nil {
+		return j.Spec.Name
+	}
+	return j.Cfg.Workload
+}
+
 // Run executes the run on one core with RunContext's cancellation,
 // deadline and tracing semantics: RunContext for a named workload,
 // RunSpecContext for a spec.

@@ -114,14 +114,13 @@ func (s *Store) Get(fp string) (sim.Result, bool) {
 func (s *Store) discard(fp string) { os.Remove(s.path(fp)) }
 
 // Put stores a Result under a fingerprint, atomically replacing any
-// previous entry. Partial results are refused: a cancelled run's metrics
-// are valid but are not the answer for the configuration's full target.
+// previous entry. Partial results are refused (errPartial).
 func (s *Store) Put(fp string, res sim.Result) error {
 	if !validFP(fp) {
 		return fmt.Errorf("store: invalid fingerprint %q", fp)
 	}
 	if res.Partial {
-		return fmt.Errorf("store: refusing to cache a partial result")
+		return errPartial
 	}
 	payload, err := json.Marshal(res)
 	if err != nil {
