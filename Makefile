@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet fmt-check lint loc test test-short test-race fleet-e2e perfbench-check check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet fmt-check lint loc test test-short test-race fleet-e2e perfbench-check examples check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -63,12 +63,19 @@ fleet-e2e:
 perfbench-check:
 	cd perfbench && go test -count=1 .
 
+# Run every library example (examples/*, a few seconds together),
+# failing on the first that exits non-zero. `go build ./...` only
+# compiles them.
+examples:
+	@for d in examples/*/; do echo "== $$d"; go run ./$$d || exit 1; done
+
 # What CI runs: a full build, vet, the race-enabled test suite (the
 # service's interval sink hands each event to SSE subscribers on other
 # goroutines, so -race is load-bearing), the uncached fleet/sweep e2e
-# smoke, the benchmark self-test, the fabric-tracing smoke, and the
-# interval-timeseries smoke with its live fdptop check.
-check: build fmt-check vet test-race fleet-e2e perfbench-check trace-smoke series-smoke
+# smoke, the benchmark self-test, the library examples, the
+# fabric-tracing smoke, and the interval-timeseries smoke with its live
+# fdptop check.
+check: build fmt-check vet test-race fleet-e2e perfbench-check examples trace-smoke series-smoke
 
 # One benchmark per paper table/figure (see bench_test.go).
 bench:

@@ -14,11 +14,17 @@
 //	fdpsim -workload chaserand -fdp -decision-log features.csv
 //	fdpsim -list
 //
+// The configuration flags mean what a POST /v1/jobs body's fields mean:
+// -prefetcher, -level, -fdp, -dynins and -controller build through the
+// same builder (sweep.ConfigAxis.Build). -level takes 1..5 and pins a
+// conventional prefetcher; it is ignored with -fdp or -prefetcher none.
+//
 // -controller swaps the feedback decision policy (the paper's Table 2
 // logic, the default) for a registered competitor; -list names them.
 // -controller-model loads a decision-tree model file for the "tree"
-// controller. -decision-log writes a per-interval CSV feature dump —
-// the training data for scripts/train_tree.go (see docs/CONTROLLERS.md).
+// controller. Both need -fdp. -decision-log writes a per-interval CSV
+// feature dump — the training data for scripts/train_tree.go (see
+// docs/CONTROLLERS.md).
 //
 // -spec loads a declarative WorkloadSpec (JSON or YAML; see
 // docs/WORKLOADS.md), registers it alongside the built-in workloads, and
@@ -62,6 +68,7 @@ import (
 	"fdpsim/internal/prefetch"
 	"fdpsim/internal/series"
 	"fdpsim/internal/stats"
+	"fdpsim/internal/sweep"
 	"fdpsim/internal/workload"
 )
 
@@ -254,37 +261,115 @@ func reportMulti(res fdpsim.MultiResult, err error, jsonOut bool, finishTrace, s
 	os.Exit(code)
 }
 
+// configFlags are the flags that choose the simulated configuration.
+type configFlags struct {
+	workload, prefetcher, insert, controller, controllerModel, configPath string
+	level, l2kb                                                           int
+	fdp, dynIns, attr                                                     bool
+	insts, seed, memlat                                                   uint64
+}
+
+// buildConfig assembles the run's configuration from the flags. The
+// prefetcher choice (-prefetcher, -level, -fdp, -dynins, -controller)
+// goes through sweep.ConfigAxis.Build, the builder POST /v1/jobs uses,
+// so the CLI and the job API build the same configuration from the same
+// choices; the flag-only fields are then set on the result, and the
+// whole is validated once. Bad usage reports errors matching
+// ErrUnknownWorkload, ErrInvalidConfig or sweep.ErrInvalid (exit code 2).
+func buildConfig(f configFlags) (fdpsim.Config, error) {
+	// The workload first: an unknown name must fail before any output
+	// file is created.
+	if !workload.Exists(f.workload) {
+		return fdpsim.Config{}, fmt.Errorf("%w %q (have %v)", fdpsim.ErrUnknownWorkload, f.workload, workload.Names())
+	}
+	axis := sweep.ConfigAxis{Prefetcher: f.prefetcher, FDP: f.fdp, DynamicInsertion: f.dynIns, Controller: f.controller}
+	if !f.fdp && f.prefetcher != string(fdpsim.PrefNone) {
+		// The axis reads level 0 as 5; the flag's 0 is out of range.
+		if f.level < 1 || f.level > 5 {
+			return fdpsim.Config{}, fmt.Errorf("%w: -level %d out of range 1..5", fdpsim.ErrInvalidConfig, f.level)
+		}
+		axis.Level = f.level
+	}
+	if f.controllerModel != "" {
+		if f.controller != "" && f.controller != "tree" {
+			return fdpsim.Config{}, fmt.Errorf("%w: -controller-model requires -controller tree, got %q", fdpsim.ErrInvalidConfig, f.controller)
+		}
+		axis.Controller = "tree"
+	}
+	cfg, err := axis.Build()
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Workload, cfg.MaxInsts, cfg.Seed = f.workload, f.insts, f.seed
+	if f.controllerModel != "" {
+		if cfg.ControllerModel, err = os.ReadFile(f.controllerModel); err != nil {
+			return cfg, err
+		}
+	}
+	if !f.fdp && f.insert != "MRU" {
+		pos, ok := map[string]fdpsim.InsertPos{"MID": fdpsim.PosMID, "LRU-4": fdpsim.PosLRU4, "LRU": fdpsim.PosLRU}[f.insert]
+		if !ok {
+			return cfg, fmt.Errorf("%w: unknown insertion position %q (want MRU, MID, LRU-4 or LRU)", fdpsim.ErrInvalidConfig, f.insert)
+		}
+		cfg.FDP.StaticInsertion = pos
+	}
+	if f.memlat != 0 {
+		scale := float64(f.memlat) / 500
+		cfg.DRAM.RowHit = uint64(float64(cfg.DRAM.RowHit) * scale)
+		cfg.DRAM.RowConflict = uint64(float64(cfg.DRAM.RowConflict) * scale)
+	}
+	if f.l2kb != 0 {
+		cfg.L2Blocks = f.l2kb * 1024 / 64
+	}
+	if f.configPath != "" {
+		raw, err := os.ReadFile(f.configPath)
+		if err != nil {
+			return cfg, err
+		}
+		if err := json.Unmarshal(raw, &cfg); err != nil {
+			// A config file that does not parse is bad input, not a
+			// runtime failure: exit 2 like any other invalid configuration.
+			return cfg, fmt.Errorf("%w: parsing %s: %v", fdpsim.ErrInvalidConfig, f.configPath, err)
+		}
+	}
+	if f.attr {
+		cfg.Attribution = true
+	}
+	return cfg, cfg.Validate()
+}
+
 func main() {
+	var cf configFlags
+	flag.StringVar(&cf.workload, "workload", "seqstream", "workload name (see -list)")
+	flag.StringVar(&cf.prefetcher, "prefetcher", "stream", "prefetcher: none, stream, ghb, stride, nextline, dahlgren, hybrid")
+	flag.IntVar(&cf.level, "level", 5, "static aggressiveness 1..5 (ignored with -fdp or -prefetcher none)")
+	flag.BoolVar(&cf.fdp, "fdp", false, "enable full FDP (dynamic aggressiveness + insertion)")
+	flag.BoolVar(&cf.dynIns, "dynins", false, "enable only dynamic insertion (static level)")
+	flag.StringVar(&cf.insert, "insert", "MRU", "static insertion position: MRU, MID, LRU-4, LRU")
+	flag.Uint64Var(&cf.insts, "insts", 1_000_000, "instructions to retire")
+	flag.Uint64Var(&cf.memlat, "memlat", 0, "scale DRAM latencies to target this minimum main-memory latency (0 = baseline 500)")
+	flag.IntVar(&cf.l2kb, "l2kb", 0, "L2 size in KB (0 = baseline 1024)")
+	flag.Uint64Var(&cf.seed, "seed", 1, "workload seed")
+	flag.StringVar(&cf.configPath, "config", "", "JSON file overriding the assembled configuration")
+	flag.BoolVar(&cf.attr, "attr", false, "enable cycle accounting & bandwidth attribution (stall/bus breakdown in the report, per-interval samples in traces)")
+	flag.StringVar(&cf.controller, "controller", "", "feedback decision policy, with -fdp (see -list; empty = the paper's Table 2 policy)")
+	flag.StringVar(&cf.controllerModel, "controller-model", "", "decision-tree model JSON file (selects -controller tree; needs -fdp)")
 	var (
-		workloadName = flag.String("workload", "seqstream", "workload name (see -list)")
-		specPath     = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to register and run (multi-lane specs fan out like -cores)")
-		prefName     = flag.String("prefetcher", "stream", "prefetcher: none, stream, ghb, stride, nextline")
-		level        = flag.Int("level", 5, "static aggressiveness 1..5 (ignored with -fdp)")
-		fdp          = flag.Bool("fdp", false, "enable full FDP (dynamic aggressiveness + insertion)")
-		dynIns       = flag.Bool("dynins", false, "enable only dynamic insertion (static level)")
-		insertAt     = flag.String("insert", "MRU", "static insertion position: MRU, MID, LRU-4, LRU")
-		insts        = flag.Uint64("insts", 1_000_000, "instructions to retire")
-		memlat       = flag.Uint64("memlat", 0, "scale DRAM latencies to target this minimum main-memory latency (0 = baseline 500)")
-		l2kb         = flag.Int("l2kb", 0, "L2 size in KB (0 = baseline 1024)")
-		seed         = flag.Uint64("seed", 1, "workload seed")
-		list         = flag.Bool("list", false, "list workloads and exit")
-		verbose      = flag.Bool("v", false, "print raw counters")
-		jsonOut      = flag.Bool("json", false, "emit the result as JSON")
-		cores        = flag.String("cores", "", "comma-separated workloads for a multi-core run on a shared bus")
-		configPath   = flag.String("config", "", "JSON file overriding the assembled configuration")
-		dumpConfig   = flag.Bool("dumpconfig", false, "print the assembled configuration as JSON and exit")
-		timeout      = flag.Duration("timeout", 0, "deadline; expiry stops the run and prints partial metrics (0 = none)")
-		progress     = flag.Bool("progress", false, "stream per-FDP-interval telemetry to stderr")
-		traceOut     = flag.String("trace-out", "", "write the FDP decision trace (one event per sampling interval) to this file")
-		traceFormat  = flag.String("trace-format", "jsonl", "decision trace format: jsonl or chrome (Perfetto-loadable)")
-		seriesOut    = flag.String("series-out", "", "write the compact columnar interval timeseries (internal/series binary) to this file")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		memProfile   = flag.String("memprofile", "", "write a post-run heap profile to this file")
-		attr         = flag.Bool("attr", false, "enable cycle accounting & bandwidth attribution (stall/bus breakdown in the report, per-interval samples in traces)")
-		controller   = flag.String("controller", "", "feedback decision policy (see -list; empty = the paper's Table 2 policy)")
-		ctrlModel    = flag.String("controller-model", "", "decision-tree model JSON file (selects -controller tree)")
-		decisionLog  = flag.String("decision-log", "", "write a per-interval CSV feature dump (training data for scripts/train_tree.go)")
-		version      = flag.Bool("version", false, "print build information and exit")
+		specPath    = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to register and run (multi-lane specs fan out like -cores)")
+		list        = flag.Bool("list", false, "list workloads and exit")
+		verbose     = flag.Bool("v", false, "print raw counters")
+		jsonOut     = flag.Bool("json", false, "emit the result as JSON")
+		cores       = flag.String("cores", "", "comma-separated workloads for a multi-core run on a shared bus")
+		dumpConfig  = flag.Bool("dumpconfig", false, "print the assembled configuration as JSON and exit")
+		timeout     = flag.Duration("timeout", 0, "deadline; expiry stops the run and prints partial metrics (0 = none)")
+		progress    = flag.Bool("progress", false, "stream per-FDP-interval telemetry to stderr")
+		traceOut    = flag.String("trace-out", "", "write the FDP decision trace (one event per sampling interval) to this file")
+		traceFormat = flag.String("trace-format", "jsonl", "decision trace format: jsonl or chrome (Perfetto-loadable)")
+		seriesOut   = flag.String("series-out", "", "write the compact columnar interval timeseries (internal/series binary) to this file")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
+		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file")
+		decisionLog = flag.String("decision-log", "", "write a per-interval CSV feature dump (training data for scripts/train_tree.go)")
+		version     = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
 
@@ -293,26 +378,7 @@ func main() {
 		return
 	}
 
-	// Load and validate the spec before anything else: a typo in the file
-	// must fail with exit code 2 before any artifact is opened, and a valid
-	// spec must appear in -list. Unless -workload was given explicitly, the
-	// spec itself is what runs.
-	var sp *fdpsim.WorkloadSpec
-	if *specPath != "" {
-		loaded, err := fdpsim.LoadSpec(*specPath)
-		cli.FatalIf(tool, err)
-		cli.FatalIf(tool, fdpsim.RegisterWorkloadSpec(loaded))
-		sp = loaded
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workload" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			*workloadName = sp.Name
-		}
-	}
+	sp := cli.LoadSpec(tool, *specPath, &cf.workload)
 
 	if *list {
 		cli.Listing(func(w io.Writer) {
@@ -337,64 +403,8 @@ func main() {
 		})
 	}
 
-	opts := []fdpsim.Option{
-		fdpsim.WithWorkload(*workloadName),
-		fdpsim.WithInsts(*insts),
-		fdpsim.WithSeed(*seed),
-	}
-	kind := fdpsim.PrefetcherKind(*prefName)
-	if !*fdp && kind != fdpsim.PrefNone {
-		opts = append(opts, fdpsim.WithFixedAggressiveness(*level))
-	}
-	if *controller != "" {
-		opts = append(opts, fdpsim.WithController(*controller))
-	}
-	if *ctrlModel != "" {
-		if *controller != "" && *controller != "tree" {
-			cli.Fatalf(tool, cli.ExitUsage, "-controller-model requires -controller tree, got %q", *controller)
-		}
-		raw, err := os.ReadFile(*ctrlModel)
-		cli.FatalIf(tool, err)
-		opts = append(opts, fdpsim.WithControllerModel(raw))
-	}
-	if !*fdp && *insertAt != "MRU" {
-		switch *insertAt {
-		case "MID":
-			opts = append(opts, fdpsim.WithInsertion(fdpsim.PosMID))
-		case "LRU-4":
-			opts = append(opts, fdpsim.WithInsertion(fdpsim.PosLRU4))
-		case "LRU":
-			opts = append(opts, fdpsim.WithInsertion(fdpsim.PosLRU))
-		default:
-			cli.Fatalf(tool, cli.ExitUsage, "unknown insertion position %q (want MRU, MID, LRU-4 or LRU)", *insertAt)
-		}
-	}
-	cfg, err := fdpsim.NewConfig(kind, opts...)
+	cfg, err := buildConfig(cf)
 	cli.FatalIf(tool, err)
-	if *dynIns {
-		cfg.FDP.DynamicInsertion = true
-	}
-	if *memlat != 0 {
-		scale := float64(*memlat) / 500
-		cfg.DRAM.RowHit = uint64(float64(cfg.DRAM.RowHit) * scale)
-		cfg.DRAM.RowConflict = uint64(float64(cfg.DRAM.RowConflict) * scale)
-	}
-	if *l2kb != 0 {
-		cfg.L2Blocks = *l2kb * 1024 / 64
-	}
-
-	if *configPath != "" {
-		raw, err := os.ReadFile(*configPath)
-		cli.FatalIf(tool, err)
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			// A config file that does not parse is bad input, not a
-			// runtime failure: exit 2 like any other invalid configuration.
-			cli.Fatalf(tool, cli.ExitUsage, "parsing %s: %v", *configPath, err)
-		}
-	}
-	if *attr {
-		cfg.Attribution = true
-	}
 	if *dumpConfig {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -435,14 +445,14 @@ func main() {
 
 	// A multi-lane spec is a multicore run: each lane becomes a core on
 	// the shared bus, reported exactly like -cores.
-	if sp != nil && *workloadName == sp.Name && sp.Lanes() > 1 {
+	if sp != nil && cf.workload == sp.Name && sp.Lanes() > 1 {
 		mres, merr := fdpsim.RunSpecMulti(ctx, cfg, sp)
 		reportMulti(mres, merr, *jsonOut, finishTrace, stopProf)
 		return
 	}
 
 	var res fdpsim.Result
-	if sp != nil && *workloadName == sp.Name {
+	if sp != nil && cf.workload == sp.Name {
 		res, err = fdpsim.RunSpec(ctx, cfg, sp)
 	} else {
 		res, err = fdpsim.RunContext(ctx, cfg)
@@ -461,15 +471,15 @@ func main() {
 	}
 
 	mode := "conventional"
-	if *fdp {
+	if cf.fdp {
 		mode = "FDP (dynamic aggressiveness + dynamic insertion)"
 		if res.Controller != "" && res.Controller != "fdp" {
 			mode = fmt.Sprintf("FDP loop, %s controller", res.Controller)
 		}
-	} else if kind == fdpsim.PrefNone {
+	} else if cf.prefetcher == string(fdpsim.PrefNone) {
 		mode = "no prefetching"
 	} else {
-		mode = fmt.Sprintf("conventional, %s", prefetch.LevelName(*level))
+		mode = fmt.Sprintf("conventional, %s", prefetch.LevelName(cf.level))
 	}
 	if res.Partial {
 		var ce *fdpsim.CancelError
@@ -485,7 +495,7 @@ func main() {
 	fmt.Printf("accuracy   : %.1f%%   lateness: %.1f%%   pollution: %.1f%%\n",
 		100*res.Accuracy, 100*res.Lateness, 100*res.Pollution)
 	fmt.Printf("elapsed    : %s\n", res.Elapsed.Round(time.Millisecond))
-	if *fdp {
+	if cf.fdp {
 		fmt.Printf("intervals  : %d   final level: %d (%s)\n",
 			res.Intervals, res.FinalLevel, prefetch.LevelName(res.FinalLevel))
 		fmt.Printf("%s\n%s\n", res.LevelDist, res.InsertDist)

@@ -15,11 +15,10 @@ import (
 // persists the sidecar under fp in dir.
 func diffFixture(t *testing.T, dir, fp string, seed uint64) {
 	t.Helper()
-	cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
-		fdpsim.WithWorkload("chaserand"), fdpsim.WithInsts(120_000), fdpsim.WithSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := fdpsim.WithFDP(fdpsim.PrefStream)
+	cfg.Workload = "chaserand"
+	cfg.MaxInsts = 120_000
+	cfg.Seed = seed
 	cfg.FDP.TInterval = 64
 	cfg.L2Blocks = 512
 	rec := &series.Recorder{}

@@ -61,25 +61,7 @@ func main() {
 		return
 	}
 
-	// Load and validate the spec before anything else: a typo in the file
-	// must fail with exit code 2 and no other side effects.
-	var sp *fdpsim.WorkloadSpec
-	if *specPath != "" {
-		loaded, err := fdpsim.LoadSpec(*specPath)
-		cli.FatalIf(tool, err)
-		cli.FatalIf(tool, fdpsim.RegisterWorkloadSpec(loaded))
-		sp = loaded
-		// Unless -workload was given explicitly, record the spec itself.
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workload" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			*workloadName = sp.Name
-		}
-	}
+	sp := cli.LoadSpec(tool, *specPath, workloadName)
 
 	if *list {
 		cli.Listing(func(w io.Writer) {

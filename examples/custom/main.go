@@ -70,18 +70,13 @@ func main() {
 	const insts = 400_000
 
 	run := func(label string, dynamic bool) {
-		opts := []fdpsim.Option{
-			fdpsim.WithCustomPrefetcher(&naivePrefetcher{level: 3}),
-			fdpsim.WithInsts(insts),
-			fdpsim.WithTInterval(2048),
+		cfg := fdpsim.Conventional(fdpsim.PrefCustom, 5)
+		if dynamic {
+			cfg = fdpsim.WithFDP(fdpsim.PrefCustom)
 		}
-		if !dynamic {
-			opts = append(opts, fdpsim.WithFixedAggressiveness(5))
-		}
-		cfg, err := fdpsim.NewConfig(fdpsim.PrefCustom, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg.Custom = &naivePrefetcher{level: 3}
+		cfg.MaxInsts = insts
+		cfg.FDP.TInterval = 2048
 		res, err := fdpsim.RunSourceContext(context.Background(), cfg, &stridedSource{})
 		if err != nil {
 			log.Fatal(err)

@@ -21,16 +21,14 @@ func main() {
 	const workload = "chaserand"
 	const insts = 800_000
 
-	type row struct {
+	rows := []struct {
 		label string
-		kind  fdpsim.PrefetcherKind
-		extra []fdpsim.Option
-	}
-	rows := []row{
-		{"no prefetching", fdpsim.PrefNone, nil},
-		{"very conservative", fdpsim.PrefStream, []fdpsim.Option{fdpsim.WithFixedAggressiveness(1)}},
-		{"very aggressive", fdpsim.PrefStream, []fdpsim.Option{fdpsim.WithFixedAggressiveness(5)}},
-		{"FDP", fdpsim.PrefStream, nil},
+		cfg   fdpsim.Config
+	}{
+		{"no prefetching", fdpsim.Default()},
+		{"very conservative", fdpsim.Conventional(fdpsim.PrefStream, 1)},
+		{"very aggressive", fdpsim.Conventional(fdpsim.PrefStream, 5)},
+		{"FDP", fdpsim.WithFDP(fdpsim.PrefStream)},
 	}
 
 	for _, info := range fdpsim.WorkloadList() {
@@ -41,16 +39,10 @@ func main() {
 	fmt.Printf("%-20s %8s %8s %10s %10s\n", "configuration", "IPC", "BPKI", "accuracy", "pollution")
 	var fdpRes fdpsim.Result
 	for _, r := range rows {
-		opts := append([]fdpsim.Option{
-			fdpsim.WithWorkload(workload),
-			fdpsim.WithInsts(insts),
-			// sample faster than the paper's 8192 for this short run
-			fdpsim.WithTInterval(2048),
-		}, r.extra...)
-		cfg, err := fdpsim.NewConfig(r.kind, opts...)
-		if err != nil {
-			log.Fatalf("%s: %v", r.label, err)
-		}
+		cfg := r.cfg
+		cfg.Workload = workload
+		cfg.MaxInsts = insts
+		cfg.FDP.TInterval = 2048 // sample faster than the paper's 8192 for this short run
 		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", r.label, err)

@@ -35,28 +35,20 @@ func main() {
 	for _, workload := range []string{"hotcold", "seqstream"} {
 		fmt.Printf("workload %q: %s\n", workload, about[workload])
 		for _, p := range positions {
-			cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
-				fdpsim.WithWorkload(workload),
-				fdpsim.WithInsts(insts),
-				fdpsim.WithFixedAggressiveness(5),
-				fdpsim.WithInsertion(p.pos))
-			if err != nil {
-				log.Fatal(err)
-			}
+			cfg := fdpsim.Conventional(fdpsim.PrefStream, 5)
+			cfg.Workload = workload
+			cfg.MaxInsts = insts
+			cfg.FDP.StaticInsertion = p.pos
 			res, err := fdpsim.RunContext(context.Background(), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("  insert at %-6s IPC=%.4f  BPKI=%6.1f\n", p.label, res.IPC, res.BPKI)
 		}
-		cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
-			fdpsim.WithWorkload(workload),
-			fdpsim.WithInsts(insts),
-			fdpsim.WithFixedAggressiveness(5),
-			fdpsim.WithTInterval(2048))
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg := fdpsim.Conventional(fdpsim.PrefStream, 5)
+		cfg.Workload = workload
+		cfg.MaxInsts = insts
+		cfg.FDP.TInterval = 2048
 		cfg.FDP.DynamicInsertion = true // Dynamic Insertion alone, level stays pinned
 		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {

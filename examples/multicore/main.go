@@ -23,19 +23,13 @@ func main() {
 	run := func(label string, fdp bool) {
 		var mc fdpsim.MultiConfig
 		for _, w := range []string{"seqstream", "chaserand"} {
-			opts := []fdpsim.Option{
-				fdpsim.WithWorkload(w),
-				fdpsim.WithInsts(perCoreInsts),
-			}
+			cfg := fdpsim.Conventional(fdpsim.PrefStream, 5)
 			if fdp {
-				opts = append(opts, fdpsim.WithTInterval(2048))
-			} else {
-				opts = append(opts, fdpsim.WithFixedAggressiveness(5))
+				cfg = fdpsim.WithFDP(fdpsim.PrefStream)
+				cfg.FDP.TInterval = 2048
 			}
-			cfg, err := fdpsim.NewConfig(fdpsim.PrefStream, opts...)
-			if err != nil {
-				log.Fatal(err)
-			}
+			cfg.Workload = w
+			cfg.MaxInsts = perCoreInsts
 			mc.Cores = append(mc.Cores, cfg)
 		}
 		res, err := fdpsim.RunMultiContext(context.Background(), mc)

@@ -18,15 +18,9 @@ func main() {
 	const workload = "seqstream"
 	const insts = 500_000
 
-	run := func(label string, kind fdpsim.PrefetcherKind, extra ...fdpsim.Option) fdpsim.Result {
-		opts := append([]fdpsim.Option{
-			fdpsim.WithWorkload(workload),
-			fdpsim.WithInsts(insts),
-		}, extra...)
-		cfg, err := fdpsim.NewConfig(kind, opts...)
-		if err != nil {
-			log.Fatalf("%s: %v", label, err)
-		}
+	run := func(label string, cfg fdpsim.Config) fdpsim.Result {
+		cfg.Workload = workload
+		cfg.MaxInsts = insts
 		res, err := fdpsim.RunContext(context.Background(), cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
@@ -41,9 +35,9 @@ func main() {
 			fmt.Printf("workload %q: %s\n\n", workload, info.About)
 		}
 	}
-	base := run("no prefetching", fdpsim.PrefNone)
-	va := run("very aggressive", fdpsim.PrefStream, fdpsim.WithFixedAggressiveness(5))
-	fdp := run("FDP", fdpsim.PrefStream)
+	base := run("no prefetching", fdpsim.Default())
+	va := run("very aggressive", fdpsim.Conventional(fdpsim.PrefStream, 5))
+	fdp := run("FDP", fdpsim.WithFDP(fdpsim.PrefStream))
 
 	fmt.Printf("\nprefetching speedup: %+.1f%%   FDP vs. conventional: %+.1f%% IPC, %+.1f%% bandwidth\n",
 		100*(va.IPC-base.IPC)/base.IPC,

@@ -6,20 +6,26 @@
 // GHB C/DC and PC-stride prefetchers it evaluates and the synthetic
 // workloads standing in for the SPEC CPU2000 benchmarks.
 //
-// Quick start:
+// Quick start: take one of the paper's configurations — Default (no
+// prefetcher), Conventional (a prefetcher pinned at a Table 1 level) or
+// WithFDP (full feedback control) — and set Config fields on it:
 //
-//	cfg, err := fdpsim.NewConfig(fdpsim.PrefStream,
-//		fdpsim.WithWorkload("seqstream"), fdpsim.WithInsts(1_000_000))
-//	if err != nil { ... }
+//	cfg := fdpsim.WithFDP(fdpsim.PrefStream)
+//	cfg.Workload = "seqstream"
+//	cfg.MaxInsts = 1_000_000
 //	res, err := fdpsim.RunContext(context.Background(), cfg)
+//	if err != nil { ... }
 //	fmt.Printf("IPC=%.3f BPKI=%.1f accuracy=%.0f%%\n",
 //		res.IPC, res.BPKI, 100*res.Accuracy)
 //
-// Runs are cancellable and observable: RunContext honors context
-// cancellation and deadlines (returning a partial Result plus an error
-// matching ErrCancelled), and WithTracer streams one DecisionEvent per
-// FDP sampling interval to a caller-supplied sink while the simulation is
-// in flight; the returned Result carries the closing numbers.
+// Runs are validated, cancellable and observable: RunContext rejects an
+// invalid configuration (see Config.Validate) with an error matching
+// ErrInvalidConfig and an unregistered workload with one matching
+// ErrUnknownWorkload, honors context cancellation and deadlines
+// (returning a partial Result plus an error matching ErrCancelled), and
+// Config.Tracer streams one DecisionEvent per FDP sampling interval to a
+// caller-supplied sink while the simulation is in flight; the returned
+// Result carries the closing numbers.
 package fdpsim
 
 import (
@@ -107,8 +113,8 @@ func Fingerprint(cfg Config) (fp string, ok bool) { return sim.Fingerprint(cfg) 
 type DecisionEvent = sim.DecisionEvent
 
 // Tracer receives a DecisionEvent at every sampling-interval boundary;
-// see Config.Tracer, WithTracer and the internal/obs sinks behind the
-// fdpsim CLI's -trace-out flag.
+// see Config.Tracer and the internal/obs sinks behind the fdpsim CLI's
+// -trace-out flag.
 type Tracer = sim.Tracer
 
 // TracerFunc adapts an ordinary function to a Tracer.
@@ -131,25 +137,16 @@ var (
 )
 
 // Default returns the paper's Table 3 baseline with no prefetcher.
-func Default() Config {
-	cfg, _ := NewConfig(PrefNone)
-	return cfg
-}
+func Default() Config { return sim.Default() }
 
 // Conventional returns the baseline plus a conventional prefetcher pinned
 // at a Table 1 aggressiveness level (1 = very conservative .. 5 = very
 // aggressive).
-func Conventional(kind PrefetcherKind, level int) Config {
-	cfg, _ := NewConfig(kind, WithFixedAggressiveness(level))
-	return cfg
-}
+func Conventional(kind PrefetcherKind, level int) Config { return sim.Conventional(kind, level) }
 
 // WithFDP returns the baseline plus a prefetcher under full FDP control
 // (Dynamic Aggressiveness and Dynamic Insertion).
-func WithFDP(kind PrefetcherKind) Config {
-	cfg, _ := NewConfig(kind)
-	return cfg
-}
+func WithFDP(kind PrefetcherKind) Config { return sim.WithFDP(kind) }
 
 // MultiConfig describes a chip-multiprocessor run: several cores with
 // private hierarchies sharing one memory bus. See sim.MultiConfig.
@@ -298,7 +295,7 @@ func WorkloadList(tags ...string) []WorkloadInfo { return workload.List(tags...)
 // engine consults at every sampling-interval boundary. The registry
 // behind ControllerList holds the paper's Table 2 policy ("fdp", the
 // default), static baselines, and learned competitors; select one with
-// Config.Controller or WithController. See docs/CONTROLLERS.md.
+// Config.Controller. See docs/CONTROLLERS.md.
 type Controller = control.Controller
 
 // ControllerSignals is the per-interval observation a Controller

@@ -96,6 +96,25 @@ func TestFacadeCustomRequiresInstance(t *testing.T) {
 	}
 }
 
+// TestFacadeConfigErrors checks the typed configuration errors callers
+// branch on: Validate and RunContext report an invalid configuration as
+// ErrInvalidConfig, and RunContext an unregistered workload as
+// ErrUnknownWorkload.
+func TestFacadeConfigErrors(t *testing.T) {
+	bad := Conventional(PrefStream, 9)
+	if err := bad.Validate(); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("level 9: Validate = %v, want ErrInvalidConfig", err)
+	}
+	if _, err := RunContext(context.Background(), bad); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("level 9: RunContext = %v, want ErrInvalidConfig", err)
+	}
+	cfg := WithFDP(PrefStream)
+	cfg.Workload = "nope"
+	if _, err := RunContext(context.Background(), cfg); !errors.Is(err, ErrUnknownWorkload) {
+		t.Errorf("unknown workload: RunContext = %v, want ErrUnknownWorkload", err)
+	}
+}
+
 // tagAlong prefetches the next block on every miss.
 type tagAlong struct{ level int }
 

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fdpsim/internal/cache"
-	"fdpsim/internal/core"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/workload/spec"
 )
@@ -21,14 +20,6 @@ const (
 	cfgAccOnly = "AccuracyOnly"
 )
 
-// noPref is the Table 3 baseline without a prefetcher.
-func noPref() sim.Config { return sim.Default() }
-
-// static returns a conventional prefetcher pinned at a Table 1 level.
-func static(kind sim.PrefetcherKind, level int) sim.Config {
-	return sim.Conventional(kind, level)
-}
-
 // dynAggr enables only Dynamic Aggressiveness (Section 5.1): feedback
 // throttling with the baseline MRU insertion.
 func dynAggr(kind sim.PrefetcherKind) sim.Config {
@@ -41,7 +32,7 @@ func dynAggr(kind sim.PrefetcherKind) sim.Config {
 // dynIns enables only Dynamic Insertion (Section 5.2) on a very
 // aggressive conventional prefetcher.
 func dynIns(kind sim.PrefetcherKind) sim.Config {
-	cfg := static(kind, 5)
+	cfg := sim.Conventional(kind, 5)
 	cfg.FDP.DynamicInsertion = true
 	return cfg
 }
@@ -49,13 +40,10 @@ func dynIns(kind sim.PrefetcherKind) sim.Config {
 // staticIns pins a very aggressive prefetcher with a static insertion
 // position (Figure 7's comparison points).
 func staticIns(kind sim.PrefetcherKind, pos cache.InsertPos) sim.Config {
-	cfg := static(kind, 5)
+	cfg := sim.Conventional(kind, 5)
 	cfg.FDP.StaticInsertion = pos
 	return cfg
 }
-
-// fullFDP enables both mechanisms (the paper's headline configuration).
-func fullFDP(kind sim.PrefetcherKind) sim.Config { return sim.WithFDP(kind) }
 
 // accuracyOnly is the Section 5.6 ablation.
 func accuracyOnly(kind sim.PrefetcherKind) sim.Config {
@@ -68,7 +56,7 @@ func accuracyOnly(kind sim.PrefetcherKind) sim.Config {
 // aggressive conventional prefetcher (Figures 11 and 12). A size of 2 KB
 // is fully associative, larger sizes are 16-way, as in the paper.
 func withPrefCache(kind sim.PrefetcherKind, kbytes int) sim.Config {
-	cfg := static(kind, 5)
+	cfg := sim.Conventional(kind, 5)
 	cfg.PrefCacheBlocks = kbytes * 1024 / 64
 	if kbytes <= 2 {
 		cfg.PrefCacheWays = 0 // fully associative
@@ -108,6 +96,3 @@ func SpecGrid(workloads []*spec.Spec, configs map[string]sim.Config, order []str
 	}
 	return specs
 }
-
-// defaultFDPConfig exposes the FDP defaults for the static tables.
-func defaultFDPConfig() core.Config { return core.DefaultConfig() }

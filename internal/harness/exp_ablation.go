@@ -29,7 +29,7 @@ var ablationWorkloads = []string{"seqstream", "chaserand", "randsparse", "mixedp
 // summarize runs FDP with a mutated configuration over the ablation
 // subset and returns (gmean IPC, amean BPKI).
 func summarize(ctx context.Context, p Params, mutate func(*sim.Config)) (float64, float64, error) {
-	cfg := fullFDP(sim.PrefStream)
+	cfg := sim.WithFDP(sim.PrefStream)
 	mutate(&cfg)
 	configs := map[string]sim.Config{"x": cfg}
 	g, err := RunAll(ctx, labeled(ablationWorkloads, configs, []string{"x"}, p), p)
@@ -83,7 +83,7 @@ func runTInterval(ctx context.Context, p Params) ([]Table, error) {
 			return nil, err
 		}
 		// Pull the interval count for one hostile workload for context.
-		cfg := p.apply(fullFDP(sim.PrefStream))
+		cfg := p.apply(sim.WithFDP(sim.PrefStream))
 		cfg.FDP.TInterval = ti
 		cfg.Workload = "chaserand"
 		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "i", Job: sim.Job{Cfg: cfg}}}, p)
@@ -108,7 +108,7 @@ func runFilterSize(ctx context.Context, p Params) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := p.apply(fullFDP(sim.PrefStream))
+		cfg := p.apply(sim.WithFDP(sim.PrefStream))
 		cfg.FDP.FilterBits = bits
 		cfg.Workload = "chaserand"
 		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "f", Job: sim.Job{Cfg: cfg}}}, p)

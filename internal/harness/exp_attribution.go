@@ -37,9 +37,9 @@ func attrOf(r sim.Result) *stats.Attribution {
 func runCycleAcct(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgNoPref, cfgVA, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref: withAttr(noPref()),
-		cfgVA:     withAttr(static(sim.PrefStream, 5)),
-		cfgFDP:    withAttr(fullFDP(sim.PrefStream)),
+		cfgNoPref: withAttr(sim.Default()),
+		cfgVA:     withAttr(sim.Conventional(sim.PrefStream, 5)),
+		cfgFDP:    withAttr(sim.WithFDP(sim.PrefStream)),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)

@@ -28,7 +28,7 @@ func runControllers(ctx context.Context, p Params) ([]Table, error) {
 	configs := make(map[string]sim.Config, len(infos))
 	for i, info := range infos {
 		order[i] = info.Name
-		cfg := withAttr(fullFDP(sim.PrefStream))
+		cfg := withAttr(sim.WithFDP(sim.PrefStream))
 		cfg.Controller = info.Name
 		configs[info.Name] = cfg
 	}

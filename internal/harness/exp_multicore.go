@@ -36,11 +36,11 @@ func runMulticore(ctx context.Context, p Params) ([]Table, error) {
 		var cfg sim.Config
 		switch mode {
 		case cfgNoPref:
-			cfg = noPref()
+			cfg = sim.Default()
 		case cfgVA:
-			cfg = static(sim.PrefStream, 5)
+			cfg = sim.Conventional(sim.PrefStream, 5)
 		default:
-			cfg = fullFDP(sim.PrefStream)
+			cfg = sim.WithFDP(sim.PrefStream)
 		}
 		cfg = p.apply(cfg)
 		cfg.MaxInsts = p.Insts / 2 // per-core budget
@@ -87,10 +87,10 @@ func runMulticore(ctx context.Context, p Params) ([]Table, error) {
 func runDahlgren(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgNoPref, "NextLine", "Dahlgren", "Stream+FDP"}
 	configs := map[string]sim.Config{
-		cfgNoPref:    noPref(),
-		"NextLine":   static(sim.PrefNextLine, 5),
-		"Dahlgren":   static(sim.PrefDahlgren, 3),
-		"Stream+FDP": fullFDP(sim.PrefStream),
+		cfgNoPref:    sim.Default(),
+		"NextLine":   sim.Conventional(sim.PrefNextLine, 5),
+		"Dahlgren":   sim.Conventional(sim.PrefDahlgren, 3),
+		"Stream+FDP": sim.WithFDP(sim.PrefStream),
 	}
 	ws := ablationWorkloads
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -108,10 +108,10 @@ func runDahlgren(ctx context.Context, p Params) ([]Table, error) {
 func runHybrid(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{"Stream+FDP", "Stride+FDP", "Hybrid VA", "Hybrid+FDP"}
 	configs := map[string]sim.Config{
-		"Stream+FDP": fullFDP(sim.PrefStream),
-		"Stride+FDP": fullFDP(sim.PrefStride),
-		"Hybrid VA":  static(sim.PrefHybrid, 5),
-		"Hybrid+FDP": fullFDP(sim.PrefHybrid),
+		"Stream+FDP": sim.WithFDP(sim.PrefStream),
+		"Stride+FDP": sim.WithFDP(sim.PrefStride),
+		"Hybrid VA":  sim.Conventional(sim.PrefHybrid, 5),
+		"Hybrid+FDP": sim.WithFDP(sim.PrefHybrid),
 	}
 	ws := []string{"seqstream", "transpose", "stride3", "chaserand", "mixedphase", "spmv"}
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)

@@ -32,14 +32,14 @@ func init() {
 func prefCacheGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
 	order := []string{cfgNoPref, "VA(base)", "VA+pc2KB", "VA+pc8KB", "VA+pc32KB", "VA+pc64KB", "VA+pc1MB", cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref:   noPref(),
-		"VA(base)":  static(sim.PrefStream, 5),
+		cfgNoPref:   sim.Default(),
+		"VA(base)":  sim.Conventional(sim.PrefStream, 5),
 		"VA+pc2KB":  withPrefCache(sim.PrefStream, 2),
 		"VA+pc8KB":  withPrefCache(sim.PrefStream, 8),
 		"VA+pc32KB": withPrefCache(sim.PrefStream, 32),
 		"VA+pc64KB": withPrefCache(sim.PrefStream, 64),
 		"VA+pc1MB":  withPrefCache(sim.PrefStream, 1024),
-		cfgFDP:      fullFDP(sim.PrefStream),
+		cfgFDP:      sim.WithFDP(sim.PrefStream),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -71,11 +71,11 @@ func runFig12(ctx context.Context, p Params) ([]Table, error) {
 func altPrefetcherTables(ctx context.Context, p Params, kind sim.PrefetcherKind, title, note string) ([]Table, error) {
 	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref: noPref(),
-		cfgVC:     static(kind, 1),
-		cfgMid:    static(kind, 3),
-		cfgVA:     static(kind, 5),
-		cfgFDP:    fullFDP(kind),
+		cfgNoPref: sim.Default(),
+		cfgVC:     sim.Conventional(kind, 1),
+		cfgMid:    sim.Conventional(kind, 3),
+		cfgVA:     sim.Conventional(kind, 5),
+		cfgFDP:    sim.WithFDP(kind),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -139,9 +139,9 @@ func runTable7(ctx context.Context, p Params) ([]Table, error) {
 			return base
 		}
 		configs := map[string]sim.Config{
-			cfgMid: mk(static(sim.PrefStream, 3)),
-			cfgVA:  mk(static(sim.PrefStream, 5)),
-			cfgFDP: mk(fullFDP(sim.PrefStream)),
+			cfgMid: mk(sim.Conventional(sim.PrefStream, 3)),
+			cfgVA:  mk(sim.Conventional(sim.PrefStream, 5)),
+			cfgFDP: mk(sim.WithFDP(sim.PrefStream)),
 		}
 		g, err := RunAll(ctx, labeled(ws, configs, []string{cfgMid, cfgVA, cfgFDP}, p), p)
 		if err != nil {
@@ -167,11 +167,11 @@ func runTable7(ctx context.Context, p Params) ([]Table, error) {
 func runFig14(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref: noPref(),
-		cfgVC:     static(sim.PrefStream, 1),
-		cfgMid:    static(sim.PrefStream, 3),
-		cfgVA:     static(sim.PrefStream, 5),
-		cfgFDP:    fullFDP(sim.PrefStream),
+		cfgNoPref: sim.Default(),
+		cfgVC:     sim.Conventional(sim.PrefStream, 1),
+		cfgMid:    sim.Conventional(sim.PrefStream, 3),
+		cfgVA:     sim.Conventional(sim.PrefStream, 5),
+		cfgFDP:    sim.WithFDP(sim.PrefStream),
 	}
 	ws := workload.LowPotential()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -247,7 +247,7 @@ func runTable3(context.Context, Params) ([]Table, error) {
 
 func runTable6(context.Context, Params) ([]Table, error) {
 	cfg := sim.Default()
-	fdp := defaultFDPConfig()
+	fdp := core.DefaultConfig()
 	cost := core.CostFor(cfg.L2Blocks, cfg.MSHRs, fdp.FilterBits, float64(cfg.L2Blocks*64)/1024)
 	t := Table{
 		Title:  "Table 6: hardware cost of feedback directed prefetching",

@@ -25,10 +25,10 @@ func runPerStream(ctx context.Context, p Params) ([]Table, error) {
 		return cfg
 	}
 	configs := map[string]sim.Config{
-		cfgVA:      static(sim.PrefStream, 5),
-		"VA+Ramp":  ramped(static(sim.PrefStream, 5)),
-		cfgFDP:     fullFDP(sim.PrefStream),
-		"FDP+Ramp": ramped(fullFDP(sim.PrefStream)),
+		cfgVA:      sim.Conventional(sim.PrefStream, 5),
+		"VA+Ramp":  ramped(sim.Conventional(sim.PrefStream, 5)),
+		cfgFDP:     sim.WithFDP(sim.PrefStream),
+		"FDP+Ramp": ramped(sim.WithFDP(sim.PrefStream)),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)

@@ -40,7 +40,7 @@ func seriesDiffCells(p Params) []RunSpec {
 	configs := map[string]sim.Config{}
 	var order []string
 	for _, info := range control.List() {
-		cfg := withAttr(fullFDP(sim.PrefStream))
+		cfg := withAttr(sim.WithFDP(sim.PrefStream))
 		cfg.Controller = info.Name
 		configs[info.Name] = cfg
 		order = append(order, info.Name)

@@ -31,10 +31,10 @@ func runSharedL2(ctx context.Context, p Params) ([]Table, error) {
 		mutate func(*sim.Config)
 	}
 	variants := []variant{
-		{"VeryAggr", func(c *sim.Config) { *c = static(sim.PrefStream, 5) }},
-		{"FDP", func(c *sim.Config) { *c = fullFDP(sim.PrefStream) }},
+		{"VeryAggr", func(c *sim.Config) { *c = sim.Conventional(sim.PrefStream, 5) }},
+		{"FDP", func(c *sim.Config) { *c = sim.WithFDP(sim.PrefStream) }},
 		{"FDP reduced-poll", func(c *sim.Config) {
-			*c = fullFDP(sim.PrefStream)
+			*c = sim.WithFDP(sim.PrefStream)
 			c.FDP.Thresholds.TPollution /= 2
 			c.FDP.Thresholds.PLow /= 2
 			c.FDP.Thresholds.PHigh /= 2

@@ -63,10 +63,10 @@ func bpkiOf(r sim.Result) float64 { return r.BPKI }
 func aggressivenessGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
 	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA}
 	configs := map[string]sim.Config{
-		cfgNoPref: noPref(),
-		cfgVC:     static(sim.PrefStream, 1),
-		cfgMid:    static(sim.PrefStream, 3),
-		cfgVA:     static(sim.PrefStream, 5),
+		cfgNoPref: sim.Default(),
+		cfgVC:     sim.Conventional(sim.PrefStream, 1),
+		cfgMid:    sim.Conventional(sim.PrefStream, 3),
+		cfgVA:     sim.Conventional(sim.PrefStream, 5),
 	}
 	workloads := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(workloads, configs, order, p), p)
@@ -116,10 +116,10 @@ func runFig3(ctx context.Context, p Params) ([]Table, error) {
 func runFig5(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgDynAggr}
 	configs := map[string]sim.Config{
-		cfgNoPref:  noPref(),
-		cfgVC:      static(sim.PrefStream, 1),
-		cfgMid:     static(sim.PrefStream, 3),
-		cfgVA:      static(sim.PrefStream, 5),
+		cfgNoPref:  sim.Default(),
+		cfgVC:      sim.Conventional(sim.PrefStream, 1),
+		cfgMid:     sim.Conventional(sim.PrefStream, 3),
+		cfgVA:      sim.Conventional(sim.PrefStream, 5),
 		cfgDynAggr: dynAggr(sim.PrefStream),
 	}
 	ws := workload.MemoryIntensive()
@@ -204,11 +204,11 @@ func runFig8(ctx context.Context, p Params) ([]Table, error) {
 func overallGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
 	order := []string{cfgNoPref, cfgVA, cfgDynIns, cfgDynAggr, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref:  noPref(),
-		cfgVA:      static(sim.PrefStream, 5),
+		cfgNoPref:  sim.Default(),
+		cfgVA:      sim.Conventional(sim.PrefStream, 5),
 		cfgDynIns:  dynIns(sim.PrefStream),
 		cfgDynAggr: dynAggr(sim.PrefStream),
-		cfgFDP:     fullFDP(sim.PrefStream),
+		cfgFDP:     sim.WithFDP(sim.PrefStream),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -239,7 +239,7 @@ func runFig10(ctx context.Context, p Params) ([]Table, error) {
 
 func runTable4(ctx context.Context, p Params) ([]Table, error) {
 	ws := workload.Names()
-	configs := map[string]sim.Config{cfgVA: static(sim.PrefStream, 5)}
+	configs := map[string]sim.Config{cfgVA: sim.Conventional(sim.PrefStream, 5)}
 	g, err := RunAll(ctx, labeled(ws, configs, []string{cfgVA}, p), p)
 	if err != nil {
 		return nil, err
@@ -263,11 +263,11 @@ func runTable4(ctx context.Context, p Params) ([]Table, error) {
 func runTable5(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgNoPref: noPref(),
-		cfgVC:     static(sim.PrefStream, 1),
-		cfgMid:    static(sim.PrefStream, 3),
-		cfgVA:     static(sim.PrefStream, 5),
-		cfgFDP:    fullFDP(sim.PrefStream),
+		cfgNoPref: sim.Default(),
+		cfgVC:     sim.Conventional(sim.PrefStream, 1),
+		cfgMid:    sim.Conventional(sim.PrefStream, 3),
+		cfgVA:     sim.Conventional(sim.PrefStream, 5),
+		cfgFDP:    sim.WithFDP(sim.PrefStream),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
@@ -309,9 +309,9 @@ func runTable5(ctx context.Context, p Params) ([]Table, error) {
 func runAccuracyOnly(ctx context.Context, p Params) ([]Table, error) {
 	order := []string{cfgVA, cfgAccOnly, cfgFDP}
 	configs := map[string]sim.Config{
-		cfgVA:      static(sim.PrefStream, 5),
+		cfgVA:      sim.Conventional(sim.PrefStream, 5),
 		cfgAccOnly: accuracyOnly(sim.PrefStream),
-		cfgFDP:     fullFDP(sim.PrefStream),
+		cfgFDP:     sim.WithFDP(sim.PrefStream),
 	}
 	ws := workload.MemoryIntensive()
 	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)

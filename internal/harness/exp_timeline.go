@@ -19,7 +19,7 @@ func init() {
 }
 
 func runTimeline(ctx context.Context, p Params) ([]Table, error) {
-	cfg := p.apply(fullFDP(sim.PrefStream))
+	cfg := p.apply(sim.WithFDP(sim.PrefStream))
 	cfg.Workload = "mixedphase"
 	cfg.KeepFDPHistory = true
 	res, err := sim.RunContext(ctx, cfg)

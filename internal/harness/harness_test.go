@@ -180,9 +180,6 @@ func TestConfigBuilders(t *testing.T) {
 	if c := dynIns(sim.PrefStream); c.FDP.DynamicAggressiveness || !c.FDP.DynamicInsertion || c.StaticLevel != 5 {
 		t.Fatal("dynIns flags wrong")
 	}
-	if c := fullFDP(sim.PrefStream); !c.FDP.DynamicAggressiveness || !c.FDP.DynamicInsertion {
-		t.Fatal("fullFDP flags wrong")
-	}
 	if c := accuracyOnly(sim.PrefStream); !c.FDP.AccuracyOnly {
 		t.Fatal("accuracyOnly flag missing")
 	}
@@ -210,8 +207,8 @@ func harnessSpec(name string) *spec.Spec {
 func TestSpecGridRunAll(t *testing.T) {
 	sp := harnessSpec("grid.mix")
 	configs := map[string]sim.Config{
-		cfgVA:  static(sim.PrefStream, 5),
-		cfgFDP: fullFDP(sim.PrefStream),
+		cfgVA:  sim.Conventional(sim.PrefStream, 5),
+		cfgFDP: sim.WithFDP(sim.PrefStream),
 	}
 	order := []string{cfgVA, cfgFDP}
 	p := Params{Insts: 10_000, TInterval: 256, Seed: 3, Workers: 2, Memo: store.NewMemo(nil)}

@@ -21,10 +21,53 @@ import (
 // has no "cycles" unit); relative spacing is what matters. Cores map to
 // trace processes, so multi-core runs get per-core track groups.
 type Chrome struct {
-	bw       *bufio.Writer
-	err      error
-	n        int
+	chromeDoc
 	seenCore map[int]bool
+}
+
+// chromeDoc writes one trace_event document: the header, the
+// comma-joined events and the footer. Its first error sticks, and every
+// later write is a no-op.
+type chromeDoc struct {
+	bw  *bufio.Writer
+	err error
+	n   int
+}
+
+func newChromeDoc(w io.Writer) chromeDoc {
+	d := chromeDoc{bw: bufio.NewWriter(w)}
+	_, d.err = d.bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	return d
+}
+
+// emit appends one event.
+func (d *chromeDoc) emit(ev any) {
+	if d.err != nil {
+		return
+	}
+	raw, err := json.Marshal(ev)
+	if err != nil {
+		d.err = fmt.Errorf("obs: chrome encode: %w", err)
+		return
+	}
+	if d.n > 0 {
+		if d.err = d.bw.WriteByte(','); d.err != nil {
+			return
+		}
+	}
+	_, d.err = d.bw.Write(raw)
+	d.n++
+}
+
+// close terminates the document, flushes it and returns the sticky error.
+func (d *chromeDoc) close() error {
+	if d.err == nil {
+		_, d.err = d.bw.WriteString("]}")
+	}
+	if err := d.bw.Flush(); err != nil && d.err == nil {
+		d.err = fmt.Errorf("obs: chrome flush: %w", err)
+	}
+	return d.err
 }
 
 // chromeEvent is one trace_event record; fields beyond the five required
@@ -42,10 +85,7 @@ type chromeEvent struct {
 // NewChrome returns a Chrome trace sink over w. The caller owns w; Close
 // terminates the JSON document and flushes but does not close it.
 func NewChrome(w io.Writer) *Chrome {
-	c := &Chrome{bw: bufio.NewWriter(w), seenCore: make(map[int]bool)}
-	_, err := c.bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
-	c.err = err
-	return c
+	return &Chrome{chromeDoc: newChromeDoc(w), seenCore: make(map[int]bool)}
 }
 
 // insertionDepth maps the insertion-position name to a numeric LRU-stack
@@ -61,28 +101,6 @@ func insertionDepth(pos string) int {
 	default:
 		return 0
 	}
-}
-
-func (c *Chrome) emit(ev chromeEvent) {
-	if c.err != nil {
-		return
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		c.err = fmt.Errorf("obs: chrome encode: %w", err)
-		return
-	}
-	if c.n > 0 {
-		if err := c.bw.WriteByte(','); err != nil {
-			c.err = err
-			return
-		}
-	}
-	if _, err := c.bw.Write(raw); err != nil {
-		c.err = err
-		return
-	}
-	c.n++
 }
 
 // TraceDecision implements sim.Tracer.
@@ -159,15 +177,7 @@ func (c *Chrome) TraceDecision(ev sim.DecisionEvent) {
 func (c *Chrome) Err() error { return c.err }
 
 // Close terminates the trace document and flushes buffered output.
-func (c *Chrome) Close() error {
-	if c.err == nil {
-		_, c.err = c.bw.WriteString("]}")
-	}
-	if err := c.bw.Flush(); err != nil && c.err == nil {
-		c.err = fmt.Errorf("obs: chrome flush: %w", err)
-	}
-	return c.err
-}
+func (c *Chrome) Close() error { return c.close() }
 
 // WriteChrome renders a collected event slice as one Chrome trace
 // document (the service's ?format=chrome path).

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -26,11 +23,6 @@ import (
 // Timestamps are microseconds relative to the earliest span start, so
 // the timeline opens at zero rather than at the Unix epoch.
 func WriteSpansChrome(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return err
-	}
-
 	var epoch time.Time
 	for _, s := range spans {
 		if epoch.IsZero() || s.Start.Before(epoch) {
@@ -77,42 +69,23 @@ func WriteSpansChrome(w io.Writer, spans []Span) error {
 		tids[r.actor+"\x00"+r.lane] = i + 1
 	}
 
-	n := 0
-	emit := func(v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("obs: span chrome encode: %w", err)
-		}
-		if n > 0 {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		n++
-		_, err = bw.Write(raw)
-		return err
-	}
-
+	doc := newChromeDoc(w)
 	for _, a := range actors {
 		name := a
 		if name == "" {
 			name = "fabric"
 		}
-		if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: pids[a],
-			Args: map[string]any{"name": name}}); err != nil {
-			return err
-		}
+		doc.emit(chromeEvent{Name: "process_name", Ph: "M", Pid: pids[a],
+			Args: map[string]any{"name": name}})
 	}
 	for _, r := range rows {
 		name := r.lane
 		if name == "" {
 			name = "(default)"
 		}
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M",
+		doc.emit(chromeEvent{Name: "thread_name", Ph: "M",
 			Pid: pids[r.actor], Tid: tids[r.actor+"\x00"+r.lane],
-			Args: map[string]any{"name": "tenant " + name}}); err != nil {
-			return err
-		}
+			Args: map[string]any{"name": "tenant " + name}})
 	}
 
 	for _, s := range spans {
@@ -136,22 +109,15 @@ func WriteSpansChrome(w io.Writer, spans []Span) error {
 			chromeEvent: chromeEvent{Name: s.Name, Ph: "X", Ts: us(s.Start), Pid: pid, Tid: tid, Args: args},
 			Dur:         float64(s.Duration().Microseconds()),
 		}
-		if err := emit(ev); err != nil {
-			return err
-		}
+		doc.emit(ev)
 		for _, e := range s.Events {
 			eargs := map[string]any{"span_id": s.SpanID}
 			for k, v := range e.Attrs {
 				eargs[k] = v
 			}
-			if err := emit(chromeEvent{Name: e.Name, Ph: "i", Ts: us(e.Time),
-				Pid: pid, Tid: tid, S: "t", Args: eargs}); err != nil {
-				return err
-			}
+			doc.emit(chromeEvent{Name: e.Name, Ph: "i", Ts: us(e.Time),
+				Pid: pid, Tid: tid, S: "t", Args: eargs})
 		}
 	}
-	if _, err := bw.WriteString("]}"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return doc.close()
 }

@@ -55,7 +55,7 @@ func TestFabricTraceTwoWorkers(t *testing.T) {
 	}
 	// Injected lease steal: a ghost worker claimed the fingerprint and
 	// died; whoever executes must wait out and steal this lease.
-	if state, _, err := stA.Claim(fp, "ghost", 400*time.Millisecond); err != nil || state != store.ClaimAcquired {
+	if state, _, err := stA.Claim(fp, "ghost", 400*time.Millisecond, ""); err != nil || state != store.ClaimAcquired {
 		t.Fatalf("seeding ghost claim: %v, %v", state, err)
 	}
 
@@ -241,7 +241,7 @@ func TestSSEKeepalive(t *testing.T) {
 		Workloads: []string{"seqstream"},
 		Configs:   []sweep.ConfigAxis{{FDP: true}},
 		Insts:     20_000,
-	})
+	}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestFleetTwoWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("config 0 not fingerprintable")
 	}
-	if state, _, err := stA.Claim(fp0, "ghost", 400*time.Millisecond); err != nil || state != store.ClaimAcquired {
+	if state, _, err := stA.Claim(fp0, "ghost", 400*time.Millisecond, ""); err != nil || state != store.ClaimAcquired {
 		t.Fatalf("seeding ghost claim: %v, %v", state, err)
 	}
 
@@ -122,7 +122,7 @@ func TestFleetTwoWorkers(t *testing.T) {
 	// No claim files should be left behind once every job released.
 	for _, cfg := range configs {
 		fp, _ := sim.Fingerprint(cfg)
-		if state, info, err := stA.Claim(fp, "probe", time.Minute); err != nil || state != store.ClaimDone {
+		if state, info, err := stA.Claim(fp, "probe", time.Minute, ""); err != nil || state != store.ClaimDone {
 			t.Fatalf("post-run claim for %s = %v (%+v), %v, want done", shortFP(fp), state, info, err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestFleetAdoptionKeepsEntry(t *testing.T) {
 	}
 	// A live executor elsewhere in the fleet: its long lease keeps this
 	// worker waiting on the claim until the result appears.
-	if state, _, err := st.Claim(fp, "ghost", time.Minute); err != nil || state != store.ClaimAcquired {
+	if state, _, err := st.Claim(fp, "ghost", time.Minute, ""); err != nil || state != store.ClaimAcquired {
 		t.Fatalf("seeding ghost claim: %v, %v", state, err)
 	}
 	job, err := srv.Submit(sim.Job{Cfg: cfg})

@@ -560,7 +560,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	traceID, parent := parseTraceHeader(r.Header.Get(TraceHeader))
-	sw, err := s.SubmitSweepTrace(req, traceID, parent)
+	sw, err := s.SubmitSweep(req, traceID, parent)
 	switch {
 	case err == nil:
 		w.Header().Set("Location", "/v1/sweeps/"+sw.ID())

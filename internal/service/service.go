@@ -668,7 +668,7 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 	st := s.cfg.Store
 	backoff := 25 * time.Millisecond
 	for range s.cfg.ClaimAttempts {
-		state, cur, err := st.ClaimTrace(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL, job.traceID)
+		state, cur, err := st.Claim(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL, job.traceID)
 		if err != nil {
 			s.log.Warn("fleet claim error; executing locally", "job", job.id, "error", err)
 			return false

@@ -79,14 +79,10 @@ type SweepStatus struct {
 // SubmitSweep expands, validates and admits a sweep: every distinct
 // fingerprint in the grid becomes one job on the sweep's tenant (bypassing
 // queued quotas — the grid is bounded by sweep.MaxJobs at expansion).
-// Expansion failures wrap sweep.ErrInvalid (HTTP 400, exit code 2).
-func (s *Server) SubmitSweep(req sweep.Request) (*Sweep, error) {
-	return s.SubmitSweepTrace(req, "", "")
-}
-
-// SubmitSweepTrace is SubmitSweep joining an existing fabric trace (from
-// the X-Fdp-Trace submission header). Empty traceID starts a fresh one.
-func (s *Server) SubmitSweepTrace(req sweep.Request, traceID, parentSpan string) (*Sweep, error) {
+// Expansion failures wrap sweep.ErrInvalid (HTTP 400, exit code 2). The
+// sweep joins the fabric trace traceID under parentSpan (from the
+// X-Fdp-Trace submission header); an empty traceID starts a fresh one.
+func (s *Server) SubmitSweep(req sweep.Request, traceID, parentSpan string) (*Sweep, error) {
 	units, err := req.Expand()
 	if err != nil {
 		return nil, err

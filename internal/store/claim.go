@@ -140,14 +140,10 @@ func newNonce() (string, error) {
 
 // Claim attempts to take ownership of a fingerprint for ttl. The caller
 // identifies itself as owner (fleet worker names must be unique). See
-// ClaimState for the three outcomes.
-func (s *Store) Claim(fp, owner string, ttl time.Duration) (ClaimState, ClaimInfo, error) {
-	return s.ClaimTrace(fp, owner, ttl, "")
-}
-
-// ClaimTrace is Claim carrying a fabric trace ID, persisted in the claim
-// file so other workers touching this fingerprint can join the trace.
-func (s *Store) ClaimTrace(fp, owner string, ttl time.Duration, trace string) (ClaimState, ClaimInfo, error) {
+// ClaimState for the three outcomes. trace, when non-empty, is a fabric
+// trace ID persisted in the claim file so other workers touching this
+// fingerprint can join the trace.
+func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (ClaimState, ClaimInfo, error) {
 	if !validFP(fp) {
 		return ClaimHeld, ClaimInfo{}, fmt.Errorf("store: invalid fingerprint %q", fp)
 	}

@@ -35,7 +35,7 @@ func TestClaimLifecycle(t *testing.T) {
 	a, b := twoHandles(t)
 	fp := testFP(1)
 
-	st, info, err := a.Claim(fp, "w1", time.Minute)
+	st, info, err := a.Claim(fp, "w1", time.Minute, "")
 	if err != nil || st != ClaimAcquired {
 		t.Fatalf("first claim = %v, %v, want acquired", st, err)
 	}
@@ -44,7 +44,7 @@ func TestClaimLifecycle(t *testing.T) {
 	}
 
 	// A second worker sees the live lease with the holder's identity.
-	st, held, err := b.Claim(fp, "w2", time.Minute)
+	st, held, err := b.Claim(fp, "w2", time.Minute, "")
 	if err != nil || st != ClaimHeld {
 		t.Fatalf("contended claim = %v, %v, want held", st, err)
 	}
@@ -66,7 +66,7 @@ func TestClaimLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Release(fp, "w1")
-	st, _, err = b.Claim(fp, "w2", time.Minute)
+	st, _, err = b.Claim(fp, "w2", time.Minute, "")
 	if err != nil || st != ClaimDone {
 		t.Fatalf("claim after put = %v, %v, want done", st, err)
 	}
@@ -79,16 +79,16 @@ func TestClaimStealAfterExpiry(t *testing.T) {
 	a, b := twoHandles(t)
 	fp := testFP(2)
 
-	if st, _, _ := a.Claim(fp, "ghost", 10*time.Millisecond); st != ClaimAcquired {
+	if st, _, _ := a.Claim(fp, "ghost", 10*time.Millisecond, ""); st != ClaimAcquired {
 		t.Fatalf("ghost claim = %v", st)
 	}
 	// Before expiry the lease holds.
-	if st, _, _ := b.Claim(fp, "w2", time.Minute); st != ClaimHeld {
+	if st, _, _ := b.Claim(fp, "w2", time.Minute, ""); st != ClaimHeld {
 		t.Fatalf("pre-expiry claim = %v, want held", st)
 	}
 	time.Sleep(20 * time.Millisecond)
 
-	st, info, err := b.Claim(fp, "w2", time.Minute)
+	st, info, err := b.Claim(fp, "w2", time.Minute, "")
 	if err != nil || st != ClaimAcquired {
 		t.Fatalf("post-expiry claim = %v, %v, want acquired", st, err)
 	}
@@ -114,7 +114,7 @@ func TestClaimCorruptRecovery(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1,"owner":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, info, err := b.Claim(fp, "w2", time.Minute)
+	st, info, err := b.Claim(fp, "w2", time.Minute, "")
 	if err != nil || st != ClaimAcquired || !info.Stolen {
 		t.Fatalf("claim over corrupt file = %v (stolen=%v), %v, want stolen acquisition", st, info.Stolen, err)
 	}
@@ -147,7 +147,7 @@ func TestClaimRaceExclusive(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				owner := fmt.Sprintf("w%d", i)
-				st, _, err := handles[i%2].Claim(fp, owner, time.Minute)
+				st, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
 				if err != nil {
 					t.Errorf("claim: %v", err)
 					return
@@ -176,7 +176,7 @@ func TestClaimStealRace(t *testing.T) {
 	handles := []*Store{a, b}
 	fp := testFP(200)
 
-	if st, _, _ := a.Claim(fp, "ghost", time.Nanosecond); st != ClaimAcquired {
+	if st, _, _ := a.Claim(fp, "ghost", time.Nanosecond, ""); st != ClaimAcquired {
 		t.Fatal("seeding expired claim failed")
 	}
 	time.Sleep(time.Millisecond)
@@ -189,7 +189,7 @@ func TestClaimStealRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			owner := fmt.Sprintf("thief%d", i)
-			st, _, err := handles[i%2].Claim(fp, owner, time.Minute)
+			st, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
 			if err != nil {
 				t.Errorf("claim: %v", err)
 				return

@@ -135,7 +135,7 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 func TestClaimTracePropagation(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	fp := "00112233aabbccdd"
-	st, info, err := s.ClaimTrace(fp, "worker-a", 50*time.Millisecond, "trace-xyz")
+	st, info, err := s.Claim(fp, "worker-a", 50*time.Millisecond, "trace-xyz")
 	if err != nil || st != ClaimAcquired {
 		t.Fatalf("claim: %v %v", st, err)
 	}
@@ -143,7 +143,7 @@ func TestClaimTracePropagation(t *testing.T) {
 		t.Fatalf("fresh claim gen/stolen = %d/%v", info.Gen(), info.Stolen)
 	}
 	// A second worker sees the holder's trace while the lease is live.
-	st2, held, err := s.Claim(fp, "worker-b", 50*time.Millisecond)
+	st2, held, err := s.Claim(fp, "worker-b", 50*time.Millisecond, "")
 	if err != nil || st2 != ClaimHeld {
 		t.Fatalf("second claim: %v %v", st2, err)
 	}
@@ -153,7 +153,7 @@ func TestClaimTracePropagation(t *testing.T) {
 	// After expiry, the thief joins the same trace via its own claim and
 	// the generation advances.
 	time.Sleep(60 * time.Millisecond)
-	st3, stolen, err := s.ClaimTrace(fp, "worker-b", 50*time.Millisecond, held.Trace)
+	st3, stolen, err := s.Claim(fp, "worker-b", 50*time.Millisecond, held.Trace)
 	if err != nil || st3 != ClaimAcquired {
 		t.Fatalf("steal: %v %v", st3, err)
 	}

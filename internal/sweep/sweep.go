@@ -134,8 +134,8 @@ func (a ConfigAxis) label() string {
 
 // Build assembles the axis's simulator configuration (before the shared
 // sizing and the workload are stamped on). It is the one mapping from
-// these simple fields to a configuration: POST /v1/jobs builds its
-// simple fields through it too. Inconsistent fields report errors
+// these simple fields to a configuration: POST /v1/jobs and the fdpsim
+// CLI's flags build through it too. Inconsistent fields report errors
 // matching ErrInvalid.
 func (a ConfigAxis) Build() (sim.Config, error) {
 	kind := sim.PrefetcherKind(a.Prefetcher)
