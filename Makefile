@@ -184,16 +184,20 @@ fuzz:
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
 	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 30s
+	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 30s
+	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 30s
 
 # The 10-second-per-target slice CI runs on every PR, so request,
-# decoder, model-loader and block-index fuzz regressions surface before
-# merge, not in nightlies.
+# decoder, model-loader, block-index, tag-store and stream-table fuzz
+# regressions surface before merge, not in nightlies.
 fuzz-smoke:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
 	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
 	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s
 	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 10s
+	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 10s
+	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 10s
 
 clean:
 	go clean ./...

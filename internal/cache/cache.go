@@ -60,10 +60,10 @@ func (p InsertPos) Depth(ways int) int {
 	}
 }
 
-// Block is one cache line's tag-store state.
+// Block is one cache line's tag-store state. A cache holds only resident
+// blocks, so a Block needs no valid bit.
 type Block struct {
 	Tag   Addr // full block address (serves as the tag; sets re-derive index)
-	Valid bool
 	Dirty bool
 	// Pref is the paper's pref-bit: set when the block is filled by a
 	// prefetch, cleared the first time a demand request touches it.
@@ -73,11 +73,6 @@ type Block struct {
 	// demand-filled victims (Section 3.1.3), so this must survive the
 	// pref-bit being cleared on first use.
 	DemandFill bool
-}
-
-// set holds blocks in LRU order: index 0 is the least recently used.
-type set struct {
-	blocks []Block
 }
 
 // EvictionInfo describes a block displaced by an insertion, delivered to
@@ -92,12 +87,17 @@ type Evicted struct {
 // Cache is a set-associative, true-LRU cache model. It is a pure storage
 // and replacement model: latencies, ports and queueing belong to the owner.
 type Cache struct {
-	name     string
-	ways     int
-	numSets  int
-	setMask  uint64
-	sets     []set
-	OnEvict  func(ev Evicted) // optional; called for every valid eviction
+	name    string
+	ways    int
+	numSets int
+	setMask uint64
+	// blocks is the flat tag store: set s owns blocks[s*ways:(s+1)*ways],
+	// of which the first fill[s] are resident, least recently used first.
+	blocks []Block
+	fill   []int32
+	// OnEvict, optional, is called for every eviction, after the victim
+	// has left its set. It must not modify this cache.
+	OnEvict  func(ev Evicted)
 	accesses uint64
 	misses   uint64
 }
@@ -117,17 +117,14 @@ func New(name string, totalBlocks, ways int) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
 	}
-	c := &Cache{
+	return &Cache{
 		name:    name,
 		ways:    ways,
 		numSets: numSets,
 		setMask: uint64(numSets - 1),
-		sets:    make([]set, numSets),
+		blocks:  make([]Block, totalBlocks),
+		fill:    make([]int32, numSets),
 	}
-	for i := range c.sets {
-		c.sets[i].blocks = make([]Block, 0, ways)
-	}
-	return c
 }
 
 // Name returns the label the cache was constructed with.
@@ -142,11 +139,24 @@ func (c *Cache) NumSets() int { return c.numSets }
 // Blocks returns the total block capacity.
 func (c *Cache) Blocks() int { return c.numSets * c.ways }
 
-func (c *Cache) setFor(block Addr) *set { return &c.sets[block&c.setMask] }
+// stack returns the index of block's set and the set's resident blocks.
+func (c *Cache) stack(block Addr) (int, []Block) {
+	si := int(block & c.setMask)
+	return si, c.resident(si)
+}
 
-func (s *set) find(block Addr) int {
-	for i := range s.blocks {
-		if s.blocks[i].Valid && s.blocks[i].Tag == block {
+// resident returns set si's resident blocks, least recently used first.
+// The slice's capacity ends at the set's last way, so a fill can extend
+// it in place.
+func (c *Cache) resident(si int) []Block {
+	base := si * c.ways
+	return c.blocks[base : base+int(c.fill[si]) : base+c.ways]
+}
+
+// find returns the stack index of block in s, or -1.
+func find(s []Block, block Addr) int {
+	for i := range s {
+		if s[i].Tag == block {
 			return i
 		}
 	}
@@ -157,9 +167,9 @@ func (s *set) find(block Addr) int {
 // returns a pointer into the set that is invalidated by the next mutating
 // call, so callers must consume it immediately.
 func (c *Cache) Lookup(block Addr) *Block {
-	s := c.setFor(block)
-	if i := s.find(block); i >= 0 {
-		return &s.blocks[i]
+	_, s := c.stack(block)
+	if i := find(s, block); i >= 0 {
+		return &s[i]
 	}
 	return nil
 }
@@ -172,30 +182,17 @@ func (c *Cache) Contains(block Addr) bool { return c.Lookup(block) != nil }
 // clear); on a miss nil is returned. Hit/miss statistics are updated.
 func (c *Cache) Access(block Addr) *Block {
 	c.accesses++
-	s := c.setFor(block)
-	i := s.find(block)
+	_, s := c.stack(block)
+	i := find(s, block)
 	if i < 0 {
 		c.misses++
 		return nil
 	}
 	// Promote to MRU: move to the end of the stack.
-	b := s.blocks[i]
-	copy(s.blocks[i:], s.blocks[i+1:])
-	s.blocks[len(s.blocks)-1] = b
-	return &s.blocks[len(s.blocks)-1]
-}
-
-// Touch promotes the block to MRU if present, without counting an access.
-func (c *Cache) Touch(block Addr) bool {
-	s := c.setFor(block)
-	i := s.find(block)
-	if i < 0 {
-		return false
-	}
-	b := s.blocks[i]
-	copy(s.blocks[i:], s.blocks[i+1:])
-	s.blocks[len(s.blocks)-1] = b
-	return true
+	b := s[i]
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = b
+	return &s[len(s)-1]
 }
 
 // Insert fills the block at the given LRU-stack position, evicting the LRU
@@ -205,43 +202,44 @@ func (c *Cache) Touch(block Addr) bool {
 // occurs. Insert returns the evicted block by value (evicted reports
 // whether there was one), so the per-fill path stays allocation-free.
 func (c *Cache) Insert(block Addr, pos InsertPos, pref, dirty bool) (ev Evicted, evicted bool) {
-	s := c.setFor(block)
-	if i := s.find(block); i >= 0 {
+	si, s := c.stack(block)
+	if i := find(s, block); i >= 0 {
 		// Duplicate fill (e.g. prefetch raced a demand fill): merge state.
-		s.blocks[i].Dirty = s.blocks[i].Dirty || dirty
-		s.blocks[i].Pref = s.blocks[i].Pref || pref
+		s[i].Dirty = s[i].Dirty || dirty
+		s[i].Pref = s[i].Pref || pref
 		return Evicted{}, false
 	}
-	if len(s.blocks) == c.ways {
-		victim := s.blocks[0]
-		copy(s.blocks, s.blocks[1:])
-		s.blocks = s.blocks[:len(s.blocks)-1]
+	if len(s) == c.ways {
+		victim := s[0]
+		copy(s, s[1:])
+		s = s[:len(s)-1]
+		c.fill[si]--
 		ev, evicted = Evicted{Block: victim, ByPrefetch: pref}, true
 		if c.OnEvict != nil {
 			c.OnEvict(ev)
 		}
 	}
 	depth := pos.Depth(c.ways)
-	if depth > len(s.blocks) {
-		depth = len(s.blocks)
+	if depth > len(s) {
+		depth = len(s)
 	}
-	nb := Block{Tag: block, Valid: true, Dirty: dirty, Pref: pref, DemandFill: !pref}
-	s.blocks = append(s.blocks, Block{})
-	copy(s.blocks[depth+1:], s.blocks[depth:])
-	s.blocks[depth] = nb
+	s = s[:len(s)+1]
+	copy(s[depth+1:], s[depth:])
+	s[depth] = Block{Tag: block, Dirty: dirty, Pref: pref, DemandFill: !pref}
+	c.fill[si]++
 	return ev, evicted
 }
 
 // Invalidate removes the block if present and returns its prior state.
 func (c *Cache) Invalidate(block Addr) (Block, bool) {
-	s := c.setFor(block)
-	i := s.find(block)
+	si, s := c.stack(block)
+	i := find(s, block)
 	if i < 0 {
 		return Block{}, false
 	}
-	b := s.blocks[i]
-	copy(s.blocks[i:], s.blocks[i+1:])
-	s.blocks = s.blocks[:len(s.blocks)-1]
+	b := s[i]
+	copy(s[i:], s[i+1:])
+	c.fill[si]--
 	return b, true
 }
 
@@ -263,26 +261,10 @@ func (c *Cache) Misses() uint64 { return c.misses }
 // StackPositions returns, for testing, the block addresses of a set ordered
 // LRU to MRU. The set index is block&setMask of any resident address.
 func (c *Cache) StackPositions(setIndex int) []Addr {
-	s := &c.sets[setIndex]
-	out := make([]Addr, 0, len(s.blocks))
-	for _, b := range s.blocks {
-		if b.Valid {
-			out = append(out, b.Tag)
-		}
+	s := c.resident(setIndex)
+	out := make([]Addr, 0, len(s))
+	for _, b := range s {
+		out = append(out, b.Tag)
 	}
 	return out
-}
-
-// CountPref returns the number of resident blocks with the pref-bit set,
-// used by tests and the hardware-cost accounting.
-func (c *Cache) CountPref() int {
-	n := 0
-	for i := range c.sets {
-		for _, b := range c.sets[i].blocks {
-			if b.Valid && b.Pref {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -182,39 +182,19 @@ func TestInvalidateAndSetDirty(t *testing.T) {
 	}
 }
 
-func TestTouchPromotes(t *testing.T) {
-	c := New("t", 4, 4)
-	for b := Addr(0); b < 4; b++ {
-		c.Insert(b, PosMRU, false, false)
-	}
-	if !c.Touch(0) {
-		t.Fatal("Touch missed resident block")
-	}
-	got := c.StackPositions(0)
-	if got[len(got)-1] != 0 {
-		t.Fatalf("Touch did not promote: %v", got)
-	}
-	if c.Touch(99) {
-		t.Fatal("Touch hit absent block")
-	}
-	if c.Accesses() != 0 {
-		t.Fatal("Touch counted as access")
-	}
-}
-
 func TestPrefBitLifecycle(t *testing.T) {
 	c := New("t", 4, 4)
 	c.Insert(1, PosMRU, true, false)
-	if c.CountPref() != 1 {
-		t.Fatalf("CountPref = %d", c.CountPref())
+	if b := c.Lookup(1); b == nil || !b.Pref {
+		t.Fatalf("prefetch fill = %+v, want the pref-bit set", b)
 	}
 	b := c.Access(1)
 	if b == nil || !b.Pref {
 		t.Fatal("prefetched block lost its pref bit before first use")
 	}
 	b.Pref = false // the hierarchy clears it on first demand use
-	if c.CountPref() != 0 {
-		t.Fatalf("CountPref after clear = %d", c.CountPref())
+	if b := c.Lookup(1); b == nil || b.Pref {
+		t.Fatalf("after first use = %+v, want the pref-bit clear", b)
 	}
 }
 
@@ -239,7 +219,9 @@ func TestStackInvariants(t *testing.T) {
 					return false
 				}
 			case 2:
-				c.Touch(block)
+				if c.SetDirty(block) != resident[block] {
+					return false
+				}
 			case 3:
 				if _, ok := c.Invalidate(block); ok != resident[block] {
 					return false
@@ -271,5 +253,15 @@ func TestStackInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewAllocsIndependentOfSets pins the flat tag store: building a cache
+// allocates the same objects whatever its set count.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	one := testing.AllocsPerRun(20, func() { New("one", 4, 4) })
+	many := testing.AllocsPerRun(20, func() { New("many", 4096, 4) })
+	if one != many {
+		t.Fatalf("New allocates %v objects for 1 set, %v for 1,024 sets", one, many)
 	}
 }

@@ -68,10 +68,25 @@ type robEntry struct {
 	loadSeq   uint64 // this entry's load number, when kind == Load
 }
 
-// loadRing tracks completion of recent loads so dependents can resolve.
-// Slots are recycled; a slot holding a different sequence number than the
-// one queried refers to a load so old it must have completed.
-const loadRingSize = 4096
+// loadSlot tracks one recent load so its dependents can resolve. Slots
+// are recycled by sequence number: a slot holding a different sequence
+// number than the one queried refers to a load so old it must have
+// completed. The ring is at least as large as the ROB, so a load's slot is
+// only reused once the load has retired.
+//
+// Waiters blocked on a load form an intrusive FIFO list threaded through
+// ROB indices: waiterHead/waiterTail per slot, waiterNext per ROB entry
+// (-1 terminated). A ROB entry waits on at most one producer, so one link
+// per entry suffices — and, unlike per-slot slices, the lists never
+// allocate as random dependence patterns walk the ring.
+type loadSlot struct {
+	seq                    uint64
+	waiterHead, waiterTail int32
+	done                   bool
+}
+
+// minLoadRing is the smallest load ring, in slots.
+const minLoadRing = 4096
 
 // CPU is the core timing model. Tick once per cycle.
 type CPU struct {
@@ -84,16 +99,10 @@ type CPU struct {
 	count      int
 
 	loadsDispatched uint64
-	ringSeq         [loadRingSize]uint64
-	ringDone        [loadRingSize]bool
-	// Waiters blocked on each load form an intrusive FIFO list threaded
-	// through ROB indices: waiterHead/waiterTail per ring slot, waiterNext
-	// per ROB entry (-1 terminated). A ROB entry waits on at most one
-	// producer, so one link per entry suffices — and, unlike per-slot
-	// slices, the arrays never allocate as random dependence patterns walk
-	// the ring.
-	waiterHead [loadRingSize]int32
-	waiterTail [loadRingSize]int32
+	// ring has a power-of-two length, at least max(ROB, minLoadRing);
+	// load seq lives in ring[seq&ringMask].
+	ring       []loadSlot
+	ringMask   uint64
 	waiterNext []int32
 
 	// readyQ holds ROB indices of loads ready to issue, in a fixed ring:
@@ -147,12 +156,13 @@ func New(cfg Config, src Source, mem MemFunc) *CPU {
 	for qcap < cfg.ROB {
 		qcap <<= 1
 	}
+	rcap := max(qcap, minLoadRing)
 	c := &CPU{cfg: cfg, src: src, mem: mem,
 		rob: make([]robEntry, cfg.ROB), readyQ: make([]int32, qcap),
+		ring: make([]loadSlot, rcap), ringMask: uint64(rcap - 1),
 		waiterNext: make([]int32, cfg.ROB)}
-	for i := range c.waiterHead {
-		c.waiterHead[i] = -1
-		c.waiterTail[i] = -1
+	for i := range c.ring {
+		c.ring[i].waiterHead, c.ring[i].waiterTail = -1, -1
 	}
 	return c
 }
@@ -285,7 +295,9 @@ func (c *CPU) retire() {
 			c.retiredStores++
 		}
 		c.retired++
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 	}
 }
@@ -335,7 +347,9 @@ func (c *CPU) dispatch() {
 		idx := int32(c.tail)
 		e := &c.rob[idx]
 		*e = robEntry{kind: op.Kind, addr: op.Addr, pc: op.PC}
-		c.tail = (c.tail + 1) % len(c.rob)
+		if c.tail++; c.tail == len(c.rob) {
+			c.tail = 0
+		}
 		c.count++
 		c.dispatched++
 		progressed = true
@@ -352,19 +366,16 @@ func (c *CPU) dispatch() {
 			c.loadsDispatched++
 			seq := c.loadsDispatched
 			e.loadSeq = seq
-			slot := seq % loadRingSize
-			c.ringSeq[slot] = seq
-			c.ringDone[slot] = false
-			c.waiterHead[slot], c.waiterTail[slot] = -1, -1
+			c.ring[seq&c.ringMask] = loadSlot{seq: seq, waiterHead: -1, waiterTail: -1}
 			if dep := c.depSeq(op.Dep, seq); dep != 0 && !c.loadComplete(dep) {
-				ds := dep % loadRingSize
+				ds := &c.ring[dep&c.ringMask]
 				c.waiterNext[idx] = -1
-				if c.waiterTail[ds] < 0 {
-					c.waiterHead[ds] = idx
+				if ds.waiterTail < 0 {
+					ds.waiterHead = idx
 				} else {
-					c.waiterNext[c.waiterTail[ds]] = idx
+					c.waiterNext[ds.waiterTail] = idx
 				}
-				c.waiterTail[ds] = idx
+				ds.waiterTail = idx
 			} else {
 				c.pushReady(idx)
 			}
@@ -415,24 +426,20 @@ func (c *CPU) depSeq(dep int, self uint64) uint64 {
 // loadComplete reports whether load seq has completed. Loads whose ring
 // slot has been recycled are, by construction, long retired.
 func (c *CPU) loadComplete(seq uint64) bool {
-	slot := seq % loadRingSize
-	if c.ringSeq[slot] != seq {
-		return true
-	}
-	return c.ringDone[slot]
+	slot := &c.ring[seq&c.ringMask]
+	return slot.seq != seq || slot.done
 }
 
 // CompleteLoad delivers the data for the load in ROB slot robIdx with
 // sequence number seq, waking any dependents. Called by the hierarchy.
 func (c *CPU) CompleteLoad(robIdx int32, seq uint64) {
 	c.rob[robIdx].completed = true
-	slot := seq % loadRingSize
-	if c.ringSeq[slot] == seq {
-		c.ringDone[slot] = true
-		for w := c.waiterHead[slot]; w >= 0; w = c.waiterNext[w] {
+	if slot := &c.ring[seq&c.ringMask]; slot.seq == seq {
+		slot.done = true
+		for w := slot.waiterHead; w >= 0; w = c.waiterNext[w] {
 			c.pushReady(w)
 		}
-		c.waiterHead[slot], c.waiterTail[slot] = -1, -1
+		slot.waiterHead, slot.waiterTail = -1, -1
 	}
 }
 

@@ -226,3 +226,18 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatalf("zero-config ROB = %d", len(c.rob))
 	}
 }
+
+// TestDependentChainPastLoadRing runs a chain of dependent loads through
+// an 8,192-entry ROB, so more than 4,096 loads are in flight at once: the
+// load ring must keep each outstanding load's slot, and its waiter, until
+// the load completes, however large the ROB.
+func TestDependentChainPastLoadRing(t *testing.T) {
+	const chain = 10_000
+	ops := make([]MicroOp, chain)
+	for i := range ops {
+		ops[i] = MicroOp{Kind: Load, Addr: uint64(i) * 64, Dep: 1}
+	}
+	m := &fixedMem{latency: 4}
+	c := New(Config{Width: 8, ROB: 8192, LoadPorts: 4}, &scriptSource{ops: ops}, m.access)
+	run(t, c, m, chain, 8*chain)
+}

@@ -30,14 +30,13 @@ const trainWindow = 16
 const startupDistance = 2
 
 type streamEntry struct {
-	state    int
-	dir      int64 // +1 ascending, -1 descending
-	first    int64 // miss address that allocated the entry
-	last     int64 // most recent training miss
-	votes    int   // consecutive consistent direction votes
-	start    int64 // monitored region start pointer (address A)
-	end      int64 // monitored region end pointer (address P)
-	lastUsed uint64
+	state int
+	dir   int64 // +1 ascending, -1 descending
+	first int64 // miss address that allocated the entry
+	last  int64 // most recent training miss
+	votes int   // consecutive consistent direction votes
+	start int64 // monitored region start pointer (address A)
+	end   int64 // monitored region end pointer (address P)
 	// accesses counts demand accesses serviced by this entry's monitored
 	// region, the per-stream confidence used by the ramping mode.
 	accesses uint64
@@ -46,8 +45,20 @@ type streamEntry struct {
 // StreamPrefetcher implements Prefetcher.
 type StreamPrefetcher struct {
 	entries []streamEntry
-	level   int
-	tick    uint64
+	// The match keys, what the per-access scans read: one slot per entry
+	// in each of five arrays that share one allocation. Slot i holds
+	// entry i's monitored region [monLo, monLo+monWidth) while it is in
+	// Monitor and Request (start..end ascending, end..start descending),
+	// its training window [trainLo, trainLo+trainWidth), ±trainWindow
+	// around first, while it is Allocated or Training, and its LRU tick,
+	// 0 while Invalid. A width of 0 matches no block, so the other states
+	// need no sentinel address. sync(i) refreshes slot i after each of
+	// Observe's mutations, the only ones an entry sees.
+	monLo, monWidth     []uint64
+	trainLo, trainWidth []uint64
+	lru                 []uint64
+	level               int
+	tick                uint64
 	// ramp enables per-stream adaptation (the paper's footnote 8
 	// alternative to global feedback): each tracking entry starts at the
 	// most conservative configuration and earns aggressiveness — up to
@@ -65,10 +76,17 @@ func NewStream(streams int) *StreamPrefetcher {
 	if streams <= 0 {
 		streams = 64
 	}
+	keys := make([]uint64, 5*streams)
+	slot := func(k int) []uint64 { return keys[k*streams : (k+1)*streams : (k+1)*streams] }
 	return &StreamPrefetcher{
-		entries:  make([]streamEntry, streams),
-		level:    3,
-		maxBlock: 1 << 58,
+		entries:    make([]streamEntry, streams),
+		monLo:      slot(0),
+		monWidth:   slot(1),
+		trainLo:    slot(2),
+		trainWidth: slot(3),
+		lru:        slot(4),
+		level:      3,
+		maxBlock:   1 << 58,
 	}
 }
 
@@ -107,14 +125,15 @@ func (s *StreamPrefetcher) entryLevel(e *streamEntry) int {
 // any demand access inside a monitored region triggers prefetches.
 func (s *StreamPrefetcher) Observe(ev *Event, out []uint64) []uint64 {
 	s.tick++
-	addr := int64(ev.Block)
 
 	// Monitor match takes priority: an access within a monitored region
 	// issues prefetches and advances the region.
-	if e := s.findMonitor(addr); e != nil {
-		e.lastUsed = s.tick
+	if i := s.findMonitor(ev.Block); i >= 0 {
+		e := &s.entries[i]
 		e.accesses++
-		return s.issue(e, out)
+		out = s.issue(e, out)
+		s.sync(i)
+		return out
 	}
 
 	if !ev.Miss {
@@ -122,60 +141,79 @@ func (s *StreamPrefetcher) Observe(ev *Event, out []uint64) []uint64 {
 	}
 
 	// A miss near a training/allocated entry contributes a direction vote.
-	if e := s.findTraining(addr); e != nil {
-		e.lastUsed = s.tick
+	addr := int64(ev.Block)
+	if i := s.findTraining(ev.Block); i >= 0 {
+		e := &s.entries[i]
 		s.train(e, addr)
 		if e.state == streamMonitor {
 			// Treat the trained miss as the first access to the region.
-			return s.issue(e, out)
+			out = s.issue(e, out)
 		}
+		s.sync(i)
 		return out
 	}
 
 	// Otherwise the miss allocates a new tracking entry.
-	e := s.victim()
-	*e = streamEntry{state: streamAllocated, first: addr, last: addr, lastUsed: s.tick}
+	i := s.victim()
+	s.entries[i] = streamEntry{state: streamAllocated, first: addr, last: addr}
+	s.sync(i)
 	return out
 }
 
-func (s *StreamPrefetcher) findMonitor(addr int64) *streamEntry {
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.state != streamMonitor {
-			continue
+// sync recomputes entry i's keys from its state and stamps it most
+// recently used. A region with lo > hi gets width 0: it holds no block.
+func (s *StreamPrefetcher) sync(i int) {
+	e := &s.entries[i]
+	s.lru[i] = s.tick
+	s.monLo[i], s.monWidth[i], s.trainLo[i], s.trainWidth[i] = 0, 0, 0, 0
+	switch e.state {
+	case streamAllocated, streamTraining:
+		s.trainLo[i], s.trainWidth[i] = uint64(e.first-trainWindow), 2*trainWindow+1
+	case streamMonitor:
+		lo, hi := e.start, e.end
+		if e.dir < 0 {
+			lo, hi = hi, lo
 		}
-		if e.dir > 0 && addr >= e.start && addr <= e.end {
-			return e
-		}
-		if e.dir < 0 && addr <= e.start && addr >= e.end {
-			return e
-		}
-	}
-	return nil
-}
-
-func (s *StreamPrefetcher) findTraining(addr int64) *streamEntry {
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.state != streamAllocated && e.state != streamTraining {
-			continue
-		}
-		if delta := addr - e.first; delta >= -trainWindow && delta <= trainWindow {
-			return e
+		if lo <= hi {
+			s.monLo[i], s.monWidth[i] = uint64(lo), uint64(hi-lo)+1
 		}
 	}
-	return nil
 }
 
-func (s *StreamPrefetcher) victim() *streamEntry {
-	v := &s.entries[0]
-	for i := range s.entries {
-		e := &s.entries[i]
-		if e.state == streamInvalid {
-			return e
+// firstIn returns the first i with block in [lo[i], lo[i]+width[i]), or
+// -1. One unsigned subtraction tests a window: a block below lo[i] wraps
+// to a difference of at least width[i], also when the window itself
+// wraps below block 0.
+func firstIn(lo, width []uint64, block uint64) int {
+	width = width[:len(lo)]
+	for i, l := range lo {
+		if block-l < width[i] {
+			return i
 		}
-		if e.lastUsed < v.lastUsed {
-			v = e
+	}
+	return -1
+}
+
+// findMonitor returns the first entry whose monitored region holds block,
+// or -1.
+func (s *StreamPrefetcher) findMonitor(block uint64) int {
+	return firstIn(s.monLo, s.monWidth, block)
+}
+
+// findTraining returns the first Allocated or Training entry whose first
+// miss lies within ±trainWindow blocks of block, or -1.
+func (s *StreamPrefetcher) findTraining(block uint64) int {
+	return firstIn(s.trainLo, s.trainWidth, block)
+}
+
+// victim returns the first entry with the smallest LRU tick: the first
+// Invalid entry (tick 0) if any, else the least recently used, since
+// Observe stamps at most one entry per tick.
+func (s *StreamPrefetcher) victim() int {
+	v, oldest := 0, s.lru[0]
+	for i, t := range s.lru {
+		if t < oldest {
+			v, oldest = i, t
 		}
 	}
 	return v

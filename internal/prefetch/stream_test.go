@@ -234,3 +234,14 @@ func TestStreamLevelsTable(t *testing.T) {
 		}
 	}
 }
+
+// TestNewStreamAllocsIndependentOfEntries pins the tracker's layout: the
+// entries and their match keys are one allocation each, whatever their
+// number.
+func TestNewStreamAllocsIndependentOfEntries(t *testing.T) {
+	one := testing.AllocsPerRun(20, func() { NewStream(1) })
+	many := testing.AllocsPerRun(20, func() { NewStream(64) })
+	if one != many {
+		t.Fatalf("NewStream allocates %v objects for 1 entry, %v for 64", one, many)
+	}
+}
