@@ -11,7 +11,6 @@
 //	fdpsim -spec svc.yaml -fdp -insts 2000000
 //	fdpsim -workload chaserand -fdp -controller dspatch-dual
 //	fdpsim -workload chaserand -fdp -controller tree -controller-model tree.json
-//	fdpsim -workload chaserand -fdp -decision-log features.csv
 //	fdpsim -list
 //
 // The configuration flags mean what a POST /v1/jobs body's fields mean:
@@ -22,14 +21,14 @@
 // -controller swaps the feedback decision policy (the paper's Table 2
 // logic, the default) for a registered competitor; -list names them.
 // -controller-model loads a decision-tree model file for the "tree"
-// controller. Both need -fdp. -decision-log writes a per-interval CSV
-// feature dump — the training data for scripts/train_tree.go (see
-// docs/CONTROLLERS.md).
+// controller. Both need -fdp. A -trace-out JSONL decision trace is the
+// training data for scripts/train_tree.go (see docs/CONTROLLERS.md).
 //
 // -spec loads a declarative WorkloadSpec (JSON or YAML; see
-// docs/WORKLOADS.md), registers it alongside the built-in workloads, and
-// runs it. A single-lane spec runs like any workload; a multi-lane spec
-// fans its lanes out as cores on the shared bus and reports like -cores.
+// docs/WORKLOADS.md) and runs it straight from the file; -workload then
+// defaults to the spec's name. A single-lane spec runs like any workload;
+// a multi-lane spec fans its lanes out as cores on the shared bus and
+// reports like -cores.
 //
 // -progress streams one line of FDP telemetry per sampling interval to
 // stderr. -trace-out records the full FDP decision trace — one
@@ -115,30 +114,10 @@ func openTrace(cfg *fdpsim.Config, path, format string) func() {
 	}
 }
 
-// openDecisionLog wires -decision-log into the configuration: a CSV
-// feature dump of every interval decision, the training input for
-// scripts/train_tree.go. Composes with -trace-out.
-func openDecisionLog(cfg *fdpsim.Config, path string) func() {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	cli.FatalIf(tool, err)
-	sink := obs.NewDecisionCSV(f)
-	cfg.Tracer = obs.Tee(cfg.Tracer, sink)
-	return func() {
-		if err := sink.Close(); err != nil {
-			cli.Fatalf(tool, cli.ExitError, "writing decision log %s: %v", path, err)
-		}
-		cli.FatalIf(tool, f.Close())
-		fmt.Fprintf(os.Stderr, "fdpsim: decision log written to %s (%d rows)\n", path, sink.Rows())
-	}
-}
-
 // openSeries wires -series-out into the configuration: the compact
 // columnar interval timeseries (the internal/series binary format), the
 // same artifact fdpserved stores as a sidecar and serves at
-// GET /v1/jobs/{id}/series. Composes with -trace-out and -decision-log.
+// GET /v1/jobs/{id}/series. Composes with -trace-out.
 func openSeries(cfg *fdpsim.Config, path string) func() {
 	if path == "" {
 		return nil
@@ -262,11 +241,14 @@ func reportMulti(res fdpsim.MultiResult, err error, jsonOut bool, finishTrace, s
 }
 
 // configFlags are the flags that choose the simulated configuration.
+// spec is the -spec file, whose workload name runs without a registry
+// entry.
 type configFlags struct {
 	workload, prefetcher, insert, controller, controllerModel, configPath string
 	level, l2kb                                                           int
 	fdp, dynIns, attr                                                     bool
 	insts, seed, memlat                                                   uint64
+	spec                                                                  *fdpsim.WorkloadSpec
 }
 
 // buildConfig assembles the run's configuration from the flags. The
@@ -279,7 +261,7 @@ type configFlags struct {
 func buildConfig(f configFlags) (fdpsim.Config, error) {
 	// The workload first: an unknown name must fail before any output
 	// file is created.
-	if !workload.Exists(f.workload) {
+	if !workload.Exists(f.workload) && (f.spec == nil || f.workload != f.spec.Name) {
 		return fdpsim.Config{}, fmt.Errorf("%w %q (have %v)", fdpsim.ErrUnknownWorkload, f.workload, workload.Names())
 	}
 	axis := sweep.ConfigAxis{Prefetcher: f.prefetcher, FDP: f.fdp, DynamicInsertion: f.dynIns, Controller: f.controller}
@@ -355,7 +337,7 @@ func main() {
 	flag.StringVar(&cf.controller, "controller", "", "feedback decision policy, with -fdp (see -list; empty = the paper's Table 2 policy)")
 	flag.StringVar(&cf.controllerModel, "controller-model", "", "decision-tree model JSON file (selects -controller tree; needs -fdp)")
 	var (
-		specPath    = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to register and run (multi-lane specs fan out like -cores)")
+		specPath    = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to run (multi-lane specs fan out like -cores)")
 		list        = flag.Bool("list", false, "list workloads and exit")
 		verbose     = flag.Bool("v", false, "print raw counters")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON")
@@ -368,7 +350,6 @@ func main() {
 		seriesOut   = flag.String("series-out", "", "write the compact columnar interval timeseries (internal/series binary) to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file")
-		decisionLog = flag.String("decision-log", "", "write a per-interval CSV feature dump (training data for scripts/train_tree.go)")
 		version     = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -378,7 +359,7 @@ func main() {
 		return
 	}
 
-	sp := cli.LoadSpec(tool, *specPath, &cf.workload)
+	cf.spec = cli.LoadSpec(tool, *specPath, &cf.workload)
 
 	if *list {
 		cli.Listing(func(w io.Writer) {
@@ -389,12 +370,6 @@ func main() {
 			fmt.Fprintln(w, "low-potential (Figure 14's 9 benchmarks):")
 			for _, info := range fdpsim.WorkloadList(fdpsim.WorkloadTagLowPotential) {
 				fmt.Fprintf(w, "  %-14s %s\n", info.Name, info.About)
-			}
-			if specs := fdpsim.WorkloadList(fdpsim.WorkloadTagSpec); len(specs) > 0 {
-				fmt.Fprintln(w, "spec-defined (registered from -spec):")
-				for _, info := range specs {
-					fmt.Fprintf(w, "  %-14s %s\n", info.Name, info.About)
-				}
 			}
 			fmt.Fprintln(w, "controllers (feedback decision policies; -controller):")
 			for _, info := range fdpsim.ControllerList() {
@@ -420,16 +395,13 @@ func main() {
 		defer cancel()
 	}
 	finishTrace := openTrace(&cfg, *traceOut, *traceFormat)
-	for _, finish := range []func(){openDecisionLog(&cfg, *decisionLog), openSeries(&cfg, *seriesOut)} {
-		if finish == nil {
-			continue
-		}
-		prev, next := finishTrace, finish
+	if finishSeries := openSeries(&cfg, *seriesOut); finishSeries != nil {
+		prev := finishTrace
 		finishTrace = func() {
 			if prev != nil {
 				prev()
 			}
-			next()
+			finishSeries()
 		}
 	}
 	if *progress {
@@ -445,15 +417,19 @@ func main() {
 
 	// A multi-lane spec is a multicore run: each lane becomes a core on
 	// the shared bus, reported exactly like -cores.
-	if sp != nil && cf.workload == sp.Name && sp.Lanes() > 1 {
+	sp := cf.spec
+	runsSpec := sp != nil && cf.workload == sp.Name
+	if runsSpec && sp.Lanes() > 1 {
 		mres, merr := fdpsim.RunSpecMulti(ctx, cfg, sp)
 		reportMulti(mres, merr, *jsonOut, finishTrace, stopProf)
 		return
 	}
 
 	var res fdpsim.Result
-	if sp != nil && cf.workload == sp.Name {
+	about := workload.About(cfg.Workload)
+	if runsSpec {
 		res, err = fdpsim.RunSpec(ctx, cfg, sp)
+		about = sp.About
 	} else {
 		res, err = fdpsim.RunContext(ctx, cfg)
 	}
@@ -488,7 +464,7 @@ func main() {
 				ce.Retired, ce.Target, ce.Cause)
 		}
 	}
-	fmt.Printf("workload   : %s — %s\n", res.Workload, workload.About(res.Workload))
+	fmt.Printf("workload   : %s — %s\n", res.Workload, about)
 	fmt.Printf("prefetcher : %s (%s)\n", res.Prefetcher, mode)
 	fmt.Printf("IPC        : %.4f\n", res.IPC)
 	fmt.Printf("BPKI       : %.2f\n", res.BPKI)

@@ -10,10 +10,10 @@
 //	tracegen -replay svc.trc -prefetcher stream -level 5
 //
 // -spec loads a declarative WorkloadSpec (JSON or YAML; see
-// docs/WORKLOADS.md) and registers it alongside the built-in workloads —
-// -list then shows it tagged "spec". Recording defaults to the spec's
-// name and lane 0; -lane selects another lane of a multicore/SMT spec.
-// Specs and flags are validated up front, before any file is created.
+// docs/WORKLOADS.md) and records straight from the file. Recording
+// defaults to the spec's name and lane 0; -lane selects another lane of a
+// multicore/SMT spec. Specs and flags are validated up front, before any
+// file is created.
 //
 // Traces are written in the streaming v2 format (block-framed,
 // CRC-protected, replayable at O(block) memory however long the trace);
@@ -43,7 +43,7 @@ const tool = "tracegen"
 func main() {
 	var (
 		workloadName = flag.String("workload", "seqstream", "workload to record (see -list)")
-		specPath     = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to register and record")
+		specPath     = flag.String("spec", "", "WorkloadSpec file (JSON/YAML) to record")
 		lane         = flag.Int("lane", 0, "spec lane to record (multicore/SMT specs)")
 		ops          = flag.Uint64("ops", 1_000_000, "micro-ops to record")
 		out          = flag.String("o", "", "output trace path (default <workload>.trc)")
@@ -101,15 +101,13 @@ func main() {
 
 	// Same up-front check for the workload: no half-written trace file
 	// behind an unknown-name failure.
-	if !workload.Exists(*workloadName) {
+	if !workload.Exists(*workloadName) && (sp == nil || *workloadName != sp.Name) {
 		cli.Fatalf(tool, cli.ExitUsage, "unknown workload %q\nvalid workloads: %s",
 			*workloadName, strings.Join(workload.Names(), ", "))
 	}
 	var src fdpsim.Source
 	switch {
 	case sp != nil && *workloadName == sp.Name:
-		// Record straight from the spec so -lane can address any lane, not
-		// just the registry's lane 0.
 		if *lane < 0 || *lane >= sp.Lanes() {
 			cli.Fatalf(tool, cli.ExitUsage, "spec %s has lanes 0..%d, not %d", sp.Name, sp.Lanes()-1, *lane)
 		}

@@ -263,13 +263,6 @@ func SpecFingerprint(cfg Config, sp *WorkloadSpec) (fp string, ok bool) {
 	return sim.FingerprintSpec(cfg, sp)
 }
 
-// RegisterWorkloadSpec adds a WorkloadSpec to the workload registry
-// (tagged "spec"), making it runnable by name anywhere a built-in
-// workload is: cfg.Workload = sp.Name. The registered generator is the
-// spec's lane 0; multi-lane specs attach their remaining lanes through
-// RunSpecMulti/RunSpecSMT.
-func RegisterWorkloadSpec(sp *WorkloadSpec) error { return workload.RegisterSpec(sp) }
-
 // WorkloadInfo describes one registered workload: the name Config.Workload
 // keys on, the registry tags, and a one-line description.
 type WorkloadInfo = workload.Info
@@ -282,8 +275,6 @@ const (
 	WorkloadTagMemIntensive = workload.TagMemIntensive
 	// WorkloadTagLowPotential marks the 9 low-potential benchmarks.
 	WorkloadTagLowPotential = workload.TagLowPotential
-	// WorkloadTagSpec marks workloads registered from a WorkloadSpec.
-	WorkloadTagSpec = workload.TagSpec
 )
 
 // WorkloadList returns the workloads carrying every one of the given

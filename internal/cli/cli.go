@@ -23,7 +23,6 @@ import (
 
 	"fdpsim/internal/sim"
 	"fdpsim/internal/sweep"
-	"fdpsim/internal/workload"
 	"fdpsim/internal/workload/spec"
 )
 
@@ -82,18 +81,17 @@ func Listing(render func(w io.Writer)) {
 }
 
 // LoadSpec serves a -spec flag: it loads and validates the WorkloadSpec
-// file at path and registers it beside the built-in workloads, exiting
-// with the mapped code on failure. Callers run it before anything else,
-// so a typo in the file fails with exit code 2 before any artifact is
-// opened, and a valid spec appears in -list. Unless -workload was set on
-// the command line, the spec stands for it. An empty path returns nil.
+// file at path, exiting with the mapped code on failure. Callers run it
+// before anything else, so a typo in the file fails with exit code 2
+// before any artifact is opened, and run the spec straight from the
+// returned value. Unless -workload was set on the command line, the
+// spec's name stands for it. An empty path returns nil.
 func LoadSpec(tool, path string, workloadName *string) *spec.Spec {
 	if path == "" {
 		return nil
 	}
 	sp, err := spec.Load(path)
 	FatalIf(tool, err)
-	FatalIf(tool, workload.RegisterSpec(sp))
 	explicit := false
 	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "workload" })
 	if !explicit {

@@ -8,7 +8,7 @@ import (
 // Sample is one training example for FitTree: the feature vector of an
 // interval (in the caller-declared feature order) and the labeled
 // decision taken on it — the aggressiveness delta and insertion policy.
-// fdpsim -decision-log emits rows in exactly this shape; see
+// scripts/train_tree.go builds them from fdpsim -trace-out JSONL; see
 // docs/CONTROLLERS.md for the worked train/eval example.
 type Sample struct {
 	Features  []float64

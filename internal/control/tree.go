@@ -11,7 +11,7 @@ import (
 )
 
 // defaultTreeModel is the checked-in model for the "tree" controller:
-// fitted by scripts/train_tree from a -decision-log feature dump (see
+// fitted by scripts/train_tree from fdpsim -trace-out decision traces (see
 // docs/CONTROLLERS.md for the worked example that regenerates it).
 //
 //go:embed model_default.json
@@ -40,7 +40,7 @@ var featureNames = [numFeatures]string{
 }
 
 // FeatureNames returns the feature identifiers a model file may use, in
-// canonical order — the same order the -decision-log dump emits them.
+// canonical order.
 func FeatureNames() []string {
 	out := make([]string, numFeatures)
 	copy(out, featureNames[:])

@@ -181,7 +181,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 
 // handleSweepSeries serves the element-wise mean of every distinct
 // terminal cell's series — the sweep's average per-interval trajectory.
-// Cells without a series (not recorded, or evicted from the store) are
+// Cells without a series (not recorded, or cancelled before they ran) are
 // skipped; a sweep with none reports 404.
 func (s *Server) handleSweepSeries(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))

@@ -8,7 +8,7 @@
 // (sim.Fingerprint): a store.Memo reads through to an optional
 // content-addressed on-disk store (internal/store), so an identical
 // submission — even across daemon restarts — completes immediately as a
-// cache hit without re-simulating.
+// cache hit, with every sidecar it asks for, without re-simulating.
 //
 // Lifecycle: Submit validates and either answers from cache, enqueues, or
 // reports backpressure (ErrQueueFull → HTTP 429). Cancel stops a queued
@@ -152,19 +152,13 @@ type Job struct {
 	// replayed to late subscribers and read by the dcc gauge.
 	progress feed[sim.DecisionEvent]
 
-	// trace, when non-nil, collects the run's FDP decision events (the
-	// job was submitted with WithDecisionTrace). traceJSONL is the
-	// rendered artifact, set when the job reaches a terminal state (or
-	// immediately on a cache hit whose trace the store still has).
-	trace      *obs.Collector
-	traceJSONL []byte
-
-	// series, when non-nil, records the run's interval timeseries (the
-	// job was submitted with WithSeriesRecording). seriesBin is the
-	// encoded sidecar document, set when the job reaches a terminal state
-	// (or immediately on a cache hit whose sidecar the store still has).
-	series    *series.Recorder
-	seriesBin []byte
+	// wantTrace and wantSeries are the sidecars the job was submitted
+	// for (WithDecisionTrace, WithSeriesRecording); a cached answer must
+	// carry each. traceJSONL and seriesBin are the rendered decision trace
+	// and the encoded series document, set when the job reaches a
+	// terminal state.
+	wantTrace, wantSeries bool
+	traceJSONL, seriesBin []byte
 
 	// Fabric trace identity (immutable after Submit): traceID threads the
 	// job's spans, rootSpan is its "job" span ID, parentSpan links it under
@@ -182,10 +176,10 @@ func (j *Job) ID() string { return j.id }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Trace returns the job's rendered JSONL decision trace. ok is false when
-// the job was not submitted with tracing, has not reached a terminal
-// state yet, or completed as a cache hit whose trace the store no longer
-// has.
+// Trace returns the job's rendered JSONL decision trace, empty when the
+// run closed no interval. ok is false when the job was not submitted with
+// tracing or has not run: it is not terminal yet, or it was cancelled
+// before it started.
 func (j *Job) Trace() (jsonl []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -197,8 +191,8 @@ func (j *Job) Trace() (jsonl []byte, ok bool) {
 
 // SeriesData returns the job's encoded interval-timeseries sidecar
 // (internal/series binary document). ok is false when the job was not
-// submitted with series recording, has not reached a terminal state yet,
-// or completed as a cache hit whose sidecar the store no longer has.
+// submitted with series recording or has not run: it is not terminal yet,
+// or it was cancelled before it started.
 func (j *Job) SeriesData() (doc []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -383,8 +377,7 @@ type submitOptions struct {
 
 // WithDecisionTrace makes the job collect its FDP decision trace (one
 // event per sampling interval, at most defaultTraceLimit), downloadable
-// at GET /v1/jobs/{id}/trace once the job is terminal. Cache hits reuse
-// the persisted trace when the store still has one.
+// at GET /v1/jobs/{id}/trace once the job is terminal.
 func WithDecisionTrace() SubmitOption {
 	return func(o *submitOptions) { o.trace = true }
 }
@@ -392,8 +385,7 @@ func WithDecisionTrace() SubmitOption {
 // WithSeriesRecording makes the job record its interval timeseries (one
 // catalog row per FDP sampling interval, at most defaultSeriesLimit),
 // queryable at GET /v1/jobs/{id}/series and diffable at GET /v1/diff once
-// the job is terminal. Cache hits reuse the persisted sidecar when the
-// store still has one.
+// the job is terminal.
 func WithSeriesRecording() SubmitOption {
 	return func(o *submitOptions) { o.series = true }
 }
@@ -424,7 +416,8 @@ func forSweep(id string) SubmitOption {
 // wrapping sim.ErrInvalidConfig, sim.ErrUnknownWorkload or
 // spec.ErrInvalid). Jobs are deduplicated under the run's fingerprint,
 // which for a spec run canonicalizes the spec so spelled-out defaults hit
-// the same cache entry. A refused submission never becomes a visible job.
+// the same cache entry, and a cached answer lacking a requested sidecar is
+// a miss. A refused submission never becomes a visible job.
 //
 // Two identical submissions racing before either completes both simulate;
 // the store's atomic Put makes the duplicate write harmless. Deduplication
@@ -474,28 +467,16 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
-	}
-	if o.trace {
-		job.trace = &obs.Collector{Limit: defaultTraceLimit}
-	}
-	if o.series {
-		job.series = &series.Recorder{Limit: defaultSeriesLimit}
+		wantTrace:   o.trace,
+		wantSeries:  o.series,
 	}
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
 		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "trace", o.trace, "series", o.series)
 
-	if res, ok := s.memo.Get(fp); ok {
+	a := attempt{outcome: store.OutcomeCacheHit, leaseGen: -1}
+	if s.cached(job, &a) {
 		s.m.cacheHits.Add(1)
-		a := attempt{outcome: store.OutcomeCacheHit, res: &res, leaseGen: -1}
-		if s.cfg.Store != nil {
-			if o.trace {
-				a.trace, _ = s.cfg.Store.GetTrace(fp)
-			}
-			if o.series {
-				a.series, _ = s.cfg.Store.GetSeries(fp)
-			}
-		}
 		s.finish(job, &a)
 	} else {
 		s.m.cacheMisses.Add(1)
@@ -675,10 +656,10 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 		}
 		switch state {
 		case store.ClaimDone:
-			res, ok := s.memo.Get(job.fp)
-			if !ok {
+			if !s.cached(job, a) {
 				// The result was discarded as corrupt between Claim and
-				// Get; recover by executing locally.
+				// the read, or lacks a sidecar this job asked for; execute
+				// locally, without a lease.
 				return false
 			}
 			sp.Attrs["outcome"] = "adopted"
@@ -686,7 +667,7 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 				sp.Attrs["executor_trace"] = cur.Trace
 			}
 			s.m.fleetAdopted.Add(1)
-			a.outcome, a.res = store.OutcomeAdopted, &res
+			a.outcome = store.OutcomeAdopted
 			return true
 		case store.ClaimAcquired:
 			s.m.claimsAcquired.Add(1)
@@ -727,6 +708,29 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 	return false
 }
 
+// cached answers the job from stored state, the one path that does: the
+// memo's Result and, from the store, every sidecar the job asked for. A
+// missing piece is a miss, as is any sidecar on a storeless server, which
+// keeps none. It fills a only on a hit.
+func (s *Server) cached(job *Job, a *attempt) bool {
+	res, ok := s.memo.Get(job.fp)
+	st := s.cfg.Store
+	if !ok || st == nil && (job.wantTrace || job.wantSeries) {
+		return false
+	}
+	var trace, doc []byte
+	if job.wantTrace {
+		trace, ok = st.GetTrace(job.fp)
+	}
+	if ok && job.wantSeries {
+		doc, ok = st.GetSeries(job.fp)
+	}
+	if ok {
+		a.res, a.trace, a.series = &res, trace, doc
+	}
+	return ok
+}
+
 // run executes the job under the sinks its submission asked for and
 // records the run span, then renders the decision trace and the series
 // sidecar, so both are complete the moment Done closes. A cancelled run
@@ -738,11 +742,15 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 	// case to no wrapper at all.
 	sink := &jobSink{s: s, job: job, renew: a.leaseGen >= 0, lastRenew: time.Now()}
 	var sinks []sim.Tracer
-	if job.trace != nil {
-		sinks = append(sinks, job.trace)
+	var trace *obs.Collector
+	var rec *series.Recorder
+	if job.wantTrace {
+		trace = &obs.Collector{Limit: defaultTraceLimit}
+		sinks = append(sinks, trace)
 	}
-	if job.series != nil {
-		sinks = append(sinks, job.series)
+	if job.wantSeries {
+		rec = &series.Recorder{Limit: defaultSeriesLimit}
+		sinks = append(sinks, rec)
 	}
 	run := job.run
 	run.Cfg.Tracer = obs.Tee(append(sinks, sink)...)
@@ -767,28 +775,29 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 			"workload":  run.Workload(),
 			"intervals": strconv.FormatUint(res.Intervals, 10),
 		}}
-	if job.trace != nil {
+	if trace != nil {
 		// Link the fabric span to the in-run DecisionEvent stream it wraps.
-		sp.Attrs["decision_events"] = strconv.Itoa(len(job.trace.Events()))
+		sp.Attrs["decision_events"] = strconv.Itoa(len(trace.Events()))
 	}
 	s.addSpan(job, sp)
 
-	if job.trace != nil {
-		events := job.trace.Events()
-		var buf bytes.Buffer
-		if werr := obs.WriteJSONL(&buf, events); werr == nil {
+	if trace != nil {
+		events := trace.Events()
+		// Non-nil with no events: an empty trace is still the trace asked for.
+		buf := bytes.NewBuffer([]byte{})
+		if werr := obs.WriteJSONL(buf, events); werr == nil {
 			a.trace = buf.Bytes()
 		}
 		s.m.traces.Add(1)
 		s.m.traceEvents.Add(uint64(len(events)))
-		s.m.traceTruncated.Add(job.trace.Truncated())
-		if truncated := job.trace.Truncated(); truncated > 0 {
+		s.m.traceTruncated.Add(trace.Truncated())
+		if truncated := trace.Truncated(); truncated > 0 {
 			s.log.Warn("decision trace truncated", "job", job.id,
 				"kept", len(events), "truncated", truncated)
 		}
 	}
-	if job.series != nil {
-		sr := job.series.Series()
+	if rec != nil {
+		sr := rec.Series()
 		sr.Meta.Workload = run.Workload()
 		sr.Meta.Prefetcher = string(run.Cfg.Prefetcher)
 		if doc, serr := series.Encode(sr); serr == nil {
@@ -796,9 +805,9 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 			s.m.seriesPoints.Add(uint64(sr.Len() * len(sr.Meta.Metrics)))
 			s.m.seriesBytes.Add(uint64(len(doc)))
 		}
-		if truncated := job.series.Truncated(); truncated > 0 {
+		if truncated := rec.Truncated(); truncated > 0 {
 			s.log.Warn("interval series truncated", "job", job.id,
-				"kept", job.series.Len(), "truncated", truncated)
+				"kept", rec.Len(), "truncated", truncated)
 		}
 	}
 }
@@ -812,8 +821,8 @@ func (s *Server) store(job *Job, a *attempt) {
 		return
 	}
 	start := time.Now()
-	// Best-effort: a full disk or a lost sidecar costs future cache hits,
-	// not this job.
+	// Best-effort: a full disk or a lost sidecar costs a later job a re-run,
+	// not this job its answer.
 	if st := s.cfg.Store; st != nil {
 		if a.trace != nil {
 			_ = st.PutTrace(job.fp, a.trace)

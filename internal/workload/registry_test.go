@@ -1,11 +1,8 @@
 package workload
 
 import (
-	"errors"
 	"sort"
 	"testing"
-
-	"fdpsim/internal/workload/spec"
 )
 
 func TestListTags(t *testing.T) {
@@ -39,59 +36,5 @@ func TestListTags(t *testing.T) {
 		if info.About == "" {
 			t.Fatalf("workload %q has no About", info.Name)
 		}
-	}
-}
-
-func TestRegisterSpec(t *testing.T) {
-	sp := &spec.Spec{
-		Name:  "regtest.stream",
-		About: "registry test spec",
-		Phases: []spec.Phase{{Clients: []spec.Client{
-			{Pattern: spec.Pattern{Kind: spec.KindStride, FootprintKB: 256, Gap: 2}},
-		}}},
-	}
-	if err := RegisterSpec(sp); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregister("regtest.stream") })
-	if !Exists("regtest.stream") {
-		t.Fatal("registered spec not found")
-	}
-	if About("regtest.stream") != "registry test spec" {
-		t.Fatalf("About = %q", About("regtest.stream"))
-	}
-	found := false
-	for _, info := range List(TagSpec) {
-		if info.Name == "regtest.stream" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("List(TagSpec) does not include the registered spec")
-	}
-	// Spec workloads must not leak into the paper's benchmark sets.
-	for _, n := range append(MemoryIntensive(), LowPotential()...) {
-		if n == "regtest.stream" {
-			t.Fatal("spec workload leaked into a benchmark set")
-		}
-	}
-	// It is runnable by name and deterministic; the generator matches the
-	// spec's lane 0 stream.
-	src, err := New("regtest.stream", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := sp.Source(0, 5)
-	for i := 0; i < 10000; i++ {
-		if a, b := src.Next(), direct.Next(); a != b {
-			t.Fatalf("op %d: registry %+v != direct %+v", i, a, b)
-		}
-	}
-	// Duplicates and invalid specs are rejected.
-	if err := RegisterSpec(sp); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := RegisterSpec(&spec.Spec{Name: "bad"}); !errors.Is(err, spec.ErrInvalid) {
-		t.Fatalf("invalid spec: got %v, want ErrInvalid", err)
 	}
 }

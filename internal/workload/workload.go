@@ -15,10 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fdpsim/internal/cpu"
-	"fdpsim/internal/workload/spec"
 )
 
 // ErrUnknown is the sentinel wrapped by New when asked for a workload
@@ -113,17 +111,14 @@ func (g *gen) store(addr, pc uint64) {
 // PC-indexed prefetchers see stable instruction addresses.
 func pc(site int) uint64 { return 0x400000 + uint64(site)*4 }
 
-// Well-known registry tags. Every workload carries either TagBuiltin (the
-// hand-coded kernels) or TagSpec (declarative specs registered at run
-// time); builtins additionally carry the paper's benchmark-set split.
+// Well-known registry tags. Every workload carries TagBuiltin (the
+// hand-coded kernels) and one side of the paper's benchmark-set split.
 const (
 	TagBuiltin = "builtin"
 	// TagMemIntensive marks the paper's 17-benchmark evaluation set.
 	TagMemIntensive = "memintensive"
 	// TagLowPotential marks the remaining 9 benchmarks of Figure 14.
 	TagLowPotential = "lowpotential"
-	// TagSpec marks workloads registered from a declarative WorkloadSpec.
-	TagSpec = "spec"
 )
 
 // Spec describes a registered workload.
@@ -147,55 +142,16 @@ type Info struct {
 	About string   `json:"about,omitempty"`
 }
 
-var (
-	regMu    sync.RWMutex
-	registry []Spec
-)
+// registry is filled by the init functions of the workload files and
+// never written after that.
+var registry []Spec
 
 func register(name string, memIntensive bool, about string, make func(seed uint64) cpu.Source) {
 	tags := []string{TagBuiltin, TagLowPotential}
 	if memIntensive {
 		tags = []string{TagBuiltin, TagMemIntensive}
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
 	registry = append(registry, Spec{Name: name, MemoryIntensive: memIntensive, About: about, Tags: tags, make: make})
-}
-
-// RegisterSpec makes a declarative spec runnable by name anywhere a
-// built-in workload is (cfg.Workload = sp.Name), tagged "spec". The
-// registered generator is the spec's lane 0; multi-lane specs attach
-// their remaining lanes through the multicore/SMT spec entry points.
-func RegisterSpec(sp *spec.Spec) error {
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	if Exists(sp.Name) {
-		return fmt.Errorf("workload: %q is already registered", sp.Name)
-	}
-	s := *sp // copy: the registry must not alias caller-owned memory
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry = append(registry, Spec{
-		Name:  s.Name,
-		About: s.About,
-		Tags:  []string{TagSpec},
-		make:  func(seed uint64) cpu.Source { return s.Source(0, seed) },
-	})
-	return nil
-}
-
-// unregister removes a workload by name; tests use it to restore the
-// registry after exercising RegisterSpec.
-func unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for i, s := range registry {
-		if s.Name == name {
-			registry = append(registry[:i], registry[i+1:]...)
-			return
-		}
-	}
 }
 
 // List returns the workloads carrying every one of the given tags (all
@@ -203,8 +159,6 @@ func unregister(name string) {
 // listing entry point; Names, MemoryIntensive and LowPotential are
 // derived views kept for compatibility.
 func List(tags ...string) []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	var out []Info
 	for _, s := range registry {
 		if !hasAll(s.Tags, tags) {
@@ -233,7 +187,7 @@ func hasAll(have, want []string) bool {
 }
 
 // Names returns all workload names, memory-intensive first, the rest
-// (low-potential builtins, then registered specs) alphabetical after.
+// (the low-potential builtins) alphabetical after.
 func Names() []string {
 	specs := specsSorted()
 	out := make([]string, 0, len(specs))
@@ -262,10 +216,8 @@ func LowPotential() []string {
 }
 
 func specsSorted() []Spec {
-	regMu.RLock()
 	specs := make([]Spec, len(registry))
 	copy(specs, registry)
-	regMu.RUnlock()
 	sort.Slice(specs, func(i, j int) bool {
 		if specs[i].MemoryIntensive != specs[j].MemoryIntensive {
 			return specs[i].MemoryIntensive
@@ -277,8 +229,6 @@ func specsSorted() []Spec {
 
 // Lookup returns the spec for a workload name.
 func Lookup(name string) (Spec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	for _, s := range registry {
 		if s.Name == name {
 			return s, true

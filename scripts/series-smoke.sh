@@ -11,7 +11,11 @@
 #   4. /metrics carries the series and diff families,
 #   5. fdptop attaches to the finished job, and to a cache-hit
 #      resubmission of it, and renders the closing frame from the done
-#      event's Result: [done] and the result's BPKI.
+#      event's Result: [done] and the result's BPKI,
+#   6. a series is derived, never lost: a config first stored without a
+#      series, then resubmitted with one, runs again (202, no cache hit)
+#      and serves one value per interval; a third submission is a cache
+#      hit (200) with the same series bytes.
 #
 # No dependencies beyond a POSIX shell and curl; JSON checks fall back
 # from python3 to grep so the script runs in minimal CI images.
@@ -48,6 +52,24 @@ until curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
+# job_id FILE prints the job ID in a submit response.
+job_id() { sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$1" | head -1; }
+
+# wait_done JOB FILE polls a job until it is done, leaving its final
+# status in FILE; a failed or cancelled job fails the smoke.
+wait_done() {
+    i=0
+    while :; do
+        curl -fsS "http://$ADDR/v1/jobs/$1" >"$2"
+        STATE=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' "$2" | head -1)
+        [ "$STATE" = done ] && return 0
+        [ "$STATE" = failed ] || [ "$STATE" = cancelled ] && { cat "$WORK/served.log" >&2; die "job $1 ended $STATE"; }
+        i=$((i + 1))
+        [ "$i" -gt 300 ] && die "job $1 did not finish (state: ${STATE:-unknown})"
+        sleep 0.2
+    done
+}
+
 # Submit one series-recorded FDP job. The sampling interval ends on L2
 # useful-block evictions, so the budget must stream well past the L2's
 # capacity before intervals close — 2M instructions closes hundreds.
@@ -56,20 +78,9 @@ curl -fsS -o "$WORK/job.json" \
     -d '{"workload":"seqstream","fdp":true,"insts":2000000,"seed":7,"tinterval":64,"series":true}' \
     "http://$ADDR/v1/jobs" || { cat "$WORK/served.log" >&2; die "job submission failed"; }
 
-JOB=$(sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$WORK/job.json" | head -1)
+JOB=$(job_id "$WORK/job.json")
 [ -n "$JOB" ] || die "no job ID in submit response"
-
-# Poll until the job is terminal.
-i=0
-while :; do
-    curl -fsS "http://$ADDR/v1/jobs/$JOB" >"$WORK/status.json"
-    STATE=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' "$WORK/status.json" | head -1)
-    [ "$STATE" = done ] && break
-    [ "$STATE" = failed ] || [ "$STATE" = cancelled ] && { cat "$WORK/served.log" >&2; die "job ended $STATE"; }
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && die "job did not finish (state: ${STATE:-unknown})"
-    sleep 0.2
-done
+wait_done "$JOB" "$WORK/status.json"
 
 FP=$(sed -n 's/.*"fingerprint": *"\([0-9a-f]*\)".*/\1/p' "$WORK/status.json" | head -1)
 [ -n "$FP" ] || die "no fingerprint in job status"
@@ -147,5 +158,43 @@ for id in "$JOB" "$HIT"; do
     grep -qF "$WANT" "$WORK/top.txt" || die "fdptop -job $id: no '$WANT' in its closing frame"
 done
 echo "series-smoke: fdptop closing frames carry $WANT ($JOB, cache hit $HIT)"
+
+# 6. A series asked of an entry stored without one is derived by a re-run,
+# then cached. submit BODY FILE posts a job and prints the HTTP status.
+submit() {
+    curl -sS -o "$2" -w '%{http_code}' -H 'Content-Type: application/json' -d "$1" "http://$ADDR/v1/jobs"
+}
+BARE='{"workload":"seqstream","fdp":true,"insts":2000000,"seed":8,"tinterval":64'
+CODE=$(submit "$BARE}" "$WORK/bare.json")
+[ "$CODE" = 202 ] || die "bare submission answered $CODE, want 202"
+wait_done "$(job_id "$WORK/bare.json")" "$WORK/bare-status.json"
+CODE=$(submit "$BARE,\"series\":true}" "$WORK/derive.json")
+[ "$CODE" = 202 ] || die "series request over a bare entry answered $CODE, want 202 (a re-run)"
+grep -q '"cache_hit": *false' "$WORK/derive.json" || die "series request over a bare entry was a cache hit"
+DERIVE=$(job_id "$WORK/derive.json")
+wait_done "$DERIVE" "$WORK/derive-status.json"
+curl -fsS "http://$ADDR/v1/jobs/$DERIVE/series" >"$WORK/derive-series.json" \
+    || die "re-derived job serves no series"
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$WORK/derive-series.json" "$WORK/derive-status.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+n = doc["meta"]["intervals"]
+want = json.load(open(sys.argv[2]))["result"]["Intervals"]
+assert n > 0 and n == want, f"series spans {n} intervals, the result closed {want}"
+for m in doc["metrics"]:
+    assert len(m["values"]) == n, f"{m['name']}: {len(m['values'])} values over {n} intervals"
+print(f"series-smoke: re-derived series, {len(doc['metrics'])} metrics x {n} intervals")
+EOF
+else
+    grep -q '"dcc_level"' "$WORK/derive-series.json" || die "re-derived series missing the dcc_level metric"
+fi
+CODE=$(submit "$BARE,\"series\":true}" "$WORK/rehit.json")
+[ "$CODE" = 200 ] || die "third submission answered $CODE, want 200 (a cache hit)"
+grep -q '"cache_hit": *true' "$WORK/rehit.json" || die "third submission was not a cache hit"
+curl -fsS "http://$ADDR/v1/jobs/$(job_id "$WORK/rehit.json")/series" >"$WORK/rehit-series.json"
+cmp -s "$WORK/derive-series.json" "$WORK/rehit-series.json" \
+    || die "cache-hit series differs from the re-derived one"
+echo "series-smoke: a series asked of a bare entry was re-derived ($DERIVE), then cached"
 
 echo "series-smoke: PASS ($JOB, fp ${FP%"${FP#????????????}"}...)"

@@ -1,58 +1,100 @@
 // Command train_tree fits a decision-tree controller model from one or
-// more fdpsim -decision-log CSV feature dumps and writes it as the JSON
+// more fdpsim -trace-out JSONL decision traces and writes it as the JSON
 // schema internal/control.LoadTree consumes (docs/CONTROLLERS.md).
 //
 // Usage:
 //
-//	fdpsim -workload chaserand -fdp -insts 2000000 -decision-log chaserand.csv
-//	fdpsim -workload scanmod  -fdp -insts 2000000 -decision-log scanmod.csv
-//	go run ./scripts -out tree.json chaserand.csv scanmod.csv
+//	fdpsim -workload chaserand -fdp -insts 2000000 -trace-out chaserand.jsonl
+//	fdpsim -workload scanmod  -fdp -insts 2000000 -trace-out scanmod.jsonl
+//	go run ./scripts -out tree.json chaserand.jsonl scanmod.jsonl
 //	fdpsim -workload chaserand -fdp -controller tree -controller-model tree.json
 //
-// By default the tree imitates the logged controller's decisions (the
-// delta and insertion columns). -features selects which feature columns
-// the tree may split on; -max-depth and -min-leaf bound its size. The
-// emitted model always passes LoadTree validation. Exit codes: 0
-// success, 2 bad usage or malformed input, 1 I/O errors.
+// By default the tree imitates the traced controller's decisions: each
+// event's counter delta (DCCAfter - DCCBefore) and insertion position.
+// -features selects which features the tree may split on; -max-depth and
+// -min-leaf bound its size. The emitted model always passes LoadTree
+// validation. Exit codes: 0 success, 2 bad usage or malformed input, 1
+// I/O errors.
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"fdpsim/internal/cli"
 	"fdpsim/internal/control"
+	"fdpsim/internal/core"
+	"fdpsim/internal/obs"
+	"fdpsim/internal/sim"
 )
 
 const tool = "train_tree"
 
+// featureOf maps each control.FeatureNames() entry to its value in a
+// decision event, encoded as the tree controller evaluates it: booleans
+// as 0 or 1, the accuracy class as its core.AccuracyClass ordinal, and
+// level as the counter the decision started from.
+var featureOf = map[string]func(ev sim.DecisionEvent) float64{
+	"accuracy":  func(ev sim.DecisionEvent) float64 { return ev.Accuracy },
+	"lateness":  func(ev sim.DecisionEvent) float64 { return ev.Lateness },
+	"pollution": func(ev sim.DecisionEvent) float64 { return ev.Pollution },
+	"bus_util":  func(ev sim.DecisionEvent) float64 { return ev.BusUtil },
+	"level":     func(ev sim.DecisionEvent) float64 { return float64(ev.DCCBefore) },
+	"acc_class": func(ev sim.DecisionEvent) float64 { return accClass(ev.AccuracyClass) },
+	"late":      func(ev sim.DecisionEvent) float64 { return zeroOne(ev.Late) },
+	"polluting": func(ev sim.DecisionEvent) float64 { return zeroOne(ev.Polluting) },
+}
+
+// accClass returns the ordinal of the accuracy class a trace names.
+func accClass(name string) float64 {
+	for c := core.AccLow; c < core.AccHigh; c++ {
+		if c.String() == name {
+			return float64(c)
+		}
+	}
+	return float64(core.AccHigh)
+}
+
+func zeroOne(v bool) float64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 func main() {
 	var (
 		out      = flag.String("out", "tree.json", "output model file")
-		features = flag.String("features", "accuracy,lateness,pollution,bus_util,level", "comma-separated feature columns the tree may split on")
+		features = flag.String("features", "accuracy,lateness,pollution,bus_util,level", "comma-separated features the tree may split on")
 		maxDepth = flag.Int("max-depth", 6, "maximum tree depth")
 		minLeaf  = flag.Int("min-leaf", 8, "minimum samples per leaf")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
-		cli.Fatalf(tool, cli.ExitUsage, "no input CSVs (run fdpsim -decision-log first); usage: train_tree [-out tree.json] a.csv [b.csv ...]")
+		cli.Fatalf(tool, cli.ExitUsage, "no input traces (run fdpsim -trace-out first); usage: train_tree [-out tree.json] a.jsonl [b.jsonl ...]")
 	}
 
 	feats := strings.Split(*features, ",")
 	for i := range feats {
 		feats[i] = strings.TrimSpace(feats[i])
+		if featureOf[feats[i]] == nil {
+			cli.Fatalf(tool, cli.ExitUsage, "unknown feature %q (want %s)", feats[i], strings.Join(control.FeatureNames(), ", "))
+		}
 	}
 
 	var samples []control.Sample
 	for _, path := range flag.Args() {
-		s, err := readSamples(path, feats)
+		f, err := os.Open(path)
 		cli.FatalIf(tool, err)
+		s, err := readSamples(f, feats)
+		f.Close()
+		if err != nil {
+			cli.Fatalf(tool, cli.ExitUsage, "%s: %v", path, err)
+		}
 		samples = append(samples, s...)
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d samples from %d file(s)\n", tool, len(samples), flag.NArg())
@@ -72,64 +114,22 @@ func main() {
 	fmt.Fprintf(os.Stderr, "%s: wrote %s (%d nodes, depth<=%d)\n", tool, *out, len(model.Nodes), *maxDepth)
 }
 
-// readSamples parses one -decision-log CSV into training samples,
-// selecting the requested feature columns by header name and labeling
-// each row with its delta and insertion columns.
-func readSamples(path string, feats []string) ([]control.Sample, error) {
-	f, err := os.Open(path)
+// readSamples parses a JSONL decision trace into training samples, one
+// per event: the named features, labelled with the decision taken (the
+// counter delta and the lower-cased insertion position).
+func readSamples(r io.Reader, feats []string) ([]control.Sample, error) {
+	events, err := obs.ReadJSONL(r)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	header, err := r.Read()
-	if err != nil {
-		return nil, fmt.Errorf("%s: reading header: %w", path, err)
-	}
-	col := make(map[string]int, len(header))
-	for i, name := range header {
-		col[name] = i
-	}
-	featIdx := make([]int, len(feats))
-	for i, name := range feats {
-		idx, ok := col[name]
-		if !ok {
-			return nil, fmt.Errorf("%s: no column %q (have %v)", path, name, header)
+	samples := make([]control.Sample, len(events))
+	for i, ev := range events {
+		s := control.Sample{Features: make([]float64, len(feats)),
+			Delta: ev.DCCAfter - ev.DCCBefore, Insertion: strings.ToLower(ev.Insertion)}
+		for j, name := range feats {
+			s.Features[j] = featureOf[name](ev)
 		}
-		featIdx[i] = idx
+		samples[i] = s
 	}
-	deltaIdx, ok := col["delta"]
-	if !ok {
-		return nil, fmt.Errorf("%s: no delta column", path)
-	}
-	insIdx, ok := col["insertion"]
-	if !ok {
-		return nil, fmt.Errorf("%s: no insertion column", path)
-	}
-
-	var samples []control.Sample
-	for line := 2; ; line++ {
-		row, err := r.Read()
-		if err == io.EOF {
-			return samples, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, line, err)
-		}
-		s := control.Sample{Features: make([]float64, len(feats))}
-		for i, idx := range featIdx {
-			v, err := strconv.ParseFloat(row[idx], 64)
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: column %q: %w", path, line, feats[i], err)
-			}
-			s.Features[i] = v
-		}
-		d, err := strconv.Atoi(row[deltaIdx])
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: delta: %w", path, line, err)
-		}
-		s.Delta = d
-		s.Insertion = row[insIdx]
-		samples = append(samples, s)
-	}
+	return samples, nil
 }
