@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build build-cmds vet fmt-check lint loc test test-short test-race fleet-e2e perfbench-check examples check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments serve fuzz fuzz-smoke clean
+.PHONY: all build build-cmds vet fmt-check lint loc test test-short test-race fleet-e2e perfbench-check examples check bench bench-core bench-trace bench-json bench-diff controller-equivalence trace-smoke series-smoke experiments experiments-check serve fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -161,10 +161,23 @@ trace-smoke: build-cmds
 series-smoke: build-cmds
 	sh scripts/series-smoke.sh
 
+# The documented scale of experiments_output.txt.
+EXPERIMENTS_SCALE = -all -insts 1000000 -warmup 250000
+
 # Regenerate every table and figure at the documented scale. Results
 # persist in .fdpcache, so a re-run only simulates what changed.
 experiments:
-	go run ./cmd/experiments -all -insts 1000000 -warmup 250000 -cache-dir .fdpcache
+	go run ./cmd/experiments $(EXPERIMENTS_SCALE) -cache-dir .fdpcache
+
+# The reproduction's output is a checked artifact: regenerate every table
+# and figure at the documented scale, simulating every cell (no result
+# cache), and diff the text against experiments_output.txt. About two
+# minutes on two cores. Each experiment's wall time goes to stderr and is
+# not compared.
+experiments-check:
+	@tmp=$$(mktemp); \
+	go run ./cmd/experiments $(EXPERIMENTS_SCALE) > $$tmp && diff -u experiments_output.txt $$tmp; \
+	status=$$?; rm -f $$tmp; exit $$status
 
 # Run the simulation job service on :8080 with an on-disk result cache.
 serve:
@@ -178,6 +191,9 @@ serve:
 # loader: malformed JSON must return ErrInvalid, never panic, and a model
 # that loads must never decide out of range. FuzzBlockIndex checks the
 # memory path's open-addressed block index against a Go map.
+# FuzzStoreFile writes arbitrary bytes as each kind of stored file: no
+# getter may panic, a hit is exactly the verified payload, and a miss
+# unlinks every file but one whose header names another version.
 fuzz:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
@@ -186,10 +202,11 @@ fuzz:
 	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 30s
 	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 30s
 	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 30s
+	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 30s
 
 # The 10-second-per-target slice CI runs on every PR, so request,
-# decoder, model-loader, block-index, tag-store and stream-table fuzz
-# regressions surface before merge, not in nightlies.
+# decoder, model-loader, block-index, tag-store, stream-table and
+# stored-file fuzz regressions surface before merge, not in nightlies.
 fuzz-smoke:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
@@ -198,6 +215,7 @@ fuzz-smoke:
 	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 10s
 	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 10s
 	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 10s
+	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 10s
 
 clean:
 	go clean ./...

@@ -19,6 +19,11 @@
 // the same grid — including after a crash or across machines sharing the
 // directory — are served from disk instead of re-simulating.
 //
+// Each experiment's wall time goes to stderr, so the text output on
+// stdout is deterministic: experiments_output.txt is that output at the
+// documented scale, and `make experiments-check` diffs a fresh run
+// against it.
+//
 // -cpuprofile/-memprofile write pprof artifacts covering the whole grid,
 // the usual way to check that a change kept the hot path allocation-free
 // under every prefetcher and workload at once.
@@ -172,6 +177,7 @@ func main() {
 			}
 			cli.Fatalf("experiments", cli.ExitError, "%s: %v", id, err)
 		}
+		fmt.Fprintf(os.Stderr, "experiments: %s took %.1fs\n", e.ID, time.Since(start).Seconds())
 		switch *format {
 		case "chart":
 			fmt.Printf("=== %s: %s\n\n", e.ID, e.Title)
@@ -186,7 +192,7 @@ func main() {
 				fmt.Println()
 			}
 		default:
-			fmt.Printf("=== %s: %s  [%.1fs]\n\n", e.ID, e.Title, time.Since(start).Seconds())
+			fmt.Printf("=== %s: %s\n\n", e.ID, e.Title)
 			for i := range tables {
 				tables[i].Render(os.Stdout)
 			}

@@ -190,9 +190,6 @@ func (c *CPU) SetFetch(f FetchFunc) { c.fetch = f }
 // truncating mid-flight work.
 func (c *CPU) Halt() { c.halted = true }
 
-// Halted reports whether dispatch has been stopped by Halt.
-func (c *CPU) Halted() bool { return c.halted }
-
 // InFlight returns the number of instructions occupying the ROB.
 func (c *CPU) InFlight() int { return c.count }
 

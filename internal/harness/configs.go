@@ -3,7 +3,6 @@ package harness
 import (
 	"fdpsim/internal/cache"
 	"fdpsim/internal/sim"
-	"fdpsim/internal/workload/spec"
 )
 
 // Configuration labels shared across experiments (the paper's legend).
@@ -74,24 +73,6 @@ func labeled(workloads []string, configs map[string]sim.Config, order []string, 
 			cfg := p.apply(configs[c])
 			cfg.Workload = w
 			specs = append(specs, RunSpec{Workload: w, Config: c, Job: sim.Job{Cfg: cfg}})
-		}
-	}
-	return specs
-}
-
-// SpecGrid builds the (WorkloadSpec x config) cross product: the
-// declarative counterpart of labeled, so ad-hoc workload specs fan out
-// over the same experiment machinery as the built-in benchmark names.
-// Each cell is keyed by (spec name, config label) in the result grid.
-// Only single-lane specs are runnable by the single-core worker; RunAll
-// surfaces the run's error for multi-lane ones.
-func SpecGrid(workloads []*spec.Spec, configs map[string]sim.Config, order []string, p Params) []RunSpec {
-	specs := make([]RunSpec, 0, len(workloads)*len(order))
-	for _, sp := range workloads {
-		for _, c := range order {
-			cfg := p.apply(configs[c])
-			cfg.Workload = sp.Name
-			specs = append(specs, RunSpec{Workload: sp.Name, Config: c, Job: sim.Job{Cfg: cfg, Spec: sp}})
 		}
 	}
 	return specs

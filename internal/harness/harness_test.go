@@ -204,25 +204,22 @@ func harnessSpec(name string) *spec.Spec {
 	}
 }
 
+// specCell is one grid cell that runs a workload spec under the labelled
+// configuration, keyed by the spec's name.
+func specCell(sp *spec.Spec, label string, cfg sim.Config, p Params) RunSpec {
+	cfg = p.apply(cfg)
+	cfg.Workload = sp.Name
+	return RunSpec{Workload: sp.Name, Config: label, Job: sim.Job{Cfg: cfg, Spec: sp}}
+}
+
+// TestSpecGridRunAll: RunAll runs a grid of spec cells, memoizes them and
+// keys them apart from named-workload cells.
 func TestSpecGridRunAll(t *testing.T) {
 	sp := harnessSpec("grid.mix")
-	configs := map[string]sim.Config{
-		cfgVA:  sim.Conventional(sim.PrefStream, 5),
-		cfgFDP: sim.WithFDP(sim.PrefStream),
-	}
-	order := []string{cfgVA, cfgFDP}
 	p := Params{Insts: 10_000, TInterval: 256, Seed: 3, Workers: 2, Memo: store.NewMemo(nil)}
-	specs := SpecGrid([]*spec.Spec{sp}, configs, order, p)
-	if len(specs) != 2 {
-		t.Fatalf("SpecGrid built %d cells, want 2", len(specs))
-	}
-	for _, s := range specs {
-		if s.Spec != sp || s.Workload != "grid.mix" || s.Cfg.Workload != "grid.mix" {
-			t.Fatalf("malformed cell: %+v", s)
-		}
-		if s.Cfg.MaxInsts != p.Insts || s.Cfg.Seed != p.Seed {
-			t.Fatal("params not stamped on spec cells")
-		}
+	specs := []RunSpec{
+		specCell(sp, cfgVA, sim.Conventional(sim.PrefStream, 5), p),
+		specCell(sp, cfgFDP, sim.WithFDP(sim.PrefStream), p),
 	}
 	g, err := RunAll(context.Background(), specs, p)
 	if err != nil {
@@ -255,7 +252,7 @@ func TestSpecGridRunAll(t *testing.T) {
 func TestSpecGridInvalidSpecPropagates(t *testing.T) {
 	bad := &spec.Spec{Name: "bad"}
 	p := Params{Insts: 1000, Workers: 1}
-	specs := SpecGrid([]*spec.Spec{bad}, map[string]sim.Config{"a": sim.Default()}, []string{"a"}, p)
+	specs := []RunSpec{specCell(bad, "a", sim.Default(), p)}
 	if _, err := RunAll(context.Background(), specs, p); err == nil {
 		t.Fatal("invalid spec cell did not error")
 	}

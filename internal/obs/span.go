@@ -105,9 +105,8 @@ type SpanBuffer struct {
 	Limit int
 
 	mu      sync.Mutex
-	ring    []Span
-	start   int // index of the oldest span
-	n       int // spans currently held
+	ring    []Span // grows to Limit spans, then wraps
+	start   int    // index of the oldest span once the ring wraps
 	dropped uint64
 }
 
@@ -122,29 +121,25 @@ func (b *SpanBuffer) RecordSpan(s Span) {
 	if limit <= 0 {
 		limit = defaultSpanBufferLimit
 	}
-	if b.ring == nil {
-		b.ring = make([]Span, limit)
-	}
-	if b.n == len(b.ring) {
-		// Overwrite the oldest: the recorder keeps the trailing window.
-		b.ring[b.start] = s
-		b.start = (b.start + 1) % len(b.ring)
-		b.dropped++
+	if len(b.ring) < limit {
+		// Grow on demand: a server that records a few spans does not
+		// allocate and zero the whole window at its first span.
+		b.ring = append(b.ring, s)
 		return
 	}
-	b.ring[(b.start+b.n)%len(b.ring)] = s
-	b.n++
+	// Overwrite the oldest: the recorder keeps the trailing window.
+	b.ring[b.start] = s
+	b.start = (b.start + 1) % len(b.ring)
+	b.dropped++
 }
 
 // Spans returns the held spans, oldest first.
 func (b *SpanBuffer) Spans() []Span {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Span, b.n)
-	for i := 0; i < b.n; i++ {
-		out[i] = b.ring[(b.start+i)%len(b.ring)]
-	}
-	return out
+	out := make([]Span, 0, len(b.ring))
+	out = append(out, b.ring[b.start:]...)
+	return append(out, b.ring[:b.start]...)
 }
 
 // Dropped reports how many spans the ring evicted to admit newer ones.
@@ -158,5 +153,5 @@ func (b *SpanBuffer) Dropped() uint64 {
 func (b *SpanBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.n
+	return len(b.ring)
 }

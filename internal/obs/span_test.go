@@ -43,6 +43,12 @@ func TestSpanBufferRing(t *testing.T) {
 	b := &obs.SpanBuffer{Limit: 4}
 	for i := 0; i < 10; i++ {
 		b.RecordSpan(mkSpan("t", string(rune('a'+i)), "", "op", "w", "", i, 1))
+		if i == 1 {
+			// Below the limit the buffer holds every span, oldest first.
+			if s := b.Spans(); len(s) != 2 || s[0].SpanID != "a" || s[1].SpanID != "b" || b.Len() != 2 {
+				t.Fatalf("after two spans the buffer holds %+v", s)
+			}
+		}
 	}
 	spans := b.Spans()
 	if len(spans) != 4 {

@@ -29,17 +29,22 @@ import (
 // no timestamps, no map iteration — so identical columns byte-compare
 // equal, which the determinism tests rely on.
 
+// Version is the document format Encode writes and Decode accepts. The
+// result store names it in a stored document's header, so a document of
+// another version is told apart without decoding it.
+const Version = 1
+
 const (
-	magic         = "FDPSERS1"
-	formatVersion = 1
-	footerLen     = 8
+	magic     = "FDPSERS1"
+	footerLen = 8
 
 	kindByteInt   = 0
 	kindByteFloat = 1
 )
 
-// ErrCorrupt is wrapped by every Decode failure, so callers (the store's
-// sidecar loader, the fuzz target) can treat all damage uniformly.
+// ErrCorrupt is wrapped by every Decode failure but an unsupported
+// version, so a caller can tell a damaged document from one another
+// codec version wrote.
 var ErrCorrupt = errors.New("series: corrupt document")
 
 func corruptf(format string, args ...any) error {
@@ -57,7 +62,7 @@ func Encode(s *Series) ([]byte, error) {
 		}
 	}
 	meta := s.Meta
-	meta.Version = formatVersion
+	meta.Version = Version
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return nil, err
@@ -149,8 +154,8 @@ func Decode(data []byte) (*Series, error) {
 	if err := json.Unmarshal(metaPayload, &meta); err != nil {
 		return nil, corruptf("meta json: %v", err)
 	}
-	if meta.Version != formatVersion {
-		return nil, fmt.Errorf("series: unsupported version %d (want %d)", meta.Version, formatVersion)
+	if meta.Version != Version {
+		return nil, fmt.Errorf("series: unsupported version %d (want %d)", meta.Version, Version)
 	}
 	if meta.Intervals < 0 || meta.Intervals != footIntervals {
 		return nil, corruptf("interval count mismatch: meta %d, footer %d", meta.Intervals, footIntervals)

@@ -15,7 +15,7 @@ import (
 func sampleSeries(n int) *Series {
 	s := &Series{
 		Meta: Meta{
-			Version:    formatVersion,
+			Version:    Version,
 			Workload:   "chaserand",
 			Prefetcher: "stream",
 			Controller: "fdp",

@@ -13,7 +13,7 @@ func Merge(runs ...*Series) *Series {
 		}
 	}
 	if len(inputs) == 0 {
-		return &Series{Meta: Meta{Version: formatVersion, Metrics: []string{}}, Columns: [][]float64{}}
+		return &Series{Meta: Meta{Version: Version, Metrics: []string{}}, Columns: [][]float64{}}
 	}
 
 	n := inputs[0].Len()
@@ -26,7 +26,7 @@ func Merge(runs ...*Series) *Series {
 	first := inputs[0]
 	out := &Series{
 		Meta: Meta{
-			Version:    formatVersion,
+			Version:    Version,
 			Workload:   first.Meta.Workload,
 			Prefetcher: first.Meta.Prefetcher,
 			Controller: "merged",

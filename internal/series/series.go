@@ -274,7 +274,7 @@ func (r *Recorder) Series() *Series {
 	defer r.mu.Unlock()
 	r.ensureCols()
 	meta := r.Meta
-	meta.Version = formatVersion
+	meta.Version = Version
 	meta.Intervals = r.n
 	meta.Truncated = r.truncated
 	meta.Metrics = make([]string, NumMetrics)

@@ -887,9 +887,6 @@ func (s *Server) Executions() uint64 { return s.m.executions.Load() }
 // Tenants exports the scheduler's per-tenant state.
 func (s *Server) Tenants() []TenantSnapshot { return s.sched.snapshot() }
 
-// SetTenant registers or reconfigures a scheduler tenant at runtime.
-func (s *Server) SetTenant(name string, cfg TenantConfig) { s.sched.register(name, cfg) }
-
 // dccDistribution samples, for the metrics endpoint, how many currently
 // running jobs sit at each Dynamic Configuration Counter level (1..5,
 // from their latest interval event), grouped by the job's decision

@@ -133,16 +133,6 @@ func (h *LogHist) Quantile(q float64) uint64 {
 	return logBucketHigh(LogHistBuckets - 1)
 }
 
-// MaxBucket returns the index of the highest non-empty bucket, or -1.
-func (h *LogHist) MaxBucket() int {
-	for i := LogHistBuckets - 1; i >= 0; i-- {
-		if h.Counts[i] != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // logBucketMid is the midpoint of bucket i's value range.
 func logBucketMid(i int) float64 {
 	if i == 0 {
@@ -161,39 +151,6 @@ func logBucketHigh(i int) uint64 {
 		return ^uint64(0)
 	}
 	return (uint64(1) << i) - 1
-}
-
-// LogBucketLabel names bucket i for rendering ("0", "1", "2-3", "4-7"...).
-func LogBucketLabel(i int) string {
-	switch {
-	case i == 0:
-		return "0"
-	case i == 1:
-		return "1"
-	default:
-		lo := uint64(1) << (i - 1)
-		return uintRange(lo, logBucketHigh(i))
-	}
-}
-
-func uintRange(lo, hi uint64) string {
-	return uitoa(lo) + "-" + uitoa(hi)
-}
-
-// uitoa avoids importing strconv into this hot-path-adjacent file's API
-// users; it is only called during rendering, never while sampling.
-func uitoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // Attribution is a whole run's attribution block: cumulative post-warmup

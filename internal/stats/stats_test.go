@@ -63,15 +63,6 @@ func TestArithMean(t *testing.T) {
 	}
 }
 
-func TestSpeedupPct(t *testing.T) {
-	if got := SpeedupPct(2, 3); got != 50 {
-		t.Errorf("SpeedupPct = %v", got)
-	}
-	if SpeedupPct(0, 3) != 0 {
-		t.Error("SpeedupPct with zero base must be 0")
-	}
-}
-
 func TestDistribution(t *testing.T) {
 	d := NewDistribution("pos", "LRU", "MID", "MRU")
 	d.Add(0)
@@ -97,23 +88,6 @@ func TestEmptyDistribution(t *testing.T) {
 	d := NewDistribution("x", "a")
 	if d.Fraction(0) != 0 {
 		t.Fatal("empty distribution fraction != 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Add(5)
-	h.Add(5)
-	h.Add(-3)
-	if h.Get(5) != 2 || h.Get(-3) != 1 || h.Get(0) != 0 {
-		t.Fatal("histogram counts wrong")
-	}
-	keys := h.Keys()
-	if len(keys) != 2 || keys[0] != -3 || keys[1] != 5 {
-		t.Fatalf("Keys = %v", keys)
-	}
-	if h.Total() != 3 {
-		t.Fatalf("Total = %d", h.Total())
 	}
 }
 

@@ -95,7 +95,7 @@ func (c ClaimInfo) Gen() int { return c.gen }
 const claimSuffix = ".claim"
 
 func (s *Store) claimPath(fp string, gen int) string {
-	return filepath.Join(s.dir, fp[:2], fp+claimSuffix+strconv.Itoa(gen))
+	return s.path(fp, claimSuffix+strconv.Itoa(gen))
 }
 
 // highestClaim finds the current generation: the largest <fp>.claim<gen>
@@ -154,7 +154,7 @@ func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (ClaimS
 	// Stat, not Get: Claim runs in polling loops and must stay cheap. If
 	// the entry turns out corrupt, the caller's Get discards it and the
 	// next Claim no longer sees it.
-	if _, err := os.Stat(s.path(fp)); err == nil {
+	if _, err := os.Stat(s.path(fp, resultFile.ext)); err == nil {
 		return ClaimDone, ClaimInfo{}, nil
 	}
 
@@ -176,7 +176,7 @@ func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (ClaimS
 		// so any claim acquired after a Release sees the result here.
 		// This turns the common adopt-after-finish race from duplicate
 		// execution into ClaimDone.
-		if _, serr := os.Stat(s.path(fp)); serr == nil {
+		if _, serr := os.Stat(s.path(fp, resultFile.ext)); serr == nil {
 			os.Remove(s.claimPath(fp, next))
 			return ClaimDone, ClaimInfo{}, nil
 		}

@@ -76,10 +76,6 @@ type Provenance struct {
 
 const ledgerSuffix = ".prov.jsonl"
 
-func (s *Store) ledgerPath(fp string) string {
-	return s.path(fp)[:len(s.path(fp))-len(".json")] + ledgerSuffix
-}
-
 // AppendProvenance appends one line to a fingerprint's ledger. The write
 // is a single append, so concurrent workers (goroutines or processes)
 // never tear each other's lines. Ledger writes are observability, not
@@ -93,7 +89,7 @@ func (s *Store) AppendProvenance(p Provenance) error {
 	if err != nil {
 		return fmt.Errorf("store: provenance: %w", err)
 	}
-	path := s.ledgerPath(p.Fingerprint)
+	path := s.path(p.Fingerprint, ledgerSuffix)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: provenance: %w", err)
 	}
@@ -118,7 +114,7 @@ func (s *Store) ReadProvenance(fp string) ([]Provenance, error) {
 	if !validFP(fp) {
 		return nil, fmt.Errorf("store: invalid fingerprint %q", fp)
 	}
-	f, err := os.Open(s.ledgerPath(fp))
+	f, err := os.Open(s.path(fp, ledgerSuffix))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil

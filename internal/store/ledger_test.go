@@ -81,7 +81,7 @@ func TestLedgerSkipsTornTail(t *testing.T) {
 	if err := s.AppendProvenance(provAt(t, "worker-a", 1, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(s.ledgerPath(ledgerFP), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(s.path(ledgerFP, ledgerSuffix), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

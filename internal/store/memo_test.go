@@ -40,7 +40,7 @@ func TestMemoStoreHitFillsMap(t *testing.T) {
 	if got, ok := m.Get(fp(0)); !ok || got.IPC != want.IPC {
 		t.Fatalf("store-backed Get = %+v, %v", got, ok)
 	}
-	if err := os.Remove(s.path(fp(0))); err != nil {
+	if err := os.Remove(s.path(fp(0), resultFile.ext)); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := m.Get(fp(0)); !ok || got.IPC != want.IPC {

@@ -2,36 +2,15 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"os"
 	"testing"
 
 	"fdpsim/internal/series"
 )
 
-// futureVersionDoc patches a series document's meta frame to a future
-// format version, repairing the frame CRC so only the version gate trips.
-func futureVersionDoc(t *testing.T, doc []byte) []byte {
-	t.Helper()
-	const magicLen = 8 // "FDPSERS1"
-	body := doc[magicLen:]
-	size, n := binary.Uvarint(body)
-	payload := append([]byte(nil), body[n+4:n+4+int(size)]...)
-	patched := bytes.Replace(payload, []byte(`"version":1`), []byte(`"version":9`), 1)
-	if bytes.Equal(patched, payload) {
-		t.Fatal("version field not found in meta payload")
-	}
-	out := append([]byte(nil), doc[:magicLen+n]...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(patched))
-	out = append(out, patched...)
-	return append(out, body[n+4+int(size):]...)
-}
-
 const seriesFP = "fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98"
 
 // encodedSeries builds a small valid series document.
-func encodedSeries(t *testing.T, n int) []byte {
+func encodedSeries(t testing.TB, n int) []byte {
 	t.Helper()
 	rec := &series.Recorder{}
 	doc, err := series.Encode(rec.Series())
@@ -95,80 +74,24 @@ func TestSeriesMissAndInvalidKeys(t *testing.T) {
 	}
 }
 
-// TestSeriesTruncationDiscarded tears the sidecar at several points: each
-// torn file must miss and be unlinked (the trace sidecar contract).
+// TestSeriesTruncationDiscarded tears the series file at several points:
+// each torn file must miss and be unlinked.
 func TestSeriesTruncationDiscarded(t *testing.T) {
-	s := traceStore(t)
-	doc := encodedSeries(t, 16)
-	for _, cut := range []int{0, 4, len(doc) / 2, len(doc) - 1} {
-		if err := s.PutSeries(seriesFP, doc); err != nil {
-			t.Fatal(err)
-		}
-		path := s.seriesPath(seriesFP)
-		if err := os.WriteFile(path, doc[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := s.GetSeries(seriesFP); ok {
-			t.Fatalf("torn sidecar (cut %d) served", cut)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("torn sidecar (cut %d) not unlinked", cut)
-		}
-	}
+	checkDamage(t, storedSeries, "cut at 0 bytes", "cut inside the header", "cut inside the payload", "one byte short")
 }
 
-// TestSeriesBitFlipsDiscarded flips bits across the document: any flip
-// that breaks decoding must miss and unlink. (A flip inside the JSON meta
-// frame is caught by that frame's CRC, payload flips by theirs.)
+// TestSeriesBitFlipsDiscarded flips a bit at every 7th byte of the series
+// file: the header's checksum catches each flip, so each must miss and
+// unlink.
 func TestSeriesBitFlipsDiscarded(t *testing.T) {
-	s := traceStore(t)
-	doc := encodedSeries(t, 16)
-	for i := 0; i < len(doc); i += 7 {
-		if err := s.PutSeries(seriesFP, doc); err != nil {
-			t.Fatal(err)
-		}
-		path := s.seriesPath(seriesFP)
-		mut := append([]byte(nil), doc...)
-		mut[i] ^= 0x10
-		if err := os.WriteFile(path, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if got, ok := s.GetSeries(seriesFP); ok {
-			// The only acceptable hit is a mutation Decode genuinely
-			// accepts — and then the served bytes must be the file's.
-			if _, err := series.Decode(got); err != nil {
-				t.Fatalf("bit flip at %d served an undecodable document", i)
-			}
-			continue
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("bit flip at %d missed without unlinking", i)
-		}
-	}
+	checkDamage(t, storedSeries, "bit flips across the file")
 }
 
-// TestSeriesVersionSkewLeavesFile: a future-version document is a miss
-// but stays on disk for newer readers — damage is unlinked, skew is not.
+// TestSeriesVersionSkewLeavesFile: a series file whose header names
+// another version is a miss but stays on disk for newer readers; damage
+// is unlinked, skew is not.
 func TestSeriesVersionSkewLeavesFile(t *testing.T) {
-	s := traceStore(t)
-	if err := s.PutSeries(seriesFP, encodedSeries(t, 2)); err != nil {
-		t.Fatal(err)
-	}
-	path := s.seriesPath(seriesFP)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed := futureVersionDoc(t, raw)
-	if err := os.WriteFile(path, skewed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetSeries(seriesFP); ok {
-		t.Fatal("future-version sidecar served")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("version-skewed sidecar was unlinked; should be left for newer readers")
-	}
+	checkDamage(t, storedSeries, "skewed version")
 }
 
 // TestSeriesNotCountedByLen pins the extension choice, like traces.

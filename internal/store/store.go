@@ -3,16 +3,23 @@
 // (sim.Fingerprint). Identical submissions — across processes and across
 // restarts — are served from disk instead of re-simulating.
 //
-// Layout: <dir>/<fp[:2]>/<fp>.json, one entry per fingerprint. Entries are
-// written atomically (temp file + rename in the same directory), so a
-// concurrent reader sees either the old entry, the new entry, or a miss —
-// never a torn write. Every entry embeds a checksum of its payload;
-// truncated, garbled or version-skewed entries are discarded on read (and
-// unlinked) rather than returned or treated as fatal, so a crash mid-write
-// or a corrupted disk costs a re-simulation, not an outage.
+// Layout: a fingerprint's files share the bucket <dir>/<fp[:2]>/. The
+// Result is <fp>.json; beside it sit two optional sidecars, the decision
+// trace (<fp>.trace.jsonl) and the interval series (<fp>.series.bin).
+// All three have one format: a header line
+// {"version":V,"checksum":"<sha256 hex of the payload>"}, then the payload
+// verbatim, so a sidecar's bytes stream straight out of an HTTP handler.
+// Files are written atomically (temp file + rename in the same
+// directory), so a concurrent reader sees the old file, the new file or a
+// miss — never a torn write. A file that does not verify is a miss and is
+// unlinked, so a crash mid-write or a corrupted disk costs a
+// re-simulation, not an outage; a header naming another version is a miss
+// that leaves the file to the binary that wrote it. Claims (claim.go) and
+// the provenance ledger (ledger.go) keep formats of their own.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -20,19 +27,31 @@ import (
 	"os"
 	"path/filepath"
 
+	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 )
 
-// entryVersion guards the on-disk schema. A reader that finds a different
-// version discards the entry (forward and backward: both re-simulate).
+// entryVersion guards the claim and ledger schemas. A reader that finds a
+// different version skips the entry (forward and backward).
 const entryVersion = 1
 
-// entry is the on-disk envelope around one Result.
-type entry struct {
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"` // sha256 hex of Result's raw JSON
-	Result   json.RawMessage `json:"result"`
+// kind is one of the files kept per fingerprint: its name's suffix and
+// the version of its payload format, which its header names.
+type kind struct {
+	ext     string
+	version int
 }
+
+var (
+	// resultFile holds the Result's JSON. Version 1 wrapped it in a JSON
+	// envelope instead of the header line.
+	resultFile = kind{".json", 2}
+	// traceFile holds the internal/obs JSONL decision trace.
+	traceFile = kind{".trace.jsonl", 1}
+	// seriesFile holds an internal/series document, versioned by its
+	// codec: a document this binary cannot decode is a version miss.
+	seriesFile = kind{".series.bin", series.Version}
+)
 
 // Store is a content-addressed result store rooted at one directory. The
 // zero value is not usable; call Open. A Store is safe for concurrent use
@@ -72,53 +91,30 @@ func validFP(fp string) bool {
 	return true
 }
 
-func (s *Store) path(fp string) string {
-	return filepath.Join(s.dir, fp[:2], fp+".json")
+// path names fp's file with the given suffix in its bucket.
+func (s *Store) path(fp, ext string) string {
+	return filepath.Join(s.dir, fp[:2], fp+ext)
 }
 
-// Get returns the stored Result for a fingerprint. A missing, truncated,
-// garbled, checksum-mismatched or version-skewed entry is a miss; corrupt
-// entries are additionally unlinked so they are not re-parsed on every
-// lookup.
+// Get returns the stored Result for a fingerprint. A file that get
+// rejects is a miss, and so is a payload that does not unmarshal, which
+// is unlinked like any other corrupt file.
 func (s *Store) Get(fp string) (sim.Result, bool) {
-	if !validFP(fp) {
-		return sim.Result{}, false
-	}
-	raw, err := os.ReadFile(s.path(fp))
-	if err != nil {
-		return sim.Result{}, false
-	}
-	var e entry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		s.discard(fp)
-		return sim.Result{}, false
-	}
-	if e.Version != entryVersion {
-		return sim.Result{}, false // schema skew: stale, not corrupt — leave it
-	}
-	sum := sha256.Sum256(e.Result)
-	if hex.EncodeToString(sum[:]) != e.Checksum {
-		s.discard(fp)
+	payload, ok := s.get(fp, resultFile)
+	if !ok {
 		return sim.Result{}, false
 	}
 	var res sim.Result
-	if err := json.Unmarshal(e.Result, &res); err != nil {
-		s.discard(fp)
+	if err := json.Unmarshal(payload, &res); err != nil {
+		os.Remove(s.path(fp, resultFile.ext))
 		return sim.Result{}, false
 	}
 	return res, true
 }
 
-// discard removes a corrupt entry; best-effort (a racing Put may have
-// already replaced it, and losing the race is fine).
-func (s *Store) discard(fp string) { os.Remove(s.path(fp)) }
-
 // Put stores a Result under a fingerprint, atomically replacing any
 // previous entry. Partial results are refused (errPartial).
 func (s *Store) Put(fp string, res sim.Result) error {
-	if !validFP(fp) {
-		return fmt.Errorf("store: invalid fingerprint %q", fp)
-	}
 	if res.Partial {
 		return errPartial
 	}
@@ -126,22 +122,79 @@ func (s *Store) Put(fp string, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	sum := sha256.Sum256(payload)
-	raw, err := json.Marshal(entry{
-		Version:  entryVersion,
-		Checksum: hex.EncodeToString(sum[:]),
-		Result:   payload,
-	})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(s.path(fp), fp, raw)
+	return s.put(fp, resultFile, payload)
 }
 
-// writeAtomic lands raw at dst via write-to-temp + rename in the same
-// directory, so concurrent readers (and other processes) never observe a
-// half-written entry.
-func writeAtomic(dst, fp string, raw []byte) error {
+// GetTrace returns the stored JSONL decision trace for a fingerprint, an
+// empty one included; a job submitted without tracing stored none.
+func (s *Store) GetTrace(fp string) ([]byte, bool) { return s.get(fp, traceFile) }
+
+// PutTrace stores a JSONL decision trace under a fingerprint, atomically
+// replacing any previous trace.
+func (s *Store) PutTrace(fp string, jsonl []byte) error { return s.put(fp, traceFile, jsonl) }
+
+// GetSeries returns the stored interval-series document for a
+// fingerprint; a job submitted without series recording stored none.
+func (s *Store) GetSeries(fp string) ([]byte, bool) { return s.get(fp, seriesFile) }
+
+// PutSeries stores an encoded interval-series document under a
+// fingerprint, atomically replacing any previous one. The document must
+// decode, so the store never serves bytes its readers cannot use.
+func (s *Store) PutSeries(fp string, doc []byte) error {
+	if _, err := series.Decode(doc); err != nil {
+		return fmt.Errorf("store: refusing to persist series: %w", err)
+	}
+	return s.put(fp, seriesFile, doc)
+}
+
+// get reads fp's file of kind k and returns its payload once the header
+// verifies it. A missing file is a miss. A header naming another version
+// is a miss that leaves the file for the binary that wrote it. A file
+// without a header line, with an unreadable header or with a checksum
+// mismatch is a miss, and is unlinked so it is not re-read on every
+// lookup (a racing put may already have replaced it; losing that race is
+// fine). An empty payload is a hit.
+func (s *Store) get(fp string, k kind) ([]byte, bool) {
+	if !validFP(fp) {
+		return nil, false
+	}
+	path := s.path(fp, k.ext)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false
+	}
+	line, payload, found := bytes.Cut(raw, []byte{'\n'})
+	var h struct {
+		Version  int    `json:"version"`
+		Checksum string `json:"checksum"`
+	}
+	readable := json.Unmarshal(line, &h) == nil && h.Version > 0
+	if readable && h.Version != k.version {
+		return nil, false // another binary's format: stale, not corrupt
+	}
+	sum := sha256.Sum256(payload)
+	if !readable || !found || h.Checksum != hex.EncodeToString(sum[:]) {
+		os.Remove(path)
+		return nil, false
+	}
+	return payload, true
+}
+
+// put stores payload as fp's file of kind k: the header line, then the
+// payload, written as two writes to a temp file renamed into place.
+func (s *Store) put(fp string, k kind, payload []byte) error {
+	if !validFP(fp) {
+		return fmt.Errorf("store: invalid fingerprint %q", fp)
+	}
+	sum := sha256.Sum256(payload)
+	header := fmt.Appendf(nil, "{\"version\":%d,\"checksum\":\"%x\"}\n", k.version, sum)
+	return writeAtomic(s.path(fp, k.ext), fp, header, payload)
+}
+
+// writeAtomic lands parts, in order, at dst via write-to-temp + rename in
+// the same directory, so concurrent readers (and other processes) never
+// observe a half-written file.
+func writeAtomic(dst, fp string, parts ...[]byte) error {
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -149,28 +202,31 @@ func writeAtomic(dst, fp string, raw []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	for _, p := range parts {
+		if _, err = tmp.Write(p); err != nil {
+			break
+		}
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }
 
-// Len walks the store and counts valid-looking entries (by name, without
-// parsing). Intended for metrics and tests, not hot paths.
+// Len walks the store and counts valid-looking Result files (by name,
+// without parsing); the sidecars' suffixes do not end in ".json". Intended
+// for metrics and tests, not hot paths.
 func (s *Store) Len() int {
 	n := 0
 	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && filepath.Ext(path) == ".json" {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == resultFile.ext {
 			n++
 		}
 		return nil

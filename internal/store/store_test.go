@@ -1,8 +1,7 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,68 +70,17 @@ func TestSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestCorruptEntriesDiscarded is the satellite requirement: a truncated or
-// garbage entry is a miss (and is removed), never a parse failure
-// propagated to the caller.
+// TestCorruptEntriesDiscarded: a truncated, garbage or bit-flipped Result
+// file is a miss and is removed, never a parse failure propagated to the
+// caller, and the store takes a fresh Put for the same key.
 func TestCorruptEntriesDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-
-	corrupt := func(name string, mutate func(path string)) {
-		t.Helper()
-		if err := s.Put(fp(0), testResult(1.0)); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, fp(0)[:2], fp(0)+".json")
-		mutate(path)
-		if _, ok := s.Get(fp(0)); ok {
-			t.Fatalf("%s: corrupt entry served as a hit", name)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("%s: corrupt entry not unlinked (err=%v)", name, err)
-		}
-		// The store must still accept a fresh Put for the same key.
-		if err := s.Put(fp(0), testResult(3.0)); err != nil {
-			t.Fatalf("%s: Put after corruption: %v", name, err)
-		}
-		if got, ok := s.Get(fp(0)); !ok || got.IPC != 3.0 {
-			t.Fatalf("%s: store did not recover: ok=%v got=%+v", name, ok, got)
-		}
-		os.Remove(path)
-	}
-
-	corrupt("truncated", func(p string) {
-		raw, _ := os.ReadFile(p)
-		os.WriteFile(p, raw[:len(raw)/2], 0o644)
-	})
-	corrupt("garbage", func(p string) {
-		os.WriteFile(p, []byte("not json at all \x00\xff"), 0o644)
-	})
-	corrupt("bit-flip", func(p string) {
-		raw, _ := os.ReadFile(p)
-		// Flip a byte inside the payload (past the envelope prefix) so the
-		// JSON still parses but the checksum no longer matches.
-		raw[len(raw)/2] ^= 0x20
-		os.WriteFile(p, raw, 0o644)
-	})
+	checkDamage(t, storedResult, "cut inside the payload", "garbage file", "bit flip in the payload")
 }
 
+// TestVersionSkewIsMissNotDeletion: a Result file whose header names
+// another version is a miss left on disk, since a newer binary may own it.
 func TestVersionSkewIsMissNotDeletion(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	if err := s.Put(fp(0), testResult(1.0)); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, fp(0)[:2], fp(0)+".json")
-	raw, _ := os.ReadFile(path)
-	skewed := []byte(`{"version":99,` + string(raw[len(`{"version":1,`):]))
-	os.WriteFile(path, skewed, 0o644)
-	if _, ok := s.Get(fp(0)); ok {
-		t.Fatal("version-skewed entry served as a hit")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("version skew should not unlink (a newer binary may own it): %v", err)
-	}
+	checkDamage(t, storedResult, "skewed version")
 }
 
 // TestIntervalRecordHistoryIsMiss covers entries written before
@@ -147,12 +95,9 @@ func TestIntervalRecordHistoryIsMiss(t *testing.T) {
 	}
 	path := filepath.Join(dir, fp(0)[:2], fp(0)+".json")
 	raw, _ := os.ReadFile(path)
-	var e entry
+	_, payload, _ := bytes.Cut(raw, []byte{'\n'})
 	var res map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &e); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(e.Result, &res); err != nil {
+	if err := json.Unmarshal(payload, &res); err != nil {
 		t.Fatal(err)
 	}
 	res["History"] = json.RawMessage(`[{"Accuracy":0.9,"Lateness":0.5,"Pollution":0.01,` +
@@ -165,16 +110,12 @@ func TestIntervalRecordHistoryIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Result = payload
-	sum := sha256.Sum256(e.Result)
-	e.Checksum = hex.EncodeToString(sum[:])
-	old, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.WriteFile(path, old, 0o644)
+	os.WriteFile(path, storedFile(resultFile.version, payload), 0o644)
 	if got, ok := s.Get(fp(0)); ok {
 		t.Fatalf("entry with an old-shape History served as a hit: %+v", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("entry whose Result does not unmarshal was not unlinked (err=%v)", err)
 	}
 	if err := s.Put(fp(0), testResult(2.0)); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"os"
-	"strings"
 	"testing"
 )
 
@@ -52,39 +50,10 @@ func TestTraceMissAndInvalidKeys(t *testing.T) {
 	}
 }
 
+// TestTraceCorruptionDiscarded: a trace whose payload fails the header's
+// checksum, or whose header is garbage, is a miss and is unlinked.
 func TestTraceCorruptionDiscarded(t *testing.T) {
-	s := traceStore(t)
-	if err := s.PutTrace(traceFP, []byte("{\"interval\":1}\n")); err != nil {
-		t.Fatal(err)
-	}
-	path := s.tracePath(traceFP)
-
-	// Flip payload bytes: checksum mismatch → miss and unlink.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-3] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetTrace(traceFP); ok {
-		t.Fatal("corrupt trace served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt trace not unlinked")
-	}
-
-	// Garbled header → miss and unlink.
-	if err := os.MkdirAll(strings.TrimSuffix(path, "/"+traceFP+".trace.jsonl"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte("not a header"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetTrace(traceFP); ok {
-		t.Fatal("headerless trace served")
-	}
+	checkDamage(t, storedTrace, "bit flip in the payload", "garbage file", "garbage header")
 }
 
 // TestTraceNotCountedByLen pins the extension choice: traces are a

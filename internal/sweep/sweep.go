@@ -2,7 +2,7 @@
 // simulation jobs that reproduces a paper-scale evaluation: workloads (or
 // declarative WorkloadSpecs) × prefetcher configurations × seeds, the
 // cross-product semantics the harness uses for its experiment grids
-// (labeled/SpecGrid), expressed as a JSON request a client POSTs to
+// (labeled), expressed as a JSON request a client POSTs to
 // fdpserved once instead of thousands of times.
 //
 // The package is pure grid logic — expansion, validation, aggregation,
@@ -42,7 +42,7 @@ const MaxJobs = 4096
 //
 //	(workloads ∪ specs) × configs × seeds
 //
-// matching the harness's labeled/SpecGrid semantics: every workload runs
+// matching the harness's labeled semantics: every workload runs
 // under every configuration axis at every seed.
 type Request struct {
 	// Name labels the sweep in listings and result tables. Optional.
