@@ -48,11 +48,13 @@ test-race:
 
 # The sweep-fabric acceptance smoke: the two-worker fleet e2e (shared
 # store, claim/lease/steal coordination, exactly-once execution) and the
-# 18-cell sweep e2e, under the race detector. test-race covers both too;
-# -count=1 here defeats the test cache so `make check` always exercises
-# the cross-process claim protocol for real.
+# 18-cell sweep e2e, plus two stored entries that are no answer (a
+# Result of another version, a Result without a requested series), each
+# of which must run once fleet-wide, under the race detector. test-race
+# covers them too; -count=1 here defeats the test cache so `make check`
+# always exercises the cross-process claim protocol for real.
 fleet-e2e:
-	go test -race -count=1 -run 'TestFleetTwoWorkers|TestSweepEndToEnd' ./internal/service
+	go test -race -count=1 -run 'TestFleetTwoWorkers|TestFleetSkewedResultRunsOnce|TestFleetBareEntrySidecarRunsOnce|TestSweepEndToEnd' ./internal/service
 
 # The layered benchmark's self-test. perfbench/ is a module of its own,
 # so the root `go test ./...` skips it; this runs every benchmark
@@ -194,6 +196,9 @@ serve:
 # FuzzStoreFile writes arbitrary bytes as each kind of stored file: no
 # getter may panic, a hit is exactly the verified payload, and a miss
 # unlinks every file but one whose header names another version.
+# FuzzClaimFile writes them as a claim file and a provenance ledger: a
+# dead claim is stolen, a non-owner changes no file, and an entry
+# appended after the ledger's bytes is read back.
 fuzz:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 30s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
@@ -203,10 +208,12 @@ fuzz:
 	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 30s
 	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 30s
 	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 30s
+	go test ./internal/store -run xxx -fuzz 'FuzzClaimFile$$' -fuzztime 30s
 
 # The 10-second-per-target slice CI runs on every PR, so request,
-# decoder, model-loader, block-index, tag-store, stream-table and
-# stored-file fuzz regressions surface before merge, not in nightlies.
+# decoder, model-loader, block-index, tag-store, stream-table,
+# stored-file and claim/ledger fuzz regressions surface before merge, not
+# in nightlies.
 fuzz-smoke:
 	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
 	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
@@ -216,6 +223,7 @@ fuzz-smoke:
 	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 10s
 	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 10s
 	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 10s
+	go test ./internal/store -run xxx -fuzz 'FuzzClaimFile$$' -fuzztime 10s
 
 clean:
 	go clean ./...

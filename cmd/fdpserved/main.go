@@ -152,7 +152,6 @@ func main() {
 		strictTenants = flag.Bool("strict-tenants", false, "reject jobs and sweeps naming a tenant outside the -tenant roster")
 		fleetWorker   = flag.String("fleet-worker", "", "worker name in a shared-store fleet (empty = standalone; requires -cache-dir)")
 		lease         = flag.Duration("lease", 30*time.Second, "fleet claim lease; expired leases are stolen by live workers")
-		claimAttempts = flag.Int("claim-attempts", 0, "bounded retries on a held fleet claim before executing locally (0 = default 32)")
 		sseKeepalive  = flag.Duration("sse-keepalive", 15*time.Second, "idle interval before SSE streams emit a ': keepalive' comment frame (<=0 disables)")
 		spanLimit     = flag.Int("span-limit", 0, "fabric-span flight recorder size for /debug/events (0 = default 4096)")
 	)
@@ -177,7 +176,6 @@ func main() {
 		StrictTenants: *strictTenants,
 		FleetWorker:   *fleetWorker,
 		LeaseTTL:      *lease,
-		ClaimAttempts: *claimAttempts,
 		SSEKeepalive:  *sseKeepalive,
 		SpanLimit:     *spanLimit,
 	}

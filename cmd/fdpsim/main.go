@@ -265,12 +265,8 @@ func buildConfig(f configFlags) (fdpsim.Config, error) {
 		return fdpsim.Config{}, fmt.Errorf("%w %q (have %v)", fdpsim.ErrUnknownWorkload, f.workload, workload.Names())
 	}
 	axis := sweep.ConfigAxis{Prefetcher: f.prefetcher, FDP: f.fdp, DynamicInsertion: f.dynIns, Controller: f.controller}
-	if !f.fdp && f.prefetcher != string(fdpsim.PrefNone) {
-		// The axis reads level 0 as 5; the flag's 0 is out of range.
-		if f.level < 1 || f.level > 5 {
-			return fdpsim.Config{}, fmt.Errorf("%w: -level %d out of range 1..5", fdpsim.ErrInvalidConfig, f.level)
-		}
-		axis.Level = f.level
+	if err := cli.SetLevel(&axis, f.level); err != nil {
+		return fdpsim.Config{}, err
 	}
 	if f.controllerModel != "" {
 		if f.controller != "" && f.controller != "tree" {

@@ -21,7 +21,8 @@
 // to stdout; the -list listing is help text
 // and prints to stderr. Exit codes follow the shared table in
 // internal/cli: 0 success, 1 runtime error, 2 bad usage (unknown
-// workload or prefetcher, invalid spec, and -list listings).
+// workload or prefetcher, a -replay -level outside 1..5, invalid spec,
+// and -list listings).
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 
 	"fdpsim"
 	"fdpsim/internal/cli"
+	"fdpsim/internal/sweep"
 	"fdpsim/internal/trace"
 	"fdpsim/internal/workload"
 )
@@ -49,7 +51,7 @@ func main() {
 		out          = flag.String("o", "", "output trace path (default <workload>.trc)")
 		replay       = flag.String("replay", "", "replay a trace file through the simulator instead of recording")
 		prefName     = flag.String("prefetcher", "stream", "prefetcher for -replay (see -list)")
-		level        = flag.Int("level", 5, "aggressiveness for -replay")
+		level        = flag.Int("level", 5, "aggressiveness 1..5 for -replay (ignored with -prefetcher none)")
 		seed         = flag.Uint64("seed", 1, "workload seed")
 		list         = flag.Bool("list", false, "list recordable workloads and replay prefetchers, then exit")
 		version      = flag.Bool("version", false, "print build information and exit")
@@ -79,11 +81,11 @@ func main() {
 	}
 
 	if *replay != "" {
-		// Validate the prefetcher name before touching the trace file, so a
+		// Build the configuration before touching the trace file, so a
 		// typo fails in milliseconds with the valid names, not mid-replay.
-		cfg := fdpsim.Conventional(fdpsim.PrefetcherKind(*prefName), *level)
-		if err := cfg.Validate(); err != nil {
-			cli.Fatalf(tool, cli.ExitUsage, "%v\nvalid prefetchers: %s", err, joinKinds())
+		cfg, err := replayConfig(*prefName, *level)
+		if err != nil {
+			cli.Fatalf(tool, cli.ExitCode(err), "%v\nvalid prefetchers: %s", err, joinKinds())
 		}
 		f, err := os.Open(*replay)
 		cli.FatalIf(tool, err)
@@ -140,6 +142,16 @@ func main() {
 	cli.FatalIf(tool, err)
 	fmt.Printf("recorded %d ops of %s to %s (v2, %d bytes, %.2f bits/op)\n",
 		*ops, *workloadName, path, st.Size(), 8*float64(st.Size())/float64(*ops))
+}
+
+// replayConfig builds -replay's configuration as fdpsim does: through
+// sweep.ConfigAxis.Build, under the shared -level rule.
+func replayConfig(prefetcher string, level int) (fdpsim.Config, error) {
+	axis := sweep.ConfigAxis{Prefetcher: prefetcher}
+	if err := cli.SetLevel(&axis, level); err != nil {
+		return fdpsim.Config{}, err
+	}
+	return axis.Build()
 }
 
 func joinKinds() string {

@@ -99,3 +99,18 @@ func LoadSpec(tool, path string, workloadName *string) *spec.Spec {
 	}
 	return sp
 }
+
+// SetLevel applies fdpsim's and tracegen's -level rule to axis: a
+// conventional prefetcher runs at level, which must lie in 1..5 (the axis
+// reads 0 as 5), or the error wraps sim.ErrInvalidConfig; FDP and no
+// prefetcher ignore the flag.
+func SetLevel(axis *sweep.ConfigAxis, level int) error {
+	if axis.FDP || axis.Prefetcher == string(sim.PrefNone) {
+		return nil
+	}
+	if level < 1 || level > 5 {
+		return fmt.Errorf("%w: -level %d out of range 1..5", sim.ErrInvalidConfig, level)
+	}
+	axis.Level = level
+	return nil
+}

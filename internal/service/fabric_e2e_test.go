@@ -55,8 +55,8 @@ func TestFabricTraceTwoWorkers(t *testing.T) {
 	}
 	// Injected lease steal: a ghost worker claimed the fingerprint and
 	// died; whoever executes must wait out and steal this lease.
-	if state, _, err := stA.Claim(fp, "ghost", 400*time.Millisecond, ""); err != nil || state != store.ClaimAcquired {
-		t.Fatalf("seeding ghost claim: %v, %v", state, err)
+	if acquired, _, err := stA.Claim(fp, "ghost", 400*time.Millisecond, ""); err != nil || !acquired {
+		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
 	}
 
 	trace := obs.NewTraceID()

@@ -54,8 +54,8 @@ func TestFleetTwoWorkers(t *testing.T) {
 	if !ok {
 		t.Fatal("config 0 not fingerprintable")
 	}
-	if state, _, err := stA.Claim(fp0, "ghost", 400*time.Millisecond, ""); err != nil || state != store.ClaimAcquired {
-		t.Fatalf("seeding ghost claim: %v, %v", state, err)
+	if acquired, _, err := stA.Claim(fp0, "ghost", 400*time.Millisecond, ""); err != nil || !acquired {
+		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
 	}
 
 	// Every configuration goes to both servers, interleaved, so nearly
@@ -120,11 +120,8 @@ func TestFleetTwoWorkers(t *testing.T) {
 	}
 
 	// No claim files should be left behind once every job released.
-	for _, cfg := range configs {
-		fp, _ := sim.Fingerprint(cfg)
-		if state, info, err := stA.Claim(fp, "probe", time.Minute, ""); err != nil || state != store.ClaimDone {
-			t.Fatalf("post-run claim for %s = %v (%+v), %v, want done", shortFP(fp), state, info, err)
-		}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*", "*.claim*")); len(left) != 0 {
+		t.Fatalf("claim files left after every job released: %v", left)
 	}
 }
 
@@ -151,8 +148,8 @@ func TestFleetAdoptionKeepsEntry(t *testing.T) {
 	}
 	// A live executor elsewhere in the fleet: its long lease keeps this
 	// worker waiting on the claim until the result appears.
-	if state, _, err := st.Claim(fp, "ghost", time.Minute, ""); err != nil || state != store.ClaimAcquired {
-		t.Fatalf("seeding ghost claim: %v, %v", state, err)
+	if acquired, _, err := st.Claim(fp, "ghost", time.Minute, ""); err != nil || !acquired {
+		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
 	}
 	job, err := srv.Submit(sim.Job{Cfg: cfg})
 	if err != nil {
@@ -191,5 +188,121 @@ func TestFleetAdoptionKeepsEntry(t *testing.T) {
 	}
 	if !os.SameFile(before, after) {
 		t.Fatal("adoption rewrote the store entry another worker had written")
+	}
+}
+
+// runsOnceAcrossFleet submits run to two fleet workers sharing the store
+// at dir and waits for both jobs: each must end done, with a series when
+// opts ask for one, and the fleet must have simulated exactly once, under
+// a lease.
+func runsOnceAcrossFleet(t *testing.T, dir string, run sim.Job, opts ...SubmitOption) {
+	t.Helper()
+	var srvs [2]*Server
+	var jobs [2]*Job
+	for i, name := range []string{"worker-a", "worker-b"} {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvs[i], _ = newTestServer(t, Config{Workers: 1, Store: st, FleetWorker: name, LeaseTTL: time.Second})
+	}
+	for i, srv := range srvs {
+		j, err := srv.Submit(run, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for _, j := range jobs {
+		st := waitJob(t, j)
+		if _, ok := j.SeriesData(); st.State != StateDone || st.Result == nil || ok != j.wantSeries {
+			t.Fatalf("job %s = %s (%s), series %v; want done with the series asked for", st.ID, st.State, st.Error, ok)
+		}
+	}
+	a, b := srvs[0].Executions(), srvs[1].Executions()
+	leases := srvs[0].m.claimsAcquired.Load() + srvs[1].m.claimsAcquired.Load()
+	if a+b != 1 || leases != 1 {
+		t.Fatalf("fleet simulated one fingerprint %d times (A=%d B=%d) under %d leases, want once under 1", a+b, a, b, leases)
+	}
+}
+
+// TestFleetSkewedResultRunsOnce: a Result file whose header names another
+// version is a miss, not an answer, so one worker runs the job under a
+// lease and the other adopts what it stored.
+func TestFleetSkewedResultRunsOnce(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fastConfig(200_000, 5151)
+	fp, _ := sim.Fingerprint(cfg)
+	entry := filepath.Join(dir, fp[:2], fp+".json")
+	if err := os.MkdirAll(filepath.Dir(entry), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry, []byte("{\"version\":99,\"checksum\":\"00\"}\n{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg})
+}
+
+// TestFleetBareEntrySidecarRunsOnce: a Result stored without the series
+// both jobs ask for answers neither, so one worker runs the job under a
+// lease and the other adopts its Result and series.
+func TestFleetBareEntrySidecarRunsOnce(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastConfig(200_000, 5252)
+	fp, _ := sim.Fingerprint(cfg)
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(fp, res); err != nil {
+		t.Fatal(err)
+	}
+	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg}, WithSeriesRecording())
+}
+
+// TestFleetAdoptionNamesExecutorTrace: a worker that waited on a live
+// holder and then adopted the stored result names the holder's trace on
+// its claim span, linking the submission to the execution elsewhere.
+func TestFleetAdoptionNamesExecutorTrace(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, _ := newTestServer(t, Config{Workers: 1, Store: st, FleetWorker: "worker-a", LeaseTTL: time.Second})
+	cfg := fastConfig(20_000, 5353)
+	fp, _ := sim.Fingerprint(cfg)
+	if acquired, _, err := st.Claim(fp, "ghost", time.Minute, "ghost-trace"); err != nil || !acquired {
+		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
+	}
+	job, err := srv.Submit(sim.Job{Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The holder stores its result only once the worker waits on it.
+	for deadline := time.Now().Add(30 * time.Second); srv.m.claimsWaited.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never waited on the ghost's claim")
+		}
+	}
+	res, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(fp, res); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	var claim map[string]string
+	for _, sp := range job.Spans() {
+		if sp.Name == "claim" {
+			claim = sp.Attrs
+		}
+	}
+	if claim["outcome"] != "adopted" || claim["executor_trace"] != "ghost-trace" {
+		t.Fatalf("claim span attrs = %v; want an adoption naming executor_trace ghost-trace", claim)
 	}
 }

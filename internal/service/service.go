@@ -5,10 +5,10 @@
 // studies — can drive concurrently.
 //
 // Jobs are deduplicated by their configuration fingerprint
-// (sim.Fingerprint): a store.Memo reads through to an optional
-// content-addressed on-disk store (internal/store), so an identical
-// submission — even across daemon restarts — completes immediately as a
-// cache hit, with every sidecar it asks for, without re-simulating.
+// (sim.Fingerprint): the result memo is the content-addressed on-disk
+// store (internal/store) when there is one, so an identical submission —
+// even across daemon restarts — completes immediately as a cache hit,
+// with every sidecar it asks for, without re-simulating.
 //
 // Lifecycle: Submit validates and either answers from cache, enqueues, or
 // reports backpressure (ErrQueueFull → HTTP 429). Cancel stops a queued
@@ -57,8 +57,8 @@ type Config struct {
 	// at the edge instead of accumulating unboundedly. 0 means 64.
 	QueueDepth int
 	// Store, when non-nil, persists completed results on disk and serves
-	// identical submissions across restarts. The in-memory memo reads
-	// through it either way.
+	// identical submissions across restarts; it is then the result memo,
+	// which is otherwise an in-memory map.
 	Store *store.Store
 	// JobTimeout, when non-zero, bounds each simulation's wall-clock run
 	// time; expiry cancels it at the next interval boundary and the job
@@ -86,11 +86,6 @@ type Config struct {
 	// simulating; a claim past its lease is stolen by the next worker
 	// (the crashed-worker path). 0 means 30s.
 	LeaseTTL time.Duration
-	// ClaimAttempts bounds how many times a worker re-checks a held claim
-	// (with backoff) before falling back to executing locally — execution
-	// is at-least-once, results are exactly-once via the store's atomic
-	// writes. 0 means 32.
-	ClaimAttempts int
 
 	// SpanLimit caps the fabric-span flight recorder (GET /debug/events):
 	// the last N spans across all jobs, oldest evicted. 0 means 4096.
@@ -304,9 +299,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.ClaimAttempts <= 0 {
-		cfg.ClaimAttempts = 32
 	}
 	if cfg.FleetWorker != "" && cfg.Store == nil {
 		cfg.FleetWorker = "" // fleet coordination lives in the store
@@ -627,15 +619,20 @@ func (s *Server) start(job *Job, a *attempt) (context.Context, func()) {
 	}
 }
 
+// claimAttempts bounds a fleet worker's tries for a claim before it runs
+// the job without one: execution is at-least-once, results exactly-once
+// through the store's atomic Put.
+const claimAttempts = 32
+
 // claim negotiates the job's fingerprint with the rest of a worker fleet
-// and records the claim span; outside a fleet it does nothing. Another
-// worker may already have the result (claim adopts it and reports true,
-// leaving the job only to finish), hold a live lease (claim waits with
-// backoff and steals it past expiry), or have crashed mid-write (the
-// claim machinery recovers). Otherwise this worker runs the job, holding
-// the lease it won or none when the bounded retries run out or ctx ends:
-// execution is at-least-once, results exactly-once through the store's
-// atomic Put.
+// and records the claim span; outside a fleet it does nothing. Before
+// each try for the claim, and once more after winning it (Put precedes
+// Release, so a holder that finished in between left its result), cached
+// decides whether the fingerprint is answered; on a hit claim adopts the
+// result and reports true, leaving the job only to finish. A live holder
+// is waited on with backoff, and its claim stolen past its lease.
+// Otherwise this worker runs the job, holding the lease it won, or none
+// when the bounded tries run out or ctx ends.
 func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool) {
 	if s.cfg.FleetWorker == "" {
 		return false
@@ -648,28 +645,23 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 	}()
 	st := s.cfg.Store
 	backoff := 25 * time.Millisecond
-	for range s.cfg.ClaimAttempts {
-		state, cur, err := st.Claim(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL, job.traceID)
+	executor := "" // the trace of the last live holder waited on
+	for tries := 0; !s.cached(job, a); tries++ {
+		if tries == claimAttempts {
+			s.log.Warn("fleet claim attempts exhausted; executing locally",
+				"job", job.id, "fingerprint", shortFP(job.fp), "attempts", claimAttempts)
+			return false
+		}
+		acquired, cur, err := st.Claim(job.fp, s.cfg.FleetWorker, s.cfg.LeaseTTL, job.traceID)
 		if err != nil {
 			s.log.Warn("fleet claim error; executing locally", "job", job.id, "error", err)
 			return false
 		}
-		switch state {
-		case store.ClaimDone:
-			if !s.cached(job, a) {
-				// The result was discarded as corrupt between Claim and
-				// the read, or lacks a sidecar this job asked for; execute
-				// locally, without a lease.
-				return false
-			}
-			sp.Attrs["outcome"] = "adopted"
-			if cur.Trace != "" {
-				sp.Attrs["executor_trace"] = cur.Trace
-			}
-			s.m.fleetAdopted.Add(1)
-			a.outcome = store.OutcomeAdopted
-			return true
-		case store.ClaimAcquired:
+		if acquired && s.cached(job, a) {
+			st.Release(job.fp, s.cfg.FleetWorker)
+			break
+		}
+		if acquired {
 			s.m.claimsAcquired.Add(1)
 			a.leaseGen, a.stolen = cur.Gen(), cur.Stolen
 			sp.Attrs["outcome"] = "acquired"
@@ -683,35 +675,39 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 					"fingerprint", shortFP(job.fp))
 			}
 			return false
-		case store.ClaimHeld:
-			s.m.claimsWaited.Add(1)
-			wait := backoff
-			// Never sleep far past the holder's lease: the moment it
-			// expires this worker is eligible to steal.
-			if until := time.Until(cur.Expires); until > 0 && until+5*time.Millisecond < wait {
-				wait = until + 5*time.Millisecond
-			}
-			sp.Events = append(sp.Events, obs.SpanEvent{Name: "claim-wait", Time: time.Now(),
-				Attrs: map[string]string{"holder": cur.Owner, "wait": wait.String()}})
-			select {
-			case <-ctx.Done():
-				return false
-			case <-time.After(wait):
-			}
-			if backoff < 2*time.Second {
-				backoff *= 2
-			}
+		}
+		s.m.claimsWaited.Add(1)
+		executor = cur.Trace
+		wait := backoff
+		// Never sleep far past the holder's lease: the moment it expires
+		// this worker is eligible to steal.
+		if until := time.Until(cur.Expires); until > 0 && until+5*time.Millisecond < wait {
+			wait = until + 5*time.Millisecond
+		}
+		sp.Events = append(sp.Events, obs.SpanEvent{Name: "claim-wait", Time: time.Now(),
+			Attrs: map[string]string{"holder": cur.Owner, "wait": wait.String()}})
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(wait):
+		}
+		if backoff < 2*time.Second {
+			backoff *= 2
 		}
 	}
-	s.log.Warn("fleet claim attempts exhausted; executing locally",
-		"job", job.id, "fingerprint", shortFP(job.fp), "attempts", s.cfg.ClaimAttempts)
-	return false
+	sp.Attrs["outcome"] = "adopted"
+	if executor != "" {
+		sp.Attrs["executor_trace"] = executor
+	}
+	s.m.fleetAdopted.Add(1)
+	a.outcome = store.OutcomeAdopted
+	return true
 }
 
-// cached answers the job from stored state, the one path that does: the
-// memo's Result and, from the store, every sidecar the job asked for. A
-// missing piece is a miss, as is any sidecar on a storeless server, which
-// keeps none. It fills a only on a hit.
+// cached decides whether the job is answered, the one place that does,
+// for a submit and a fleet adoption alike: the memo's Result and, from
+// the store, every sidecar the job asked for. A missing piece is a miss,
+// as is any sidecar on a storeless server. It fills a only on a hit.
 func (s *Server) cached(job *Job, a *attempt) bool {
 	res, ok := s.memo.Get(job.fp)
 	st := s.cfg.Store

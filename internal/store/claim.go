@@ -42,34 +42,6 @@ import (
 // Lease expiry is wall-clock, so fleet machines need loosely synchronized
 // clocks (skew well under the lease, which NTP is for the default 30s).
 
-// ClaimState is the outcome of a Claim call.
-type ClaimState int
-
-const (
-	// ClaimAcquired: the caller now owns the fingerprint and must execute
-	// it, Put the result, and Release the claim.
-	ClaimAcquired ClaimState = iota
-	// ClaimHeld: another live worker owns the lease; back off until
-	// ClaimInfo.Expires (a result may appear sooner).
-	ClaimHeld
-	// ClaimDone: a result for the fingerprint is already on disk; read it
-	// with Get instead of executing.
-	ClaimDone
-)
-
-// String makes test failures and log lines readable.
-func (c ClaimState) String() string {
-	switch c {
-	case ClaimAcquired:
-		return "acquired"
-	case ClaimHeld:
-		return "held"
-	case ClaimDone:
-		return "done"
-	}
-	return fmt.Sprintf("ClaimState(%d)", int(c))
-}
-
 // ClaimInfo describes a claim's holder.
 type ClaimInfo struct {
 	Version int       `json:"version"`
@@ -138,48 +110,31 @@ func newNonce() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// Claim attempts to take ownership of a fingerprint for ttl. The caller
-// identifies itself as owner (fleet worker names must be unique). See
-// ClaimState for the three outcomes. trace, when non-empty, is a fabric
-// trace ID persisted in the claim file so other workers touching this
-// fingerprint can join the trace.
-func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (ClaimState, ClaimInfo, error) {
+// Claim attempts to take ownership of a fingerprint for ttl as owner
+// (fleet worker names must be unique). It decides ownership only, not
+// whether the fingerprint is answered: that is the caller's verified read
+// of the store, before each Claim and after a win. acquired means the
+// caller owns the claim info describes and must execute, Put the result,
+// and Release; otherwise info names the live holder, to wait on until
+// info.Expires. trace, when non-empty, is a fabric trace ID persisted in
+// the claim file so other workers touching this fingerprint can join it.
+func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (acquired bool, info ClaimInfo, err error) {
 	if !validFP(fp) {
-		return ClaimHeld, ClaimInfo{}, fmt.Errorf("store: invalid fingerprint %q", fp)
+		return false, ClaimInfo{}, fmt.Errorf("store: invalid fingerprint %q", fp)
 	}
 	if ttl <= 0 {
-		return ClaimHeld, ClaimInfo{}, fmt.Errorf("store: claim ttl must be positive")
+		return false, ClaimInfo{}, fmt.Errorf("store: claim ttl must be positive")
 	}
-	// A result on disk outranks any claim: the work is already done.
-	// Stat, not Get: Claim runs in polling loops and must stay cheap. If
-	// the entry turns out corrupt, the caller's Get discards it and the
-	// next Claim no longer sees it.
-	if _, err := os.Stat(s.path(fp, resultFile.ext)); err == nil {
-		return ClaimDone, ClaimInfo{}, nil
-	}
-
 	gen, cur, valid := s.highestClaim(fp)
 	if valid && time.Now().Before(cur.Expires) {
-		return ClaimHeld, cur, nil // live lease
+		return false, cur, nil // live lease
 	}
 	// No claim, an expired lease, or a crash-torn file: race the
 	// exclusive create of the next generation. Exactly one contender wins.
 	next := gen + 1
-	info, err := s.createClaim(fp, next, owner, ttl, trace)
+	info, err = s.createClaim(fp, next, owner, ttl, trace)
 	switch {
 	case err == nil:
-		// Re-check for a result now that the claim is ours: the opening
-		// stat and the exclusive create are not atomic, so a finishing
-		// worker can Put and Release entirely between them — leaving no
-		// claim to observe and no result at stat time. The re-check is
-		// authoritative in that direction: Put always precedes Release,
-		// so any claim acquired after a Release sees the result here.
-		// This turns the common adopt-after-finish race from duplicate
-		// execution into ClaimDone.
-		if _, serr := os.Stat(s.path(fp, resultFile.ext)); serr == nil {
-			os.Remove(s.claimPath(fp, next))
-			return ClaimDone, ClaimInfo{}, nil
-		}
 		info.Stolen = gen >= 0
 		if info.Stolen {
 			// The superseded generations are dead weight; removing them is
@@ -189,17 +144,17 @@ func (s *Store) Claim(fp, owner string, ttl time.Duration, trace string) (ClaimS
 				os.Remove(s.claimPath(fp, g))
 			}
 		}
-		return ClaimAcquired, info, nil
+		return true, info, nil
 	case errors.Is(err, fs.ErrExist):
 		// A racing worker won the create. Report whatever now holds the
 		// claim; a torn or vanished winner reads as expiring immediately,
 		// which just sends the caller around the loop again.
 		if _, w, ok := s.highestClaim(fp); ok {
-			return ClaimHeld, w, nil
+			return false, w, nil
 		}
-		return ClaimHeld, ClaimInfo{Expires: time.Now()}, nil
+		return false, ClaimInfo{Expires: time.Now()}, nil
 	default:
-		return ClaimHeld, ClaimInfo{}, err
+		return false, ClaimInfo{}, err
 	}
 }
 

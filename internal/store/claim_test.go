@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,18 +39,18 @@ func TestClaimLifecycle(t *testing.T) {
 	a, b := twoHandles(t)
 	fp := testFP(1)
 
-	st, info, err := a.Claim(fp, "w1", time.Minute, "")
-	if err != nil || st != ClaimAcquired {
-		t.Fatalf("first claim = %v, %v, want acquired", st, err)
+	acquired, info, err := a.Claim(fp, "w1", time.Minute, "")
+	if err != nil || !acquired {
+		t.Fatalf("first claim = %v, %v, want acquired", acquired, err)
 	}
 	if info.Owner != "w1" || info.Nonce == "" {
 		t.Fatalf("claim info incomplete: %+v", info)
 	}
 
 	// A second worker sees the live lease with the holder's identity.
-	st, held, err := b.Claim(fp, "w2", time.Minute, "")
-	if err != nil || st != ClaimHeld {
-		t.Fatalf("contended claim = %v, %v, want held", st, err)
+	acquired, held, err := b.Claim(fp, "w2", time.Minute, "")
+	if err != nil || acquired {
+		t.Fatalf("contended claim = %v, %v, want held", acquired, err)
 	}
 	if held.Owner != "w1" || !held.Expires.After(time.Now()) {
 		t.Fatalf("held info: %+v", held)
@@ -60,18 +64,20 @@ func TestClaimLifecycle(t *testing.T) {
 		t.Fatal("non-owner renewal succeeded")
 	}
 
-	// Once the result lands, every claim resolves to done.
+	// A claim decides ownership only: after Put and Release the next
+	// claimant acquires afresh, and the stored result is its to read.
 	res := sim.Result{Workload: "seqstream", IPC: 1.5}
 	if err := a.Put(fp, res); err != nil {
 		t.Fatal(err)
 	}
 	a.Release(fp, "w1")
-	st, _, err = b.Claim(fp, "w2", time.Minute, "")
-	if err != nil || st != ClaimDone {
-		t.Fatalf("claim after put = %v, %v, want done", st, err)
+	acquired, info, err = b.Claim(fp, "w2", time.Minute, "")
+	if err != nil || !acquired || info.Stolen || info.Gen() != 0 {
+		t.Fatalf("claim after put and release = %v (stolen %v, gen %d), %v, want a fresh acquire",
+			acquired, info.Stolen, info.Gen(), err)
 	}
 	if got, ok := b.Get(fp); !ok || got.IPC != res.IPC {
-		t.Fatalf("result not readable after done claim: %+v %v", got, ok)
+		t.Fatalf("result not readable after release: %+v %v", got, ok)
 	}
 }
 
@@ -79,18 +85,18 @@ func TestClaimStealAfterExpiry(t *testing.T) {
 	a, b := twoHandles(t)
 	fp := testFP(2)
 
-	if st, _, _ := a.Claim(fp, "ghost", 10*time.Millisecond, ""); st != ClaimAcquired {
-		t.Fatalf("ghost claim = %v", st)
+	if acquired, _, _ := a.Claim(fp, "ghost", 10*time.Millisecond, ""); !acquired {
+		t.Fatal("ghost claim not acquired")
 	}
 	// Before expiry the lease holds.
-	if st, _, _ := b.Claim(fp, "w2", time.Minute, ""); st != ClaimHeld {
-		t.Fatalf("pre-expiry claim = %v, want held", st)
+	if acquired, _, _ := b.Claim(fp, "w2", time.Minute, ""); acquired {
+		t.Fatal("pre-expiry claim acquired, want held")
 	}
 	time.Sleep(20 * time.Millisecond)
 
-	st, info, err := b.Claim(fp, "w2", time.Minute, "")
-	if err != nil || st != ClaimAcquired {
-		t.Fatalf("post-expiry claim = %v, %v, want acquired", st, err)
+	acquired, info, err := b.Claim(fp, "w2", time.Minute, "")
+	if err != nil || !acquired {
+		t.Fatalf("post-expiry claim = %v, %v, want acquired", acquired, err)
 	}
 	if !info.Stolen {
 		t.Fatal("post-expiry acquisition not marked stolen")
@@ -114,9 +120,9 @@ func TestClaimCorruptRecovery(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1,"owner":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, info, err := b.Claim(fp, "w2", time.Minute, "")
-	if err != nil || st != ClaimAcquired || !info.Stolen {
-		t.Fatalf("claim over corrupt file = %v (stolen=%v), %v, want stolen acquisition", st, info.Stolen, err)
+	acquired, info, err := b.Claim(fp, "w2", time.Minute, "")
+	if err != nil || !acquired || !info.Stolen {
+		t.Fatalf("claim over corrupt file = %v (stolen=%v), %v, want stolen acquisition", acquired, info.Stolen, err)
 	}
 }
 
@@ -147,12 +153,12 @@ func TestClaimRaceExclusive(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				owner := fmt.Sprintf("w%d", i)
-				st, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
+				won, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
 				if err != nil {
 					t.Errorf("claim: %v", err)
 					return
 				}
-				if st == ClaimAcquired {
+				if won {
 					acquired <- owner
 				}
 			}(i)
@@ -176,7 +182,7 @@ func TestClaimStealRace(t *testing.T) {
 	handles := []*Store{a, b}
 	fp := testFP(200)
 
-	if st, _, _ := a.Claim(fp, "ghost", time.Nanosecond, ""); st != ClaimAcquired {
+	if acquired, _, _ := a.Claim(fp, "ghost", time.Nanosecond, ""); !acquired {
 		t.Fatal("seeding expired claim failed")
 	}
 	time.Sleep(time.Millisecond)
@@ -189,12 +195,12 @@ func TestClaimStealRace(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			owner := fmt.Sprintf("thief%d", i)
-			st, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
+			won, _, err := handles[i%2].Claim(fp, owner, time.Minute, "")
 			if err != nil {
 				t.Errorf("claim: %v", err)
 				return
 			}
-			if st == ClaimAcquired {
+			if won {
 				acquired <- owner
 			}
 		}(i)
@@ -243,4 +249,78 @@ func TestStorePutGetRace(t *testing.T) {
 	if got, ok := a.Get(fp); !ok || got.IPC != res.IPC {
 		t.Fatalf("final read: %+v %v", got, ok)
 	}
+}
+
+// FuzzClaimFile writes arbitrary bytes as the highest claim generation's
+// file and as the provenance ledger. Claim, Renew, Release and
+// ReadProvenance must not panic. A file that is not a live claim is
+// stolen at the next generation; a non-owner's Renew and Release change
+// no file. The ledger reads back only entries at entryVersion, never more
+// entries than lines, and an entry appended after the bytes is read back.
+func FuzzClaimFile(f *testing.F) {
+	live, _ := json.Marshal(ClaimInfo{Version: entryVersion, Owner: "ghost", Nonce: "n", Expires: time.Now().Add(time.Hour)})
+	entry, _ := json.Marshal(Provenance{Version: entryVersion, Fingerprint: testFP(0), Outcome: OutcomeExecuted})
+	for _, seed := range []string{string(live), string(entry), string(entry) + "\n", `{"version":1,"owner":"torn`, ""} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return // ReadProvenance bounds a line at 1 MiB
+		}
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, gen := testFP(0), 2
+		writeFile(t, s.claimPath(key, gen), data)
+		bucket := filepath.Dir(s.claimPath(key, gen))
+		files := func() map[string]string {
+			out := map[string]string{}
+			entries, _ := os.ReadDir(bucket)
+			for _, e := range entries {
+				raw, _ := os.ReadFile(filepath.Join(bucket, e.Name()))
+				out[e.Name()] = string(raw)
+			}
+			return out
+		}
+
+		var c ClaimInfo
+		isLive := json.Unmarshal(data, &c) == nil && c.Version == entryVersion && time.Now().Before(c.Expires)
+		before := files()
+		if s.Renew(key, c.Owner+"-other", time.Minute) {
+			t.Fatal("a non-owner renewed the claim")
+		}
+		s.Release(key, c.Owner+"-other")
+		if after := files(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("a non-owner's Renew or Release changed the bucket: %v -> %v", before, after)
+		}
+		acquired, info, err := s.Claim(key, c.Owner+"-other", time.Minute, "")
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case isLive && (acquired || info.Owner != c.Owner):
+			t.Fatalf("live claim of %q: acquired %v, holder %q", c.Owner, acquired, info.Owner)
+		case !isLive && (!acquired || !info.Stolen || info.Gen() != gen+1):
+			t.Fatalf("claim over a dead file: acquired %v, stolen %v, gen %d; want a steal at gen %d",
+				acquired, info.Stolen, info.Gen(), gen+1)
+		}
+
+		writeFile(t, s.path(key, ledgerSuffix), data)
+		got, _ := s.ReadProvenance(key)
+		for _, p := range got {
+			if p.Version != entryVersion {
+				t.Fatalf("ledger entry at version %d read back", p.Version)
+			}
+		}
+		if lines := bytes.Count(data, []byte{'\n'}) + 1; len(got) > lines {
+			t.Fatalf("%d entries read from %d lines", len(got), lines)
+		}
+		if err := s.AppendProvenance(Provenance{Fingerprint: key, TraceID: "appended"}); err != nil {
+			t.Fatal(err)
+		}
+		after, err := s.ReadProvenance(key)
+		if err != nil || len(after) != len(got)+1 || after[len(got)].TraceID != "appended" {
+			t.Fatalf("entry appended after %q not read back: %d entries before, %+v after (%v)", data, len(got), after, err)
+		}
+	})
 }

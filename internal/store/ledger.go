@@ -20,9 +20,10 @@ import (
 //
 // Writes are a single O_APPEND write per line. POSIX makes small
 // appenders atomic with respect to each other, so several fleet workers
-// sharing the directory interleave whole lines, never torn ones. Readers
-// skip lines that fail to parse (a torn tail after a crash) instead of
-// failing the whole file.
+// sharing the directory interleave whole lines, never torn ones. Each
+// write starts with a newline, so a line a crash or a full disk cut short
+// ends before the next begins. Readers skip blank lines and lines that
+// fail to parse (that torn tail) instead of failing the whole file.
 
 // Provenance outcomes.
 const (
@@ -97,7 +98,7 @@ func (s *Store) AppendProvenance(p Provenance) error {
 	if err != nil {
 		return fmt.Errorf("store: provenance: %w", err)
 	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
+	if _, err := f.Write(append(append([]byte{'\n'}, raw...), '\n')); err != nil {
 		f.Close()
 		return fmt.Errorf("store: provenance: %w", err)
 	}

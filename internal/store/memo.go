@@ -12,52 +12,48 @@ import (
 // target.
 var errPartial = errors.New("store: refusing to cache a partial result")
 
-// Memo is the read-through result cache the experiment harness and the
-// job service put in front of a Store: an in-memory map of Results by
-// fingerprint, backed by the optional on-disk store. Simulations are
-// deterministic, so a fingerprint's Result never changes once computed.
-// A Memo is safe for concurrent use.
+// Memo is the result cache the experiment harness and the job service
+// consult by fingerprint, safe for concurrent use. With a Store it is
+// that store, every Get its verified read and every Put its write, so no
+// second copy can disagree with the disk; without one it is an in-memory
+// map of Results, which never change: simulations are deterministic.
 type Memo struct {
 	st *Store // nil: memory only
 
 	mu  sync.Mutex
-	res map[string]sim.Result
+	res map[string]sim.Result // without a store only
 }
 
-// NewMemo returns an empty memo reading through st, which may be nil.
+// NewMemo returns an empty memo over st, which may be nil.
 func NewMemo(st *Store) *Memo {
-	return &Memo{st: st, res: make(map[string]sim.Result)}
+	if st != nil {
+		return &Memo{st: st}
+	}
+	return &Memo{res: make(map[string]sim.Result)}
 }
 
-// Get returns the Result cached under fp: from memory, else from the
-// store, whose hit is copied into memory so the disk is read once per
-// fingerprint.
+// Get returns the Result cached under fp.
 func (m *Memo) Get(fp string) (sim.Result, bool) {
+	if m.st != nil {
+		return m.st.Get(fp)
+	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	res, ok := m.res[fp]
-	m.mu.Unlock()
-	if ok || m.st == nil {
-		return res, ok
-	}
-	if res, ok = m.st.Get(fp); ok {
-		m.mu.Lock()
-		m.res[fp] = res
-		m.mu.Unlock()
-	}
 	return res, ok
 }
 
-// Put caches a full run's Result under fp in memory, then in the store,
-// and returns the store's error. A partial result is refused by both.
+// Put caches a full run's Result under fp and returns the store's error.
+// A partial result is refused.
 func (m *Memo) Put(fp string, res sim.Result) error {
+	if m.st != nil {
+		return m.st.Put(fp, res)
+	}
 	if res.Partial {
 		return errPartial
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.res[fp] = res
-	m.mu.Unlock()
-	if m.st == nil {
-		return nil
-	}
-	return m.st.Put(fp, res)
+	return nil
 }

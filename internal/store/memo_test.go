@@ -24,27 +24,30 @@ func TestMemoMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestMemoStoreHitFillsMap: a store hit is copied into memory, so the
-// disk is read once per fingerprint — the second Get hits even after the
-// entry file is gone.
-func TestMemoStoreHitFillsMap(t *testing.T) {
+// TestMemoStoreKeepsNoCopy: a store-backed memo is the store, so once an
+// entry's file is removed its fingerprint misses; no copy in memory
+// answers for it.
+func TestMemoStoreKeepsNoCopy(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := NewMemo(s)
 	want := testResult(2.25)
-	if err := s.Put(fp(0), want); err != nil {
+	if err := m.Put(fp(0), want); err != nil {
 		t.Fatal(err)
 	}
-	m := NewMemo(s)
 	if got, ok := m.Get(fp(0)); !ok || got.IPC != want.IPC {
 		t.Fatalf("store-backed Get = %+v, %v", got, ok)
 	}
 	if err := os.Remove(s.path(fp(0), resultFile.ext)); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := m.Get(fp(0)); !ok || got.IPC != want.IPC {
-		t.Fatalf("second Get after the entry was deleted = %+v, %v; want a memory hit", got, ok)
+	if got, ok := m.Get(fp(0)); ok {
+		t.Fatalf("Get after the entry was removed = %+v; want a miss", got)
+	}
+	if n := len(m.res); n != 0 {
+		t.Fatalf("store-backed memo holds %d map entries", n)
 	}
 }
 
@@ -71,34 +74,36 @@ func TestMemoRefusesPartial(t *testing.T) {
 }
 
 // TestMemoConcurrent races Gets and Puts over a shared set of
-// fingerprints; run under -race it checks the memo's locking.
+// fingerprints, on a memory-only memo and on a store-backed one; run
+// under -race it checks the map's locking and the store's atomic writes.
 func TestMemoConcurrent(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMemo(s)
-	const workers, keys = 8, 4
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range 3 * keys {
-				k := fp((w + i) % keys)
-				if res, ok := m.Get(k); ok && res.IPC != 1.5 {
-					t.Errorf("Get(%s) = IPC %v, want 1.5", k[:8], res.IPC)
+	for _, m := range []*Memo{NewMemo(nil), NewMemo(s)} {
+		const workers, keys = 8, 4
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 3 * keys {
+					k := fp((w + i) % keys)
+					if res, ok := m.Get(k); ok && res.IPC != 1.5 {
+						t.Errorf("Get(%s) = IPC %v, want 1.5", k[:8], res.IPC)
+					}
+					if err := m.Put(k, testResult(1.5)); err != nil {
+						t.Error(err)
+					}
 				}
-				if err := m.Put(k, testResult(1.5)); err != nil {
-					t.Error(err)
-				}
+			}()
+		}
+		wg.Wait()
+		for k := range keys {
+			if _, ok := m.Get(fp(k)); !ok {
+				t.Fatalf("fingerprint %d missing after the race", k)
 			}
-		}()
-	}
-	wg.Wait()
-	for k := range keys {
-		if _, ok := m.Get(fp(k)); !ok {
-			t.Fatalf("fingerprint %d missing after the race", k)
 		}
 	}
 }
