@@ -115,9 +115,9 @@ func openTrace(cfg *fdpsim.Config, path, format string) func() {
 }
 
 // openSeries wires -series-out into the configuration: the compact
-// columnar interval timeseries (the internal/series binary format), the
-// same artifact fdpserved stores as a sidecar and serves at
-// GET /v1/jobs/{id}/series. Composes with -trace-out.
+// columnar interval stream (the internal/series binary format), the
+// same artifact fdpserved stores as its sidecar and renders at
+// GET /v1/jobs/{id}/series and /trace. Composes with -trace-out.
 func openSeries(cfg *fdpsim.Config, path string) func() {
 	if path == "" {
 		return nil

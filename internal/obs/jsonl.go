@@ -53,8 +53,8 @@ func (j *JSONL) Close() error {
 	return j.err
 }
 
-// WriteJSONL renders a collected event slice in the same format the
-// streaming JSONL sink produces.
+// WriteJSONL renders an event slice, such as a decoded interval stream,
+// in the same format the streaming JSONL sink produces.
 func WriteJSONL(w io.Writer, events []sim.DecisionEvent) error {
 	j := NewJSONL(w)
 	for _, ev := range events {
@@ -63,8 +63,8 @@ func WriteJSONL(w io.Writer, events []sim.DecisionEvent) error {
 	return j.Close()
 }
 
-// ReadJSONL parses a JSONL decision trace back into events (the service
-// uses it to re-render persisted traces in other formats).
+// ReadJSONL parses a JSONL decision trace back into events (fdptop
+// -replay and the tree trainer read -trace-out files with it).
 func ReadJSONL(r io.Reader) ([]sim.DecisionEvent, error) {
 	var events []sim.DecisionEvent
 	dec := json.NewDecoder(r)

@@ -9,59 +9,14 @@
 //   - Chrome exports the Chrome trace_event format with counter tracks for
 //     accuracy, lateness, pollution, the DCC and the prefetch distance and
 //     degree, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-//   - Collector retains events in memory (the job service's per-job
-//     buffer, also convenient in tests).
 //
-// All sinks implement sim.Tracer and are driven synchronously from the
-// simulation loop, so a slow consumer slows the run.
+// Both sinks implement sim.Tracer and are driven synchronously from the
+// simulation loop, so a slow consumer slows the run; WriteJSONL and
+// WriteChrome render a decoded event stream (internal/series) the same
+// way.
 package obs
 
-import (
-	"sync"
-
-	"fdpsim/internal/sim"
-)
-
-// Collector retains every event in memory, bounded by Limit. It is
-// safe for concurrent use (the job service reads while a worker
-// appends).
-type Collector struct {
-	// Limit, when non-zero, caps the number of retained events; later
-	// events increment Truncated instead of growing the buffer. Set it
-	// before tracing starts.
-	Limit int
-
-	mu        sync.Mutex
-	events    []sim.DecisionEvent
-	truncated uint64
-}
-
-// TraceDecision implements sim.Tracer.
-func (c *Collector) TraceDecision(ev sim.DecisionEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.Limit > 0 && len(c.events) >= c.Limit {
-		c.truncated++
-		return
-	}
-	c.events = append(c.events, ev)
-}
-
-// Events returns a snapshot copy of the collected events.
-func (c *Collector) Events() []sim.DecisionEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]sim.DecisionEvent, len(c.events))
-	copy(out, c.events)
-	return out
-}
-
-// Truncated reports how many events the Limit discarded.
-func (c *Collector) Truncated() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.truncated
-}
+import "fdpsim/internal/sim"
 
 // tee fans one decision stream out to several sinks, in order.
 type tee struct {

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"fdpsim/internal/obs"
@@ -145,22 +144,5 @@ func TestChromeTrace(t *testing.T) {
 		if got := tracks[want]; got != int(res.Intervals) {
 			t.Errorf("counter track %q has %d points, want one per interval (%d)", want, got, res.Intervals)
 		}
-	}
-}
-
-// TestCollectorLimit checks the in-memory sink's bound.
-func TestCollectorLimit(t *testing.T) {
-	c := &obs.Collector{Limit: 3}
-	for i := 0; i < 10; i++ {
-		c.TraceDecision(sim.DecisionEvent{Interval: uint64(i + 1)})
-	}
-	if got := len(c.Events()); got != 3 {
-		t.Fatalf("collector kept %d events, want 3", got)
-	}
-	if got := c.Truncated(); got != 7 {
-		t.Fatalf("truncated = %d, want 7", got)
-	}
-	if !reflect.DeepEqual(c.Events()[2].Interval, uint64(3)) {
-		t.Fatal("collector did not keep the earliest events")
 	}
 }

@@ -7,6 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
+	"strings"
+
+	"fdpsim/internal/sim"
 )
 
 // Binary layout of a .series.bin document (all integers little-endian):
@@ -16,8 +20,10 @@ import (
 //	           uvarint payload length (>= 1)
 //	           uint32  CRC-32 (IEEE) of the payload
 //	           payload bytes
-//	         frame 0: Meta as JSON
-//	         frames 1..K: one column each, in Meta.Metrics order:
+//	         frame 0: header JSON: Meta without its column names, plus
+//	           the string table
+//	         frames 1..K: one column per sim.DecisionEvent field, in
+//	           declaration order with nested structs flattened:
 //	           byte    kind (0 = int, 1 = float)
 //	           uvarint value count (== Meta.Intervals)
 //	           values  int:   zigzag(v[i] - v[i-1]) uvarints
@@ -25,14 +31,19 @@ import (
 //	uvarint  0 (frame terminator)
 //	footer   uint32 column count K, uint32 interval count
 //
+// Integer fields are int columns, differenced in 64-bit wrapping
+// arithmetic so every value round-trips exactly; bools are int columns of
+// 0 and 1; strings are int columns of indexes into the string table.
 // Delta/XOR predecessors start at zero. Encoding is fully deterministic —
-// no timestamps, no map iteration — so identical columns byte-compare
+// no timestamps, no map iteration — so identical streams byte-compare
 // equal, which the determinism tests rely on.
 
-// Version is the document format Encode writes and Decode accepts. The
-// result store names it in a stored document's header, so a document of
-// another version is told apart without decoding it.
-const Version = 1
+// Version is the document format Encode writes and Decode accepts:
+// version 2 stores every DecisionEvent field (version 1 stored the
+// catalog columns). The result store names it in a stored document's
+// header, so a document of another version is told apart without
+// decoding it.
+const Version = 2
 
 const (
 	magic     = "FDPSERS1"
@@ -51,48 +62,157 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 }
 
-// Encode serialises a Series into the framed binary document.
-func Encode(s *Series) ([]byte, error) {
-	if len(s.Meta.Metrics) != len(s.Columns) {
-		return nil, fmt.Errorf("series: %d metrics but %d columns", len(s.Meta.Metrics), len(s.Columns))
-	}
-	for i, col := range s.Columns {
-		if len(col) != s.Meta.Intervals {
-			return nil, fmt.Errorf("series: column %q has %d values, want %d", s.Meta.Metrics[i], len(col), s.Meta.Intervals)
+// header is the document's first frame.
+type header struct {
+	Meta
+	Strings []string `json:"strings,omitempty"`
+}
+
+// column is one DecisionEvent field: its JSON path, the struct field
+// indexes down to it, and its Go kind.
+type column struct {
+	name  string
+	index []int
+	kind  reflect.Kind
+}
+
+// columns is the document's column order. A change to DecisionEvent's
+// fields changes the format, so it needs a new Version
+// (TestColumnLayout pins this one's).
+var columns = flatten(reflect.TypeOf(sim.DecisionEvent{}), "", nil)
+
+func flatten(t reflect.Type, prefix string, index []int) []column {
+	var out []column
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		name := prefix + tag
+		idx := append(index[:len(index):len(index)], i)
+		switch k := f.Type.Kind(); k {
+		case reflect.Struct:
+			out = append(out, flatten(f.Type, name+".", idx)...)
+		case reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool, reflect.String:
+			out = append(out, column{name: name, index: idx, kind: k})
+		default:
+			panic("series: DecisionEvent field " + name + " has no column encoding")
 		}
 	}
-	meta := s.Meta
-	meta.Version = Version
-	metaJSON, err := json.Marshal(meta)
+	return out
+}
+
+func (c *column) kindByte() byte {
+	if c.kind == reflect.Float64 {
+		return kindByteFloat
+	}
+	return kindByteInt
+}
+
+// field returns the column's field of ev, settable.
+func (c *column) field(ev *sim.DecisionEvent) reflect.Value {
+	return reflect.ValueOf(ev).Elem().FieldByIndex(c.index)
+}
+
+// bits returns the column's field of ev as the 64 bits it stores.
+func (c *column) bits(ev *sim.DecisionEvent, strs map[string]uint64) uint64 {
+	v := c.field(ev)
+	switch c.kind {
+	case reflect.Int:
+		return uint64(v.Int())
+	case reflect.Uint64:
+		return v.Uint()
+	case reflect.Float64:
+		return math.Float64bits(v.Float())
+	case reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	}
+	return strs[v.String()]
+}
+
+// set stores u in the column's field of ev.
+func (c *column) set(ev *sim.DecisionEvent, u uint64, strs []string) error {
+	v := c.field(ev)
+	switch c.kind {
+	case reflect.Int:
+		v.SetInt(int64(u))
+	case reflect.Uint64:
+		v.SetUint(u)
+	case reflect.Float64:
+		v.SetFloat(math.Float64frombits(u))
+	case reflect.Bool:
+		if u > 1 {
+			return corruptf("bool value %d", u)
+		}
+		v.SetBool(u == 1)
+	case reflect.String:
+		if u >= uint64(len(strs)) {
+			return corruptf("string index %d of %d", u, len(strs))
+		}
+		v.SetString(strs[u])
+	}
+	return nil
+}
+
+// Encode serialises a Series' events into the framed binary document;
+// the catalog columns are not stored.
+func Encode(s *Series) ([]byte, error) {
+	if len(s.Events) != s.Meta.Intervals {
+		return nil, fmt.Errorf("series: %d events for %d intervals", len(s.Events), s.Meta.Intervals)
+	}
+	// The string table, in first-seen order.
+	h := header{Meta: s.Meta}
+	h.Version, h.Metrics = Version, nil
+	var index map[string]uint64
+	for k := range s.Events {
+		for i := range columns {
+			if c := &columns[i]; c.kind == reflect.String {
+				str := c.field(&s.Events[k]).String()
+				if _, ok := index[str]; !ok {
+					if index == nil {
+						index = make(map[string]uint64)
+					}
+					index[str] = uint64(len(h.Strings))
+					h.Strings = append(h.Strings, str)
+				}
+			}
+		}
+	}
+	headJSON, err := json.Marshal(h)
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([]byte, 0, len(metaJSON)+s.Meta.Intervals*len(s.Columns)*2+64)
+	out := make([]byte, 0, len(headJSON)+len(s.Events)*len(columns)*2+len(columns)*8+32)
 	out = append(out, magic...)
-	out = appendFrame(out, metaJSON)
+	out = appendFrame(out, headJSON)
 
 	var scratch []byte
-	for i, col := range s.Columns {
-		scratch = encodeColumn(scratch[:0], kindFor(s.Meta.Metrics[i]), col)
+	for i := range columns {
+		c := &columns[i]
+		kind := c.kindByte()
+		scratch = append(scratch[:0], kind)
+		scratch = binary.AppendUvarint(scratch, uint64(len(s.Events)))
+		prev := uint64(0)
+		for k := range s.Events {
+			u := c.bits(&s.Events[k], index)
+			if kind == kindByteFloat {
+				scratch = binary.AppendUvarint(scratch, u^prev)
+			} else {
+				scratch = binary.AppendUvarint(scratch, zigzag(int64(u-prev)))
+			}
+			prev = u
+		}
 		out = appendFrame(out, scratch)
 	}
 
 	out = binary.AppendUvarint(out, 0) // terminator
 	var foot [footerLen]byte
-	binary.LittleEndian.PutUint32(foot[0:4], uint32(len(s.Columns)))
+	binary.LittleEndian.PutUint32(foot[0:4], uint32(len(columns)))
 	binary.LittleEndian.PutUint32(foot[4:8], uint32(s.Meta.Intervals))
 	out = append(out, foot[:]...)
 	return out, nil
-}
-
-// kindFor resolves a column's encoding kind: catalog metrics use their
-// declared kind, unknown names (future catalogs) fall back to float.
-func kindFor(name string) Kind {
-	if i := MetricIndex(name); i >= 0 {
-		return Catalog[i].Kind
-	}
-	return KindFloat
 }
 
 func appendFrame(out, payload []byte) []byte {
@@ -101,39 +221,14 @@ func appendFrame(out, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-func encodeColumn(out []byte, kind Kind, col []float64) []byte {
-	switch kind {
-	case KindInt:
-		out = append(out, kindByteInt)
-	default:
-		out = append(out, kindByteFloat)
-	}
-	out = binary.AppendUvarint(out, uint64(len(col)))
-	if kind == KindInt {
-		prev := int64(0)
-		for _, v := range col {
-			cur := int64(v)
-			out = binary.AppendUvarint(out, zigzag(cur-prev))
-			prev = cur
-		}
-		return out
-	}
-	prev := uint64(0)
-	for _, v := range col {
-		bits := math.Float64bits(v)
-		out = binary.AppendUvarint(out, bits^prev)
-		prev = bits
-	}
-	return out
-}
-
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Decode parses a framed document back into a Series. It is strict —
-// truncation, bit damage, count mismatches, and trailing garbage all
-// return an error wrapping ErrCorrupt — and never panics on arbitrary
-// input (FuzzDecode's contract).
+// Decode parses a framed document back into its events and computes the
+// catalog from them. It is strict — truncation, bit damage, count
+// mismatches, out-of-range values and trailing garbage all return an
+// error wrapping ErrCorrupt — and never panics on arbitrary input
+// (FuzzDecode's contract).
 func Decode(data []byte) (*Series, error) {
 	if len(data) < len(magic)+footerLen {
 		return nil, corruptf("short document (%d bytes)", len(data))
@@ -146,36 +241,39 @@ func Decode(data []byte) (*Series, error) {
 	footIntervals := int(binary.LittleEndian.Uint32(foot[4:8]))
 	body := data[len(magic) : len(data)-footerLen]
 
-	metaPayload, rest, err := readFrame(body)
+	headPayload, rest, err := readFrame(body)
 	if err != nil {
-		return nil, fmt.Errorf("meta frame: %w", err)
+		return nil, fmt.Errorf("header frame: %w", err)
 	}
-	var meta Meta
-	if err := json.Unmarshal(metaPayload, &meta); err != nil {
-		return nil, corruptf("meta json: %v", err)
+	var h header
+	if err := json.Unmarshal(headPayload, &h); err != nil {
+		return nil, corruptf("header json: %v", err)
 	}
-	if meta.Version != Version {
-		return nil, fmt.Errorf("series: unsupported version %d (want %d)", meta.Version, Version)
+	if h.Version != Version {
+		return nil, fmt.Errorf("series: unsupported version %d (want %d)", h.Version, Version)
 	}
-	if meta.Intervals < 0 || meta.Intervals != footIntervals {
-		return nil, corruptf("interval count mismatch: meta %d, footer %d", meta.Intervals, footIntervals)
+	if h.Intervals < 0 || h.Intervals != footIntervals {
+		return nil, corruptf("interval count mismatch: header %d, footer %d", h.Intervals, footIntervals)
 	}
-	if len(meta.Metrics) != footCols {
-		return nil, corruptf("column count mismatch: meta %d, footer %d", len(meta.Metrics), footCols)
+	if footCols != len(columns) {
+		return nil, corruptf("column count %d, want %d", footCols, len(columns))
+	}
+	// Each value takes at least one byte, so the payload bounds the event
+	// count; this keeps a forged header from driving a huge allocation.
+	if uint64(h.Intervals)*uint64(len(columns)) > uint64(len(rest)) {
+		return nil, corruptf("%d intervals exceed the payload", h.Intervals)
 	}
 
-	cols := make([][]float64, len(meta.Metrics))
-	for i := range meta.Metrics {
+	events := make([]sim.DecisionEvent, h.Intervals)
+	for i := range columns {
 		payload, r, err := readFrame(rest)
 		if err != nil {
 			return nil, fmt.Errorf("column %d: %w", i, err)
 		}
 		rest = r
-		col, err := decodeColumn(payload, meta.Intervals)
-		if err != nil {
-			return nil, fmt.Errorf("column %d (%s): %w", i, meta.Metrics[i], err)
+		if err := decodeColumn(payload, &columns[i], events, h.Strings); err != nil {
+			return nil, fmt.Errorf("column %d (%s): %w", i, columns[i].name, err)
 		}
-		cols[i] = col
 	}
 
 	term, n := binary.Uvarint(rest)
@@ -185,7 +283,7 @@ func Decode(data []byte) (*Series, error) {
 	if len(rest[n:]) != 0 {
 		return nil, corruptf("%d trailing bytes", len(rest[n:]))
 	}
-	return &Series{Meta: meta, Columns: cols}, nil
+	return newSeries(h.Meta, events), nil
 }
 
 // readFrame pops one length+CRC+payload frame off the front of b.
@@ -213,54 +311,42 @@ func readFrame(b []byte) (payload, rest []byte, err error) {
 	return payload, b[size:], nil
 }
 
-func decodeColumn(payload []byte, intervals int) ([]float64, error) {
+// decodeColumn fills column c of every event from one column frame.
+func decodeColumn(payload []byte, c *column, events []sim.DecisionEvent, strs []string) error {
 	if len(payload) < 1 {
-		return nil, corruptf("empty column payload")
+		return corruptf("empty column payload")
 	}
 	kind := payload[0]
-	if kind != kindByteInt && kind != kindByteFloat {
-		return nil, corruptf("unknown column kind %d", kind)
+	if kind != c.kindByte() {
+		return corruptf("column kind %d, want %d", kind, c.kindByte())
 	}
 	b := payload[1:]
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, corruptf("bad value count")
+		return corruptf("bad value count")
 	}
 	b = b[n:]
-	if count != uint64(intervals) {
-		return nil, corruptf("value count %d, want %d", count, intervals)
+	if count != uint64(len(events)) {
+		return corruptf("value count %d, want %d", count, len(events))
 	}
-	// Each value takes at least one byte, so the payload bounds the count;
-	// this keeps a forged header from driving a huge allocation.
-	if count > uint64(len(b)) {
-		return nil, corruptf("value count %d exceeds payload", count)
-	}
-	col := make([]float64, count)
-	if kind == kindByteInt {
-		prev := int64(0)
-		for i := range col {
-			u, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, corruptf("truncated int value %d", i)
-			}
-			b = b[n:]
-			prev += unzigzag(u)
-			col[i] = float64(prev)
+	prev := uint64(0)
+	for k := range events {
+		u, n := binary.Uvarint(b)
+		if n <= 0 {
+			return corruptf("truncated value %d", k)
 		}
-	} else {
-		prev := uint64(0)
-		for i := range col {
-			u, n := binary.Uvarint(b)
-			if n <= 0 {
-				return nil, corruptf("truncated float value %d", i)
-			}
-			b = b[n:]
+		b = b[n:]
+		if kind == kindByteFloat {
 			prev ^= u
-			col[i] = math.Float64frombits(prev)
+		} else {
+			prev += uint64(unzigzag(u))
+		}
+		if err := c.set(&events[k], prev, strs); err != nil {
+			return err
 		}
 	}
 	if len(b) != 0 {
-		return nil, corruptf("%d trailing column bytes", len(b))
+		return corruptf("%d trailing column bytes", len(b))
 	}
-	return col, nil
+	return nil
 }

@@ -15,8 +15,10 @@ const (
 // DefaultTolerances is the built-in band set: absolute max-deviation
 // bounds on the rate/level metrics two equivalent runs must agree on,
 // and -1 (informational) for the remaining catalog metrics. The bands
-// are deliberately loose enough for sampled-vs-full comparisons (ROADMAP
-// item 2) and tight enough that a diverged policy trips them.
+// are loose enough to pass small per-interval timing differences between
+// two runs of one policy and tight enough that a diverged policy trips
+// them, which is what the seriesdiff experiment, fdptop -diff and
+// GET /v1/diff report.
 func DefaultTolerances() map[string]float64 {
 	tol := make(map[string]float64, NumMetrics)
 	for _, m := range Catalog {

@@ -3,13 +3,14 @@ package series
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode hammers the sidecar frame decoder: arbitrary input must
 // never panic or over-allocate, and any input that decodes successfully
-// must re-encode and decode to the same columns (the codec is a lossless
-// bijection on its accepted set).
+// must re-encode and decode to the same events and catalog columns (the
+// codec is lossless on its accepted set).
 func FuzzDecode(f *testing.F) {
 	for _, n := range []int{0, 1, 17} {
 		enc, err := Encode(sampleSeries(n))
@@ -39,6 +40,12 @@ func FuzzDecode(f *testing.F) {
 		s2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded document failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(s2.Meta, s.Meta) {
+			t.Fatalf("round trip changed the meta:\n%+v\n%+v", s.Meta, s2.Meta)
+		}
+		if !sameEvents(s2.Events, s.Events) {
+			t.Fatal("round trip changed the events")
 		}
 		if len(s2.Columns) != len(s.Columns) {
 			t.Fatal("round trip changed column count")

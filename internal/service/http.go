@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"fdpsim/internal/obs"
+	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/sweep"
 	"fdpsim/internal/workload/spec"
@@ -35,13 +35,12 @@ type JobRequest struct {
 	Seed             uint64 `json:"seed"`
 	TInterval        uint64 `json:"tinterval"`
 
-	// Trace makes the job collect its FDP decision trace, downloadable at
-	// GET /v1/jobs/{id}/trace once the job is terminal.
-	Trace bool `json:"trace,omitempty"`
-
-	// Series makes the job record its interval timeseries, queryable at
-	// GET /v1/jobs/{id}/series once the job is terminal and diffable
+	// Trace and Series each make the job record its interval stream, the
+	// one sidecar with two views: once the job is terminal its FDP
+	// decision trace is downloadable at GET /v1/jobs/{id}/trace and its
+	// timeseries queryable at GET /v1/jobs/{id}/series and diffable
 	// against another run at GET /v1/diff.
+	Trace  bool `json:"trace,omitempty"`
 	Series bool `json:"series,omitempty"`
 
 	// Tenant attributes the job to a scheduler tenant for fair queueing
@@ -230,10 +229,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var opts []SubmitOption
-	if req.Trace {
-		opts = append(opts, WithDecisionTrace())
-	}
-	if req.Series {
+	if req.Trace || req.Series {
 		opts = append(opts, WithSeriesRecording())
 	}
 	if req.Tenant != "" {
@@ -439,9 +435,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}, job.Done(), func() any { return job.Status() })
 }
 
-// handleTrace serves a terminal job's FDP decision trace: JSONL by
-// default, or the Chrome trace_event document (loadable in Perfetto /
-// chrome://tracing) with ?format=chrome.
+// handleTrace serves a terminal job's FDP decision trace, rendered from
+// its interval stream: JSONL by default, or the Chrome trace_event
+// document (loadable in Perfetto / chrome://tracing) with ?format=chrome.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
@@ -453,10 +449,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			"job %s has not finished; the trace is available once the job is terminal", job.ID())
 		return
 	}
-	jsonl, ok := job.Trace()
+	doc, ok := job.SeriesData()
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			"job %s has no decision trace; submit with \"trace\": true", job.ID())
+		return
+	}
+	sr, err := series.Decode(doc)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "stored trace is unreadable: %v", err)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {
@@ -465,18 +466,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf("attachment; filename=%q", job.ID()+".trace.jsonl"))
 		w.WriteHeader(http.StatusOK)
-		w.Write(jsonl) //nolint:errcheck // the client went away; nothing to do
+		obs.WriteJSONL(w, sr.Events) //nolint:errcheck // the client went away; nothing to do
 	case "chrome":
-		events, err := obs.ReadJSONL(bytes.NewReader(jsonl))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "stored trace is unreadable: %v", err)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition",
 			fmt.Sprintf("attachment; filename=%q", job.ID()+".trace.json"))
 		w.WriteHeader(http.StatusOK)
-		obs.WriteChrome(w, events) //nolint:errcheck // ditto
+		obs.WriteChrome(w, sr.Events) //nolint:errcheck // ditto
 	default:
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or chrome)", format)
 	}

@@ -56,12 +56,13 @@ type metrics struct {
 	insertMu   sync.Mutex
 	insertions map[string]*[cache.NumInsertPos]uint64
 
-	traces         atomic.Uint64 // jobs that collected a decision trace
-	traceEvents    atomic.Uint64 // decision events captured into job traces
-	traceTruncated atomic.Uint64 // decision events dropped by per-job trace limits
+	// The interval stream a job records for its "trace" or "series".
+	traces         atomic.Uint64 // jobs that recorded an interval stream
+	traceEvents    atomic.Uint64 // decision events recorded into job streams
+	traceTruncated atomic.Uint64 // decision events dropped by the per-job limit
 
 	// Interval-timeseries recording and the run-diff endpoint.
-	seriesPoints atomic.Uint64 // metric points (intervals × catalog width) recorded into sidecars
+	seriesPoints atomic.Uint64 // catalog points (intervals × catalog width) the streams yield
 	seriesBytes  atomic.Uint64 // encoded sidecar bytes produced
 	// diffVerdicts counts GET /v1/diff requests by report verdict
 	// ("pass"/"fail", plus "error" for requests that never produced a
@@ -428,13 +429,13 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 		}
 	}
 
-	counter("traces_collected_total", "Jobs that collected an FDP decision trace.", m.traces.Load())
-	counter("trace_events_total", "Decision events captured into job traces.", m.traceEvents.Load())
-	counter("trace_events_truncated_total", "Decision events dropped by per-job trace limits.", m.traceTruncated.Load())
+	counter("traces_collected_total", "Jobs that recorded an FDP interval stream (a decision trace or a series).", m.traces.Load())
+	counter("trace_events_total", "Decision events recorded into job interval streams.", m.traceEvents.Load())
+	counter("trace_events_truncated_total", "Decision events dropped by the per-job interval-stream limit.", m.traceTruncated.Load())
 
 	// Series families keep the sim_* naming like sim_intervals_total: they
 	// count simulation observables, not daemon mechanics.
-	counter("sim_series_points_total", "Metric points (intervals x catalog width) recorded into interval-timeseries sidecars.", m.seriesPoints.Load())
+	counter("sim_series_points_total", "Catalog points (intervals x catalog width) the recorded interval streams yield.", m.seriesPoints.Load())
 	counter("sim_series_bytes_total", "Encoded interval-timeseries sidecar bytes produced.", m.seriesBytes.Load())
 
 	fmt.Fprintf(w, "# HELP fdpserved_diff_requests_total GET /v1/diff requests by run-diff report verdict.\n# TYPE fdpserved_diff_requests_total counter\n")

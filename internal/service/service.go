@@ -8,7 +8,7 @@
 // (sim.Fingerprint): the result memo is the content-addressed on-disk
 // store (internal/store) when there is one, so an identical submission —
 // even across daemon restarts — completes immediately as a cache hit,
-// with every sidecar it asks for, without re-simulating.
+// with the interval stream it asks for, without re-simulating.
 //
 // Lifecycle: Submit validates and either answers from cache, enqueues, or
 // reports backpressure (ErrQueueFull → HTTP 429). Cancel stops a queued
@@ -19,7 +19,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -147,13 +146,13 @@ type Job struct {
 	// replayed to late subscribers and read by the dcc gauge.
 	progress feed[sim.DecisionEvent]
 
-	// wantTrace and wantSeries are the sidecars the job was submitted
-	// for (WithDecisionTrace, WithSeriesRecording); a cached answer must
-	// carry each. traceJSONL and seriesBin are the rendered decision trace
-	// and the encoded series document, set when the job reaches a
-	// terminal state.
-	wantTrace, wantSeries bool
-	traceJSONL, seriesBin []byte
+	// wantSeries is set when the job was submitted for its interval
+	// stream (WithSeriesRecording); a cached answer must carry it.
+	// seriesBin is the encoded stream, the one sidecar, from which the
+	// decision trace and the series are rendered; it is set when the job
+	// reaches a terminal state.
+	wantSeries bool
+	seriesBin  []byte
 
 	// Fabric trace identity (immutable after Submit): traceID threads the
 	// job's spans, rootSpan is its "job" span ID, parentSpan links it under
@@ -171,23 +170,11 @@ func (j *Job) ID() string { return j.id }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Trace returns the job's rendered JSONL decision trace, empty when the
-// run closed no interval. ok is false when the job was not submitted with
-// tracing or has not run: it is not terminal yet, or it was cancelled
-// before it started.
-func (j *Job) Trace() (jsonl []byte, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.traceJSONL == nil {
-		return nil, false
-	}
-	return j.traceJSONL, true
-}
-
-// SeriesData returns the job's encoded interval-timeseries sidecar
-// (internal/series binary document). ok is false when the job was not
-// submitted with series recording or has not run: it is not terminal yet,
-// or it was cancelled before it started.
+// SeriesData returns the job's encoded interval stream (internal/series
+// binary document), from which its decision trace and series are
+// rendered. ok is false when the job was submitted with neither a trace
+// nor a series, or has not run: it is not terminal yet, or it was
+// cancelled before it started.
 func (j *Job) SeriesData() (doc []byte, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -214,11 +201,10 @@ type JobStatus struct {
 	FinishedAt  *time.Time  `json:"finished_at,omitempty"`
 	Error       string      `json:"error,omitempty"`
 	Result      *sim.Result `json:"result,omitempty"`
-	// Trace reports that a decision-trace artifact is downloadable at
-	// GET /v1/jobs/{id}/trace.
-	Trace bool `json:"trace,omitempty"`
-	// Series reports that an interval-timeseries artifact is queryable at
-	// GET /v1/jobs/{id}/series.
+	// Trace and Series both report the job's interval stream: its
+	// decision trace is downloadable at GET /v1/jobs/{id}/trace and its
+	// series queryable at GET /v1/jobs/{id}/series.
+	Trace  bool `json:"trace,omitempty"`
 	Series bool `json:"series,omitempty"`
 }
 
@@ -239,7 +225,7 @@ func (j *Job) Status() JobStatus {
 		SubmittedAt: j.submittedAt,
 		Error:       j.errMsg,
 		Result:      j.result,
-		Trace:       j.traceJSONL != nil,
+		Trace:       j.seriesBin != nil,
 		Series:      j.seriesBin != nil,
 	}
 	if !j.startedAt.IsZero() {
@@ -279,14 +265,9 @@ type Server struct {
 	spans *obs.SpanBuffer
 }
 
-// defaultTraceLimit caps the decision events retained per traced job
-// (~5 MB of JSONL); later intervals are counted as truncated instead of
-// growing the buffer without bound.
-const defaultTraceLimit = 16384
-
-// defaultSeriesLimit caps the intervals recorded per series-enabled job
-// (~13 MB of columns in memory); later boundaries are counted as
-// truncated in the sidecar's Meta.
+// defaultSeriesLimit caps the decision events recorded per job (about
+// 25 MB of events in memory during the run); later boundaries are
+// counted as truncated in the sidecar's Meta.
 const defaultSeriesLimit = 65536
 
 // New builds a Server and starts its worker pool.
@@ -358,7 +339,6 @@ func (s *Server) Jobs() []*Job {
 type SubmitOption func(*submitOptions)
 
 type submitOptions struct {
-	trace      bool
 	series     bool
 	tenant     string
 	priority   int
@@ -367,17 +347,11 @@ type submitOptions struct {
 	parentSpan string
 }
 
-// WithDecisionTrace makes the job collect its FDP decision trace (one
-// event per sampling interval, at most defaultTraceLimit), downloadable
-// at GET /v1/jobs/{id}/trace once the job is terminal.
-func WithDecisionTrace() SubmitOption {
-	return func(o *submitOptions) { o.trace = true }
-}
-
-// WithSeriesRecording makes the job record its interval timeseries (one
-// catalog row per FDP sampling interval, at most defaultSeriesLimit),
-// queryable at GET /v1/jobs/{id}/series and diffable at GET /v1/diff once
-// the job is terminal.
+// WithSeriesRecording makes the job record its interval stream (one
+// DecisionEvent per FDP sampling interval, at most defaultSeriesLimit).
+// Once the job is terminal the stream is downloadable as a decision trace
+// at GET /v1/jobs/{id}/trace, queryable as a series at
+// GET /v1/jobs/{id}/series and diffable at GET /v1/diff.
 func WithSeriesRecording() SubmitOption {
 	return func(o *submitOptions) { o.series = true }
 }
@@ -459,12 +433,11 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
-		wantTrace:   o.trace,
 		wantSeries:  o.series,
 	}
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "trace", o.trace, "series", o.series)
+		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "series", o.series)
 
 	a := attempt{outcome: store.OutcomeCacheHit, leaseGen: -1}
 	if s.cached(job, &a) {
@@ -552,7 +525,7 @@ type attempt struct {
 	wait, run, store time.Duration // the queue, run and store stages
 	leaseGen         int           // the fleet lease this worker holds; -1 for none
 	stolen           bool          // the lease was stolen from an expired holder
-	trace, series    []byte        // the rendered decision trace and series sidecar
+	series           []byte        // the encoded interval stream
 }
 
 // runJob takes one queued job through its stages — start, claim, run,
@@ -706,50 +679,41 @@ func (s *Server) claim(ctx context.Context, job *Job, a *attempt) (adopted bool)
 
 // cached decides whether the job is answered, the one place that does,
 // for a submit and a fleet adoption alike: the memo's Result and, from
-// the store, every sidecar the job asked for. A missing piece is a miss,
-// as is any sidecar on a storeless server. It fills a only on a hit.
+// the store, the interval stream when the job asked for it. A missing
+// piece is a miss, as is a stream on a storeless server. It fills a only
+// on a hit.
 func (s *Server) cached(job *Job, a *attempt) bool {
 	res, ok := s.memo.Get(job.fp)
 	st := s.cfg.Store
-	if !ok || st == nil && (job.wantTrace || job.wantSeries) {
+	if !ok || st == nil && job.wantSeries {
 		return false
 	}
-	var trace, doc []byte
-	if job.wantTrace {
-		trace, ok = st.GetTrace(job.fp)
-	}
-	if ok && job.wantSeries {
+	var doc []byte
+	if job.wantSeries {
 		doc, ok = st.GetSeries(job.fp)
 	}
 	if ok {
-		a.res, a.trace, a.series = &res, trace, doc
+		a.res, a.series = &res, doc
 	}
 	return ok
 }
 
-// run executes the job under the sinks its submission asked for and
-// records the run span, then renders the decision trace and the series
-// sidecar, so both are complete the moment Done closes. A cancelled run
-// keeps its partial artifacts, which match its partial result.
+// run executes the job under its sinks and records the run span, then
+// encodes the interval stream, so it is complete the moment Done closes.
+// A cancelled run keeps its partial stream, which matches its partial
+// result.
 func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
-	// The tracer delivers each interval to the synchronous sinks the
-	// submission asked for (decision-trace collector, series recorder),
-	// then to the job's own sink; obs.Tee collapses the common one-sink
-	// case to no wrapper at all.
+	// The recorder, when the submission asked for the stream, sees each
+	// interval before the job's own sink. A nil *series.Recorder in a Tee
+	// is a non-nil sim.Tracer, so the tracer is built only with one.
 	sink := &jobSink{s: s, job: job, renew: a.leaseGen >= 0, lastRenew: time.Now()}
-	var sinks []sim.Tracer
-	var trace *obs.Collector
+	run := job.run
+	run.Cfg.Tracer = sink
 	var rec *series.Recorder
-	if job.wantTrace {
-		trace = &obs.Collector{Limit: defaultTraceLimit}
-		sinks = append(sinks, trace)
-	}
 	if job.wantSeries {
 		rec = &series.Recorder{Limit: defaultSeriesLimit}
-		sinks = append(sinks, rec)
+		run.Cfg.Tracer = obs.Tee(rec, sink)
 	}
-	run := job.run
-	run.Cfg.Tracer = obs.Tee(append(sinks, sink)...)
 	s.m.executions.Add(1)
 	start := time.Now()
 	res, err := run.Run(ctx)
@@ -771,46 +735,35 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 			"workload":  run.Workload(),
 			"intervals": strconv.FormatUint(res.Intervals, 10),
 		}}
-	if trace != nil {
+	if rec != nil {
 		// Link the fabric span to the in-run DecisionEvent stream it wraps.
-		sp.Attrs["decision_events"] = strconv.Itoa(len(trace.Events()))
+		sp.Attrs["decision_events"] = strconv.Itoa(rec.Len())
 	}
 	s.addSpan(job, sp)
 
-	if trace != nil {
-		events := trace.Events()
-		// Non-nil with no events: an empty trace is still the trace asked for.
-		buf := bytes.NewBuffer([]byte{})
-		if werr := obs.WriteJSONL(buf, events); werr == nil {
-			a.trace = buf.Bytes()
-		}
-		s.m.traces.Add(1)
-		s.m.traceEvents.Add(uint64(len(events)))
-		s.m.traceTruncated.Add(trace.Truncated())
-		if truncated := trace.Truncated(); truncated > 0 {
-			s.log.Warn("decision trace truncated", "job", job.id,
-				"kept", len(events), "truncated", truncated)
-		}
+	if rec == nil {
+		return
 	}
-	if rec != nil {
-		sr := rec.Series()
-		sr.Meta.Workload = run.Workload()
-		sr.Meta.Prefetcher = string(run.Cfg.Prefetcher)
-		if doc, serr := series.Encode(sr); serr == nil {
-			a.series = doc
-			s.m.seriesPoints.Add(uint64(sr.Len() * len(sr.Meta.Metrics)))
-			s.m.seriesBytes.Add(uint64(len(doc)))
-		}
-		if truncated := rec.Truncated(); truncated > 0 {
-			s.log.Warn("interval series truncated", "job", job.id,
-				"kept", rec.Len(), "truncated", truncated)
-		}
+	sr := rec.Series()
+	sr.Meta.Workload = run.Workload()
+	sr.Meta.Prefetcher = string(run.Cfg.Prefetcher)
+	if doc, serr := series.Encode(sr); serr == nil {
+		a.series = doc
+		s.m.traces.Add(1)
+		s.m.traceEvents.Add(uint64(sr.Len()))
+		s.m.seriesPoints.Add(uint64(sr.Len() * series.NumMetrics))
+		s.m.seriesBytes.Add(uint64(len(doc)))
+	}
+	if truncated := rec.Truncated(); truncated > 0 {
+		s.m.traceTruncated.Add(truncated)
+		s.log.Warn("interval stream truncated", "job", job.id,
+			"kept", sr.Len(), "truncated", truncated)
 	}
 }
 
-// store writes a full run's sidecars and then its result under one store
-// span — sidecars first, so whoever finds the result finds them too, and
-// all before finish, so a client that sees "done" and resubmits at once
+// store writes a full run's sidecar and then its result under one store
+// span — the sidecar first, so whoever finds the result finds it too, and
+// both before finish, so a client that sees "done" and resubmits at once
 // gets the cache hit. Cancelled and failed runs store nothing.
 func (s *Server) store(job *Job, a *attempt) {
 	if a.outcome != store.OutcomeExecuted {
@@ -819,13 +772,8 @@ func (s *Server) store(job *Job, a *attempt) {
 	start := time.Now()
 	// Best-effort: a full disk or a lost sidecar costs a later job a re-run,
 	// not this job its answer.
-	if st := s.cfg.Store; st != nil {
-		if a.trace != nil {
-			_ = st.PutTrace(job.fp, a.trace)
-		}
-		if a.series != nil {
-			_ = st.PutSeries(job.fp, a.series)
-		}
+	if st := s.cfg.Store; st != nil && a.series != nil {
+		_ = st.PutSeries(job.fp, a.series)
 	}
 	_ = s.memo.Put(job.fp, *a.res)
 	a.store = time.Since(start)
@@ -860,7 +808,7 @@ func (s *Server) finish(job *Job, a *attempt) {
 	job.state = state // a never-started job already reads cancelled
 	job.cacheHit = a.outcome == store.OutcomeCacheHit || a.outcome == store.OutcomeAdopted
 	job.result, job.errMsg, job.finishedAt = a.res, a.errMsg, finished
-	job.traceJSONL, job.seriesBin = a.trace, a.series
+	job.seriesBin = a.series
 	close(job.done)
 	job.mu.Unlock()
 	// Attrs, not key-value pairs: boxing the strings would cost the
@@ -902,8 +850,8 @@ func (s *Server) dccDistribution() map[string][6]int {
 	return dist
 }
 
-// jobSink is a running job's own interval sink, teed after the trace
-// collector and series recorder. It feeds the interval metrics, retains
+// jobSink is a running job's own interval sink, teed after the series
+// recorder. It feeds the interval metrics, retains
 // and fans out each event for SSE subscribers and the dcc gauge, and
 // keeps a fleet worker's claim alive. It runs synchronously on the
 // simulation goroutine, so its fields need no lock.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/store"
 )
@@ -23,16 +24,19 @@ func waitJob(t *testing.T, j *Job) JobStatus {
 	return j.Status()
 }
 
-// sidecars returns a terminal job's decision trace and series document,
-// failing the test when either is missing.
-func sidecars(t *testing.T, j *Job) (trace, doc []byte) {
+// sidecars returns a terminal job's interval stream, encoded and decoded,
+// failing the test when the job lacks it or it does not decode.
+func sidecars(t *testing.T, j *Job) (doc []byte, events []sim.DecisionEvent) {
 	t.Helper()
-	trace, okT := j.Trace()
-	doc, okS := j.SeriesData()
-	if !okT || !okS {
-		t.Fatalf("job %s lacks a sidecar it asked for (trace=%v series=%v)", j.ID(), okT, okS)
+	doc, ok := j.SeriesData()
+	if !ok {
+		t.Fatalf("job %s lacks the interval stream it asked for", j.ID())
 	}
-	return trace, doc
+	sr, err := series.Decode(doc)
+	if err != nil {
+		t.Fatalf("job %s: %v", j.ID(), err)
+	}
+	return doc, sr.Events
 }
 
 // withoutElapsed zeroes the one Result field that differs between two runs
@@ -44,8 +48,8 @@ func withoutElapsed(r *sim.Result) sim.Result {
 }
 
 // TestAdoptionCarriesSidecars: a fleet worker that adopts another worker's
-// result answers with the sidecars its job asked for, byte-equal to the
-// ones the executing worker stored, and executes nothing for it.
+// result answers with the interval stream its job asked for, byte-equal
+// to the one the executing worker stored, and executes nothing for it.
 func TestAdoptionCarriesSidecars(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(name string) *Server {
@@ -59,17 +63,17 @@ func TestAdoptionCarriesSidecars(t *testing.T) {
 	a, b := mk("worker-a"), mk("worker-b")
 
 	// b's only worker is busy, so b's job waits in its queue while a runs
-	// the same fingerprint and stores the result and both sidecars.
+	// the same fingerprint and stores the result and its sidecar.
 	hold, err := b.Submit(sim.Job{Cfg: slowConfig(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := sim.Job{Cfg: fastConfig(150_000, 31)}
-	jb, err := b.Submit(run, WithDecisionTrace(), WithSeriesRecording())
+	jb, err := b.Submit(run, WithSeriesRecording())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := a.Submit(run, WithDecisionTrace(), WithSeriesRecording())
+	ja, err := a.Submit(run, WithSeriesRecording())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +86,16 @@ func TestAdoptionCarriesSidecars(t *testing.T) {
 
 	st := waitJob(t, jb)
 	if st.State != StateDone || !st.CacheHit || !st.Trace || !st.Series {
-		t.Fatalf("adopted job = %s, cache_hit %v, trace %v, series %v; want done with both sidecars",
+		t.Fatalf("adopted job = %s, cache_hit %v, trace %v, series %v; want done with its stream",
 			st.State, st.CacheHit, st.Trace, st.Series)
 	}
-	wantTrace, wantDoc := sidecars(t, ja)
-	gotTrace, gotDoc := sidecars(t, jb)
-	if !bytes.Equal(gotTrace, wantTrace) || !bytes.Equal(gotDoc, wantDoc) {
-		t.Fatal("adopted sidecars differ from the executing worker's")
+	wantDoc, events := sidecars(t, ja)
+	gotDoc, _ := sidecars(t, jb)
+	if !bytes.Equal(gotDoc, wantDoc) {
+		t.Fatal("adopted stream differs from the executing worker's")
+	}
+	if uint64(len(events)) != st.Result.Intervals {
+		t.Fatalf("stream holds %d events for %d intervals", len(events), st.Result.Intervals)
 	}
 	if n := b.Executions(); n != 1 {
 		t.Fatalf("worker b executed %d simulations; want 1 (the held job), the other adopted", n)
@@ -155,7 +162,10 @@ func TestSidecarsRederived(t *testing.T) {
 	if n := srv.Executions(); n != 2 {
 		t.Fatalf("server executed %d simulations; want 2", n)
 	}
-	trace, doc := sidecars(t, job)
+	doc, events := sidecars(t, job)
+	if uint64(len(events)) != again.Result.Intervals {
+		t.Fatalf("re-derived stream holds %d events for %d intervals", len(events), again.Result.Intervals)
+	}
 
 	fresh, _ := newTestServer(t, Config{Workers: 1})
 	fj, err := fresh.Submit(sim.Job{Cfg: cfg}, WithSeriesRecording())
@@ -167,16 +177,15 @@ func TestSidecarsRederived(t *testing.T) {
 		t.Fatal("re-derived series differs from a fresh series-recorded run's")
 	}
 
-	third, err := srv.Submit(sim.Job{Cfg: cfg}, WithDecisionTrace(), WithSeriesRecording())
+	third, err := srv.Submit(sim.Job{Cfg: cfg}, WithSeriesRecording())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := waitJob(t, third); !st.CacheHit {
 		t.Fatal("third identical submission was not a cache hit")
 	}
-	gotTrace, gotDoc := sidecars(t, third)
-	if !bytes.Equal(gotTrace, trace) || !bytes.Equal(gotDoc, doc) {
-		t.Fatal("cache hit's sidecars differ from the re-derivation's")
+	if gotDoc, _ := sidecars(t, third); !bytes.Equal(gotDoc, doc) {
+		t.Fatal("cache hit's stream differs from the re-derivation's")
 	}
 }
 
@@ -195,7 +204,7 @@ func TestZeroIntervalTrace(t *testing.T) {
 	cfg.MaxInsts = 200_000
 	run := sim.Job{Cfg: cfg}
 
-	job, err := srv.Submit(run, WithDecisionTrace(), WithSeriesRecording())
+	job, err := srv.Submit(run, WithSeriesRecording())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +227,7 @@ func TestZeroIntervalTrace(t *testing.T) {
 		t.Fatalf("GET trace?format=chrome = %d, %q; want an empty trace_event document", code, raw)
 	}
 
-	hit, err := srv.Submit(run, WithDecisionTrace(), WithSeriesRecording())
+	hit, err := srv.Submit(run, WithSeriesRecording())
 	if err != nil {
 		t.Fatal(err)
 	}

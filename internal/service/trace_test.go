@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"testing"
 
 	"fdpsim/internal/obs"
@@ -155,5 +156,47 @@ func TestTraceCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("cache-hit trace differs from the original run's trace")
+	}
+}
+
+// TestOneStreamTwoViews: a job submitted with "series" alone serves its
+// decision trace too, one JSONL line per interval, and a "trace"
+// submission of the same configuration is a cache hit on the stored
+// stream, with a byte-identical trace. The store holds no trace file.
+func TestOneStreamTwoViews(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: st})
+
+	cfg := fastConfig(150_000, 23)
+	var first JobStatus
+	doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs",
+		traceBody(t, JobRequest{Config: &cfg, Series: true}), &first)
+	final := pollUntil(t, ts.Client(), ts.URL+"/v1/jobs/"+first.ID,
+		func(s JobStatus) bool { return s.State.Terminal() })
+	if final.State != StateDone || !final.Trace || !final.Series {
+		t.Fatalf("series job = %s, trace %v, series %v; want done with both views", final.State, final.Trace, final.Series)
+	}
+	code, want, _ := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
+	if lines := bytes.Count(want, []byte{'\n'}); code != http.StatusOK || lines == 0 || uint64(lines) != final.Result.Intervals {
+		t.Fatalf("series job's trace = %d with %d lines; want 200 and one line per interval (%d)",
+			code, lines, final.Result.Intervals)
+	}
+
+	var second JobStatus
+	code = doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs",
+		traceBody(t, JobRequest{Config: &cfg, Trace: true}), &second)
+	if code != http.StatusOK || !second.CacheHit || !second.Trace || !second.Series {
+		t.Fatalf("trace submission over a stored series = %d, cache_hit %v, trace %v, series %v; want a 200 hit",
+			code, second.CacheHit, second.Trace, second.Series)
+	}
+	if _, got, _ := getBody(t, ts.URL+"/v1/jobs/"+second.ID+"/trace"); !bytes.Equal(got, want) {
+		t.Fatal("cache hit's trace differs from the series job's")
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*", "*.trace.jsonl")); len(files) != 0 {
+		t.Fatalf("store holds trace files %v", files)
 	}
 }

@@ -255,8 +255,9 @@ func TestStorePutGetRace(t *testing.T) {
 // file and as the provenance ledger. Claim, Renew, Release and
 // ReadProvenance must not panic. A file that is not a live claim is
 // stolen at the next generation; a non-owner's Renew and Release change
-// no file. The ledger reads back only entries at entryVersion, never more
-// entries than lines, and an entry appended after the bytes is read back.
+// no file. The ledger reads back only entries at entryVersion that name
+// its fingerprint, never more entries than lines, and an entry appended
+// after the bytes is read back.
 func FuzzClaimFile(f *testing.F) {
 	live, _ := json.Marshal(ClaimInfo{Version: entryVersion, Owner: "ghost", Nonce: "n", Expires: time.Now().Add(time.Hour)})
 	entry, _ := json.Marshal(Provenance{Version: entryVersion, Fingerprint: testFP(0), Outcome: OutcomeExecuted})
@@ -308,8 +309,8 @@ func FuzzClaimFile(f *testing.F) {
 		writeFile(t, s.path(key, ledgerSuffix), data)
 		got, _ := s.ReadProvenance(key)
 		for _, p := range got {
-			if p.Version != entryVersion {
-				t.Fatalf("ledger entry at version %d read back", p.Version)
+			if p.Version != entryVersion || p.Fingerprint != key {
+				t.Fatalf("ledger entry at version %d for %q read back from %s's ledger", p.Version, p.Fingerprint, key)
 			}
 		}
 		if lines := bytes.Count(data, []byte{'\n'}) + 1; len(got) > lines {

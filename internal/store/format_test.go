@@ -29,13 +29,6 @@ var (
 			}
 		},
 		func(s *Store, fp string) bool { _, ok := s.Get(fp); return ok }}
-	storedTrace = storedKind{"trace", traceFile,
-		func(t testing.TB, s *Store, fp string) {
-			if err := s.PutTrace(fp, []byte("{\"interval\":1}\n{\"interval\":2}\n")); err != nil {
-				t.Fatal(err)
-			}
-		},
-		func(s *Store, fp string) bool { _, ok := s.GetTrace(fp); return ok }}
 	storedSeries = storedKind{"series", seriesFile,
 		func(t testing.TB, s *Store, fp string) {
 			if err := s.PutSeries(fp, encodedSeries(t, 16)); err != nil {
@@ -43,7 +36,7 @@ var (
 			}
 		},
 		func(s *Store, fp string) bool { _, ok := s.GetSeries(fp); return ok }}
-	storedKinds = []storedKind{storedResult, storedTrace, storedSeries}
+	storedKinds = []storedKind{storedResult, storedSeries}
 )
 
 // storedFile is a file in the one format: the header line naming version
@@ -83,27 +76,13 @@ func parentResultFile(t testing.TB) []byte {
 	return raw
 }
 
-// parentTraceFile is a trace as the envelope format's store wrote it: a
-// marshalled header line, then the JSONL payload.
-func parentTraceFile(t testing.TB, jsonl []byte) []byte {
-	sum := sha256.Sum256(jsonl)
-	header, err := json.Marshal(struct {
-		Version  int    `json:"version"`
-		Checksum string `json:"checksum"`
-	}{1, hex.EncodeToString(sum[:])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(append(header, '\n'), jsonl...)
-}
-
 // checkDamage stores a file of kind sk and writes each named case of
 // damage (every case when none is named) in its place. A damaged file is
 // a miss and is unlinked; a version-skewed one is a miss left on disk;
 // either way the store then takes a fresh put and serves it.
 func checkDamage(t *testing.T, sk storedKind, names ...string) {
 	t.Helper()
-	s := traceStore(t)
+	s := tempStore(t)
 	key := fp(0)
 	path := s.path(key, sk.k.ext)
 	sk.put(t, s, key)
@@ -201,13 +180,13 @@ func TestFutureVersionLeftOnDisk(t *testing.T) {
 	}
 }
 
-// TestParentFormatFiles reads files the envelope-format store wrote: its
-// Result is version skew, left on disk; its series document has no header
-// line, so it is a miss and is unlinked; its trace is this format at the
-// same version, so it hits, and a trace written now is byte for byte
-// what that store wrote.
+// TestParentFormatFiles reads files earlier stores wrote. The envelope
+// format's Result is version skew, left on disk; its series document has
+// no header line, so it is a miss and is unlinked. A version-1 series
+// sidecar, which stored catalog columns instead of events, is version
+// skew, left on disk.
 func TestParentFormatFiles(t *testing.T) {
-	s := traceStore(t)
+	s := tempStore(t)
 	key := fp(0)
 
 	resultPath := s.path(key, resultFile.ext)
@@ -228,17 +207,12 @@ func TestParentFormatFiles(t *testing.T) {
 		t.Fatalf("headerless series document left on disk (err=%v)", err)
 	}
 
-	jsonl := []byte("{\"interval\":1}\n")
-	tracePath := s.path(key, traceFile.ext)
-	writeFile(t, tracePath, parentTraceFile(t, jsonl))
-	if got, ok := s.GetTrace(key); !ok || !bytes.Equal(got, jsonl) {
-		t.Fatalf("envelope-format trace = (%q, %v), want a hit on its payload", got, ok)
+	writeFile(t, seriesPath, storedFile(1, []byte("FDPSERS1 version-1 catalog columns")))
+	if _, ok := s.GetSeries(key); ok {
+		t.Fatal("version-1 series sidecar served as a hit")
 	}
-	if err := s.PutTrace(key, jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if raw, _ := os.ReadFile(tracePath); !bytes.Equal(raw, parentTraceFile(t, jsonl)) {
-		t.Fatalf("trace file changed format:\n%q\nwant\n%q", raw, parentTraceFile(t, jsonl))
+	if _, err := os.Stat(seriesPath); err != nil {
+		t.Fatalf("version-1 series sidecar unlinked: %v", err)
 	}
 }
 
@@ -259,11 +233,12 @@ func FuzzStoreFile(f *testing.F) {
 		}
 		f.Add(file)
 	}
-	f.Add(storedFile(traceFile.version, []byte{}))
+	f.Add(storedFile(seriesFile.version, []byte{}))
 	f.Add(storedFile(99, []byte("not JSON")))
 	f.Add(parentResultFile(f))
 	f.Add(encodedSeries(f, 4))
-	f.Add(parentTraceFile(f, []byte("{\"interval\":1}\n")))
+	f.Add(storedFile(1, encodedSeries(f, 4)))
+	f.Add(bytes.TrimSuffix(storedFile(seriesFile.version, nil), []byte{'\n'}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Open(t.TempDir())
 		if err != nil {

@@ -14,9 +14,9 @@ import (
 // <dir>/<fp[:2]>/<fp>.prov.jsonl with one line per attempt that touched
 // the fingerprint — executions, cache hits, fleet adoptions, failures.
 // Where the result entry answers "what came out", the ledger answers
-// "where did the wall-clock go, on which worker, under which lease" —
-// the calibration data the sampled-sim and analytical-twin roadmap items
-// need, and the audit trail for exactly-once-results debugging.
+// "where did the wall-clock go, on which worker, under which lease": the
+// history fdptop -prov shows, and the audit trail for exactly-once-results
+// debugging.
 //
 // Writes are a single O_APPEND write per line. POSIX makes small
 // appenders atomic with respect to each other, so several fleet workers
@@ -110,7 +110,8 @@ func (s *Store) AppendProvenance(p Provenance) error {
 
 // ReadProvenance returns a fingerprint's ledger, oldest line first. A
 // missing ledger is an empty history, not an error; unparsable lines (a
-// crash-torn tail, a future schema) are skipped.
+// crash-torn tail, a future schema) and lines naming another fingerprint
+// (foreign bytes, such as a claim file's JSON) are skipped.
 func (s *Store) ReadProvenance(fp string) ([]Provenance, error) {
 	if !validFP(fp) {
 		return nil, fmt.Errorf("store: invalid fingerprint %q", fp)
@@ -132,7 +133,7 @@ func (s *Store) ReadProvenance(fp string) ([]Provenance, error) {
 			continue
 		}
 		var p Provenance
-		if err := json.Unmarshal(line, &p); err != nil || p.Version != entryVersion {
+		if err := json.Unmarshal(line, &p); err != nil || p.Version != entryVersion || p.Fingerprint != fp {
 			continue
 		}
 		out = append(out, p)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"sync"
@@ -104,6 +105,28 @@ func TestLedgerSkipsTornTail(t *testing.T) {
 	}
 	if got, err = s.ReadProvenance(ledgerFP); err != nil || len(got) != 2 || got[1].Worker != "worker-b" {
 		t.Fatalf("entry appended after a torn tail: %+v, %v; want worker-a then worker-b", got, err)
+	}
+}
+
+// TestLedgerSkipsForeignLines: a ledger holding a live claim's JSON and
+// an entry for another fingerprint reads back empty; both lines parse
+// at entryVersion, so only the fingerprint tells them apart. An entry of
+// its own appended after them is the one read back.
+func TestLedgerSkipsForeignLines(t *testing.T) {
+	s, _ := Open(t.TempDir())
+	claim, _ := json.Marshal(ClaimInfo{Version: entryVersion, Owner: "ghost", Nonce: "n", Expires: time.Now().Add(time.Hour)})
+	other := provAt(t, "worker-z", 1, 2, 4)
+	other.Version, other.Fingerprint = entryVersion, "99887766aabbccdd"
+	entry, _ := json.Marshal(other)
+	writeFile(t, s.path(ledgerFP, ledgerSuffix), append(append(append(claim, '\n'), entry...), '\n'))
+	if got, err := s.ReadProvenance(ledgerFP); err != nil || len(got) != 0 {
+		t.Fatalf("ledger of foreign lines read back %+v, %v; want no entries", got, err)
+	}
+	if err := s.AppendProvenance(provAt(t, "worker-a", 1, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadProvenance(ledgerFP); err != nil || len(got) != 1 || got[0].Worker != "worker-a" {
+		t.Fatalf("ledger after an append = %+v, %v; want worker-a's entry alone", got, err)
 	}
 }
 

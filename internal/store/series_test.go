@@ -5,32 +5,20 @@ import (
 	"testing"
 
 	"fdpsim/internal/series"
+	"fdpsim/internal/sim"
 )
 
 const seriesFP = "fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98"
 
-// encodedSeries builds a small valid series document.
+// encodedSeries builds a valid series document of n events.
 func encodedSeries(t testing.TB, n int) []byte {
 	t.Helper()
-	rec := &series.Recorder{}
+	rec := &series.Recorder{Meta: series.Meta{Workload: "chaserand"}}
+	for i := 1; i <= n; i++ {
+		rec.TraceDecision(sim.DecisionEvent{Interval: uint64(i), Cycle: uint64(i) * 1000,
+			Retired: uint64(i) * 700, Controller: "fdp", DCCAfter: 1 + i%5, Insertion: "MID"})
+	}
 	doc, err := series.Encode(rec.Series())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		return doc
-	}
-	s := rec.Series()
-	s.Meta.Intervals = n
-	s.Meta.Workload = "chaserand"
-	for i := range s.Columns {
-		col := make([]float64, n)
-		for j := range col {
-			col[j] = float64(i*n + j)
-		}
-		s.Columns[i] = col
-	}
-	doc, err = series.Encode(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +26,7 @@ func encodedSeries(t testing.TB, n int) []byte {
 }
 
 func TestSeriesRoundTrip(t *testing.T) {
-	s := traceStore(t)
+	s := tempStore(t)
 	doc := encodedSeries(t, 8)
 	if err := s.PutSeries(seriesFP, doc); err != nil {
 		t.Fatal(err)
@@ -59,7 +47,7 @@ func TestSeriesRoundTrip(t *testing.T) {
 }
 
 func TestSeriesMissAndInvalidKeys(t *testing.T) {
-	s := traceStore(t)
+	s := tempStore(t)
 	if _, ok := s.GetSeries(seriesFP); ok {
 		t.Fatal("hit on an empty store")
 	}
@@ -94,9 +82,10 @@ func TestSeriesVersionSkewLeavesFile(t *testing.T) {
 	checkDamage(t, storedSeries, "skewed version")
 }
 
-// TestSeriesNotCountedByLen pins the extension choice, like traces.
+// TestSeriesNotCountedByLen pins the extension choice: the series is a
+// sidecar and must not inflate the store's Result count.
 func TestSeriesNotCountedByLen(t *testing.T) {
-	s := traceStore(t)
+	s := tempStore(t)
 	if err := s.PutSeries(seriesFP, encodedSeries(t, 1)); err != nil {
 		t.Fatal(err)
 	}

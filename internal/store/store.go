@@ -4,12 +4,11 @@
 // restarts — are served from disk instead of re-simulating.
 //
 // Layout: a fingerprint's files share the bucket <dir>/<fp[:2]>/. The
-// Result is <fp>.json; beside it sit two optional sidecars, the decision
-// trace (<fp>.trace.jsonl) and the interval series (<fp>.series.bin).
-// All three have one format: a header line
+// Result is <fp>.json; beside it sits one optional sidecar, the interval
+// stream (<fp>.series.bin), from which the decision trace and the metric
+// catalog are rendered. Both have one format: a header line
 // {"version":V,"checksum":"<sha256 hex of the payload>"}, then the payload
-// verbatim, so a sidecar's bytes stream straight out of an HTTP handler.
-// Files are written atomically (temp file + rename in the same
+// verbatim. Files are written atomically (temp file + rename in the same
 // directory), so a concurrent reader sees the old file, the new file or a
 // miss — never a torn write. A file that does not verify is a miss and is
 // unlinked, so a crash mid-write or a corrupted disk costs a
@@ -46,8 +45,6 @@ var (
 	// resultFile holds the Result's JSON. Version 1 wrapped it in a JSON
 	// envelope instead of the header line.
 	resultFile = kind{".json", 2}
-	// traceFile holds the internal/obs JSONL decision trace.
-	traceFile = kind{".trace.jsonl", 1}
 	// seriesFile holds an internal/series document, versioned by its
 	// codec: a document this binary cannot decode is a version miss.
 	seriesFile = kind{".series.bin", series.Version}
@@ -125,16 +122,8 @@ func (s *Store) Put(fp string, res sim.Result) error {
 	return s.put(fp, resultFile, payload)
 }
 
-// GetTrace returns the stored JSONL decision trace for a fingerprint, an
-// empty one included; a job submitted without tracing stored none.
-func (s *Store) GetTrace(fp string) ([]byte, bool) { return s.get(fp, traceFile) }
-
-// PutTrace stores a JSONL decision trace under a fingerprint, atomically
-// replacing any previous trace.
-func (s *Store) PutTrace(fp string, jsonl []byte) error { return s.put(fp, traceFile, jsonl) }
-
 // GetSeries returns the stored interval-series document for a
-// fingerprint; a job submitted without series recording stored none.
+// fingerprint; a job submitted without a trace or series stored none.
 func (s *Store) GetSeries(fp string) ([]byte, bool) { return s.get(fp, seriesFile) }
 
 // PutSeries stores an encoded interval-series document under a
@@ -221,7 +210,7 @@ func writeAtomic(dst, fp string, parts ...[]byte) error {
 }
 
 // Len walks the store and counts valid-looking Result files (by name,
-// without parsing); the sidecars' suffixes do not end in ".json". Intended
+// without parsing); the sidecar's suffix does not end in ".json". Intended
 // for metrics and tests, not hot paths.
 func (s *Store) Len() int {
 	n := 0

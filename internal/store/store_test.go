@@ -28,6 +28,15 @@ func fp(i int) string {
 	return fmt.Sprintf("%064x", i+1)
 }
 
+func tempStore(t *testing.T) *Store {
+	t.Helper()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -5,14 +5,18 @@
 # waits for it to finish, then validates the timeseries surface:
 #   1. GET /v1/jobs/{id}/series returns the full catalog, one value per
 #      closed interval, and honours metric selection + downsampling,
-#   2. the sidecar landed in the store (<fp>.series.bin),
-#   3. a self-diff of the fingerprint (GET /v1/diff?a=fp&b=fp) passes
+#   2. one stored stream, two views: GET /v1/jobs/{id}/trace on the
+#      series job returns one JSONL line per interval, the same config
+#      submitted with only "trace" is a cache hit (200) serving the same
+#      bytes, and the store holds no <fp>.trace.jsonl,
+#   3. the sidecar landed in the store (<fp>.series.bin),
+#   4. a self-diff of the fingerprint (GET /v1/diff?a=fp&b=fp) passes
 #      with zero residual on every metric,
-#   4. /metrics carries the series and diff families,
-#   5. fdptop attaches to the finished job, and to a cache-hit
+#   5. /metrics carries the series and diff families,
+#   6. fdptop attaches to the finished job, and to a cache-hit
 #      resubmission of it, and renders the closing frame from the done
 #      event's Result: [done] and the result's BPKI,
-#   6. a series is derived, never lost: a config first stored without a
+#   7. a series is derived, never lost: a config first stored without a
 #      series, then resubmitted with one, runs again (202, no cache hit)
 #      and serves one value per interval; a third submission is a cache
 #      hit (200) with the same series bytes.
@@ -54,6 +58,11 @@ done
 
 # job_id FILE prints the job ID in a submit response.
 job_id() { sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$1" | head -1; }
+
+# submit BODY FILE posts a job and prints the HTTP status.
+submit() {
+    curl -sS -o "$2" -w '%{http_code}' -H 'Content-Type: application/json' -d "$1" "http://$ADDR/v1/jobs"
+}
 
 # wait_done JOB FILE polls a job until it is done, leaving its final
 # status in FILE; a failed or cancelled job fails the smoke.
@@ -111,11 +120,29 @@ curl -fsS "http://$ADDR/v1/jobs/$JOB/series?metrics=ipc,bpki&step=8" >/dev/null 
 curl -fsS "http://$ADDR/v1/jobs/$JOB/series?format=csv" >"$WORK/series.csv"
 head -1 "$WORK/series.csv" | grep -q '^interval,' || die "CSV export has no header row"
 
-# 2. The sidecar is on disk next to the result.
+# 2. One stored stream, two views: the series job serves its decision
+# trace, and a trace-only submission of the same config is a cache hit on
+# the stored stream.
+curl -fsS "http://$ADDR/v1/jobs/$JOB/trace" >"$WORK/trace.jsonl" \
+    || die "the series job serves no decision trace"
+LINES=$(wc -l <"$WORK/trace.jsonl" | tr -d ' ')
+N=$(sed -n 's/.*"Intervals": *\([0-9]*\).*/\1/p' "$WORK/status.json" | head -1)
+[ -n "$N" ] && [ "$N" -gt 0 ] && [ "$LINES" = "$N" ] \
+    || die "the series job's trace has $LINES lines for ${N:-no} intervals"
+CODE=$(submit '{"workload":"seqstream","fdp":true,"insts":2000000,"seed":7,"tinterval":64,"trace":true}' "$WORK/trace-hit.json")
+[ "$CODE" = 200 ] || die "trace submission over the stored series answered $CODE, want 200 (a cache hit)"
+grep -q '"cache_hit": *true' "$WORK/trace-hit.json" || die "trace submission over the stored series was not a cache hit"
+curl -fsS "http://$ADDR/v1/jobs/$(job_id "$WORK/trace-hit.json")/trace" >"$WORK/trace-hit.jsonl"
+cmp -s "$WORK/trace.jsonl" "$WORK/trace-hit.jsonl" || die "cache-hit trace differs from the series job's"
+TRACES=$(find "$WORK/store" -name '*.trace.jsonl' | wc -l | tr -d ' ')
+[ "$TRACES" = 0 ] || die "the store holds $TRACES trace files; want none beside the series sidecar"
+echo "series-smoke: one stream, two views: $LINES trace lines; a trace-only resubmission hit the stored series"
+
+# 3. The sidecar is on disk next to the result.
 [ -f "$WORK/store/$(echo "$FP" | cut -c1-2)/$FP.series.bin" ] \
     || die "no $FP.series.bin sidecar in the store"
 
-# 3. Self-diff: zero residual, pass verdict on every metric.
+# 4. Self-diff: zero residual, pass verdict on every metric.
 curl -fsS "http://$ADDR/v1/diff?a=$FP&b=$FP" >"$WORK/diff.json"
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$WORK/diff.json" <<'EOF'
@@ -131,7 +158,7 @@ else
     grep -q '"verdict": *"pass"' "$WORK/diff.json" || die "self-diff did not pass"
 fi
 
-# 4. Metrics: series volume + diff verdict families present.
+# 5. Metrics: series volume + diff verdict families present.
 curl -fsS "http://$ADDR/metrics" >"$WORK/metrics"
 for family in sim_series_points_total sim_series_bytes_total fdpserved_diff_requests_total; do
     grep -q "$family" "$WORK/metrics" || die "/metrics missing $family"
@@ -139,7 +166,7 @@ done
 grep -q 'fdpserved_diff_requests_total{verdict="pass"} 1' "$WORK/metrics" \
     || die "diff verdict counter did not count the pass"
 
-# 5. Live dashboard: no interval event carries BPKI, so fdptop's closing
+# 6. Live dashboard: no interval event carries BPKI, so fdptop's closing
 # frame must take it from the done event's Result. The cache-hit job
 # streams no interval at all and renders from the Result alone.
 BPKI=$(sed -n 's/.*"BPKI": *\([-0-9.eE+]*\).*/\1/p' "$WORK/status.json" | head -1)
@@ -159,11 +186,8 @@ for id in "$JOB" "$HIT"; do
 done
 echo "series-smoke: fdptop closing frames carry $WANT ($JOB, cache hit $HIT)"
 
-# 6. A series asked of an entry stored without one is derived by a re-run,
-# then cached. submit BODY FILE posts a job and prints the HTTP status.
-submit() {
-    curl -sS -o "$2" -w '%{http_code}' -H 'Content-Type: application/json' -d "$1" "http://$ADDR/v1/jobs"
-}
+# 7. A series asked of an entry stored without one is derived by a re-run,
+# then cached.
 BARE='{"workload":"seqstream","fdp":true,"insts":2000000,"seed":8,"tinterval":64'
 CODE=$(submit "$BARE}" "$WORK/bare.json")
 [ "$CODE" = 202 ] || die "bare submission answered $CODE, want 202"
