@@ -187,43 +187,36 @@ serve:
 
 # go test runs one fuzz target per invocation, so the targets fuzz back
 # to back (patterns anchored so a later target sharing a prefix cannot
-# make -fuzz ambiguous). FuzzJobRequest drives POST /v1/jobs bodies
-# through decode, validation and fingerprinting (and a short run): none
-# may panic a service worker. FuzzTreeModel hammers the controller model
-# loader: malformed JSON must return ErrInvalid, never panic, and a model
-# that loads must never decide out of range. FuzzBlockIndex checks the
-# memory path's open-addressed block index against a Go map.
-# FuzzStoreFile writes arbitrary bytes as each kind of stored file: no
-# getter may panic, a hit is exactly the verified payload, and a miss
-# unlinks every file but one whose header names another version.
-# FuzzClaimFile writes them as a claim file and a provenance ledger: a
-# dead claim is stolen, a non-owner changes no file, and an entry
-# appended after the ledger's bytes is read back.
-fuzz:
-	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 30s
-	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 30s
-	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 30s
-	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 30s
-	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 30s
-	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 30s
-	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 30s
-	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 30s
-	go test ./internal/store -run xxx -fuzz 'FuzzClaimFile$$' -fuzztime 30s
+# make -fuzz ambiguous), each named package:Fuzz under internal/.
+# FuzzJobRequest drives POST /v1/jobs bodies through decode, validation
+# and fingerprinting (and a short run): none may panic a service worker.
+# FuzzTreeModel hammers the controller model loader: malformed JSON must
+# return ErrInvalid, never panic, and a model that loads must never
+# decide out of range. FuzzBlockIndex checks the memory path's
+# open-addressed block index against a Go map. FuzzStoreFile writes
+# arbitrary bytes as each kind of stored file: no getter may panic, a
+# hit is exactly the verified payload, and a miss unlinks every file but
+# one whose header names another version. FuzzClaimFile writes them as a
+# claim file and a provenance ledger: a dead claim is stolen, a
+# non-owner changes no file, and an entry appended after the ledger's
+# bytes is read back.
+FUZZ_TARGETS = service:FuzzJobRequest trace:FuzzReaderV2 control:FuzzTreeModel \
+	series:FuzzDecode cache:FuzzBlockIndex cache:FuzzCacheLRU \
+	prefetch:FuzzStreamTable store:FuzzStoreFile store:FuzzClaimFile
 
-# The 10-second-per-target slice CI runs on every PR, so request,
-# decoder, model-loader, block-index, tag-store, stream-table,
-# stored-file and claim/ledger fuzz regressions surface before merge, not
-# in nightlies.
-fuzz-smoke:
-	go test ./internal/service -run xxx -fuzz 'FuzzJobRequest$$' -fuzztime 10s
-	go test ./internal/trace -run xxx -fuzz 'FuzzReaderV2$$' -fuzztime 10s
-	go test ./internal/control -run xxx -fuzz 'FuzzTreeModel$$' -fuzztime 10s
-	go test ./internal/series -run xxx -fuzz 'FuzzDecode$$' -fuzztime 10s
-	go test ./internal/cache -run xxx -fuzz 'FuzzBlockIndex$$' -fuzztime 10s
-	go test ./internal/cache -run xxx -fuzz 'FuzzCacheLRU$$' -fuzztime 10s
-	go test ./internal/prefetch -run xxx -fuzz 'FuzzStreamTable$$' -fuzztime 10s
-	go test ./internal/store -run xxx -fuzz 'FuzzStoreFile$$' -fuzztime 10s
-	go test ./internal/store -run xxx -fuzz 'FuzzClaimFile$$' -fuzztime 10s
+define fuzz-run
+go test ./internal/$(firstword $(subst :, ,$(1))) -run xxx -fuzz '$(lastword $(subst :, ,$(1)))$$' -fuzztime $(FUZZTIME)
+
+endef
+
+# fuzz runs every target for 30 seconds; fuzz-smoke is the 10-second
+# slice CI runs on every PR, so request, decoder, model-loader,
+# block-index, tag-store, stream-table, stored-file and claim/ledger
+# fuzz regressions surface before merge, not in nightlies.
+fuzz: FUZZTIME = 30s
+fuzz-smoke: FUZZTIME = 10s
+fuzz fuzz-smoke:
+	$(foreach t,$(FUZZ_TARGETS),$(call fuzz-run,$(t)))
 
 clean:
 	go clean ./...

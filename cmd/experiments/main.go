@@ -70,19 +70,11 @@ func (r *reporter) onRun(done, total int, spec harness.RunSpec, res fdpsim.Resul
 }
 
 func (r *reporter) onInterval(spec harness.RunSpec, ev fdpsim.DecisionEvent) {
-	var ipc float64
-	if ev.Cycle > 0 {
-		ipc = float64(ev.Retired) / float64(ev.Cycle)
-	}
-	level := ev.DCCAfter
-	if spec.Cfg.StaticLevel > 0 {
-		level = spec.Cfg.StaticLevel
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fmt.Fprintf(os.Stderr, "    %s/%s interval %d: retired=%d IPC=%.3f acc=%.0f%% late=%.0f%% poll=%.0f%% level=%d insert=%s\n",
-		spec.Workload, spec.Config, ev.Interval, ev.Retired, ipc,
-		100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, level, ev.Insertion)
+		spec.Workload, spec.Config, ev.Interval, ev.Retired, ev.IPC(),
+		100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, ev.Level(), ev.Insertion)
 }
 
 func main() {

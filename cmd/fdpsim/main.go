@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"fdpsim"
+	"fdpsim/internal/cache"
 	"fdpsim/internal/cli"
 	"fdpsim/internal/obs"
 	"fdpsim/internal/prefetch"
@@ -167,22 +168,14 @@ func printAttribution(a *stats.Attribution) {
 }
 
 // progressTracer prints one line per FDP sampling interval to stderr.
-// The retire target, a pinned level and the wall clock come from cfg and
-// the tracer's own start time, not from the event.
+// The retire target and the wall clock come from cfg and the tracer's
+// own start time, not from the event.
 func progressTracer(cfg fdpsim.Config) fdpsim.Tracer {
 	start := time.Now()
 	return fdpsim.TracerFunc(func(ev fdpsim.DecisionEvent) {
-		var ipc float64
-		if ev.Cycle > 0 {
-			ipc = float64(ev.Retired) / float64(ev.Cycle)
-		}
-		level := ev.DCCAfter
-		if cfg.StaticLevel > 0 {
-			level = cfg.StaticLevel
-		}
 		fmt.Fprintf(os.Stderr, "interval %4d: retired=%9d/%d IPC=%.3f acc=%5.1f%% late=%5.1f%% poll=%5.1f%% level=%d insert=%-5s (%.1fs)\n",
-			ev.Interval, ev.Retired, cfg.MaxInsts, ipc,
-			100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, level, ev.Insertion, time.Since(start).Seconds())
+			ev.Interval, ev.Retired, cfg.MaxInsts, ev.IPC(),
+			100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, ev.Level(), ev.Insertion, time.Since(start).Seconds())
 	})
 }
 
@@ -284,8 +277,8 @@ func buildConfig(f configFlags) (fdpsim.Config, error) {
 			return cfg, err
 		}
 	}
-	if !f.fdp && f.insert != "MRU" {
-		pos, ok := map[string]fdpsim.InsertPos{"MID": fdpsim.PosMID, "LRU-4": fdpsim.PosLRU4, "LRU": fdpsim.PosLRU}[f.insert]
+	if !f.fdp {
+		pos, ok := cache.ParseInsertPos(f.insert)
 		if !ok {
 			return cfg, fmt.Errorf("%w: unknown insertion position %q (want MRU, MID, LRU-4 or LRU)", fdpsim.ErrInvalidConfig, f.insert)
 		}

@@ -9,56 +9,16 @@ import (
 	"fdpsim/internal/stats"
 )
 
-// frame is one dashboard update, built from one DecisionEvent — an SSE
-// "progress" payload from fdpserved or a line of a replayed JSONL
-// decision trace; both sources carry the same object.
-type frame struct {
-	Core     int
-	Interval uint64
-	Cycle    uint64
-	Retired  uint64
-	IPC      float64
-
-	Accuracy  float64
-	Lateness  float64
-	Pollution float64
-	Level     int
-	Insertion string
-
-	Sample stats.IntervalSample
-}
-
-func frameFromEvent(ev fdpsim.DecisionEvent) frame {
-	f := frame{
-		Core:      ev.Core,
-		Interval:  ev.Interval,
-		Cycle:     ev.Cycle,
-		Retired:   ev.Retired,
-		Accuracy:  ev.Accuracy,
-		Lateness:  ev.Lateness,
-		Pollution: ev.Pollution,
-		Level:     levelFromParams(ev),
-		Insertion: ev.Insertion,
-		Sample:    ev.Sample,
-	}
-	if ev.Cycle > 0 {
-		f.IPC = float64(ev.Retired) / float64(ev.Cycle)
-	}
-	return f
-}
-
-// levelFromParams recovers the aggressiveness level from the event's DCC
-// (the counter value after the boundary's update IS the level).
-func levelFromParams(ev fdpsim.DecisionEvent) int { return ev.DCCAfter }
-
 // sparkWidth is how many interval IPC values the sparkline keeps.
 const sparkWidth = 48
 
-// dash accumulates frames and renders the dashboard. All state is plain
+// dash accumulates DecisionEvents — SSE "progress" payloads from
+// fdpserved or the lines of a replayed JSONL decision trace; both sources
+// carry the same object — and renders the dashboard. All state is plain
 // values; rendering writes to an io.Writer so tests can capture frames.
 type dash struct {
 	source string // "job 3f2c… @ host:port" or "replay trace.jsonl"
-	last   frame
+	last   fdpsim.DecisionEvent
 	ipcs   []float64 // trailing per-interval IPC history for the sparkline
 	frames uint64
 	done   bool
@@ -69,17 +29,17 @@ type dash struct {
 
 func newDash(source string) *dash { return &dash{source: source} }
 
-// observe folds one frame into the dashboard state. A frame without an
+// observe folds one event into the dashboard state. An event without an
 // attribution sample (a core still warming up) keeps the previous one:
 // the last interval's breakdown beats an empty pane.
-func (d *dash) observe(f frame) {
-	if f.Sample.Cycles.Total() == 0 && d.last.Sample.Cycles.Total() > 0 {
-		f.Sample = d.last.Sample
+func (d *dash) observe(ev fdpsim.DecisionEvent) {
+	if ev.Sample.Cycles.Total() == 0 && d.last.Sample.Cycles.Total() > 0 {
+		ev.Sample = d.last.Sample
 	}
-	d.last = f
+	d.last = ev
 	d.frames++
-	if f.IPC > 0 {
-		d.ipcs = append(d.ipcs, f.IPC)
+	if ipc := ev.IPC(); ipc > 0 {
+		d.ipcs = append(d.ipcs, ipc)
 		if len(d.ipcs) > sparkWidth {
 			d.ipcs = d.ipcs[len(d.ipcs)-sparkWidth:]
 		}
@@ -95,26 +55,28 @@ func (d *dash) finish(res *fdpsim.Result) {
 		return
 	}
 	d.res = res
-	f := &d.last
-	f.Interval, f.Cycle, f.Retired, f.IPC = res.Intervals, res.Counters.Cycles, res.Counters.Retired, res.IPC
-	f.Accuracy, f.Lateness, f.Pollution, f.Level = res.Accuracy, res.Lateness, res.Pollution, res.FinalLevel
+	ev := &d.last
+	ev.Interval, ev.Cycle, ev.Retired = res.Intervals, res.Counters.Cycles, res.Counters.Retired
+	ev.Accuracy, ev.Lateness, ev.Pollution = res.Accuracy, res.Lateness, res.Pollution
+	// No (distance, degree) pair, so Level() reads the Result's level.
+	ev.DCCAfter, ev.Distance, ev.Degree = res.FinalLevel, 0, 0
 }
 
 // render writes one full dashboard frame.
 func (d *dash) render(w io.Writer) {
-	f := d.last
+	ev := &d.last
 	state := "running"
 	if d.done {
 		state = "done"
 	}
 	fmt.Fprintf(w, "fdptop — %s  [%s]\n", d.source, state)
 	fmt.Fprintf(w, "interval %-6d cycle %-12d retired %-12d IPC %6.3f  %s\n",
-		f.Interval, f.Cycle, f.Retired, f.IPC, d.bpkiCell())
+		ev.Interval, ev.Cycle, ev.Retired, ev.IPC(), d.bpkiCell())
 	fmt.Fprintf(w, "ipc   %s\n", sparkline(d.ipcs))
-	d.renderStalls(w, f.Sample.Cycles)
-	d.renderBus(w, f)
+	d.renderStalls(w, ev.Sample.Cycles)
+	d.renderBus(w, ev.Sample)
 	fmt.Fprintf(w, "fdp   acc %3.0f%%  late %3.0f%%  poll %3.0f%%  level %d  insert %s\n",
-		100*f.Accuracy, 100*f.Lateness, 100*f.Pollution, f.Level, f.Insertion)
+		100*ev.Accuracy, 100*ev.Lateness, 100*ev.Pollution, ev.Level(), ev.Insertion)
 }
 
 func (d *dash) bpkiCell() string {
@@ -152,8 +114,7 @@ func (d *dash) renderStalls(w io.Writer, b stats.CycleBuckets) {
 }
 
 // renderBus draws the memory-pressure pane from the interval sample.
-func (d *dash) renderBus(w io.Writer, f frame) {
-	s := f.Sample
+func (d *dash) renderBus(w io.Writer, s stats.IntervalSample) {
 	total := s.Cycles.Total()
 	if total == 0 {
 		return
@@ -165,7 +126,7 @@ func (d *dash) renderBus(w io.Writer, f frame) {
 		100*float64(s.BusPrefetchCycles)/ft,
 		100*float64(s.BusWritebackCycles)/ft)
 	fmt.Fprintf(w, "dram  row-hit %5.1f%%  mshr mean %5.2f  queue mean %5.2f\n",
-		100*f.Sample.RowHitRate(), s.MSHRMean, s.QueueMean)
+		100*s.RowHitRate(), s.MSHRMean, s.QueueMean)
 }
 
 // bar renders share (0..1) as a fixed-width block bar.

@@ -120,7 +120,7 @@ func replayTrace(w io.Writer, path string, once bool, rate time.Duration) error 
 	d := newDash("replay " + path)
 	tty := isTTY(w)
 	for i, ev := range events {
-		d.observe(frameFromEvent(ev))
+		d.observe(ev)
 		d.done = i == len(events)-1
 		if once {
 			continue
@@ -178,7 +178,7 @@ func attach(w io.Writer, addr, jobID string, once bool) error {
 			if err := json.Unmarshal(data, &ev); err != nil {
 				return fmt.Errorf("progress event: %w", err)
 			}
-			d.observe(frameFromEvent(ev))
+			d.observe(ev)
 			draw()
 		case "done":
 			var st service.JobStatus

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,7 +117,7 @@ func TestReplayErrors(t *testing.T) {
 func TestStallSharesSumTo100(t *testing.T) {
 	for _, ev := range goldenEvents(t) {
 		d := newDash("test")
-		d.observe(frameFromEvent(ev))
+		d.observe(ev)
 		var buf strings.Builder
 		d.render(&buf)
 		var sum float64
@@ -140,21 +141,60 @@ func TestStallSharesSumTo100(t *testing.T) {
 	}
 }
 
-func TestFrameFromEvent(t *testing.T) {
-	ev := fdpsim.DecisionEvent{
-		Interval: 7, Cycle: 2000, Retired: 1000,
-		Accuracy: 0.5, DCCAfter: 4, Insertion: "MRU",
-		Sample: stats.IntervalSample{Cycles: stats.CycleBuckets{RetireFull: 10}},
+// TestRenderIPCCell: the IPC cell is the event's cumulative
+// Retired/Cycle (0 before the first cycle), and the closing frame's is
+// the Result's whole-run IPC.
+func TestRenderIPCCell(t *testing.T) {
+	render := func(d *dash) string {
+		var buf strings.Builder
+		d.render(&buf)
+		return buf.String()
 	}
-	f := frameFromEvent(ev)
-	if f.IPC != 0.5 {
-		t.Errorf("IPC = %v, want 0.5", f.IPC)
+	d := newDash("test")
+	d.observe(fdpsim.DecisionEvent{Interval: 7, Cycle: 2000, Retired: 1000, DCCAfter: 4, Insertion: "MRU"})
+	if out := render(d); !strings.Contains(out, "IPC  0.500") || !strings.Contains(out, "level 4  insert MRU") {
+		t.Errorf("event frame:\n%s", out)
 	}
-	if f.Level != 4 || f.Insertion != "MRU" || f.Sample.Cycles.RetireFull != 10 {
-		t.Errorf("mapping lost fields: %+v", f)
+	d.finish(&fdpsim.Result{IPC: 0.65, Counters: stats.Counters{Cycles: 4000, Retired: 2600}, FinalLevel: 2})
+	if out := render(d); !strings.Contains(out, "IPC  0.650") || !strings.Contains(out, "level 2") {
+		t.Errorf("closing frame:\n%s", out)
 	}
-	if z := frameFromEvent(fdpsim.DecisionEvent{Retired: 5}); z.IPC != 0 {
-		t.Errorf("zero-cycle event: IPC = %v, want 0", z.IPC)
+	z := newDash("test")
+	z.observe(fdpsim.DecisionEvent{Retired: 5})
+	if out := render(z); !strings.Contains(out, "IPC  0.000") {
+		t.Errorf("zero-cycle event:\n%s", out)
+	}
+}
+
+// TestReplayPinnedLevel: a conventional run pinned at level 5 carries
+// Table 1's level-5 pair while its idle counter stays put, and the
+// replayed trace shows the pinned level, not the counter.
+func TestReplayPinnedLevel(t *testing.T) {
+	cfg := fdpsim.Conventional(fdpsim.PrefStream, 5)
+	cfg.Workload, cfg.MaxInsts, cfg.L2Blocks, cfg.FDP.TInterval = "mixedphase", 300_000, 1024, 64
+	var events []fdpsim.DecisionEvent
+	cfg.Tracer = fdpsim.TracerFunc(func(ev fdpsim.DecisionEvent) { events = append(events, ev) })
+	if _, err := fdpsim.RunContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 || events[len(events)-1].DCCAfter == 5 {
+		t.Fatalf("want a trace whose counter is not the pinned level (%d events)", len(events))
+	}
+	path := t.TempDir() + "/pinned.jsonl"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteJSONL(f, events); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var buf strings.Builder
+	if err := replayTrace(&buf, path, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "level 5  insert") {
+		t.Errorf("pinned replay does not show level 5:\n%s", buf.String())
 	}
 }
 

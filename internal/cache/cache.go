@@ -45,6 +45,17 @@ func (p InsertPos) String() string {
 	return fmt.Sprintf("InsertPos(%d)", int(p))
 }
 
+// ParseInsertPos is the inverse of String: it returns the position the
+// paper's name spells, or PosLRU and false for any other string.
+func ParseInsertPos(name string) (InsertPos, bool) {
+	for p := PosLRU; p < NumInsertPos; p++ {
+		if p.String() == name {
+			return p, true
+		}
+	}
+	return PosLRU, false
+}
+
 // Depth returns the LRU-stack index (0 = LRU end) this position maps to in
 // a cache with the given associativity.
 func (p InsertPos) Depth(ways int) int {

@@ -59,6 +59,19 @@ func TestInsertPosString(t *testing.T) {
 	}
 }
 
+func TestParseInsertPos(t *testing.T) {
+	for p := PosLRU; p < NumInsertPos; p++ {
+		if got, ok := ParseInsertPos(p.String()); !ok || got != p {
+			t.Errorf("ParseInsertPos(%q) = %v, %v; want %v, true", p.String(), got, ok, p)
+		}
+	}
+	for _, name := range []string{"", "mru", "InsertPos(4)"} {
+		if _, ok := ParseInsertPos(name); ok {
+			t.Errorf("ParseInsertPos(%q) accepted", name)
+		}
+	}
+}
+
 func TestAccessHitMiss(t *testing.T) {
 	c := New("t", 16, 4) // 4 sets of 4
 	if c.Access(1) != nil {

@@ -11,9 +11,11 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fdpsim/internal/core"
+	"fdpsim/internal/prefetch"
 )
 
 // Signals and Decision are the core engine's types, re-exported so
@@ -60,8 +62,9 @@ type entry struct {
 }
 
 // The registry is a fixed ordered table: deterministic listings, no
-// init-order or mutation concerns.
-var registry = []entry{
+// init-order or mutation concerns. The static baselines sit between the
+// paper's policy and its competitors.
+var registry = slices.Concat([]entry{
 	{
 		info: Info{
 			Name:        "fdp",
@@ -72,46 +75,7 @@ var registry = []entry{
 			return fdpController{th: p.Thresholds, accuracyOnly: p.AccuracyOnly}, nil
 		},
 	},
-	{
-		info: Info{
-			Name:        "static-1",
-			Tags:        []string{"static"},
-			Description: "fixed aggressiveness level 1 (Very Conservative), paper insertion",
-		},
-		build: staticBuilder(1),
-	},
-	{
-		info: Info{
-			Name:        "static-2",
-			Tags:        []string{"static"},
-			Description: "fixed aggressiveness level 2 (Conservative), paper insertion",
-		},
-		build: staticBuilder(2),
-	},
-	{
-		info: Info{
-			Name:        "static-3",
-			Tags:        []string{"static"},
-			Description: "fixed aggressiveness level 3 (Middle-of-the-Road), paper insertion",
-		},
-		build: staticBuilder(3),
-	},
-	{
-		info: Info{
-			Name:        "static-4",
-			Tags:        []string{"static"},
-			Description: "fixed aggressiveness level 4 (Aggressive), paper insertion",
-		},
-		build: staticBuilder(4),
-	},
-	{
-		info: Info{
-			Name:        "static-5",
-			Tags:        []string{"static"},
-			Description: "fixed aggressiveness level 5 (Very Aggressive), paper insertion",
-		},
-		build: staticBuilder(5),
-	},
+}, staticEntries(), []entry{
 	{
 		info: Info{
 			Name:        "dspatch-dual",
@@ -136,6 +100,23 @@ var registry = []entry{
 			return LoadTree(model, p.Thresholds)
 		},
 	},
+})
+
+// staticEntries are the static-1..static-5 baselines, one per Table 1
+// level.
+func staticEntries() []entry {
+	var out []entry
+	for level := prefetch.MinLevel; level <= prefetch.MaxLevel; level++ {
+		out = append(out, entry{
+			info: Info{
+				Name:        fmt.Sprintf("static-%d", level),
+				Tags:        []string{"static"},
+				Description: fmt.Sprintf("fixed aggressiveness level %d (%s), paper insertion", level, prefetch.LevelName(level)),
+			},
+			build: staticBuilder(level),
+		})
+	}
+	return out
 }
 
 // List returns every registered controller in registry order.

@@ -56,9 +56,20 @@ func featureByName(name string) (feature, bool) {
 	return 0, false
 }
 
-// Extract returns the named feature's value from a Signals reading.
-// Booleans map to 0/1 and AccuracyClass to its ordinal (Low=0, Medium=1,
-// High=2), so every feature is a plain float comparison in the tree.
+// Feature returns the named feature's value from a Signals reading, as
+// the tree controller evaluates it, or false for a name FeatureNames does
+// not list. The trainer encodes its samples through it.
+func Feature(s Signals, name string) (float64, bool) {
+	f, ok := featureByName(name)
+	if !ok {
+		return 0, false
+	}
+	return extract(s, f), true
+}
+
+// extract returns feature f's value from a Signals reading. Booleans map
+// to 0/1 and AccuracyClass to its ordinal (Low=0, Medium=1, High=2), so
+// every feature is a plain float comparison in the tree.
 func extract(s Signals, f feature) float64 {
 	switch f {
 	case fAccuracy:

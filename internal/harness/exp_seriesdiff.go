@@ -96,21 +96,17 @@ func runSeriesDiff(ctx context.Context, p Params) ([]Table, error) {
 				verdict = series.VerdictFail
 			}
 			wFirst := 0
-			for _, m := range rep.Metrics {
-				for _, name := range seriesDiffMetrics {
-					if m.Metric != name {
-						continue
+			for _, name := range seriesDiffMetrics {
+				m := rep.Metrics[series.MetricIndex(name)]
+				if name == "dcc_level" {
+					if m.MaxAbs > levelMax {
+						levelMax = m.MaxAbs
 					}
-					if name == "dcc_level" {
-						if m.MaxAbs > levelMax {
-							levelMax = m.MaxAbs
-						}
-					} else {
-						rms[name] += m.RMS
-					}
-					if m.FirstDivergence > 0 && (wFirst == 0 || m.FirstDivergence < wFirst) {
-						wFirst = m.FirstDivergence
-					}
+				} else {
+					rms[name] += m.RMS
+				}
+				if m.FirstDivergence > 0 && (wFirst == 0 || m.FirstDivergence < wFirst) {
+					wFirst = m.FirstDivergence
 				}
 			}
 			if wFirst > 0 && (earliest == 0 || wFirst < earliest) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"fdpsim/internal/cache"
 	"fdpsim/internal/sim"
 )
 
@@ -89,18 +90,11 @@ func NewChrome(w io.Writer) *Chrome {
 }
 
 // insertionDepth maps the insertion-position name to a numeric LRU-stack
-// depth so the counter track is plottable (0 = LRU .. 3 = MRU).
+// depth so the counter track is plottable (0 = LRU .. 3 = MRU; an
+// unknown name plots as 0).
 func insertionDepth(pos string) int {
-	switch pos {
-	case "MRU":
-		return 3
-	case "MID":
-		return 2
-	case "LRU-4":
-		return 1
-	default:
-		return 0
-	}
+	p, _ := cache.ParseInsertPos(pos)
+	return int(p)
 }
 
 // TraceDecision implements sim.Tracer.

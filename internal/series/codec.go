@@ -20,8 +20,7 @@ import (
 //	           uvarint payload length (>= 1)
 //	           uint32  CRC-32 (IEEE) of the payload
 //	           payload bytes
-//	         frame 0: header JSON: Meta without its column names, plus
-//	           the string table
+//	         frame 0: header JSON: Meta plus the string table
 //	         frames 1..K: one column per sim.DecisionEvent field, in
 //	           declaration order with nested structs flattened:
 //	           byte    kind (0 = int, 1 = float)
@@ -163,7 +162,7 @@ func Encode(s *Series) ([]byte, error) {
 	}
 	// The string table, in first-seen order.
 	h := header{Meta: s.Meta}
-	h.Version, h.Metrics = Version, nil
+	h.Version = Version
 	var index map[string]uint64
 	for k := range s.Events {
 		for i := range columns {

@@ -83,8 +83,8 @@ type Report struct {
 }
 
 // Diff aligns two series interval-by-interval and summarises their
-// residuals. Only metrics present in both catalogs are compared (in A's
-// order); unequal lengths compare the common prefix after skips.
+// residuals, one MetricDiff per catalog metric in catalog order; unequal
+// lengths compare the common prefix after skips.
 func Diff(a, b *Series, opts Options) *Report {
 	tol := opts.Tolerances
 	if tol == nil {
@@ -115,14 +115,9 @@ func Diff(a, b *Series, opts Options) *Report {
 	rep.ExtraA = lenA - n
 	rep.ExtraB = lenB - n
 
-	for i, name := range a.Meta.Metrics {
-		colB, ok := b.Column(name)
-		if !ok {
-			continue
-		}
-		colA := a.Columns[i]
-		md := diffColumn(name, colA[skipA:skipA+n], colB[skipB:skipB+n], opts.IncludeDeltas)
-		band, banded := tol[name]
+	for i, m := range Catalog {
+		md := diffColumn(m.Name, a.Columns[i][skipA:skipA+n], b.Columns[i][skipB:skipB+n], opts.IncludeDeltas)
+		band, banded := tol[m.Name]
 		if !banded {
 			band = -1
 		}
@@ -133,7 +128,7 @@ func Diff(a, b *Series, opts Options) *Report {
 		case md.MaxAbs > band:
 			md.Verdict = VerdictFail
 			rep.Verdict = VerdictFail
-			rep.Failed = append(rep.Failed, name)
+			rep.Failed = append(rep.Failed, m.Name)
 		default:
 			md.Verdict = VerdictPass
 		}

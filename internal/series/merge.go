@@ -2,9 +2,9 @@ package series
 
 // Merge combines several runs' series into one element-wise-mean series
 // over their common interval prefix — the sweep-level view: the average
-// per-interval trajectory across a sweep's cells. Metrics are taken from
-// the first series; inputs missing a metric are skipped for that column.
-// Merge(nil...) and Merge() return an empty series.
+// per-interval trajectory across a sweep's cells. Column i of the result
+// is the mean of column i of every input. Merge(nil...) and Merge()
+// return an empty series.
 func Merge(runs ...*Series) *Series {
 	inputs := runs[:0:0]
 	for _, s := range runs {
@@ -13,7 +13,7 @@ func Merge(runs ...*Series) *Series {
 		}
 	}
 	if len(inputs) == 0 {
-		return &Series{Meta: Meta{Version: Version, Metrics: []string{}}, Columns: [][]float64{}}
+		return &Series{Meta: Meta{Version: Version}, Columns: catalog(nil)}
 	}
 
 	n := inputs[0].Len()
@@ -31,25 +31,18 @@ func Merge(runs ...*Series) *Series {
 			Prefetcher: first.Meta.Prefetcher,
 			Controller: "merged",
 			Intervals:  n,
-			Metrics:    append([]string(nil), first.Meta.Metrics...),
 		},
-		Columns: make([][]float64, len(first.Meta.Metrics)),
+		Columns: make([][]float64, NumMetrics),
 	}
-	for ci, name := range out.Meta.Metrics {
+	for ci := range out.Columns {
 		col := make([]float64, n)
-		contributors := 0
 		for _, s := range inputs {
-			src, ok := s.Column(name)
-			if !ok {
-				continue
-			}
-			contributors++
-			for i := 0; i < n; i++ {
-				col[i] += src[i]
+			for i, v := range s.Columns[ci][:n] {
+				col[i] += v
 			}
 		}
-		if contributors > 1 {
-			inv := 1 / float64(contributors)
+		if len(inputs) > 1 {
+			inv := 1 / float64(len(inputs))
 			for i := range col {
 				col[i] *= inv
 			}

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sync"
 
+	"fdpsim/internal/cache"
 	"fdpsim/internal/sim"
 )
 
@@ -32,9 +33,10 @@ type Metric struct {
 	Help string `json:"help"`
 }
 
-// Catalog is the metric catalog, in column order. The columns are
-// computed from the events on read; clients select them by name, and the
-// order is the one GET /v1/jobs/{id}/series and its CSV export list.
+// Catalog is the metric catalog, in column order: Series.Columns[i]
+// holds Catalog[i]. The columns are computed from the events on read;
+// clients select them by name (MetricIndex), and the order is the one
+// GET /v1/jobs/{id}/series and its CSV export list.
 var Catalog = []Metric{
 	{Name: "cycles", Unit: "cycles", Help: "core cycles elapsed in the interval (0 during warmup)"},
 	{Name: "retired", Unit: "insts", Help: "instructions retired in the interval (0 during warmup)"},
@@ -76,17 +78,13 @@ func MetricIndex(name string) int {
 	return -1
 }
 
-// Meta is the series header: identity labels plus the catalog's column
-// names.
+// Meta is the series header: identity labels and the interval count.
 type Meta struct {
 	Version    int    `json:"version"`
 	Workload   string `json:"workload,omitempty"`
 	Prefetcher string `json:"prefetcher,omitempty"`
 	Controller string `json:"controller,omitempty"`
 	Intervals  int    `json:"intervals"`
-	// Metrics names the Columns. The encoded document leaves it out: its
-	// layout is fixed by the version.
-	Metrics []string `json:"metrics,omitempty"`
 	// Truncated counts intervals dropped by the Recorder's Limit; a
 	// non-zero value flags the series as a prefix of the run.
 	Truncated uint64 `json:"truncated,omitempty"`
@@ -94,12 +92,12 @@ type Meta struct {
 
 // Series is a recorded or decoded interval stream: one core's
 // DecisionEvents and the catalog computed from them, one column of
-// float64 values per Meta.Metrics entry, each Meta.Intervals long. A
-// merged series (Merge) has columns but no events.
+// float64 values per Catalog entry, each Meta.Intervals long. A merged
+// series (Merge) has columns but no events.
 type Series struct {
 	Meta    Meta
 	Events  []sim.DecisionEvent
-	Columns [][]float64 // parallel to Meta.Metrics
+	Columns [][]float64 // parallel to Catalog
 }
 
 // Len returns the interval count.
@@ -107,10 +105,8 @@ func (s *Series) Len() int { return s.Meta.Intervals }
 
 // Column returns the values for a metric name.
 func (s *Series) Column(name string) ([]float64, bool) {
-	for i, m := range s.Meta.Metrics {
-		if m == name {
-			return s.Columns[i], true
-		}
+	if i := MetricIndex(name); i >= 0 {
+		return s.Columns[i], true
 	}
 	return nil, false
 }
@@ -120,27 +116,16 @@ func (s *Series) Column(name string) ([]float64, bool) {
 func newSeries(meta Meta, events []sim.DecisionEvent) *Series {
 	meta.Version = Version
 	meta.Intervals = len(events)
-	meta.Metrics = make([]string, NumMetrics)
-	for i, m := range Catalog {
-		meta.Metrics[i] = m.Name
-	}
 	return &Series{Meta: meta, Events: events, Columns: catalog(events)}
 }
 
-// insertionIndex maps a DecisionEvent insertion label to its catalog code.
+// insertionIndex maps a DecisionEvent insertion label to its catalog
+// code, 0 = MRU .. 3 = LRU, or -1 for an unknown label.
 func insertionIndex(pos string) int {
-	switch pos {
-	case "MRU":
-		return 0
-	case "MID":
-		return 1
-	case "LRU-4":
-		return 2
-	case "LRU":
-		return 3
-	default:
-		return -1
+	if p, ok := cache.ParseInsertPos(pos); ok {
+		return int(cache.PosMRU - p)
 	}
+	return -1
 }
 
 // catalog computes the catalog columns of one core's events, one row per
@@ -222,9 +207,6 @@ type Recorder struct {
 	// Limit, when non-zero, caps the recorded interval count; later
 	// boundaries increment Meta.Truncated instead of growing the stream.
 	Limit int
-	// Meta seeds the encoded header's identity labels. Controller is
-	// filled from the first event when left empty.
-	Meta Meta
 
 	mu        sync.Mutex
 	events    []sim.DecisionEvent
@@ -270,16 +252,16 @@ func (r *Recorder) TraceDecision(ev sim.DecisionEvent) {
 	r.events = append(r.events, ev)
 }
 
-// Series snapshots the recording. Its events share the recorder's buffer,
-// capped at the recorded length: the recorder only appends, so the
-// returned Series stays stable while recording goes on.
+// Series snapshots the recording, its Controller label taken from the
+// first event. Its events share the recorder's buffer, capped at the
+// recorded length: the recorder only appends, so the returned Series
+// stays stable while recording goes on.
 func (r *Recorder) Series() *Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	meta := r.Meta
-	meta.Truncated = r.truncated
+	meta := Meta{Truncated: r.truncated}
 	n := len(r.events)
-	if meta.Controller == "" && n > 0 {
+	if n > 0 {
 		meta.Controller = r.events[0].Controller
 	}
 	return newSeries(meta, r.events[:n:n])

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fdpsim/internal/obs"
-	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 	"fdpsim/internal/sweep"
 	"fdpsim/internal/workload/spec"
@@ -439,25 +438,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // its interval stream: JSONL by default, or the Chrome trace_event
 // document (loadable in Perfetto / chrome://tracing) with ?format=chrome.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	job, sr, ok := s.terminalSeries(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	if !job.Status().State.Terminal() {
-		writeError(w, http.StatusConflict,
-			"job %s has not finished; the trace is available once the job is terminal", job.ID())
-		return
-	}
-	doc, ok := job.SeriesData()
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			"job %s has no decision trace; submit with \"trace\": true", job.ID())
-		return
-	}
-	sr, err := series.Decode(doc)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "stored trace is unreadable: %v", err)
 		return
 	}
 	switch format := r.URL.Query().Get("format"); format {

@@ -158,10 +158,7 @@ const defaultController = "fdp"
 // stream.
 func (m *metrics) observeInterval(ev *sim.DecisionEvent) {
 	m.intervals.Add(1)
-	for p := cache.InsertPos(0); p < cache.NumInsertPos; p++ {
-		if p.String() != ev.Insertion {
-			continue
-		}
+	if p, ok := cache.ParseInsertPos(ev.Insertion); ok {
 		m.insertMu.Lock()
 		counts, ok := m.insertions[ev.Controller]
 		if !ok {
@@ -170,7 +167,6 @@ func (m *metrics) observeInterval(ev *sim.DecisionEvent) {
 		}
 		counts[p]++
 		m.insertMu.Unlock()
-		break
 	}
 	if c := ev.Sample.Cycles; c.Total() > 0 {
 		m.stallCycles[0].Add(c.RetireFull)

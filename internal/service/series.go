@@ -29,9 +29,9 @@ type seriesResponse struct {
 	Metrics []seriesMetricJSON `json:"metrics"`
 }
 
-// seriesQuery parses the shared ?metrics= and ?step= parameters against a
-// decoded series, returning the selected column indexes.
-func seriesQuery(r *http.Request, sr *series.Series) (cols []int, step int, err error) {
+// seriesQuery parses the shared ?metrics= and ?step= parameters,
+// returning the selected catalog column indexes.
+func seriesQuery(r *http.Request) (cols []int, step int, err error) {
 	q := r.URL.Query()
 	step = 1
 	if raw := q.Get("step"); raw != "" {
@@ -43,39 +43,24 @@ func seriesQuery(r *http.Request, sr *series.Series) (cols []int, step int, err 
 	if raw := q.Get("metrics"); raw != "" {
 		for _, name := range strings.Split(raw, ",") {
 			name = strings.TrimSpace(name)
-			idx := -1
-			for i, m := range sr.Meta.Metrics {
-				if m == name {
-					idx = i
-					break
-				}
-			}
+			idx := series.MetricIndex(name)
 			if idx < 0 {
 				return nil, 0, fmt.Errorf("unknown metric %q (see the catalog in docs/OBSERVABILITY.md)", name)
 			}
 			cols = append(cols, idx)
 		}
 	} else {
-		for i := range sr.Meta.Metrics {
+		for i := range series.Catalog {
 			cols = append(cols, i)
 		}
 	}
 	return cols, step, nil
 }
 
-// metricUnit looks a metric's unit up in the catalog ("" for unknown or
-// unitless metrics).
-func metricUnit(name string) string {
-	if i := series.MetricIndex(name); i >= 0 {
-		return series.Catalog[i].Unit
-	}
-	return ""
-}
-
 // writeSeries renders a decoded series with the shared query grammar:
 // ?metrics= column selection, ?step= downsampling, ?format=json|csv.
 func writeSeries(w http.ResponseWriter, r *http.Request, sr *series.Series, filename string) {
-	cols, step, err := seriesQuery(r, sr)
+	cols, step, err := seriesQuery(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -84,7 +69,8 @@ func writeSeries(w http.ResponseWriter, r *http.Request, sr *series.Series, file
 	case "", "json":
 		resp := seriesResponse{Meta: sr.Meta, Step: step}
 		for _, ci := range cols {
-			mj := seriesMetricJSON{Name: sr.Meta.Metrics[ci], Unit: metricUnit(sr.Meta.Metrics[ci])}
+			m := series.Catalog[ci]
+			mj := seriesMetricJSON{Name: m.Name, Unit: m.Unit}
 			if step == 1 {
 				mj.Values = sr.Columns[ci]
 			} else {
@@ -110,7 +96,7 @@ func writeSeriesCSV(w http.ResponseWriter, sr *series.Series, cols []int, step i
 	if step == 1 {
 		fmt.Fprint(w, "interval")
 		for _, ci := range cols {
-			fmt.Fprintf(w, ",%s", sr.Meta.Metrics[ci])
+			fmt.Fprintf(w, ",%s", series.Catalog[ci].Name)
 		}
 		fmt.Fprintln(w)
 		for i := 0; i < sr.Len(); i++ {
@@ -124,7 +110,7 @@ func writeSeriesCSV(w http.ResponseWriter, sr *series.Series, cols []int, step i
 	}
 	fmt.Fprint(w, "start,n")
 	for _, ci := range cols {
-		name := sr.Meta.Metrics[ci]
+		name := series.Catalog[ci].Name
 		fmt.Fprintf(w, ",%s_min,%s_mean,%s_max,%s_p95", name, name, name, name)
 	}
 	fmt.Fprintln(w)
@@ -145,44 +131,54 @@ func writeSeriesCSV(w http.ResponseWriter, sr *series.Series, cols []int, step i
 	}
 }
 
-// jobSeries loads and decodes a terminal job's sidecar. The error string
-// is already client-facing.
-func (s *Server) jobSeries(job *Job) (*series.Series, error) {
+// jobSeries decodes a job's interval stream. A job that recorded none
+// answers nil and no error.
+func jobSeries(job *Job) (*series.Series, error) {
 	doc, ok := job.SeriesData()
 	if !ok {
-		return nil, fmt.Errorf("job %s has no interval series; submit with \"series\": true", job.ID())
+		return nil, nil
 	}
-	sr, err := series.Decode(doc)
-	if err != nil {
-		return nil, fmt.Errorf("stored series is unreadable: %v", err)
+	return series.Decode(doc)
+}
+
+// terminalSeries resolves {id} to a terminal job and its decoded
+// interval stream, the one path behind /trace and /series. Otherwise it
+// answers the request itself — unknown job 404, not terminal 409, no
+// stream 404, a stream that does not decode 500 — and returns false.
+func (s *Server) terminalSeries(w http.ResponseWriter, r *http.Request) (*Job, *series.Series, bool) {
+	job, ok := s.Job(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return nil, nil, false
 	}
-	return sr, nil
+	if !job.Status().State.Terminal() {
+		writeError(w, http.StatusConflict,
+			"job %s has not finished; its interval stream is available once the job is terminal", job.ID())
+		return nil, nil, false
+	}
+	sr, err := jobSeries(job)
+	switch {
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "stored interval stream is unreadable: %v", err)
+	case sr == nil:
+		writeError(w, http.StatusNotFound,
+			"job %s recorded no interval stream; submit with \"series\": true or \"trace\": true", job.ID())
+	}
+	return job, sr, sr != nil
 }
 
 // handleSeries serves a terminal job's interval timeseries.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+	if job, sr, ok := s.terminalSeries(w, r); ok {
+		writeSeries(w, r, sr, job.ID()+".series.csv")
 	}
-	if !job.Status().State.Terminal() {
-		writeError(w, http.StatusConflict,
-			"job %s has not finished; the series is available once the job is terminal", job.ID())
-		return
-	}
-	sr, err := s.jobSeries(job)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeSeries(w, r, sr, job.ID()+".series.csv")
 }
 
 // handleSweepSeries serves the element-wise mean of every distinct
 // terminal cell's series — the sweep's average per-interval trajectory.
-// Cells without a series (not recorded, or cancelled before they ran) are
-// skipped; a sweep with none reports 404.
+// Cells without a series (not recorded, cancelled before they ran, or a
+// stream that does not decode) are skipped; a sweep with none reports
+// 404.
 func (s *Server) handleSweepSeries(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))
 	if !ok {
@@ -197,7 +193,7 @@ func (s *Server) handleSweepSeries(w http.ResponseWriter, r *http.Request) {
 		if !j.Status().State.Terminal() {
 			continue
 		}
-		if sr, err := s.jobSeries(j); err == nil && sr.Len() > 0 {
+		if sr, _ := jobSeries(j); sr != nil && sr.Len() > 0 {
 			runs = append(runs, sr)
 		}
 	}
@@ -213,7 +209,8 @@ func (s *Server) handleSweepSeries(w http.ResponseWriter, r *http.Request) {
 
 // seriesByFingerprint resolves a fingerprint to a decoded series: the
 // store sidecar first (survives restarts), then any in-memory job for the
-// fingerprint (storeless servers, tests).
+// fingerprint (storeless servers, tests). A stream that does not decode
+// counts as none.
 func (s *Server) seriesByFingerprint(fp string) (*series.Series, bool) {
 	if s.cfg.Store != nil {
 		if doc, ok := s.cfg.Store.GetSeries(fp); ok {
@@ -223,10 +220,8 @@ func (s *Server) seriesByFingerprint(fp string) (*series.Series, bool) {
 		}
 	}
 	if job, ok := s.jobByFingerprint(fp); ok {
-		if doc, ok := job.SeriesData(); ok {
-			if sr, err := series.Decode(doc); err == nil {
-				return sr, true
-			}
+		if sr, _ := jobSeries(job); sr != nil {
+			return sr, true
 		}
 	}
 	return nil, false

@@ -270,3 +270,49 @@ func TestSweepSeries(t *testing.T) {
 		t.Fatalf("series of unrecorded sweep = %d, want 404", code)
 	}
 }
+
+// TestStreamEndpointStatus: /trace and /series resolve a job to its
+// interval stream through one path, so they answer each failure alike —
+// unknown job 404, running job 409, no stream 404, and 500 for a stream
+// that does not decode.
+func TestStreamEndpointStatus(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	submit := func(req JobRequest) string {
+		var st JobStatus
+		if code := doJSON(t, ts.Client(), http.MethodPost, ts.URL+"/v1/jobs", traceBody(t, req), &st); code != http.StatusAccepted {
+			t.Fatalf("submit = %d", code)
+		}
+		return st.ID
+	}
+	slow, fast := slowConfig(940), fastConfig(60_000, 941)
+	running := submit(JobRequest{Config: &slow, Series: true})
+	defer doJSON(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+running, nil, nil)
+	pollUntil(t, ts.Client(), ts.URL+"/v1/jobs/"+running, func(s JobStatus) bool { return s.State == StateRunning })
+	bare := submit(JobRequest{Config: &fast})
+	pollUntil(t, ts.Client(), ts.URL+"/v1/jobs/"+bare, func(s JobStatus) bool { return s.State.Terminal() })
+
+	check := func(name, id string, want int) {
+		t.Helper()
+		for _, endpoint := range []string{"trace", "series"} {
+			if code, body, _ := getBody(t, ts.URL+"/v1/jobs/"+id+"/"+endpoint); code != want {
+				t.Errorf("/%s of %s = %d (%s), want %d", endpoint, name, code, body, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name, id string
+		want     int
+	}{
+		{"an unknown job", "no-such-job", http.StatusNotFound},
+		{"a running job", running, http.StatusConflict},
+		{"a job that recorded no stream", bare, http.StatusNotFound},
+	} {
+		check(tc.name, tc.id, tc.want)
+	}
+
+	job, _ := srv.Job(bare)
+	job.mu.Lock()
+	job.seriesBin = []byte("not a series document")
+	job.mu.Unlock()
+	check("a stream that does not decode", bare, http.StatusInternalServerError)
+}

@@ -115,6 +115,30 @@ func levelParams(kind PrefetcherKind, level int) (distance, degree int) {
 	return sl.Distance, sl.Degree
 }
 
+// IPC returns the run's IPC up to the boundary, Retired/Cycle (0 while
+// warming up).
+func (ev *DecisionEvent) IPC() float64 {
+	if ev.Cycle == 0 {
+		return 0
+	}
+	return float64(ev.Retired) / float64(ev.Cycle)
+}
+
+// Level returns the aggressiveness level whose Table 1 or GHB (distance,
+// degree) pair the event carries — the pinned level's when
+// Config.StaticLevel fixes the prefetcher's — or DCCAfter for a pair of
+// neither table. The two tables share no pair.
+func (ev *DecisionEvent) Level() int {
+	for level := prefetch.MinLevel; level <= prefetch.MaxLevel; level++ {
+		for _, kind := range [...]PrefetcherKind{PrefStream, PrefGHB} {
+			if d, g := levelParams(kind, level); d == ev.Distance && g == ev.Degree {
+				return level
+			}
+		}
+	}
+	return ev.DCCAfter
+}
+
 // decisionEvent explains one closed interval: s is what the decision saw
 // (s.Level the counter before it) and d the decision as the engine
 // applied it. The caller stamps Cycle, Retired and Sample. The event is

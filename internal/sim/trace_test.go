@@ -150,6 +150,9 @@ func TestDecisionTraceMatchesResult(t *testing.T) {
 					t.Errorf("event %d: level %d gives (distance,degree)=(%d,%d), want Table 1 (%d,%d)",
 						i, level, ev.Distance, ev.Degree, want.Distance, want.Degree)
 				}
+				if got := ev.Level(); got != level {
+					t.Errorf("event %d: Level() = %d, want the level in effect %d", i, got, level)
+				}
 				switch ev.Insertion {
 				case "MRU", "MID", "LRU-4", "LRU":
 				default:
@@ -160,6 +163,30 @@ func TestDecisionTraceMatchesResult(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDecisionEventLevelAndIPC: Level inverts levelParams for both
+// ladders and falls back to DCCAfter for a pair of neither; IPC is the
+// cumulative Retired/Cycle, 0 before the first cycle.
+func TestDecisionEventLevelAndIPC(t *testing.T) {
+	for _, kind := range []PrefetcherKind{PrefStream, PrefGHB} {
+		for level := prefetch.MinLevel; level <= prefetch.MaxLevel; level++ {
+			ev := DecisionEvent{DCCAfter: 3}
+			ev.Distance, ev.Degree = levelParams(kind, level)
+			if got := ev.Level(); got != level {
+				t.Errorf("%s level %d: Level() = %d", kind, level, got)
+			}
+		}
+	}
+	if got := (&DecisionEvent{DCCAfter: 2, Distance: 5, Degree: 3}).Level(); got != 2 {
+		t.Errorf("unknown pair: Level() = %d, want DCCAfter 2", got)
+	}
+	if got := (&DecisionEvent{Cycle: 2000, Retired: 1000}).IPC(); got != 0.5 {
+		t.Errorf("IPC() = %v, want 0.5", got)
+	}
+	if got := (&DecisionEvent{Retired: 5}).IPC(); got != 0 {
+		t.Errorf("zero-cycle IPC() = %v, want 0", got)
 	}
 }
 

@@ -13,12 +13,14 @@ const seriesFP = "fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe98dc76ba54fe
 // encodedSeries builds a valid series document of n events.
 func encodedSeries(t testing.TB, n int) []byte {
 	t.Helper()
-	rec := &series.Recorder{Meta: series.Meta{Workload: "chaserand"}}
+	rec := &series.Recorder{}
 	for i := 1; i <= n; i++ {
 		rec.TraceDecision(sim.DecisionEvent{Interval: uint64(i), Cycle: uint64(i) * 1000,
 			Retired: uint64(i) * 700, Controller: "fdp", DCCAfter: 1 + i%5, Insertion: "MID"})
 	}
-	doc, err := series.Encode(rec.Series())
+	sr := rec.Series()
+	sr.Meta.Workload = "chaserand"
+	doc, err := series.Encode(sr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,36 +34,26 @@ import (
 
 const tool = "train_tree"
 
-// featureOf maps each control.FeatureNames() entry to its value in a
-// decision event, encoded as the tree controller evaluates it: booleans
-// as 0 or 1, the accuracy class as its core.AccuracyClass ordinal, and
-// level as the counter the decision started from.
-var featureOf = map[string]func(ev sim.DecisionEvent) float64{
-	"accuracy":  func(ev sim.DecisionEvent) float64 { return ev.Accuracy },
-	"lateness":  func(ev sim.DecisionEvent) float64 { return ev.Lateness },
-	"pollution": func(ev sim.DecisionEvent) float64 { return ev.Pollution },
-	"bus_util":  func(ev sim.DecisionEvent) float64 { return ev.BusUtil },
-	"level":     func(ev sim.DecisionEvent) float64 { return float64(ev.DCCBefore) },
-	"acc_class": func(ev sim.DecisionEvent) float64 { return accClass(ev.AccuracyClass) },
-	"late":      func(ev sim.DecisionEvent) float64 { return zeroOne(ev.Late) },
-	"polluting": func(ev sim.DecisionEvent) float64 { return zeroOne(ev.Polluting) },
+// signalsOf rebuilds the Signals an event's decision was taken on, so
+// the trainer encodes features through control.Feature exactly as the
+// tree controller evaluates them: level is the counter the decision
+// started from, the accuracy class the ordinal the trace names.
+func signalsOf(ev sim.DecisionEvent) control.Signals {
+	return control.Signals{
+		Accuracy: ev.Accuracy, Lateness: ev.Lateness, Pollution: ev.Pollution,
+		AccClass: accClass(ev.AccuracyClass), Late: ev.Late, Polluting: ev.Polluting,
+		Level: ev.DCCBefore, BusUtilization: ev.BusUtil,
+	}
 }
 
-// accClass returns the ordinal of the accuracy class a trace names.
-func accClass(name string) float64 {
+// accClass returns the accuracy class a trace names.
+func accClass(name string) core.AccuracyClass {
 	for c := core.AccLow; c < core.AccHigh; c++ {
 		if c.String() == name {
-			return float64(c)
+			return c
 		}
 	}
-	return float64(core.AccHigh)
-}
-
-func zeroOne(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
+	return core.AccHigh
 }
 
 func main() {
@@ -81,7 +71,7 @@ func main() {
 	feats := strings.Split(*features, ",")
 	for i := range feats {
 		feats[i] = strings.TrimSpace(feats[i])
-		if featureOf[feats[i]] == nil {
+		if _, ok := control.Feature(control.Signals{}, feats[i]); !ok {
 			cli.Fatalf(tool, cli.ExitUsage, "unknown feature %q (want %s)", feats[i], strings.Join(control.FeatureNames(), ", "))
 		}
 	}
@@ -126,8 +116,9 @@ func readSamples(r io.Reader, feats []string) ([]control.Sample, error) {
 	for i, ev := range events {
 		s := control.Sample{Features: make([]float64, len(feats)),
 			Delta: ev.DCCAfter - ev.DCCBefore, Insertion: strings.ToLower(ev.Insertion)}
+		sig := signalsOf(ev)
 		for j, name := range feats {
-			s.Features[j] = featureOf[name](ev)
+			s.Features[j], _ = control.Feature(sig, name) // main checked every name
 		}
 		samples[i] = s
 	}

@@ -8,20 +8,6 @@ import (
 	"fdpsim/internal/control"
 )
 
-// TestFeatureOfCoversModelFeatures: the trainer can extract every feature
-// a tree model may split on, and nothing else.
-func TestFeatureOfCoversModelFeatures(t *testing.T) {
-	names := control.FeatureNames()
-	for _, name := range names {
-		if featureOf[name] == nil {
-			t.Errorf("no extractor for model feature %q", name)
-		}
-	}
-	if len(featureOf) != len(names) {
-		t.Errorf("%d extractors for %d model features", len(featureOf), len(names))
-	}
-}
-
 // TestReadSamples turns a two-event decision trace into the samples the
 // tree fits: features encoded as the controller evaluates them, labelled
 // with the counter delta and the lower-cased insertion position.
