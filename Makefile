@@ -83,20 +83,28 @@ check: build fmt-check vet test-race fleet-e2e perfbench-check examples trace-sm
 bench:
 	go test -bench=. -benchmem
 
-# The event-engine contract: the warmed cycle loop allocates nothing.
-# Runs the cycle-loop benchmarks with -benchmem and fails if either
-# BenchmarkIntervalBoundary or BenchmarkPerInstruction reports a nonzero
-# allocs/op. To compare throughput across commits, save this target's
-# output on both and feed them to benchstat (not vendored; the target
-# only points at it so nothing here needs network access):
+# The core benchmarks bench-core and bench-json run: the cycle loop
+# (BenchmarkIntervalBoundary, BenchmarkPerInstruction), trace-v2 encode
+# and decode (BenchmarkWriterV2, BenchmarkReaderV2) and the series codec
+# (BenchmarkSeriesCodec).
+BENCH_PKGS = ./internal/sim ./internal/trace ./internal/series
+BENCH_CORE = BenchmarkIntervalBoundary|BenchmarkPerInstruction|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkSeriesCodec
+
+# The hot-path contract: the warmed cycle loop and the trace-v2 writer
+# and reader allocate nothing. Runs the core benchmarks with -benchmem
+# and fails if any of the first four reports a nonzero allocs/op (the
+# series codec allocates its document and events by design). To compare
+# throughput across commits, save this target's output on both and feed
+# them to benchstat (not vendored; the target only points at it so
+# nothing here needs network access):
 #   make bench-core > old.txt   # on the base commit
 #   make bench-core > new.txt   # on your branch
 #   benchstat old.txt new.txt
 bench-core:
-	@out=$$(go test ./internal/sim -run xxx -bench 'BenchmarkIntervalBoundary|BenchmarkPerInstruction' -benchmem); \
+	@out=$$(go test $(BENCH_PKGS) -run xxx -bench '$(BENCH_CORE)' -benchmem); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
-	if echo "$$out" | grep -E 'Benchmark(IntervalBoundary|PerInstruction).* [1-9][0-9]* allocs/op' >/dev/null; then \
+	if echo "$$out" | grep -E 'Benchmark(IntervalBoundary|PerInstruction|WriterV2|ReaderV2).* [1-9][0-9]* allocs/op' >/dev/null; then \
 		echo "bench-core: hot-path benchmark allocated (want 0 allocs/op)"; exit 1; \
 	fi
 	@command -v benchstat >/dev/null 2>&1 || \
@@ -110,13 +118,13 @@ BENCH_LAST = $(call bench_max,$(shell git ls-files 'BENCH_*.json'))
 BENCH_TOP = $(call bench_max,$(wildcard BENCH_*.json))
 BENCH_NEXT = $(shell echo $$(( $(or $(BENCH_TOP),0) + 1 )))
 
-# Machine-readable benchmark snapshot: runs the core hot-path
-# benchmarks and archives them as the next free BENCH_N.json at the repo
+# Machine-readable benchmark snapshot: runs the core benchmarks and
+# archives them as the next free BENCH_N.json at the repo
 # root (CI uploads the same file as a build artifact). The JSON carries
 # goos/goarch/cpu context, so snapshots from different machines are
 # distinguishable; compare like with like.
 bench-json:
-	go test ./internal/sim -run xxx -bench 'BenchmarkIntervalBoundary|BenchmarkPerInstruction' -benchmem \
+	go test $(BENCH_PKGS) -run xxx -bench '$(BENCH_CORE)' -benchmem \
 		| go run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json
 
 # Compare a fresh snapshot — the newest on disk, or one bench-json writes
@@ -190,6 +198,8 @@ serve:
 # make -fuzz ambiguous), each named package:Fuzz under internal/.
 # FuzzJobRequest drives POST /v1/jobs bodies through decode, validation
 # and fingerprinting (and a short run): none may panic a service worker.
+# FuzzWriterV2 holds the trace-v2 encoder to a reference encoder byte for
+# byte and reads every stream back op for op.
 # FuzzTreeModel hammers the controller model loader: malformed JSON must
 # return ErrInvalid, never panic, and a model that loads must never
 # decide out of range. FuzzBlockIndex checks the memory path's
@@ -200,7 +210,7 @@ serve:
 # claim file and a provenance ledger: a dead claim is stolen, a
 # non-owner changes no file, and an entry appended after the ledger's
 # bytes is read back.
-FUZZ_TARGETS = service:FuzzJobRequest trace:FuzzReaderV2 control:FuzzTreeModel \
+FUZZ_TARGETS = service:FuzzJobRequest trace:FuzzReaderV2 trace:FuzzWriterV2 control:FuzzTreeModel \
 	series:FuzzDecode cache:FuzzBlockIndex cache:FuzzCacheLRU \
 	prefetch:FuzzStreamTable store:FuzzStoreFile store:FuzzClaimFile
 
@@ -210,7 +220,7 @@ go test ./internal/$(firstword $(subst :, ,$(1))) -run xxx -fuzz '$(lastword $(s
 endef
 
 # fuzz runs every target for 30 seconds; fuzz-smoke is the 10-second
-# slice CI runs on every PR, so request, decoder, model-loader,
+# slice CI runs on every PR, so request, decoder, encoder, model-loader,
 # block-index, tag-store, stream-table, stored-file and claim/ledger
 # fuzz regressions surface before merge, not in nightlies.
 fuzz: FUZZTIME = 30s

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"unsafe"
 
 	"fdpsim/internal/sim"
 )
@@ -67,31 +68,30 @@ type header struct {
 	Strings []string `json:"strings,omitempty"`
 }
 
-// column is one DecisionEvent field: its JSON path, the struct field
-// indexes down to it, and its Go kind.
+// column is one DecisionEvent field: its JSON path, its byte offset in
+// the struct and its Go kind.
 type column struct {
-	name  string
-	index []int
-	kind  reflect.Kind
+	name   string
+	offset uintptr
+	kind   reflect.Kind
 }
 
 // columns is the document's column order. A change to DecisionEvent's
 // fields changes the format, so it needs a new Version
 // (TestColumnLayout pins this one's).
-var columns = flatten(reflect.TypeOf(sim.DecisionEvent{}), "", nil)
+var columns = flatten(reflect.TypeOf(sim.DecisionEvent{}), "", 0)
 
-func flatten(t reflect.Type, prefix string, index []int) []column {
+func flatten(t reflect.Type, prefix string, offset uintptr) []column {
 	var out []column
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		name := prefix + tag
-		idx := append(index[:len(index):len(index)], i)
 		switch k := f.Type.Kind(); k {
 		case reflect.Struct:
-			out = append(out, flatten(f.Type, name+".", idx)...)
+			out = append(out, flatten(f.Type, name+".", offset+f.Offset)...)
 		case reflect.Int, reflect.Uint64, reflect.Float64, reflect.Bool, reflect.String:
-			out = append(out, column{name: name, index: idx, kind: k})
+			out = append(out, column{name: name, offset: offset + f.Offset, kind: k})
 		default:
 			panic("series: DecisionEvent field " + name + " has no column encoding")
 		}
@@ -106,50 +106,47 @@ func (c *column) kindByte() byte {
 	return kindByteInt
 }
 
-// field returns the column's field of ev, settable.
-func (c *column) field(ev *sim.DecisionEvent) reflect.Value {
-	return reflect.ValueOf(ev).Elem().FieldByIndex(c.index)
-}
-
-// bits returns the column's field of ev as the 64 bits it stores.
-func (c *column) bits(ev *sim.DecisionEvent, strs map[string]uint64) uint64 {
-	v := c.field(ev)
+// value returns the column's field of ev: a string column's string, or
+// any other column's value as the 64 bits it stores.
+func (c *column) value(ev *sim.DecisionEvent) (uint64, string) {
+	p := unsafe.Add(unsafe.Pointer(ev), c.offset)
 	switch c.kind {
 	case reflect.Int:
-		return uint64(v.Int())
+		return uint64(*(*int)(p)), ""
 	case reflect.Uint64:
-		return v.Uint()
+		return *(*uint64)(p), ""
 	case reflect.Float64:
-		return math.Float64bits(v.Float())
+		return math.Float64bits(*(*float64)(p)), ""
 	case reflect.Bool:
-		if v.Bool() {
-			return 1
+		if *(*bool)(p) {
+			return 1, ""
 		}
-		return 0
+		return 0, ""
 	}
-	return strs[v.String()]
+	return 0, *(*string)(p)
 }
 
-// set stores u in the column's field of ev.
+// set stores u in the column's field of ev; a string column stores
+// strs[u].
 func (c *column) set(ev *sim.DecisionEvent, u uint64, strs []string) error {
-	v := c.field(ev)
+	p := unsafe.Add(unsafe.Pointer(ev), c.offset)
 	switch c.kind {
 	case reflect.Int:
-		v.SetInt(int64(u))
+		*(*int)(p) = int(u)
 	case reflect.Uint64:
-		v.SetUint(u)
+		*(*uint64)(p) = u
 	case reflect.Float64:
-		v.SetFloat(math.Float64frombits(u))
+		*(*float64)(p) = math.Float64frombits(u)
 	case reflect.Bool:
 		if u > 1 {
 			return corruptf("bool value %d", u)
 		}
-		v.SetBool(u == 1)
+		*(*bool)(p) = u == 1
 	case reflect.String:
 		if u >= uint64(len(strs)) {
 			return corruptf("string index %d of %d", u, len(strs))
 		}
-		v.SetString(strs[u])
+		*(*string)(p) = strs[u]
 	}
 	return nil
 }
@@ -167,7 +164,7 @@ func Encode(s *Series) ([]byte, error) {
 	for k := range s.Events {
 		for i := range columns {
 			if c := &columns[i]; c.kind == reflect.String {
-				str := c.field(&s.Events[k]).String()
+				_, str := c.value(&s.Events[k])
 				if _, ok := index[str]; !ok {
 					if index == nil {
 						index = make(map[string]uint64)
@@ -195,7 +192,10 @@ func Encode(s *Series) ([]byte, error) {
 		scratch = binary.AppendUvarint(scratch, uint64(len(s.Events)))
 		prev := uint64(0)
 		for k := range s.Events {
-			u := c.bits(&s.Events[k], index)
+			u, str := c.value(&s.Events[k])
+			if c.kind == reflect.String {
+				u = index[str]
+			}
 			if kind == kindByteFloat {
 				scratch = binary.AppendUvarint(scratch, u^prev)
 			} else {

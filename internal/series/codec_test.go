@@ -66,14 +66,27 @@ func sameEvents(a, b []sim.DecisionEvent) bool {
 		return false
 	}
 	for k := range a {
-		for i := range columns {
-			c := &columns[i]
-			x, y := c.field(&a[k]), c.field(&b[k])
-			if c.kind == reflect.Float64 {
-				if math.Float64bits(x.Float()) != math.Float64bits(y.Float()) {
-					return false
-				}
-			} else if !x.Equal(y) {
+		if !sameFields(reflect.ValueOf(a[k]), reflect.ValueOf(b[k])) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFields(x, y reflect.Value) bool {
+	for i := 0; i < x.NumField(); i++ {
+		fx, fy := x.Field(i), y.Field(i)
+		switch fx.Kind() {
+		case reflect.Struct:
+			if !sameFields(fx, fy) {
+				return false
+			}
+		case reflect.Float64:
+			if math.Float64bits(fx.Float()) != math.Float64bits(fy.Float()) {
+				return false
+			}
+		default:
+			if !fx.Equal(fy) {
 				return false
 			}
 		}

@@ -83,7 +83,7 @@ func Open(r io.ReadSeeker) (ReplaySource, error) {
 // buffer regardless of trace length.
 type WriterV2 struct {
 	w        *bufio.Writer
-	buf      bytes.Buffer // current frame payload
+	payload  []byte // current frame payload, reused
 	nops     uint64
 	lastAddr int64
 	lastPC   int64
@@ -108,7 +108,8 @@ func NewWriterV2(w io.Writer, name string) (*WriterV2, error) {
 	return &WriterV2{w: bw}, nil
 }
 
-// Write appends one micro-op.
+// Write appends one micro-op. A Nop only extends the pending run; a
+// memory op appends its record straight into the frame payload.
 func (t *WriterV2) Write(op cpu.MicroOp) error {
 	if t.closed {
 		return errors.New("trace: write after Close")
@@ -119,16 +120,18 @@ func (t *WriterV2) Write(op cpu.MicroOp) error {
 		t.nops++
 	} else {
 		t.flushNops()
-		tag := uint64(tagLoad)
+		p := t.payload
 		if op.Kind == cpu.Store {
-			tag = tagStore
+			p = append(p, tagStore)
+		} else {
+			p = append(p, tagLoad)
 		}
-		bufUvarint(&t.buf, tag)
-		bufVarint(&t.buf, int64(op.Addr)-t.lastAddr)
-		bufVarint(&t.buf, int64(op.PC)-t.lastPC)
+		p = binary.AppendVarint(p, int64(op.Addr)-t.lastAddr)
+		p = binary.AppendVarint(p, int64(op.PC)-t.lastPC)
 		if op.Kind == cpu.Load {
-			bufUvarint(&t.buf, uint64(op.Dep))
+			p = binary.AppendUvarint(p, uint64(op.Dep))
 		}
+		t.payload = p
 		t.lastAddr = int64(op.Addr)
 		t.lastPC = int64(op.PC)
 	}
@@ -140,8 +143,7 @@ func (t *WriterV2) Write(op cpu.MicroOp) error {
 
 func (t *WriterV2) flushNops() {
 	if t.nops > 0 {
-		bufUvarint(&t.buf, tagNops)
-		bufUvarint(&t.buf, t.nops)
+		t.payload = binary.AppendUvarint(append(t.payload, tagNops), t.nops)
 		t.nops = 0
 	}
 }
@@ -151,18 +153,17 @@ func (t *WriterV2) flushFrame() error {
 		return nil
 	}
 	t.flushNops()
-	payload := t.buf.Bytes()
-	writeUvarint(t.w, uint64(len(payload)))
+	writeUvarint(t.w, uint64(len(t.payload)))
 	writeUvarint(t.w, t.frameOps)
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(t.payload))
 	if _, err := t.w.Write(crc[:]); err != nil {
 		return err
 	}
-	if _, err := t.w.Write(payload); err != nil {
+	if _, err := t.w.Write(t.payload); err != nil {
 		return err
 	}
-	t.buf.Reset()
+	t.payload = t.payload[:0]
 	t.frameOps = 0
 	t.lastAddr = 0
 	t.lastPC = 0
@@ -205,8 +206,12 @@ type ReaderV2 struct {
 	total   uint64 // footer op count (0 for non-seekable until exhausted)
 	seen    uint64 // ops decoded since construction or last rewind
 
-	ops     []cpu.MicroOp // current frame, reused
+	// ops holds the current frame's records, reused: a memory op, or a
+	// Nop whose Addr is the length of the run it stands for. nops counts
+	// down what is left of the run Next is in.
+	ops     []cpu.MicroOp
 	pos     int
+	nops    uint64
 	payload []byte // frame payload buffer, reused
 
 	loop  bool
@@ -289,6 +294,10 @@ func (t *ReaderV2) Err() error { return t.err }
 
 // Next implements cpu.Source.
 func (t *ReaderV2) Next() cpu.MicroOp {
+	if t.nops > 0 {
+		t.nops--
+		return cpu.MicroOp{Kind: cpu.Nop}
+	}
 	for t.pos >= len(t.ops) {
 		if t.ended {
 			return cpu.MicroOp{Kind: cpu.Nop}
@@ -317,6 +326,10 @@ func (t *ReaderV2) Next() cpu.MicroOp {
 	}
 	op := t.ops[t.pos]
 	t.pos++
+	if op.Kind == cpu.Nop {
+		t.nops = op.Addr - 1
+		return cpu.MicroOp{Kind: cpu.Nop}
+	}
 	return op
 }
 
@@ -325,6 +338,7 @@ func (t *ReaderV2) fail(err error) {
 	t.ended = true
 	t.ops = t.ops[:0]
 	t.pos = 0
+	t.nops = 0
 }
 
 // rewind seeks back to the first frame for another Loop pass.
@@ -334,6 +348,7 @@ func (t *ReaderV2) rewind() error {
 	}
 	t.r.Reset(t.rs)
 	t.seen = 0
+	t.nops = 0
 	return nil
 }
 
@@ -379,77 +394,70 @@ func (t *ReaderV2) readFrame() error {
 	return nil
 }
 
-// decodeFrame expands the payload's records into t.ops, enforcing that
-// the record stream yields exactly the declared op count.
+var (
+	errBadUvarint = errors.New("trace: malformed uvarint in frame")
+	errBadVarint  = errors.New("trace: malformed varint in frame")
+)
+
+// decodeFrame decodes the payload's records into t.ops, one entry per
+// record, enforcing that the records yield exactly the declared op count.
 func (t *ReaderV2) decodeFrame(opCount uint64) error {
 	t.ops = t.ops[:0]
-	buf, off := t.payload, 0
+	buf := t.payload
 	var lastAddr, lastPC int64
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return 0, errors.New("trace: malformed uvarint in frame")
+	var n uint64 // ops decoded so far
+	for len(buf) > 0 {
+		tag, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return errBadUvarint
 		}
-		off += n
-		return v, nil
-	}
-	sv := func() (int64, error) {
-		v, n := binary.Varint(buf[off:])
-		if n <= 0 {
-			return 0, errors.New("trace: malformed varint in frame")
-		}
-		off += n
-		return v, nil
-	}
-	for off < len(buf) {
-		tag, err := uv()
-		if err != nil {
-			return err
-		}
+		buf = buf[k:]
 		switch tag {
 		case tagNops:
-			n, err := uv()
-			if err != nil {
-				return err
+			run, k := binary.Uvarint(buf)
+			if k <= 0 {
+				return errBadUvarint
 			}
-			if n == 0 || uint64(len(t.ops))+n > opCount {
-				return fmt.Errorf("trace: nop run of %d overflows the frame's %d ops", n, opCount)
+			buf = buf[k:]
+			if run == 0 || run > opCount-n {
+				return fmt.Errorf("trace: nop run of %d overflows the frame's %d ops", run, opCount)
 			}
-			for i := uint64(0); i < n; i++ {
-				t.ops = append(t.ops, cpu.MicroOp{Kind: cpu.Nop})
-			}
+			t.ops = append(t.ops, cpu.MicroOp{Kind: cpu.Nop, Addr: run})
+			n += run
 		case tagLoad, tagStore:
-			if uint64(len(t.ops)) >= opCount {
+			if n >= opCount {
 				return fmt.Errorf("trace: frame exceeds its declared %d ops", opCount)
 			}
-			da, err := sv()
-			if err != nil {
-				return err
+			da, k := binary.Varint(buf)
+			if k <= 0 {
+				return errBadVarint
 			}
-			dp, err := sv()
-			if err != nil {
-				return err
+			buf = buf[k:]
+			dp, k := binary.Varint(buf)
+			if k <= 0 {
+				return errBadVarint
 			}
+			buf = buf[k:]
 			lastAddr += da
 			lastPC += dp
-			op := cpu.MicroOp{Addr: uint64(lastAddr), PC: uint64(lastPC)}
+			op := cpu.MicroOp{Kind: cpu.Store, Addr: uint64(lastAddr), PC: uint64(lastPC)}
 			if tag == tagLoad {
-				dep, err := uv()
-				if err != nil {
-					return err
+				dep, k := binary.Uvarint(buf)
+				if k <= 0 {
+					return errBadUvarint
 				}
+				buf = buf[k:]
 				op.Kind = cpu.Load
 				op.Dep = int(dep)
-			} else {
-				op.Kind = cpu.Store
 			}
 			t.ops = append(t.ops, op)
+			n++
 		default:
 			return fmt.Errorf("trace: unknown record tag %d", tag)
 		}
 	}
-	if uint64(len(t.ops)) != opCount {
-		return fmt.Errorf("trace: frame decoded %d ops, header declared %d", len(t.ops), opCount)
+	if n != opCount {
+		return fmt.Errorf("trace: frame decoded %d ops, header declared %d", n, opCount)
 	}
 	return nil
 }
@@ -461,16 +469,4 @@ func noEOF(err error) error {
 		return io.ErrUnexpectedEOF
 	}
 	return err
-}
-
-func bufUvarint(b *bytes.Buffer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	b.Write(buf[:n])
-}
-
-func bufVarint(b *bytes.Buffer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	b.Write(buf[:n])
 }
