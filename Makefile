@@ -158,7 +158,8 @@ bench-trace:
 
 # End-to-end fabric-tracing smoke: boot fdpserved with a store, run a
 # tiny sweep, validate the Chrome trace export, the provenance ledgers
-# and the /metrics span families (scripts/trace-smoke.sh).
+# and the /metrics span families, then resubmit it and check the flight
+# recorder (/debug/events) and its span counts (scripts/trace-smoke.sh).
 trace-smoke: build-cmds
 	sh scripts/trace-smoke.sh
 

@@ -153,7 +153,6 @@ func main() {
 		fleetWorker   = flag.String("fleet-worker", "", "worker name in a shared-store fleet (empty = standalone; requires -cache-dir)")
 		lease         = flag.Duration("lease", 30*time.Second, "fleet claim lease; expired leases are stolen by live workers")
 		sseKeepalive  = flag.Duration("sse-keepalive", 15*time.Second, "idle interval before SSE streams emit a ': keepalive' comment frame (<=0 disables)")
-		spanLimit     = flag.Int("span-limit", 0, "fabric-span flight recorder size for /debug/events (0 = default 4096)")
 	)
 	tenants := tenantFlags{}
 	flag.Var(tenants, "tenant", "register a scheduler tenant as name:weight[:maxrunning[:maxqueued]] (repeatable)")
@@ -177,7 +176,6 @@ func main() {
 		FleetWorker:   *fleetWorker,
 		LeaseTTL:      *lease,
 		SSEKeepalive:  *sseKeepalive,
-		SpanLimit:     *spanLimit,
 	}
 	if *sseKeepalive <= 0 {
 		cfg.SSEKeepalive = -1 // 0 in the Config means "default"; the flag's 0 means off

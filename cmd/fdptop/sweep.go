@@ -39,7 +39,7 @@ type lane struct {
 // sweepDash accumulates sweep SSE frames plus the span-lane summary.
 type sweepDash struct {
 	source  string
-	last    service.SweepEvent
+	last    service.SweepStatus
 	lanes   []lane
 	spanned int // spans folded into lanes, for the header
 	frames  uint64
@@ -88,7 +88,7 @@ func (d *sweepDash) foldSpans(spans []obs.Span) {
 	d.spanned = len(spans)
 }
 
-func (d *sweepDash) observe(ev service.SweepEvent) {
+func (d *sweepDash) observe(ev service.SweepStatus) {
 	d.last = ev
 	d.frames++
 }
@@ -149,7 +149,7 @@ func fmtSeconds(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(100 * time.Millisecond).String()
 }
 
-func etaCell(ev service.SweepEvent) string {
+func etaCell(ev service.SweepStatus) string {
 	if ev.ETASeconds <= 0 {
 		return ""
 	}
@@ -211,7 +211,7 @@ func attachSweep(w io.Writer, addr, sweepID string, once bool) error {
 	err = scanSSE(resp.Body, func(event string, data []byte) error {
 		switch event {
 		case "summary":
-			var ev service.SweepEvent
+			var ev service.SweepStatus
 			if err := json.Unmarshal(data, &ev); err != nil {
 				return fmt.Errorf("summary event: %w", err)
 			}
@@ -235,7 +235,7 @@ func attachSweep(w io.Writer, addr, sweepID string, once bool) error {
 		return fmt.Errorf("sweep %s produced no summary events (check the sweep ID)", sweepID)
 	}
 	// Final refresh: the last summary can race the tail spans (store
-	// writes, the sweep root) landing in the recorder.
+	// writes, the sweep root's end) landing in the sweep's trace.
 	if spans, err := fetchSpans(addr, sweepID); err == nil {
 		d.foldSpans(spans)
 	}

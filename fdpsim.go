@@ -33,7 +33,6 @@ import (
 
 	"fdpsim/internal/cache"
 	"fdpsim/internal/control"
-	"fdpsim/internal/core"
 	"fdpsim/internal/cpu"
 	"fdpsim/internal/prefetch"
 	"fdpsim/internal/sim"
@@ -282,43 +281,14 @@ const (
 // the registry's one listing entry point.
 func WorkloadList(tags ...string) []WorkloadInfo { return workload.List(tags...) }
 
-// Controller is a pluggable feedback decision policy: the seam the FDP
-// engine consults at every sampling-interval boundary. The registry
-// behind ControllerList holds the paper's Table 2 policy ("fdp", the
-// default), static baselines, and learned competitors; select one with
-// Config.Controller. See docs/CONTROLLERS.md.
-type Controller = control.Controller
-
-// ControllerSignals is the per-interval observation a Controller
-// decides on; ControllerDecision its output.
-type (
-	ControllerSignals  = control.Signals
-	ControllerDecision = control.Decision
-)
-
-// ControllerInfo describes one registered controller for listings.
+// ControllerInfo describes one registered feedback controller for
+// listings. The registry behind ControllerList holds the paper's Table 2
+// policy ("fdp", the default), static baselines and learned competitors;
+// a run selects one by name with Config.Controller (a "tree" controller
+// also takes Config.ControllerModel). See docs/CONTROLLERS.md.
 type ControllerInfo = control.Info
-
-// ErrInvalidController is the sentinel wrapped by controller-registry
-// and tree-model-file failures; callers branch with errors.Is (CLIs map
-// it to exit code 2).
-var ErrInvalidController = control.ErrInvalid
 
 // ControllerList returns every registered feedback controller in
 // registry order, with tags ("paper", "static", "learned") and one-line
 // descriptions.
 func ControllerList() []ControllerInfo { return control.List() }
-
-// LoadTreeModel parses and validates a decision-tree model file (the
-// docs/CONTROLLERS.md JSON schema) and returns the "tree" controller
-// over it; malformed models report errors matching ErrInvalidController.
-func LoadTreeModel(model []byte, th Thresholds) (Controller, error) {
-	return control.LoadTree(model, th)
-}
-
-// Thresholds are the FDP classification thresholds (Section 4.3).
-type Thresholds = core.Thresholds
-
-// DefaultThresholds returns the paper's classification thresholds (with
-// this simulator's recalibrated pollution cutoffs; see DESIGN.md).
-func DefaultThresholds() Thresholds { return core.DefaultThresholds() }

@@ -15,9 +15,6 @@ import (
 // cells spread across a fleet. One trace ID threads a job's (or a whole
 // sweep's) life across processes; spans parent onto each other to form
 // the submit → queue → claim → run → store tree.
-//
-// Recording a span must never block or stall the caller: SpanBuffer
-// evicts (and counts) once full.
 
 // NewTraceID returns a 128-bit random trace identifier (32 hex chars).
 func NewTraceID() string { return randomHex(16) }
@@ -92,66 +89,4 @@ func (s Span) Duration() time.Duration {
 		return 0
 	}
 	return s.End.Sub(s.Start)
-}
-
-// SpanBuffer is a bounded in-memory span recorder: the service's
-// flight-recorder backing store and the default sink in tests. Recording
-// never blocks beyond a brief mutex; once Limit spans are held, the
-// OLDEST span is evicted (ring semantics) and counted in Dropped, so the
-// buffer always holds the most recent window — what a flight recorder
-// wants after an incident.
-type SpanBuffer struct {
-	// Limit caps retained spans; 0 means 4096. Set before first use.
-	Limit int
-
-	mu      sync.Mutex
-	ring    []Span // grows to Limit spans, then wraps
-	start   int    // index of the oldest span once the ring wraps
-	dropped uint64
-}
-
-const defaultSpanBufferLimit = 4096
-
-// RecordSpan adds one completed span. Spans arrive at completion time, so
-// a child ("queue") lands before its parent ("job").
-func (b *SpanBuffer) RecordSpan(s Span) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	limit := b.Limit
-	if limit <= 0 {
-		limit = defaultSpanBufferLimit
-	}
-	if len(b.ring) < limit {
-		// Grow on demand: a server that records a few spans does not
-		// allocate and zero the whole window at its first span.
-		b.ring = append(b.ring, s)
-		return
-	}
-	// Overwrite the oldest: the recorder keeps the trailing window.
-	b.ring[b.start] = s
-	b.start = (b.start + 1) % len(b.ring)
-	b.dropped++
-}
-
-// Spans returns the held spans, oldest first.
-func (b *SpanBuffer) Spans() []Span {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Span, 0, len(b.ring))
-	out = append(out, b.ring[b.start:]...)
-	return append(out, b.ring[:b.start]...)
-}
-
-// Dropped reports how many spans the ring evicted to admit newer ones.
-func (b *SpanBuffer) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// Len reports how many spans the buffer currently holds.
-func (b *SpanBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.ring)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,58 +33,6 @@ func TestSpanIDs(t *testing.T) {
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			t.Fatalf("non-hex character %q in ID", c)
 		}
-	}
-}
-
-// TestSpanBufferRing checks the flight-recorder semantics: the buffer
-// keeps the most recent window, evicting and counting the oldest.
-func TestSpanBufferRing(t *testing.T) {
-	b := &obs.SpanBuffer{Limit: 4}
-	for i := 0; i < 10; i++ {
-		b.RecordSpan(mkSpan("t", string(rune('a'+i)), "", "op", "w", "", i, 1))
-		if i == 1 {
-			// Below the limit the buffer holds every span, oldest first.
-			if s := b.Spans(); len(s) != 2 || s[0].SpanID != "a" || s[1].SpanID != "b" || b.Len() != 2 {
-				t.Fatalf("after two spans the buffer holds %+v", s)
-			}
-		}
-	}
-	spans := b.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("buffer holds %d spans, want 4", len(spans))
-	}
-	// Oldest-first, and the window is the last four recorded.
-	for i, s := range spans {
-		if want := string(rune('a' + 6 + i)); s.SpanID != want {
-			t.Fatalf("span %d = %q, want %q", i, s.SpanID, want)
-		}
-	}
-	if b.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", b.Dropped())
-	}
-	if b.Len() != 4 {
-		t.Fatalf("len = %d, want 4", b.Len())
-	}
-}
-
-// TestSpanBufferConcurrent hammers the recorder from many goroutines
-// under -race; recorded + dropped must account for every span.
-func TestSpanBufferConcurrent(t *testing.T) {
-	b := &obs.SpanBuffer{Limit: 64}
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				b.RecordSpan(obs.Span{TraceID: "t", SpanID: obs.NewSpanID(), Name: "op"})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := uint64(b.Len()) + b.Dropped(); got != workers*per {
-		t.Fatalf("held(%d) + dropped(%d) = %d, want %d", b.Len(), b.Dropped(), got, workers*per)
 	}
 }
 

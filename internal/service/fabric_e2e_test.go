@@ -60,11 +60,11 @@ func TestFabricTraceTwoWorkers(t *testing.T) {
 	}
 
 	trace := obs.NewTraceID()
-	jA, err := srvA.Submit(sim.Job{Cfg: cfg}, WithTraceContext(trace, ""))
+	jA, err := srvA.Submit(sim.Job{Cfg: cfg}, Submission{TraceID: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jB, err := srvB.Submit(sim.Job{Cfg: cfg}, WithTraceContext(trace, ""))
+	jB, err := srvB.Submit(sim.Job{Cfg: cfg}, Submission{TraceID: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +230,10 @@ func TestSSEKeepalive(t *testing.T) {
 	client := ts.Client()
 
 	// A slow job pins the single worker; everything behind it is idle.
-	if _, err := srv.Submit(sim.Job{Cfg: slowConfig(900)}); err != nil {
+	if _, err := srv.Submit(sim.Job{Cfg: slowConfig(900)}, Submission{}); err != nil {
 		t.Fatal(err)
 	}
-	queued, err := srv.Submit(sim.Job{Cfg: fastConfig(20_000, 901)})
+	queued, err := srv.Submit(sim.Job{Cfg: fastConfig(20_000, 901)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +266,10 @@ func TestSSEKeepaliveDisabled(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, SSEKeepalive: -1})
 	defer drainServer(t, srv)
 
-	if _, err := srv.Submit(sim.Job{Cfg: slowConfig(910)}); err != nil {
+	if _, err := srv.Submit(sim.Job{Cfg: slowConfig(910)}, Submission{}); err != nil {
 		t.Fatal(err)
 	}
-	queued, err := srv.Submit(sim.Job{Cfg: fastConfig(20_000, 911)})
+	queued, err := srv.Submit(sim.Job{Cfg: fastConfig(20_000, 911)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,11 @@ func TestFleetTwoWorkers(t *testing.T) {
 		if i%2 == 1 {
 			first, second = srvB, srvA
 		}
-		j1, err := first.Submit(sim.Job{Cfg: cfg})
+		j1, err := first.Submit(sim.Job{Cfg: cfg}, Submission{})
 		if err != nil {
 			t.Fatalf("submit %d to first: %v", i, err)
 		}
-		j2, err := second.Submit(sim.Job{Cfg: cfg})
+		j2, err := second.Submit(sim.Job{Cfg: cfg}, Submission{})
 		if err != nil {
 			t.Fatalf("submit %d to second: %v", i, err)
 		}
@@ -151,7 +151,7 @@ func TestFleetAdoptionKeepsEntry(t *testing.T) {
 	if acquired, _, err := st.Claim(fp, "ghost", time.Minute, ""); err != nil || !acquired {
 		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
 	}
-	job, err := srv.Submit(sim.Job{Cfg: cfg})
+	job, err := srv.Submit(sim.Job{Cfg: cfg}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +193,9 @@ func TestFleetAdoptionKeepsEntry(t *testing.T) {
 
 // runsOnceAcrossFleet submits run to two fleet workers sharing the store
 // at dir and waits for both jobs: each must end done, with a series when
-// opts ask for one, and the fleet must have simulated exactly once, under
+// sub asks for one, and the fleet must have simulated exactly once, under
 // a lease.
-func runsOnceAcrossFleet(t *testing.T, dir string, run sim.Job, opts ...SubmitOption) {
+func runsOnceAcrossFleet(t *testing.T, dir string, run sim.Job, sub Submission) {
 	t.Helper()
 	var srvs [2]*Server
 	var jobs [2]*Job
@@ -207,7 +207,7 @@ func runsOnceAcrossFleet(t *testing.T, dir string, run sim.Job, opts ...SubmitOp
 		srvs[i], _ = newTestServer(t, Config{Workers: 1, Store: st, FleetWorker: name, LeaseTTL: time.Second})
 	}
 	for i, srv := range srvs {
-		j, err := srv.Submit(run, opts...)
+		j, err := srv.Submit(run, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestFleetSkewedResultRunsOnce(t *testing.T) {
 	if err := os.WriteFile(entry, []byte("{\"version\":99,\"checksum\":\"00\"}\n{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg})
+	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg}, Submission{})
 }
 
 // TestFleetBareEntrySidecarRunsOnce: a Result stored without the series
@@ -261,7 +261,7 @@ func TestFleetBareEntrySidecarRunsOnce(t *testing.T) {
 	if err := st.Put(fp, res); err != nil {
 		t.Fatal(err)
 	}
-	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg}, WithSeriesRecording())
+	runsOnceAcrossFleet(t, dir, sim.Job{Cfg: cfg}, Submission{Series: true})
 }
 
 // TestFleetAdoptionNamesExecutorTrace: a worker that waited on a live
@@ -278,7 +278,7 @@ func TestFleetAdoptionNamesExecutorTrace(t *testing.T) {
 	if acquired, _, err := st.Claim(fp, "ghost", time.Minute, "ghost-trace"); err != nil || !acquired {
 		t.Fatalf("seeding ghost claim: %v, %v", acquired, err)
 	}
-	job, err := srv.Submit(sim.Job{Cfg: cfg})
+	job, err := srv.Submit(sim.Job{Cfg: cfg}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}

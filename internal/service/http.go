@@ -147,7 +147,8 @@ func (r *JobRequest) buildConfig() (sim.Config, error) {
 //	GET    /v1/diff               run-diff two fingerprints' series
 //	                              (?a=, ?b=, ?skip_a=, ?skip_b=)
 //	DELETE /v1/sweeps/{id}        cancel every non-terminal cell
-//	GET    /debug/events          fabric-span flight recorder (last N spans)
+//	GET    /debug/events          fabric-span flight recorder (newest 4096
+//	                              spans by end time)
 //	GET    /metrics               Prometheus text metrics
 //	GET    /healthz               liveness
 //
@@ -227,20 +228,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var opts []SubmitOption
-	if req.Trace || req.Series {
-		opts = append(opts, WithSeriesRecording())
-	}
-	if req.Tenant != "" {
-		opts = append(opts, WithTenant(req.Tenant))
-	}
-	if req.Priority != 0 {
-		opts = append(opts, WithPriority(req.Priority))
-	}
-	if traceID, parent := parseTraceHeader(r.Header.Get(TraceHeader)); traceID != "" {
-		opts = append(opts, WithTraceContext(traceID, parent))
-	}
-	job, err := s.Submit(run, opts...)
+	traceID, parent := parseTraceHeader(r.Header.Get(TraceHeader))
+	job, err := s.Submit(run, Submission{Series: req.Trace || req.Series, Tenant: req.Tenant,
+		Priority: req.Priority, TraceID: traceID, ParentSpan: parent})
 	switch {
 	case err == nil:
 		st := job.Status()
@@ -516,14 +506,17 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleDebugEvents serves the fabric flight recorder: the last N spans
-// across all jobs and sweeps, oldest first, with the eviction count —
-// the "what just happened" endpoint for incident triage.
+// handleDebugEvents serves the fabric flight recorder: the newest
+// flightRecorderSpans spans across all jobs and finished sweeps, by end
+// time, oldest first, with how many older ones it leaves out — the "what
+// just happened" endpoint for incident triage.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
+	spans := s.recordedSpans()
+	held := min(len(spans), flightRecorderSpans)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"spans":   s.spans.Spans(),
-		"held":    s.spans.Len(),
-		"dropped": s.spans.Dropped(),
+		"spans":   spans[len(spans)-held:],
+		"held":    held,
+		"dropped": len(spans) - held,
 	})
 }
 
@@ -611,25 +604,26 @@ func (s *Server) handleSweepResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweepEvents streams the sweep's aggregate as SSE "summary"
-// events — one frame per completed cell with counts, rolling IPC/BPKI
-// means and an ETA — ending with one "done" event carrying the final
-// status. A subscriber first gets the current summary, so subscribing to
-// a finished sweep yields it and then "done" at once.
+// events — one frame per completed cell, each the sweep's SweepStatus
+// with its counts, rolling IPC/BPKI means and ETA — ending with one
+// "done" event carrying the final status. A subscriber first gets the
+// current status, so subscribing to a finished sweep yields it and then
+// "done" at once.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.Sweep(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
-	streamFeed(s, w, r, &sw.events, "summary", func(SweepEvent) []sseFrame {
-		return []sseFrame{{"summary", sw.event()}}
+	streamFeed(s, w, r, &sw.events, "summary", func(SweepStatus) []sseFrame {
+		return []sseFrame{{"summary", sw.Status()}}
 	}, sw.Done(), func() any { return sw.Status() })
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.m.render(w, s.sched.depthUsed(), time.Since(s.started), s.dccDistribution(),
-		s.sched.snapshot(), s.activeSweeps(), s.spans.Len(), s.spans.Dropped())
+		s.sched.snapshot(), s.activeSweeps())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -338,18 +338,18 @@ func TestNeverStartedJobsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(Config{Workers: 1, QueueDepth: 4, Store: st})
-	running, err := srv.Submit(sim.Job{Cfg: slowConfig(930)})
+	running, err := srv.Submit(sim.Job{Cfg: slowConfig(930)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for running.Status().State != StateRunning {
 		time.Sleep(time.Millisecond)
 	}
-	queued, err := srv.Submit(sim.Job{Cfg: slowConfig(931)})
+	queued, err := srv.Submit(sim.Job{Cfg: slowConfig(931)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	behind, err := srv.Submit(sim.Job{Cfg: slowConfig(932)})
+	behind, err := srv.Submit(sim.Job{Cfg: slowConfig(932)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestCancelRaceFinishesOnce(t *testing.T) {
 	}()
 	var all []*Job
 	for seed := uint64(950); seed < 982; seed++ {
-		j, err := srv.Submit(sim.Job{Cfg: fastConfig(2_000, seed)})
+		j, err := srv.Submit(sim.Job{Cfg: fastConfig(2_000, seed)}, Submission{})
 		if err != nil {
 			t.Fatal(err)
 		}

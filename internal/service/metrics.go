@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fdpsim/internal/cache"
+	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 )
 
@@ -37,14 +38,14 @@ type metrics struct {
 	leaseLost      atomic.Uint64 // mid-run lease renewals that found the lease gone
 
 	// Fabric tracing.
-	spansRecorded atomic.Uint64 // fabric spans recorded (job + flight recorder)
+	spansRecorded atomic.Uint64 // job stage spans, plus one root span per finished sweep
 
 	// Sweep fabric.
 	sweepsSubmitted atomic.Uint64 // sweeps admitted via POST /v1/sweeps
 	sweepCells      atomic.Uint64 // grid cells expanded across admitted sweeps
 
 	simCycles atomic.Uint64 // simulated cycles across completed runs
-	simNanos  atomic.Uint64 // wall-clock nanoseconds across completed runs
+	simNanos  atomic.Uint64 // wall-clock nanoseconds of their run stages (the run span)
 
 	intervals atomic.Uint64 // FDP sampling intervals closed across all runs
 
@@ -62,8 +63,7 @@ type metrics struct {
 	traceTruncated atomic.Uint64 // decision events dropped by the per-job limit
 
 	// Interval-timeseries recording and the run-diff endpoint.
-	seriesPoints atomic.Uint64 // catalog points (intervals × catalog width) the streams yield
-	seriesBytes  atomic.Uint64 // encoded sidecar bytes produced
+	seriesBytes atomic.Uint64 // encoded sidecar bytes produced
 	// diffVerdicts counts GET /v1/diff requests by report verdict
 	// ("pass"/"fail", plus "error" for requests that never produced a
 	// report). Writes are per-request, so a mutex over a small map is fine.
@@ -274,9 +274,8 @@ func renderHistogram(w io.Writer, h *histogram, name, help string) {
 // live queue length, owned by the Server); dccLevels is the distribution
 // of Dynamic Configuration Counter levels across currently running jobs,
 // keyed by controller label (inner index = level 1..5; index 0 unused),
-// likewise sampled by the caller, as are the flight recorder's
-// held/evicted span counts.
-func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevels map[string][6]int, tenants []TenantSnapshot, sweepsActive int, spansHeld int, spansDropped uint64) {
+// likewise sampled by the caller.
+func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevels map[string][6]int, tenants []TenantSnapshot, sweepsActive int) {
 	counter := func(name, help string, v uint64) {
 		fmt.Fprintf(w, "# HELP fdpserved_%s %s\n# TYPE fdpserved_%s counter\nfdpserved_%s %d\n", name, help, name, name, v)
 	}
@@ -373,9 +372,13 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 	counter("fleet_claim_waits_total", "Backoff waits on a claim held live by another worker.", m.claimsWaited.Load())
 	counter("fleet_lease_lost_total", "Mid-run lease renewals that found the lease stolen or gone.", m.leaseLost.Load())
 
-	counter("spans_recorded_total", "Fabric spans recorded into job traces and the flight recorder.", m.spansRecorded.Load())
-	counter("spans_dropped_total", "Fabric spans evicted from the flight recorder to admit newer ones.", spansDropped)
-	gauge("spans_held", "Fabric spans currently in the flight recorder (/debug/events).", float64(spansHeld))
+	// The flight recorder is a view of the recorded spans, so its counts
+	// follow from spans_recorded_total.
+	recorded := m.spansRecorded.Load()
+	held := min(recorded, flightRecorderSpans)
+	counter("spans_recorded_total", "Fabric spans recorded: every job stage, and one root span per finished sweep.", recorded)
+	counter("spans_dropped_total", "Recorded fabric spans older than the flight recorder's window (/debug/events).", recorded-held)
+	gauge("spans_held", "Fabric spans in the flight recorder's window: the newest recorded (/debug/events).", float64(held))
 
 	// Sweep families keep the sim_sweep_* naming the sweep fabric is
 	// documented under (docs/SWEEPS.md) rather than the fdpserved_ prefix.
@@ -431,7 +434,7 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 
 	// Series families keep the sim_* naming like sim_intervals_total: they
 	// count simulation observables, not daemon mechanics.
-	counter("sim_series_points_total", "Catalog points (intervals x catalog width) the recorded interval streams yield.", m.seriesPoints.Load())
+	counter("sim_series_points_total", "Catalog points (intervals x catalog width) the recorded interval streams yield.", m.traceEvents.Load()*uint64(series.NumMetrics))
 	counter("sim_series_bytes_total", "Encoded interval-timeseries sidecar bytes produced.", m.seriesBytes.Load())
 
 	fmt.Fprintf(w, "# HELP fdpserved_diff_requests_total GET /v1/diff requests by run-diff report verdict.\n# TYPE fdpserved_diff_requests_total counter\n")

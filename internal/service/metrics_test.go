@@ -2,12 +2,14 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"regexp"
 	"strconv"
 	"testing"
 	"time"
 
+	"fdpsim/internal/series"
 	"fdpsim/internal/sim"
 )
 
@@ -46,7 +48,9 @@ func TestBuildVersionReadOnce(t *testing.T) {
 
 // TestMetricsNewSeries checks the observability additions render: the
 // interval counter and rate, the per-position insertion counters, the DCC
-// distribution gauges, the trace counters and the HTTP histogram.
+// distribution gauges, the trace counters, the series points and the
+// flight-recorder window derived from other counters, and the HTTP
+// histogram.
 func TestMetricsNewSeries(t *testing.T) {
 	var m metrics
 	m.init()
@@ -56,12 +60,14 @@ func TestMetricsNewSeries(t *testing.T) {
 	m.observeInterval(&sim.DecisionEvent{Controller: "fdp", Insertion: "MRU"})
 	m.observeInterval(&sim.DecisionEvent{Controller: "dspatch-dual", Insertion: "LRU"}) // own series
 	m.httpDur.observe(0.002)
+	m.traceEvents.Add(3)
+	m.spansRecorded.Add(4100)
 
 	var buf bytes.Buffer
 	m.render(&buf, 0, 10*time.Second, map[string][6]int{
 		"fdp":  {0, 0, 1, 0, 0, 2},
 		"tree": {0, 1, 0, 0, 0, 0},
-	}, nil, 0, 0, 0)
+	}, nil, 0)
 	out := buf.String()
 
 	for _, want := range []string{
@@ -75,6 +81,10 @@ func TestMetricsNewSeries(t *testing.T) {
 		`fdpserved_dcc_level_jobs{controller="fdp",level="5"} 2`,
 		`fdpserved_dcc_level_jobs{controller="tree",level="1"} 1`,
 		"fdpserved_traces_collected_total 0",
+		fmt.Sprintf("fdpserved_sim_series_points_total %d\n", 3*series.NumMetrics),
+		"fdpserved_spans_recorded_total 4100\n",
+		"fdpserved_spans_held 4096\n",
+		"fdpserved_spans_dropped_total 4\n",
 		"fdpserved_http_request_duration_seconds_count 1",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {

@@ -86,9 +86,6 @@ type Config struct {
 	// (the crashed-worker path). 0 means 30s.
 	LeaseTTL time.Duration
 
-	// SpanLimit caps the fabric-span flight recorder (GET /debug/events):
-	// the last N spans across all jobs, oldest evicted. 0 means 4096.
-	SpanLimit int
 	// SSEKeepalive is the idle interval after which the SSE handlers emit
 	// a ": keepalive" comment frame so intermediaries do not drop a quiet
 	// stream. 0 means 15s; negative disables keepalives.
@@ -147,7 +144,7 @@ type Job struct {
 	progress feed[sim.DecisionEvent]
 
 	// wantSeries is set when the job was submitted for its interval
-	// stream (WithSeriesRecording); a cached answer must carry it.
+	// stream (Submission.Series); a cached answer must carry it.
 	// seriesBin is the encoded stream, the one sidecar, from which the
 	// decision trace and the series are rendered; it is set when the job
 	// reaches a terminal state.
@@ -260,9 +257,6 @@ type Server struct {
 	started time.Time
 	reqSeq  atomic.Uint64 // HTTP request IDs for log correlation
 	m       metrics
-	// spans is the fabric-span flight recorder behind /debug/events: the
-	// last Config.SpanLimit spans across all jobs, drop-oldest.
-	spans *obs.SpanBuffer
 }
 
 // defaultSeriesLimit caps the decision events recorded per job (about
@@ -302,7 +296,6 @@ func New(cfg Config) *Server {
 		jobs:       make(map[string]*Job),
 		sweeps:     make(map[string]*Sweep),
 		started:    time.Now(),
-		spans:      &obs.SpanBuffer{Limit: cfg.SpanLimit},
 	}
 	s.m.init()
 	for w := 0; w < cfg.Workers; w++ {
@@ -335,46 +328,35 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// SubmitOption customizes one submission.
-type SubmitOption func(*submitOptions)
+// Submission is how one run is submitted: whether it records its
+// interval stream, where it queues and which fabric trace it joins. The
+// zero value records no stream and queues on the default tenant at
+// priority 0 under a fresh trace.
+type Submission struct {
+	// Series makes the job record its interval stream (one DecisionEvent
+	// per FDP sampling interval, at most defaultSeriesLimit). Once the job
+	// is terminal the stream is downloadable as a decision trace at
+	// GET /v1/jobs/{id}/trace, queryable as a series at
+	// GET /v1/jobs/{id}/series and diffable at GET /v1/diff.
+	Series bool
+	// Tenant attributes the job to a scheduler tenant for fair queueing
+	// and quotas; empty means the default tenant. Under a strict roster,
+	// an unknown tenant fails the submission with sweep.ErrUnknownTenant.
+	Tenant string
+	// Priority orders the job against the tenant's other queued work;
+	// higher runs sooner. It is within-tenant only: it never lets one
+	// tenant jump another's share.
+	Priority int
+	// TraceID joins the job to an existing fabric trace (from the
+	// X-Fdp-Trace submission header, or a sweep's expansion) under
+	// ParentSpan; empty starts a fresh trace.
+	TraceID    string
+	ParentSpan string
 
-type submitOptions struct {
-	series     bool
-	tenant     string
-	priority   int
-	sweepID    string // set by SubmitSweep; sweep jobs bypass queued quotas
-	traceID    string // fabric trace to join (WithTraceContext); "" = fresh
-	parentSpan string
-}
-
-// WithSeriesRecording makes the job record its interval stream (one
-// DecisionEvent per FDP sampling interval, at most defaultSeriesLimit).
-// Once the job is terminal the stream is downloadable as a decision trace
-// at GET /v1/jobs/{id}/trace, queryable as a series at
-// GET /v1/jobs/{id}/series and diffable at GET /v1/diff.
-func WithSeriesRecording() SubmitOption {
-	return func(o *submitOptions) { o.series = true }
-}
-
-// WithTenant attributes the job to a scheduler tenant for fair queueing
-// and quotas. Empty (or omitted) means the default tenant. Under a
-// strict roster, an unknown tenant fails the submission with
-// sweep.ErrUnknownTenant.
-func WithTenant(name string) SubmitOption {
-	return func(o *submitOptions) { o.tenant = name }
-}
-
-// WithPriority orders the job against the tenant's other queued work;
-// higher runs sooner (default 0). Priority is within-tenant only — it
-// never lets one tenant jump another's share.
-func WithPriority(p int) SubmitOption {
-	return func(o *submitOptions) { o.priority = p }
-}
-
-// forSweep links the job to a sweep and lets it bypass queued quotas
-// (sweep admission is bounded at expansion by sweep.MaxJobs).
-func forSweep(id string) SubmitOption {
-	return func(o *submitOptions) { o.sweepID = id }
+	// sweepID links the job to the sweep that expanded it; sweep jobs
+	// bypass queued quotas (sweep admission is bounded at expansion by
+	// sweep.MaxJobs).
+	sweepID string
 }
 
 // Submit validates a run and either completes it from cache, enqueues it,
@@ -388,18 +370,14 @@ func forSweep(id string) SubmitOption {
 // Two identical submissions racing before either completes both simulate;
 // the store's atomic Put makes the duplicate write harmless. Deduplication
 // is an at-most-once-after-completion guarantee, not an in-flight one.
-func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
-	var o submitOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
+func (s *Server) Submit(run sim.Job, sub Submission) (*Job, error) {
 	if err := run.Validate(); err != nil {
 		return nil, err
 	}
 	fp, _ := run.Fingerprint() // Validate rejects what cannot fingerprint
 	run.Cfg.Tracer = nil       // the run stage installs its own sinks
 
-	tenant := o.tenant
+	tenant := sub.Tenant
 	if tenant == "" {
 		tenant = defaultTenant
 	}
@@ -407,7 +385,7 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		return nil, err
 	}
 
-	traceID := o.traceID
+	traceID := sub.TraceID
 	if traceID == "" {
 		traceID = obs.NewTraceID()
 	}
@@ -425,19 +403,19 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		fp:          fp,
 		run:         run,
 		tenant:      tenant,
-		priority:    o.priority,
-		sweepID:     o.sweepID,
+		priority:    sub.Priority,
+		sweepID:     sub.sweepID,
 		traceID:     traceID,
 		rootSpan:    obs.NewSpanID(),
-		parentSpan:  o.parentSpan,
+		parentSpan:  sub.ParentSpan,
 		state:       StateQueued,
 		submittedAt: time.Now(),
 		done:        make(chan struct{}),
-		wantSeries:  o.series,
+		wantSeries:  sub.Series,
 	}
 	s.m.submitted.Add(1)
 	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "series", o.series)
+		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "series", sub.Series)
 
 	a := attempt{outcome: store.OutcomeCacheHit, leaseGen: -1}
 	if s.cached(job, &a) {
@@ -447,7 +425,7 @@ func (s *Server) Submit(run sim.Job, opts ...SubmitOption) (*Job, error) {
 		s.m.cacheMisses.Add(1)
 		// Sweep jobs bypass the queued quotas: the sweep was admitted whole
 		// at expansion and fairness, not admission, spreads its load.
-		if err := s.sched.push(job, o.sweepID != ""); err != nil {
+		if err := s.sched.push(job, sub.sweepID != ""); err != nil {
 			if errors.Is(err, ErrQueueFull) {
 				s.m.rejected.Add(1)
 			}
@@ -495,9 +473,6 @@ func (s *Server) Cancel(id string) (*Job, error) {
 	s.log.Info("job cancel requested", "job", job.id, "state", string(state))
 	return job, nil
 }
-
-// QueueDepth returns the configured queue bound.
-func (s *Server) QueueDepth() int { return s.cfg.QueueDepth }
 
 // worker pops from the fair scheduler until Shutdown closes it. The pop
 // holds a running slot on the job's tenant; release returns it whatever
@@ -719,7 +694,7 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 	res, err := run.Run(ctx)
 	a.run = time.Since(start)
 	s.m.simCycles.Add(res.Counters.Cycles)
-	s.m.simNanos.Add(uint64(res.Elapsed.Nanoseconds()))
+	s.m.simNanos.Add(uint64(a.run.Nanoseconds()))
 	switch {
 	case err == nil:
 		a.outcome, a.res = store.OutcomeExecuted, &res
@@ -751,7 +726,6 @@ func (s *Server) run(ctx context.Context, job *Job, a *attempt) {
 		a.series = doc
 		s.m.traces.Add(1)
 		s.m.traceEvents.Add(uint64(sr.Len()))
-		s.m.seriesPoints.Add(uint64(sr.Len() * series.NumMetrics))
 		s.m.seriesBytes.Add(uint64(len(doc)))
 	}
 	if truncated := rec.Truncated(); truncated > 0 {

@@ -64,16 +64,16 @@ func TestAdoptionCarriesSidecars(t *testing.T) {
 
 	// b's only worker is busy, so b's job waits in its queue while a runs
 	// the same fingerprint and stores the result and its sidecar.
-	hold, err := b.Submit(sim.Job{Cfg: slowConfig(99)})
+	hold, err := b.Submit(sim.Job{Cfg: slowConfig(99)}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := sim.Job{Cfg: fastConfig(150_000, 31)}
-	jb, err := b.Submit(run, WithSeriesRecording())
+	jb, err := b.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := a.Submit(run, WithSeriesRecording())
+	ja, err := a.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +107,14 @@ func TestAdoptionCarriesSidecars(t *testing.T) {
 func TestStorelessSeriesRerun(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1})
 	run := sim.Job{Cfg: fastConfig(150_000, 13)}
-	first, err := srv.Submit(run, WithSeriesRecording())
+	first, err := srv.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, first)
 	want, _ := first.SeriesData()
 
-	second, err := srv.Submit(run, WithSeriesRecording())
+	second, err := srv.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSidecarsRederived(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, Store: st})
 	cfg := fastConfig(150_000, 17)
 
-	bare, err := srv.Submit(sim.Job{Cfg: cfg})
+	bare, err := srv.Submit(sim.Job{Cfg: cfg}, Submission{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSidecarsRederived(t *testing.T) {
 	}
 
 	fresh, _ := newTestServer(t, Config{Workers: 1})
-	fj, err := fresh.Submit(sim.Job{Cfg: cfg}, WithSeriesRecording())
+	fj, err := fresh.Submit(sim.Job{Cfg: cfg}, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSidecarsRederived(t *testing.T) {
 		t.Fatal("re-derived series differs from a fresh series-recorded run's")
 	}
 
-	third, err := srv.Submit(sim.Job{Cfg: cfg}, WithSeriesRecording())
+	third, err := srv.Submit(sim.Job{Cfg: cfg}, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestZeroIntervalTrace(t *testing.T) {
 	cfg.MaxInsts = 200_000
 	run := sim.Job{Cfg: cfg}
 
-	job, err := srv.Submit(run, WithSeriesRecording())
+	job, err := srv.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestZeroIntervalTrace(t *testing.T) {
 		t.Fatalf("GET trace?format=chrome = %d, %q; want an empty trace_event document", code, raw)
 	}
 
-	hit, err := srv.Submit(run, WithSeriesRecording())
+	hit, err := srv.Submit(run, Submission{Series: true})
 	if err != nil {
 		t.Fatal(err)
 	}

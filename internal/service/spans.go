@@ -2,6 +2,7 @@ package service
 
 import (
 	"runtime/debug"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -12,35 +13,27 @@ import (
 
 // Fabric tracing: every job carries one trace ID through its whole life
 // — submit → tenant queue → fair-queue dispatch → fleet claim → sim run
-// → store write — and each stage lands as an obs.Span in two places: the
-// job itself (served by GET /v1/jobs/{id}/spans) and the server's
-// flight recorder (GET /debug/events). A sweep stamps its trace ID onto
+// → store write — and each stage lands as an obs.Span on the job itself
+// (served by GET /v1/jobs/{id}/spans). A sweep stamps its trace ID onto
 // every job it expands, and claim files carry it across fleet workers,
 // so a grid fanned out over several processes stays one coherent trace.
+// The flight recorder (GET /debug/events) is a view of the jobs' spans
+// and the finished sweeps' root spans, not a copy of them.
 
 // TraceHeader is the HTTP header that propagates trace context on
 // submissions: "<trace-id>" or "<trace-id>/<parent-span-id>". Responses
 // to traced submissions echo the job's trace ID back in the same header.
 const TraceHeader = "X-Fdp-Trace"
 
-// parseTraceHeader splits a TraceHeader value into its parts. Empty
-// values yield empty strings (the job then starts a fresh trace).
+// parseTraceHeader splits a TraceHeader value into its parts. A value
+// without a trace ID yields empty strings (the submission then starts a
+// fresh trace).
 func parseTraceHeader(v string) (traceID, parentSpan string) {
-	v = strings.TrimSpace(v)
-	if v == "" {
+	traceID, parentSpan, _ = strings.Cut(strings.TrimSpace(v), "/")
+	if traceID == "" {
 		return "", ""
 	}
-	if i := strings.IndexByte(v, '/'); i >= 0 {
-		return v[:i], v[i+1:]
-	}
-	return v, ""
-}
-
-// WithTraceContext joins the job to an existing fabric trace (from the
-// X-Fdp-Trace submission header, or a sweep's expansion). Empty traceID
-// means "start a fresh trace", which every job gets anyway.
-func WithTraceContext(traceID, parentSpan string) SubmitOption {
-	return func(o *submitOptions) { o.traceID, o.parentSpan = traceID, parentSpan }
+	return traceID, parentSpan
 }
 
 // actor names this process in span lanes and provenance entries.
@@ -51,9 +44,8 @@ func (s *Server) actor() string {
 	return "local"
 }
 
-// addSpan completes one span of the job's trace: it lands on the job
-// (for /spans) and in the server flight recorder (for /debug/events),
-// both bounded, neither blocking.
+// addSpan completes one span of the job's trace; it lands on the job,
+// where /spans, the sweep's trace and /debug/events read it.
 func (s *Server) addSpan(j *Job, sp obs.Span) {
 	sp.TraceID = j.traceID
 	if sp.SpanID == "" {
@@ -70,7 +62,41 @@ func (s *Server) addSpan(j *Job, sp obs.Span) {
 	j.spans = append(j.spans, sp)
 	j.mu.Unlock()
 	s.m.spansRecorded.Add(1)
-	s.spans.RecordSpan(sp)
+}
+
+// flightRecorderSpans is how many spans GET /debug/events returns: the
+// newest by end time.
+const flightRecorderSpans = 4096
+
+// recordedSpans gathers every span the server has recorded, ordered by
+// end time: each job's spans, and the root span of each terminal sweep.
+// Ties keep job-ID order, then each job's recording order, with the sweep
+// roots last in sweep-ID order.
+func (s *Server) recordedSpans() []obs.Span {
+	jobs := s.Jobs()
+	sort.Slice(jobs, func(i, k int) bool { return idLess(jobs[i].id, jobs[k].id) })
+	var spans []obs.Span
+	for _, j := range jobs {
+		j.mu.Lock()
+		spans = append(spans, j.spans...)
+		j.mu.Unlock()
+	}
+	sweeps := s.Sweeps()
+	sort.Slice(sweeps, func(i, k int) bool { return idLess(sweeps[i].id, sweeps[k].id) })
+	for _, sw := range sweeps {
+		// A running sweep's root span is not recorded yet.
+		if root := s.sweepRoot(sw); root.Attrs["outcome"] != "running" {
+			spans = append(spans, root)
+		}
+	}
+	sort.SliceStable(spans, func(i, k int) bool { return spans[i].End.Before(spans[k].End) })
+	return spans
+}
+
+// idLess orders job and sweep IDs by their sequence numbers, which are
+// zero-padded until they outgrow the padding.
+func idLess(a, b string) bool {
+	return len(a) < len(b) || len(a) == len(b) && a < b
 }
 
 // Spans returns the job's completed fabric spans so far (all of them

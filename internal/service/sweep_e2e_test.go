@@ -83,7 +83,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		if m.Event != "summary" {
 			t.Fatalf("unexpected sweep SSE event %q", m.Event)
 		}
-		var ev SweepEvent
+		var ev SweepStatus
 		if err := json.Unmarshal([]byte(m.Data), &ev); err != nil {
 			t.Fatal(err)
 		}

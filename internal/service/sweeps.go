@@ -39,7 +39,7 @@ type Sweep struct {
 	done       chan struct{}
 
 	// events carries the aggregate SSE frames, one per finished job.
-	events feed[SweepEvent]
+	events feed[SweepStatus]
 }
 
 // ID returns the sweep's identifier.
@@ -51,18 +51,8 @@ func (sw *Sweep) TraceID() string { return sw.traceID }
 // Done returns a channel closed when every cell is terminal.
 func (sw *Sweep) Done() <-chan struct{} { return sw.done }
 
-// SweepEvent is one frame of a sweep's aggregate SSE feed.
-type SweepEvent struct {
-	ID             string        `json:"id"`
-	State          string        `json:"state"`
-	Summary        sweep.Summary `json:"summary"`
-	ElapsedSeconds float64       `json:"elapsed_seconds"`
-	// ETASeconds extrapolates the remaining cells from the completed
-	// ones' pace; 0 until the first cell completes or once terminal.
-	ETASeconds float64 `json:"eta_seconds,omitempty"`
-}
-
-// SweepStatus is the JSON shape of a sweep.
+// SweepStatus is the JSON shape of a sweep: the GET body and every frame
+// of its aggregate SSE feed.
 type SweepStatus struct {
 	ID         string        `json:"id"`
 	Name       string        `json:"name,omitempty"`
@@ -73,7 +63,12 @@ type SweepStatus struct {
 	Cells      int           `json:"cells"`
 	Jobs       int           `json:"jobs"` // distinct simulations
 	Summary    sweep.Summary `json:"summary"`
-	ETASeconds float64       `json:"eta_seconds,omitempty"`
+	// ElapsedSeconds runs from creation to now, or to FinishedAt once the
+	// sweep is terminal.
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	// ETASeconds extrapolates the remaining cells from the completed
+	// ones' pace; 0 until the first cell completes or once terminal.
+	ETASeconds float64 `json:"eta_seconds,omitempty"`
 }
 
 // SubmitSweep expands, validates and admits a sweep: every distinct
@@ -128,21 +123,19 @@ func (s *Server) SubmitSweep(req sweep.Request, traceID, parentSpan string) (*Sw
 			jobs[i] = j
 			continue
 		}
-		opts := []SubmitOption{WithTenant(tenant), WithPriority(req.Priority), forSweep(sw.id),
-			WithTraceContext(sw.traceID, sw.rootSpan)}
-		if req.Series {
-			opts = append(opts, WithSeriesRecording())
-		}
-		j, err := s.Submit(u.Job, opts...)
+		j, err := s.Submit(u.Job, Submission{Series: req.Series, Tenant: tenant, Priority: req.Priority,
+			TraceID: sw.traceID, ParentSpan: sw.rootSpan, sweepID: sw.id})
 		if err != nil {
 			// Unreachable except for a shutdown racing the admission:
 			// validation happened at Expand and sweep jobs bypass quotas.
 			// Leave already-submitted jobs to the shutdown drain and hand
-			// back a partially-submitted, cancelled sweep.
+			// back a partially-submitted, cancelled sweep. No watcher runs
+			// yet, so this is the one call that ends it.
 			sw.mu.Lock()
 			sw.jobs, sw.distinct = jobs[:i], distinct
-			sw.finishLocked("cancelled")
+			s.finishSweepLocked(sw, "cancelled")
 			sw.mu.Unlock()
+			close(sw.done)
 			return nil, err
 		}
 		byFP[fp] = j
@@ -163,9 +156,6 @@ func (s *Server) SubmitSweep(req sweep.Request, traceID, parentSpan string) (*Sw
 			<-j.Done()
 			s.sweepTick(sw)
 		}(j)
-	}
-	if len(distinct) == 0 {
-		s.sweepTick(sw)
 	}
 	return sw, nil
 }
@@ -260,26 +250,34 @@ func (sw *Sweep) Tables() []harness.Table {
 
 // Status snapshots the sweep for serialization.
 func (sw *Sweep) Status() SweepStatus {
-	cells := sw.Cells()
-	sum := sweep.Summarize(cells)
+	sum := sweep.Summarize(sw.Cells())
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	return sw.statusLocked(sum)
+}
+
+// statusLocked snapshots the sweep with sum, the summary of its cells.
+// Caller holds sw.mu.
+func (sw *Sweep) statusLocked(sum sweep.Summary) SweepStatus {
 	st := SweepStatus{
 		ID:        sw.id,
 		Name:      sw.name,
 		Tenant:    sw.tenant,
 		State:     sw.state,
 		CreatedAt: sw.created,
-		Cells:     len(cells),
+		Cells:     len(sw.units),
 		Jobs:      len(sw.distinct),
 		Summary:   sum,
 	}
+	end := time.Now()
 	if !sw.finishedAt.IsZero() {
-		t := sw.finishedAt
-		st.FinishedAt = &t
+		end = sw.finishedAt
+		st.FinishedAt = &end
 	}
+	elapsed := end.Sub(sw.created)
+	st.ElapsedSeconds = elapsed.Seconds()
 	if sw.state == "running" {
-		st.ETASeconds = etaSeconds(sum, time.Since(sw.created))
+		st.ETASeconds = etaSeconds(sum, elapsed)
 	}
 	return st
 }
@@ -294,91 +292,73 @@ func etaSeconds(sum sweep.Summary, elapsed time.Duration) float64 {
 	return perCell * float64(sum.Total-finished)
 }
 
-// event builds the SSE frame for the sweep's current state.
-func (sw *Sweep) event() SweepEvent {
-	sum := sweep.Summarize(sw.Cells())
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.eventLocked(sum)
-}
-
-// eventLocked builds the SSE frame for a summary of the sweep's cells.
+// finishSweepLocked moves a running sweep to a terminal state, counts its
+// root span, which /debug/events then shows, and reports whether this
+// call did: exactly one call ends each sweep, and it closes Done after.
 // Caller holds sw.mu.
-func (sw *Sweep) eventLocked(sum sweep.Summary) SweepEvent {
-	elapsed := time.Since(sw.created)
-	ev := SweepEvent{ID: sw.id, State: sw.state, Summary: sum, ElapsedSeconds: elapsed.Seconds()}
-	if sw.state == "running" {
-		ev.ETASeconds = etaSeconds(sum, elapsed)
-	}
-	return ev
-}
-
-// finishLocked moves the sweep to a terminal state. Caller holds sw.mu.
-func (sw *Sweep) finishLocked(state string) {
+func (s *Server) finishSweepLocked(sw *Sweep, state string) bool {
 	if sw.state != "running" {
-		return
+		return false
 	}
 	sw.state = state
 	sw.finishedAt = time.Now()
-	close(sw.done)
+	s.m.spansRecorded.Add(1)
+	return true
 }
 
 // sweepTick recomputes the aggregate after a job completes, publishes the
-// frame to SSE subscribers, and finalizes the sweep when the last cell
-// lands.
+// status to SSE subscribers, and ends the sweep when the last cell lands.
 func (s *Server) sweepTick(sw *Sweep) {
 	sum := sweep.Summarize(sw.Cells())
 
 	sw.mu.Lock()
-	if sum.Terminal() && sw.state == "running" {
-		state := "done"
-		if sum.Done == 0 && sum.Cancelled > 0 {
-			state = "cancelled"
-		}
-		sw.finishLocked(state)
+	state := "done"
+	if sum.Done == 0 && sum.Cancelled > 0 {
+		state = "cancelled"
 	}
-	sw.events.publish(sw.eventLocked(sum))
-	state := sw.state
-	created, finished := sw.created, sw.finishedAt
+	ended := sum.Terminal() && s.finishSweepLocked(sw, state)
+	sw.events.publish(sw.statusLocked(sum))
 	sw.mu.Unlock()
 
-	if state != "running" {
-		// The sweep's root span completes when its last cell lands; every
-		// job span already parents onto it via WithTraceContext.
-		s.spans.RecordSpan(obs.Span{
-			TraceID: sw.traceID, SpanID: sw.rootSpan, Parent: sw.parentSpan,
-			Name: "sweep", Actor: s.actor(), Lane: sw.tenant,
-			Start: created, End: finished,
-			Attrs: map[string]string{
-				"sweep": sw.id, "outcome": state,
-				"cells": strconv.Itoa(sum.Total), "done": strconv.Itoa(sum.Done),
-			}})
-		s.m.spansRecorded.Add(1)
+	if ended {
 		s.log.Info("sweep finished", "sweep", sw.id, "state", state,
 			"done", sum.Done, "failed", sum.Failed, "cancelled", sum.Cancelled,
 			"cache_hits", sum.CacheHits)
+		close(sw.done)
 	}
 }
 
-// Spans gathers the sweep's fabric spans: the sweep root (once terminal)
-// plus every distinct job's spans, for GET /v1/sweeps/{id}/trace. The
-// root span is synthesized live for a still-running sweep so a partial
-// trace still renders.
+// sweepRoot builds the sweep's own span, the parent of each of its job
+// spans, from the sweep: it is never stored. A running sweep's span ends
+// now and names its outcome "running".
+func (s *Server) sweepRoot(sw *Sweep) obs.Span {
+	sw.mu.Lock()
+	state, end := sw.state, sw.finishedAt
+	sw.mu.Unlock()
+	if end.IsZero() {
+		end = time.Now()
+	}
+	// Summarized after reading the state: a terminal sweep's cells no
+	// longer change.
+	sum := sweep.Summarize(sw.Cells())
+	return obs.Span{
+		TraceID: sw.traceID, SpanID: sw.rootSpan, Parent: sw.parentSpan,
+		Name: "sweep", Actor: s.actor(), Lane: sw.tenant,
+		Start: sw.created, End: end,
+		Attrs: map[string]string{
+			"sweep": sw.id, "outcome": state,
+			"cells": strconv.Itoa(sum.Total), "done": strconv.Itoa(sum.Done),
+		}}
+}
+
+// sweepSpans gathers the sweep's fabric spans for GET
+// /v1/sweeps/{id}/trace: its root span, then every distinct job's spans,
+// so a running sweep's partial trace still renders.
 func (s *Server) sweepSpans(sw *Sweep) []obs.Span {
 	sw.mu.Lock()
 	jobs := sw.distinct
-	state := sw.state
-	created, finished := sw.created, sw.finishedAt
 	sw.mu.Unlock()
-	if finished.IsZero() {
-		finished = time.Now()
-	}
-	out := []obs.Span{{
-		TraceID: sw.traceID, SpanID: sw.rootSpan, Parent: sw.parentSpan,
-		Name: "sweep", Actor: s.actor(), Lane: sw.tenant,
-		Start: created, End: finished,
-		Attrs: map[string]string{"sweep": sw.id, "outcome": state},
-	}}
+	out := []obs.Span{s.sweepRoot(sw)}
 	for _, j := range jobs {
 		out = append(out, j.Spans()...)
 	}

@@ -9,7 +9,10 @@
 #      worker), run and store,
 #   2. the submit response echoes the X-Fdp-Trace header,
 #   3. the provenance ledger beside the store has entries for the sweep,
-#   4. /metrics carries the build-info and span families.
+#   4. /metrics carries the build-info and span families,
+#   5. the flight recorder (/debug/events) holds one root span per sweep,
+#      also for a resubmission whose cells are all cache hits, and its
+#      counts on /metrics add up.
 #
 # No dependencies beyond a POSIX shell and curl; JSON checks fall back
 # from python3 to grep so the script runs in minimal CI images.
@@ -45,31 +48,36 @@ until curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
-# Submit a 2-cell sweep under an explicit trace ID so propagation is
-# checkable end to end.
+# submit_sweep posts the 2-cell sweep under an explicit trace ID, so
+# propagation is checkable end to end, and prints the sweep's ID.
+submit_sweep() {
+    curl -fsS -D "$WORK/headers" -o "$WORK/sweep.json" \
+        -H "X-Fdp-Trace: $TRACE" \
+        -H 'Content-Type: application/json' \
+        -d '{"name":"trace-smoke","workloads":["seqstream"],"configs":[{"fdp":true},{"level":2}],"insts":20000}' \
+        "http://$ADDR/v1/sweeps" || { cat "$WORK/served.log" >&2; die "sweep submission failed"; }
+    grep -i "x-fdp-trace: $TRACE" "$WORK/headers" >/dev/null \
+        || die "submit response did not echo X-Fdp-Trace"
+    sed -n 's/.*"id": *"\(sweep-[0-9]*\)".*/\1/p' "$WORK/sweep.json" | head -1
+}
+
+# wait_sweep polls sweep $1 until it is done.
+wait_sweep() {
+    i=0
+    while :; do
+        STATE=$(curl -fsS "http://$ADDR/v1/sweeps/$1" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
+        [ "$STATE" = done ] && break
+        [ "$STATE" = failed ] || [ "$STATE" = cancelled ] && die "sweep $1 ended $STATE"
+        i=$((i + 1))
+        [ "$i" -gt 300 ] && die "sweep $1 did not finish (state: ${STATE:-unknown})"
+        sleep 0.2
+    done
+}
+
 TRACE="deadbeefdeadbeefdeadbeefdeadbeef"
-curl -fsS -D "$WORK/headers" -o "$WORK/sweep.json" \
-    -H "X-Fdp-Trace: $TRACE" \
-    -H 'Content-Type: application/json' \
-    -d '{"name":"trace-smoke","workloads":["seqstream"],"configs":[{"fdp":true},{"level":2}],"insts":20000}' \
-    "http://$ADDR/v1/sweeps" || { cat "$WORK/served.log" >&2; die "sweep submission failed"; }
-
-grep -i "x-fdp-trace: $TRACE" "$WORK/headers" >/dev/null \
-    || die "submit response did not echo X-Fdp-Trace"
-
-SWEEP=$(sed -n 's/.*"id": *"\(sweep-[0-9]*\)".*/\1/p' "$WORK/sweep.json" | head -1)
+SWEEP=$(submit_sweep)
 [ -n "$SWEEP" ] || die "no sweep ID in submit response"
-
-# Poll until the sweep is terminal.
-i=0
-while :; do
-    STATE=$(curl -fsS "http://$ADDR/v1/sweeps/$SWEEP" | sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' | head -1)
-    [ "$STATE" = done ] && break
-    [ "$STATE" = failed ] || [ "$STATE" = cancelled ] && die "sweep ended $STATE"
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && die "sweep did not finish (state: ${STATE:-unknown})"
-    sleep 0.2
-done
+wait_sweep "$SWEEP"
 
 # 1. Chrome trace: valid JSON with >0 complete events, all on our trace.
 curl -fsS "http://$ADDR/v1/sweeps/$SWEEP/trace" >"$WORK/trace.json"
@@ -108,4 +116,24 @@ for family in fdpserved_build_info fdpserved_spans_recorded_total fdpserved_tena
     grep -q "$family" "$WORK/metrics" || die "/metrics missing $family"
 done
 
-echo "trace-smoke: PASS ($SWEEP, $LEDGERS ledgers)"
+# 4. Flight recorder: the same sweep again, every cell a cache hit, so
+# all its cells finish at once. Each sweep ends once, so /debug/events
+# holds one root span per sweep ID, and the recorder is a view of the
+# recorded spans, so held + dropped = recorded.
+AGAIN=$(submit_sweep)
+[ -n "$AGAIN" ] || die "no sweep ID in resubmission response"
+wait_sweep "$AGAIN"
+curl -fsS "http://$ADDR/debug/events" >"$WORK/events.json"
+for id in "$SWEEP" "$AGAIN"; do
+    ROOTS=$(grep -c "\"sweep\": \"$id\"" "$WORK/events.json" || true)
+    [ "$ROOTS" = 1 ] || die "/debug/events holds $ROOTS root spans of $id, want 1"
+done
+curl -fsS "http://$ADDR/metrics" >"$WORK/metrics"
+metric() { sed -n "s/^fdpserved_$1 //p" "$WORK/metrics"; }
+HELD=$(metric spans_held)
+DROPPED=$(metric spans_dropped_total)
+RECORDED=$(metric spans_recorded_total)
+[ "$((HELD + DROPPED))" = "$RECORDED" ] \
+    || die "spans_held $HELD + spans_dropped_total $DROPPED != spans_recorded_total $RECORDED"
+
+echo "trace-smoke: PASS ($SWEEP and cached $AGAIN, $LEDGERS ledgers, $RECORDED spans)"
