@@ -84,16 +84,19 @@ bench:
 	go test -bench=. -benchmem
 
 # The core benchmarks bench-core and bench-json run: the cycle loop
-# (BenchmarkIntervalBoundary, BenchmarkPerInstruction), trace-v2 encode
-# and decode (BenchmarkWriterV2, BenchmarkReaderV2) and the series codec
+# (BenchmarkIntervalBoundary, BenchmarkPerInstruction), a run's
+# construction (BenchmarkRunSetup), trace-v2 encode and decode
+# (BenchmarkWriterV2, BenchmarkReaderV2) and the series codec
 # (BenchmarkSeriesCodec).
 BENCH_PKGS = ./internal/sim ./internal/trace ./internal/series
-BENCH_CORE = BenchmarkIntervalBoundary|BenchmarkPerInstruction|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkSeriesCodec
+BENCH_CORE = BenchmarkIntervalBoundary|BenchmarkPerInstruction|BenchmarkRunSetup|BenchmarkWriterV2|BenchmarkReaderV2|BenchmarkSeriesCodec
 
 # The hot-path contract: the warmed cycle loop and the trace-v2 writer
 # and reader allocate nothing. Runs the core benchmarks with -benchmem
-# and fails if any of the first four reports a nonzero allocs/op (the
-# series codec allocates its document and events by design). To compare
+# and fails if any of the four hot-path ones reports a nonzero allocs/op
+# (a run's construction allocates the objects the run is built of, and
+# the series codec its document and events, by design; bench-diff holds
+# their counts). To compare
 # throughput across commits, save this target's output on both and feed
 # them to benchstat (not vendored; the target only points at it so
 # nothing here needs network access):
@@ -210,10 +213,13 @@ serve:
 # one whose header names another version. FuzzClaimFile writes them as a
 # claim file and a provenance ledger: a dead claim is stolen, a
 # non-owner changes no file, and an entry appended after the ledger's
-# bytes is read back.
+# bytes is read back. FuzzSpec feeds arbitrary bytes to the
+# workload-spec parser: none may panic it, and every lane of a spec that
+# parses must generate ops without panicking or hanging.
 FUZZ_TARGETS = service:FuzzJobRequest trace:FuzzReaderV2 trace:FuzzWriterV2 control:FuzzTreeModel \
 	series:FuzzDecode cache:FuzzBlockIndex cache:FuzzCacheLRU \
-	prefetch:FuzzStreamTable store:FuzzStoreFile store:FuzzClaimFile
+	prefetch:FuzzStreamTable store:FuzzStoreFile store:FuzzClaimFile \
+	workload/spec:FuzzSpec
 
 define fuzz-run
 go test ./internal/$(firstword $(subst :, ,$(1))) -run xxx -fuzz '$(lastword $(subst :, ,$(1)))$$' -fuzztime $(FUZZTIME)
@@ -222,8 +228,8 @@ endef
 
 # fuzz runs every target for 30 seconds; fuzz-smoke is the 10-second
 # slice CI runs on every PR, so request, decoder, encoder, model-loader,
-# block-index, tag-store, stream-table, stored-file and claim/ledger
-# fuzz regressions surface before merge, not in nightlies.
+# block-index, tag-store, stream-table, stored-file, claim/ledger and
+# spec-parser fuzz regressions surface before merge, not in nightlies.
 fuzz: FUZZTIME = 30s
 fuzz-smoke: FUZZTIME = 10s
 fuzz fuzz-smoke:

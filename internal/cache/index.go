@@ -3,8 +3,9 @@ package cache
 // BlockIndex is an open-addressed hash index from a block address (or any
 // uint64 key) to an int32, built for the per-access bookkeeping of the
 // memory path: the MSHR file, the L1-miss table, the prefetch-queue
-// filter and the GHB zone table. Its slots are one dense array, so a
-// lookup is one multiply and, on a short probe run, one cache line.
+// filter, the GHB zone table and attribution's timestamps. Its slots are
+// one dense array, so a lookup is one multiply and, on a short probe
+// run, one cache line.
 //
 //   - A key's home slot is the top bits of key × 2^64/φ (Fibonacci
 //     hashing), which spreads the strided and clustered block addresses a
@@ -13,10 +14,9 @@ package cache
 //   - Delete shifts the rest of the probe run back over the hole, so the
 //     table holds no tombstones and a lookup's probe stops at the first
 //     empty slot.
-//   - The table doubles once it is more than half full. An owner with a
-//     fixed capacity builds its index with NewBlockIndex(capacity), which
-//     sizes the table so that it never grows; an owner without one grows
-//     it during warm-up, after which Put allocates nothing.
+//   - The table doubles once it is more than half full. Each owner
+//     builds its index with NewBlockIndex(capacity), which sizes the
+//     table so that it never grows while it holds at most capacity keys.
 //
 // Nothing ranges over a BlockIndex, so no result can depend on its slot
 // order. Copying a BlockIndex shares its slots: keep one value per owner

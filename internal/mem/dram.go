@@ -49,6 +49,9 @@ type Request struct {
 	Finished    uint64 // cycle the data transfer completed
 	bank        int
 	row         uint64
+	// next links a started request to the one started after it: the
+	// DRAM's completion FIFO is threaded through the requests themselves.
+	next *Request
 	// pooled marks requests drawn from the DRAM's free list via Acquire;
 	// only those are recycled, so caller-constructed &Request{} values
 	// (tests, external drivers) are never reused behind the caller's back.
@@ -121,15 +124,18 @@ type DRAM struct {
 	banks     []bank
 	queues    [numKinds][]*Request
 	busFreeAt uint64
-	// pending[head:] holds the started requests in start order, which is
-	// finish order (see start), so completions drain from its head.
-	pending []*Request
-	head    int
+	// first and last bound the started requests, linked through
+	// Request.next in start order, which is finish order (see start), so
+	// completions drain from first. The list holds requests, not slots,
+	// so it needs no sizing and never allocates.
+	first, last *Request
 	// OnStart fires when a request wins the command bus — the paper's
 	// "goes out on the bus" moment used to count sent prefetches.
 	OnStart func(r *Request)
 	stats   Stats
-	// freeReqs recycles completed pooled requests (see Acquire).
+	// reqs is the request pool's slab and freeReqs its free list (see
+	// Acquire).
+	reqs     []Request
 	freeReqs []*Request
 	// nextSchedule memoizes a failed scheduler scan: no queued request can
 	// win the command bus before this cycle, so Tick skips the scan
@@ -159,17 +165,18 @@ func New(cfg Config) *DRAM {
 		d.cfg.ScanWindow = 1
 	}
 	// Pre-size every request-holding structure to its working depth so the
-	// simulation loop never grows them: the queues to their cap, the
-	// completion FIFO to a generous transfer backlog, and the request pool
-	// to the worst-case in-flight population (all queues full plus the
-	// backlog) — after which Acquire/release recycle without allocating.
+	// simulation loop never grows them: the queues to their cap, and the
+	// request pool to the worst-case population (all queues full plus a
+	// transfer backlog of 64), one slab whatever its size. Acquire and
+	// release then recycle without allocating.
 	for k := range d.queues {
 		d.queues[k] = make([]*Request, 0, d.cfg.QueueCap)
 	}
-	d.pending = make([]*Request, 0, 64)
-	d.freeReqs = make([]*Request, 0, 3*d.cfg.QueueCap+64)
-	for i := 0; i < cap(d.freeReqs); i++ {
-		d.freeReqs = append(d.freeReqs, &Request{pooled: true})
+	d.reqs = make([]Request, 3*d.cfg.QueueCap+64)
+	d.freeReqs = make([]*Request, len(d.reqs))
+	for i := range d.reqs {
+		d.reqs[i].pooled = true
+		d.freeReqs[i] = &d.reqs[i]
 	}
 	return d
 }
@@ -186,8 +193,9 @@ func (d *DRAM) QueueLen(k Kind) int { return len(d.queues[k]) }
 // CanEnqueue reports whether a request of the given kind would be accepted.
 func (d *DRAM) CanEnqueue(k Kind) bool { return len(d.queues[k]) < d.cfg.QueueCap }
 
-// Acquire returns a zeroed Request from the DRAM's internal free list.
-// Pooled requests are recycled automatically: after Done returns on
+// Acquire returns a zeroed Request from the DRAM's internal free list,
+// or from the heap once the slab is drained. Pooled requests, from either
+// source, are recycled automatically: after Done returns on
 // completion (for writebacks, after the transfer finishes), or when
 // Enqueue rejects them — in both cases the caller must not retain the
 // pointer. Requests constructed directly with &Request{} are untouched by
@@ -248,7 +256,7 @@ func (d *DRAM) Promote(block cache.Addr) bool {
 func (d *DRAM) Busy() bool { return d.inFlight() || d.queued() }
 
 // inFlight reports whether any started request has yet to complete.
-func (d *DRAM) inFlight() bool { return d.head < len(d.pending) }
+func (d *DRAM) inFlight() bool { return d.first != nil }
 
 // queued reports whether any request waits in a queue.
 func (d *DRAM) queued() bool {
@@ -264,7 +272,7 @@ func (d *DRAM) queued() bool {
 func (d *DRAM) NextEvent() uint64 {
 	next := ^uint64(0)
 	if d.inFlight() {
-		next = d.pending[d.head].Finished
+		next = d.first.Finished
 	}
 	if d.queued() {
 		next = min(next, d.nextSchedule)
@@ -277,10 +285,11 @@ func (d *DRAM) NextEvent() uint64 {
 // every transfer that has completed by this cycle.
 func (d *DRAM) Tick(cycle uint64) {
 	d.schedule(cycle)
-	for d.inFlight() && d.pending[d.head].Finished <= cycle {
-		r := d.pending[d.head]
-		d.pending[d.head] = nil
-		d.head++
+	for d.inFlight() && d.first.Finished <= cycle {
+		r := d.first
+		if d.first = r.next; d.first == nil {
+			d.last = nil
+		}
 		if r.Kind == Demand {
 			d.stats.DemandLatencySum += r.Latency()
 			d.stats.DemandCount++
@@ -289,9 +298,6 @@ func (d *DRAM) Tick(cycle uint64) {
 			r.Done(r)
 		}
 		d.release(r)
-	}
-	if !d.inFlight() {
-		d.pending, d.head = d.pending[:0], 0
 	}
 }
 
@@ -351,7 +357,8 @@ func (d *DRAM) schedule(cycle uint64) {
 //
 // and every started request finishes no earlier than the one started
 // before it — strictly later when Transfer ≥ 1. Start order is therefore
-// finish order, and pending needs no sorting: r joins its tail.
+// finish order, and the completion FIFO needs no sorting: r joins its
+// tail.
 func (d *DRAM) start(r *Request, cycle uint64) {
 	b := &d.banks[r.bank]
 	latency, busy := d.cfg.RowConflict, d.cfg.BusyConflict
@@ -375,13 +382,11 @@ func (d *DRAM) start(r *Request, cycle uint64) {
 	if d.OnStart != nil {
 		d.OnStart(r)
 	}
-	if len(d.pending) == cap(d.pending) && 2*d.head >= len(d.pending) {
-		// At least half the slice has drained: slide the in-flight tail to
-		// the front rather than grow, so each push moves at most one entry
-		// on average.
-		n := copy(d.pending, d.pending[d.head:])
-		clear(d.pending[n:])
-		d.pending, d.head = d.pending[:n], 0
+	r.next = nil
+	if d.last == nil {
+		d.first = r
+	} else {
+		d.last.next = r
 	}
-	d.pending = append(d.pending, r)
+	d.last = r
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -469,5 +470,93 @@ func TestTiedCompletionsFireInStartOrder(t *testing.T) {
 	}
 	if got := strings.Join(fired, ""); got != "ABC" {
 		t.Fatalf("tied completions fired %s, want start order ABC", got)
+	}
+}
+
+// TestRequestPool pins the request pool's contract: Acquire hands out the
+// slab's requests, distinct, zeroed and pooled, then falls back to the
+// heap; every pooled request, slab or heap, recycles after its
+// completion or its rejection by a full queue; a caller-built request
+// never enters the free list; and New allocates the same number of
+// objects whatever the queue capacity, because the pool is one slab.
+func TestRequestPool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueCap = 4
+	d := New(cfg)
+	inSlab := func(r *Request) bool {
+		for i := range d.reqs {
+			if &d.reqs[i] == r {
+				return true
+			}
+		}
+		return false
+	}
+	zeroed := func(r *Request) bool { return reflect.DeepEqual(*r, Request{pooled: true}) }
+
+	seen := map[*Request]bool{}
+	for i := range d.reqs {
+		r := d.Acquire()
+		if seen[r] || !inSlab(r) || !zeroed(r) {
+			t.Fatalf("Acquire %d: repeated %v, in slab %v, zeroed %v", i, seen[r], inSlab(r), zeroed(r))
+		}
+		seen[r] = true
+	}
+	if len(seen) != 3*cfg.QueueCap+64 {
+		t.Fatalf("slab handed out %d requests, want %d", len(seen), 3*cfg.QueueCap+64)
+	}
+
+	// Drained: the heap takes over, and its requests recycle too.
+	h := d.Acquire()
+	if seen[h] || inSlab(h) || !zeroed(h) {
+		t.Fatalf("fallback request: repeated %v, in slab %v, zeroed %v", seen[h], inSlab(h), zeroed(h))
+	}
+	h.Block, h.Kind, h.Done = 7, Demand, func(*Request) {}
+	d.Enqueue(h, 0)
+	drain(d, 0, 10_000)
+	if r := d.Acquire(); r != h || !zeroed(r) {
+		t.Fatalf("completed heap request not recycled zeroed: got %p (zeroed %v), want %p", r, zeroed(r), h)
+	}
+
+	// A rejected pooled request goes straight back to the free list.
+	for b := range cfg.QueueCap {
+		d.Enqueue(&Request{Block: cache.Addr(b), Kind: Prefetch}, 0)
+	}
+	r := d.Acquire()
+	r.Block, r.Kind = 99, Prefetch
+	if d.Enqueue(r, 0) {
+		t.Fatal("enqueue accepted over capacity")
+	}
+	if got := d.Acquire(); got != r || !zeroed(got) {
+		t.Fatalf("rejected request not recycled zeroed: got %p, want %p", got, r)
+	}
+
+	// Caller-built requests stay their creator's: neither a completion
+	// nor a rejection adds them to the free list.
+	free := len(d.freeReqs)
+	own := &Request{Block: 100, Kind: Prefetch}
+	if d.Enqueue(own, 0) {
+		t.Fatal("enqueue accepted over capacity")
+	}
+	drain(d, 0, 100_000)
+	mine := &Request{Block: 101, Kind: Demand}
+	d.Enqueue(mine, 0)
+	drain(d, 0, 100_000)
+	if len(d.freeReqs) != free {
+		t.Fatalf("free list went from %d to %d with only caller-built requests in play", free, len(d.freeReqs))
+	}
+	for _, p := range d.freeReqs {
+		if p == own || p == mine {
+			t.Fatal("a caller-built request entered the free list")
+		}
+	}
+
+	// One slab whatever the pool's size: construction allocates a
+	// constant number of objects.
+	small, large := DefaultConfig(), DefaultConfig()
+	small.QueueCap, large.QueueCap = 16, 4096
+	a := testing.AllocsPerRun(10, func() { New(small) })
+	b := testing.AllocsPerRun(10, func() { New(large) })
+	if a != b {
+		t.Fatalf("New allocates %.0f objects at QueueCap %d and %.0f at %d", a, small.QueueCap, b, large.QueueCap)
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fdpsim/internal/cpu"
@@ -121,6 +123,101 @@ func TestPerInstructionAllocs(t *testing.T) {
 	}
 }
 
+// Run-allocation ceilings: the most heap objects one single-core run
+// (construction, warm-up, measured run and Result) may allocate, with
+// attribution off and on.
+const (
+	maxRunAllocs     = 110
+	maxRunAllocsAttr = 120
+)
+
+// TestRunAllocs is the per-run counterpart of TestPerInstructionAllocs:
+// every pool the engine draws from is one slab sized at construction, so
+// a whole run allocates a small constant of its configuration, whatever
+// its length. Each single-core case is an FDP run of 10k warm-up
+// instructions and then 20k or 320k measured ones; the workloads are
+// those whose count grew with run length before the pools were slabs,
+// with attribution off and on. Both lengths must allocate the same, under
+// the ceiling. The two-core shared-bus run and the two-thread SMT run of
+// a two-lane spec must allocate the same at both lengths too.
+//
+// The race detector's runtime allocates on its own account and slows
+// the loop about twentyfold, so race and -short runs skip the test; CI
+// holds the per-run count through BenchmarkRunSetup's allocs/op.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("runs of 330k instructions, counted without the race detector")
+	}
+	ctx := context.Background()
+	fdp := func(insts uint64, attr bool) Config {
+		cfg := WithFDP(PrefStream)
+		cfg.WarmupInsts, cfg.MaxInsts, cfg.Attribution = 10_000, insts, attr
+		return cfg
+	}
+	// atBothLengths returns run's allocations at 20k and 320k
+	// instructions.
+	atBothLengths := func(t *testing.T, run func(insts uint64) error) (short, long float64) {
+		t.Helper()
+		count := func(insts uint64) float64 {
+			// A collection cycle starts the collector's own goroutines,
+			// whose allocations AllocsPerRun would count too.
+			runtime.GC()
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			return testing.AllocsPerRun(1, func() {
+				if err := run(insts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return count(20_000), count(320_000)
+	}
+	for _, wl := range []string{"mixedphase", "chaserand", "hotcold", "binsearch", "stride3", "randsparse", "codewalk", "seqstream"} {
+		for _, attr := range []bool{false, true} {
+			name, ceiling := wl, float64(maxRunAllocs)
+			if attr {
+				name, ceiling = wl+"/attribution", maxRunAllocsAttr
+			}
+			t.Run(name, func(t *testing.T) {
+				short, long := atBothLengths(t, func(insts uint64) error {
+					cfg := fdp(insts, attr)
+					cfg.Workload = wl
+					_, err := RunContext(ctx, cfg)
+					return err
+				})
+				t.Logf("%.0f allocations at 20k instructions, %.0f at 320k", short, long)
+				if short != long || long > ceiling {
+					t.Fatalf("a run allocates %.0f objects at 20k instructions and %.0f at 320k, want the same and at most %.0f",
+						short, long, ceiling)
+				}
+			})
+		}
+	}
+	sp := twoLaneSpec()
+	for _, tc := range []struct {
+		name string
+		run  func(insts uint64) error
+	}{
+		{"multicore", func(insts uint64) error {
+			_, err := RunSpecMultiContext(ctx, fdp(insts, false), sp)
+			return err
+		}},
+		{"smt", func(insts uint64) error {
+			cfg := fdp(insts, false)
+			cfg.WarmupInsts = 0 // SMT runs take no warm-up
+			_, err := RunSpecSMTContext(ctx, cfg, sp)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			short, long := atBothLengths(t, tc.run)
+			t.Logf("%.0f allocations at 20k instructions, %.0f at 320k", short, long)
+			if short != long {
+				t.Fatalf("a run allocates %.0f objects at 20k instructions and %.0f at 320k, want the same", short, long)
+			}
+		})
+	}
+}
+
 // assertWarmedLoopAllocs warms l for 300k cycles and fails unless 20k
 // more allocate nothing.
 func assertWarmedLoopAllocs(t *testing.T, l *loop) {
@@ -153,5 +250,21 @@ func BenchmarkPerInstruction(b *testing.B) {
 				l.cycles(cancelCheckStride)
 			}
 		})
+	}
+}
+
+// BenchmarkRunSetup measures what a run pays before its first
+// instruction: a single-core FDP run of one instruction and no warm-up,
+// that is validation, construction, one retire and the Result. Sweeps,
+// goldens and fabric jobs are many short runs, each paying it; allocs/op
+// is the per-run allocation count the bench-diff gate holds.
+func BenchmarkRunSetup(b *testing.B) {
+	cfg := WithFDP(PrefStream)
+	cfg.MaxInsts = 1
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

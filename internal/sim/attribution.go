@@ -10,10 +10,9 @@ import (
 // bandwidth-attribution layer (enabled by Config.Attribution). It is
 // purely observational: every hook reads simulation state or records
 // timestamps, and none of them feeds back into timing decisions, so
-// enabling it cannot perturb results. All per-cycle work writes into
-// fixed-size structures; the two maps are touched only on prefetch fills,
-// uses, and evictions (cache-miss-rate frequency, not per cycle), and
-// reuse deleted buckets, so the steady-state loop stays allocation-free.
+// enabling it cannot perturb results. All of its state is fixed-size or
+// built at construction for the most entries it can hold, so it
+// allocates nothing while the run loop steps.
 type attribution struct {
 	// cpu is written by the core each cycle (cpu.SetAttribution target);
 	// cumulative since construction, including warmup.
@@ -26,11 +25,13 @@ type attribution struct {
 
 	// fillCycle records, per prefetched block, the cycle its fill
 	// completed — consumed by the first demand use (fill-to-use latency)
-	// or by eviction (unused prefetch). lateAt records, per late
-	// prefetch, the cycle the demand merged into the in-flight request —
-	// consumed by the fill (late-by latency).
-	fillCycle map[cache.Addr]uint64
-	lateAt    map[cache.Addr]uint64
+	// or by eviction (unused prefetch); such a block is resident in the
+	// L2 or the prefetch cache, so it holds at most their blocks. lateAt
+	// records, per late prefetch, the cycle the demand merged into the
+	// in-flight request — consumed by the fill (late-by latency); such a
+	// request holds an MSHR, so it holds at most MSHRs.
+	fillCycle stamps
+	lateAt    stamps
 
 	// Warmup baselines: cycle buckets and DRAM stats at the warmup reset,
 	// subtracted at finalize so Attribution covers post-warmup work only.
@@ -45,11 +46,53 @@ type attribution struct {
 	mshrSum, queueSum, sampleCount uint64
 }
 
-func newAttribution() *attribution {
+func newAttribution(cfg *Config) *attribution {
 	return &attribution{
-		fillCycle: make(map[cache.Addr]uint64),
-		lateAt:    make(map[cache.Addr]uint64),
+		fillCycle: newStamps(cfg.L2Blocks + cfg.PrefCacheBlocks),
+		lateAt:    newStamps(cfg.MSHRs),
 	}
+}
+
+// stamps maps blocks to cycles: a slab of cycles behind a block index,
+// both built for capacity blocks, so that put and take allocate nothing
+// until more than capacity blocks are held at once.
+type stamps struct {
+	index cache.BlockIndex
+	at    []uint64
+	free  []int32
+}
+
+func newStamps(capacity int) stamps {
+	s := stamps{index: cache.NewBlockIndex(capacity), at: make([]uint64, capacity), free: make([]int32, capacity)}
+	for i := range s.free {
+		s.free[i] = int32(capacity - 1 - i)
+	}
+	return s
+}
+
+// put records cycle for block, replacing any cycle it held.
+func (s *stamps) put(block cache.Addr, cycle uint64) {
+	i, ok := s.index.Get(block)
+	if !ok {
+		if n := len(s.free); n > 0 {
+			i, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			i, s.at = int32(len(s.at)), append(s.at, 0)
+		}
+		s.index.Put(block, i)
+	}
+	s.at[i] = cycle
+}
+
+// take removes block's cycle and returns it, or reports false when block
+// holds none.
+func (s *stamps) take(block cache.Addr) (uint64, bool) {
+	i, ok := s.index.Delete(block)
+	if !ok {
+		return 0, false
+	}
+	s.free = append(s.free, i)
+	return s.at[i], true
 }
 
 // backpressured reports whether the memory system is refusing new demand
@@ -86,27 +129,25 @@ func (h *hierarchy) attrSampleCycles(k uint64) {
 func (h *hierarchy) attrPrefFilled(block cache.Addr, stillPref bool) {
 	a := h.attr
 	if stillPref {
-		a.fillCycle[block] = h.cyc
+		a.fillCycle.put(block, h.cyc)
 		return
 	}
-	if at, ok := a.lateAt[block]; ok {
+	if at, ok := a.lateAt.take(block); ok {
 		a.agg.LateBy.Add(h.cyc - at)
-		delete(a.lateAt, block)
 	}
 }
 
 // attrPrefLate records the cycle a demand merged into an in-flight
 // prefetch (start of the late-by clock).
 func (h *hierarchy) attrPrefLate(block cache.Addr) {
-	h.attr.lateAt[block] = h.cyc
+	h.attr.lateAt.put(block, h.cyc)
 }
 
 // attrPrefUsed records the first demand use of a prefetched block.
 func (h *hierarchy) attrPrefUsed(block cache.Addr) {
 	a := h.attr
-	if fc, ok := a.fillCycle[block]; ok {
+	if fc, ok := a.fillCycle.take(block); ok {
 		a.agg.FillToUse.Add(h.cyc - fc)
-		delete(a.fillCycle, block)
 	}
 }
 
@@ -114,15 +155,14 @@ func (h *hierarchy) attrPrefUsed(block cache.Addr) {
 // prefetch cache without ever being used.
 func (h *hierarchy) attrPrefEvicted(block cache.Addr) {
 	a := h.attr
-	if _, ok := a.fillCycle[block]; ok {
-		delete(a.fillCycle, block)
+	if _, ok := a.fillCycle.take(block); ok {
 		a.agg.PrefUnused++
 	}
 }
 
 // attrWarmupReset snapshots the warm baselines at the end of the warmup
 // phase and clears the post-warmup accumulators, mirroring the runner's
-// Counters reset. The timeliness maps are kept: blocks prefetched during
+// Counters reset. The timeliness stamps are kept: blocks prefetched during
 // warmup may see their first use afterwards, and the recorded timestamps
 // are absolute cycles, so the durations stay correct across the reset.
 func (h *hierarchy) attrWarmupReset() {

@@ -243,6 +243,25 @@ func (c *Config) Validate() error {
 	if c.MSHRs <= 0 || c.DRAM.QueueCap <= 0 {
 		return fmt.Errorf("%w: MSHRs and DRAM.QueueCap must be positive", ErrInvalidConfig)
 	}
+	// Zero keeps a width's meaning: the constructors' defaults (cpu.New's
+	// width 8 and 4 load ports, mem.New's scan window of 1), and a drain
+	// of zero that never drains. A negative width would run the default
+	// machine under a fingerprint of its own.
+	for _, w := range [...]struct {
+		name string
+		v    int
+	}{
+		{"CPU.Width", c.CPU.Width}, {"CPU.LoadPorts", c.CPU.LoadPorts},
+		{"DRAM.ScanWindow", c.DRAM.ScanWindow}, {"PrefDrainPerTick", c.PrefDrainPerTick},
+	} {
+		if w.v < 0 || w.v > maxWidth {
+			return fmt.Errorf("%w: %s %d out of range 0..%d", ErrInvalidConfig, w.name, w.v, maxWidth)
+		}
+	}
+	if c.BlockShift > maxBlockShift {
+		return fmt.Errorf("%w: BlockShift %d exceeds %d (a shift of 64 maps every address to block 0)",
+			ErrInvalidConfig, c.BlockShift, maxBlockShift)
+	}
 	if !pow2(c.DRAM.Banks) || !pow2(c.DRAM.BlocksPerRow) {
 		return fmt.Errorf("%w: DRAM.Banks and DRAM.BlocksPerRow must be positive powers of two", ErrInvalidConfig)
 	}
@@ -280,6 +299,17 @@ func (c *Config) Validate() error {
 
 // maxLatency bounds every configured latency, in cycles.
 const maxLatency = 1 << 32
+
+// maxWidth bounds every per-cycle width: the core's dispatch and retire
+// width and load ports, the DRAM scheduler's scan window and the prefetch
+// drain. Each works through a structure (the ROB, a DRAM queue, the
+// prefetch queue) that Table 3 sizes at 128, so no width near the bound
+// names a machine a smaller one does not.
+const maxWidth = 1 << 16
+
+// maxBlockShift bounds BlockShift: a block address is the byte address
+// shifted right by it.
+const maxBlockShift = 63
 
 // pow2 reports whether n is a positive power of two.
 func pow2(n int) bool { return n > 0 && n&(n-1) == 0 }

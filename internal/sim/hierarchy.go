@@ -67,20 +67,24 @@ type hierarchy struct {
 
 	clients []memClient
 
-	// Outstanding L1 misses: slab + free list, addressed by block. Store
-	// misses and parked demands keep misses open, so the table has no
-	// fixed cap; its index grows during warm-up.
+	// Outstanding L1 misses: slab + free list, addressed by block. Loads
+	// keep at most a ROB's worth open and the MSHR file holds at most
+	// MSHRs, so the slab, its free list and its index are built for
+	// missDepth misses. Store misses parked behind a full MSHR file have
+	// no such bound; past missDepth the three grow.
 	l1Misses cache.BlockIndex
 	missSlab []l1Miss
 	missFree []int32
 
-	prefQ    ring[cache.Addr] // Prefetch Request Queue
+	prefQ    ring[cache.Addr] // Prefetch Request Queue, PrefQueueCap deep
 	prefQSet cache.BlockIndex // membership filter for the queue; no values
 
 	// pendingDemand holds demand L2 accesses stalled on a full MSHR file
-	// or bus queue; retried in order each cycle.
+	// or bus queue; retried in order each cycle. Each holds an open L1
+	// miss, so it is built missDepth deep.
 	pendingDemand ring[demandRetry]
-	// pendingWB holds writebacks stalled on a full writeback queue.
+	// pendingWB holds writebacks stalled on a full writeback queue; it is
+	// built one such queue deep.
 	pendingWB ring[cache.Addr]
 
 	// onFillFn is the one method value handed to every DRAM read request
@@ -143,21 +147,30 @@ func (h *hierarchy) busCycles(cur, prev mem.Stats) (c [3]uint64) {
 // with the rest of the topology. The run loop ticks the DRAM and routes
 // its OnStart events to the owning hierarchy's onBusStart.
 func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) *hierarchy {
-	pool := newEventPool(1024)
+	depth := missDepth(cfg)
+	// Each in-flight load holds at most one event (its L1-hit completion
+	// or its place on a miss's waiter list), each open miss at most one
+	// fill, and a fetch stall one: at most ROB + missDepth + 1 events.
+	pool := newEventPool(2 * depth)
 	h := &hierarchy{
-		cfg:      cfg,
-		ctr:      ctr,
-		coreID:   coreID,
-		l1:       cache.New("L1D", cfg.L1Blocks, cfg.L1Ways),
-		l1i:      buildL1I(cfg),
-		l2:       cache.New("L2", cfg.L2Blocks, cfg.L2Ways),
-		mshr:     cache.NewMSHRFile(cfg.MSHRs),
-		dram:     dram,
-		pool:     pool,
-		wh:       newWheel(4096, pool),
-		l1Misses: cache.NewBlockIndex(cfg.MSHRs),
-		prefQSet: cache.NewBlockIndex(cfg.PrefQueueCap),
-		pfOut:    make([]uint64, 0, 64),
+		cfg:           cfg,
+		ctr:           ctr,
+		coreID:        coreID,
+		l1:            cache.New("L1D", cfg.L1Blocks, cfg.L1Ways),
+		l1i:           buildL1I(cfg),
+		l2:            cache.New("L2", cfg.L2Blocks, cfg.L2Ways),
+		mshr:          cache.NewMSHRFile(cfg.MSHRs),
+		dram:          dram,
+		pool:          pool,
+		wh:            newWheel(4096, pool),
+		l1Misses:      cache.NewBlockIndex(depth),
+		missSlab:      make([]l1Miss, 0, depth),
+		missFree:      make([]int32, 0, depth),
+		prefQ:         newRing[cache.Addr](cfg.PrefQueueCap),
+		prefQSet:      cache.NewBlockIndex(cfg.PrefQueueCap),
+		pendingDemand: newRing[demandRetry](depth),
+		pendingWB:     newRing[cache.Addr](cfg.DRAM.QueueCap),
+		pfOut:         make([]uint64, 0, 64),
 	}
 	h.wh.run = h.runEvent
 	h.onFillFn = h.onFill
@@ -193,7 +206,7 @@ func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) 
 	h.l1.OnEvict = h.onL1Evict
 	h.l2.OnEvict = h.onL2Evict
 	if cfg.Attribution {
-		h.attr = newAttribution()
+		h.attr = newAttribution(cfg)
 		if h.pc != nil {
 			// Capacity victims of the prefetch cache are unused prefetches
 			// (demand uses leave via Invalidate, which skips OnEvict).
@@ -201,6 +214,17 @@ func newHierarchy(cfg *Config, ctr *stats.Counters, dram *mem.DRAM, coreID int) 
 		}
 	}
 	return h
+}
+
+// missDepth is the working depth of the L1-miss table and the demand
+// retry queue: an MSHR file's worth of misses plus a ROB's worth of
+// loads (cpu.New's 128 entries when CPU.ROB is 0).
+func missDepth(cfg *Config) int {
+	rob := cfg.CPU.ROB
+	if rob <= 0 {
+		rob = cpu.DefaultConfig().ROB
+	}
+	return cfg.MSHRs + rob
 }
 
 func buildL1I(cfg *Config) *cache.Cache {
@@ -274,7 +298,8 @@ func (h *hierarchy) runEvent(ev event) {
 	}
 }
 
-// allocMiss returns a free l1Miss slab index (growing the slab cold).
+// allocMiss returns a free l1Miss slab index, growing the slab only past
+// missDepth.
 func (h *hierarchy) allocMiss() int32 {
 	if n := len(h.missFree); n > 0 {
 		mi := h.missFree[n-1]

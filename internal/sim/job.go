@@ -19,14 +19,19 @@ type Job struct {
 }
 
 // Job size caps. Queued work is untrusted, so Job.Validate bounds every
-// field that sizes an allocation at 64 times the largest Table 3 default
-// of its kind: cache blocks and pollution-filter bits at 64× the
-// 16384-block L2, entry counts (MSHRs, queue capacities, ROB, stream
-// entries) at 64× the 128-entry MSHR file, queues and ROB. Direct runs
-// (RunContext, the CLIs, the harness) are not capped.
+// field that sizes an allocation or a cycle's work at 64 times the
+// largest Table 3 default of its kind: cache blocks and pollution-filter
+// bits at 64× the 16384-block L2, entry counts (MSHRs, queue capacities,
+// ROB, stream entries) at 64× the 128-entry MSHR file, queues and ROB,
+// per-cycle widths (dispatch, load ports, scan window, prefetch drain) at
+// 64× the 16-request scan window, and the block size at 64× its 64 bytes.
+// Direct runs (RunContext, the CLIs, the harness) are held only to
+// Config.Validate's bounds.
 const (
-	maxJobBlocks  = 1 << 20
-	maxJobEntries = 1 << 13
+	maxJobBlocks     = 1 << 20
+	maxJobEntries    = 1 << 13
+	maxJobWidth      = 1 << 10
+	maxJobBlockShift = 12
 )
 
 // Validate checks a run before it is queued: a named workload must
@@ -68,6 +73,11 @@ func (j Job) Validate() error {
 		{"DRAM.QueueCap", c.DRAM.QueueCap, maxJobEntries},
 		{"CPU.ROB", c.CPU.ROB, maxJobEntries},
 		{"StreamEntries", c.StreamEntries, maxJobEntries},
+		{"CPU.Width", c.CPU.Width, maxJobWidth},
+		{"CPU.LoadPorts", c.CPU.LoadPorts, maxJobWidth},
+		{"DRAM.ScanWindow", c.DRAM.ScanWindow, maxJobWidth},
+		{"PrefDrainPerTick", c.PrefDrainPerTick, maxJobWidth},
+		{"BlockShift", int(c.BlockShift), maxJobBlockShift},
 	} {
 		if f.v > f.max {
 			return fmt.Errorf("%w: %s %d exceeds the job limit of %d", ErrInvalidConfig, f.name, f.v, f.max)

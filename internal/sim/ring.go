@@ -3,11 +3,22 @@ package sim
 // ring is a growable FIFO queue over a circular buffer. The seed engine's
 // queues advanced by reslicing (`q = q[1:]` + append), which re-allocates
 // the backing array forever; a ring reuses its buffer, so steady-state
-// push/pop touches no heap memory. Capacity is always a power of two.
+// push/pop touches no heap memory. Capacity is always a power of two;
+// build a ring with newRing.
 type ring[T any] struct {
 	buf  []T
 	head int
 	n    int
+}
+
+// newRing returns an empty ring that holds depth elements before it
+// first grows.
+func newRing[T any](depth int) ring[T] {
+	size := 16
+	for size < depth {
+		size *= 2
+	}
+	return ring[T]{buf: make([]T, size)}
 }
 
 func (r *ring[T]) len() int { return r.n }
@@ -35,11 +46,7 @@ func (r *ring[T]) pop() T {
 func (r *ring[T]) peek() T { return r.buf[r.head] }
 
 func (r *ring[T]) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]T, size)
+	buf := make([]T, 2*len(r.buf))
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -40,6 +40,46 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestValidateWidthBounds holds each per-cycle width and the block shift
+// to its range, for direct runs (Config.Validate) and for queued jobs
+// (Job.Validate's tighter limits). Below zero and past the maximum are
+// rejected; zero (the constructors' default, or a drain that never
+// drains) and each maximum itself are accepted.
+func TestValidateWidthBounds(t *testing.T) {
+	for _, f := range []struct {
+		name        string
+		set         func(c *Config, v int)
+		max, jobMax int
+	}{
+		{"CPU.Width", func(c *Config, v int) { c.CPU.Width = v }, maxWidth, maxJobWidth},
+		{"CPU.LoadPorts", func(c *Config, v int) { c.CPU.LoadPorts = v }, maxWidth, maxJobWidth},
+		{"DRAM.ScanWindow", func(c *Config, v int) { c.DRAM.ScanWindow = v }, maxWidth, maxJobWidth},
+		{"PrefDrainPerTick", func(c *Config, v int) { c.PrefDrainPerTick = v }, maxWidth, maxJobWidth},
+		{"BlockShift", func(c *Config, v int) { c.BlockShift = uint(v) }, maxBlockShift, maxJobBlockShift},
+	} {
+		for _, tc := range []struct {
+			v            int
+			cfgOK, jobOK bool
+		}{
+			{-1, false, false},
+			{0, true, true},
+			{f.jobMax, true, true},
+			{f.jobMax + 1, true, false},
+			{f.max, true, false},
+			{f.max + 1, false, false},
+		} {
+			cfg := WithFDP(PrefStream)
+			f.set(&cfg, tc.v)
+			if err := cfg.Validate(); (err == nil) != tc.cfgOK || err != nil && !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s=%d: Config.Validate = %v, want accepted %v", f.name, tc.v, err, tc.cfgOK)
+			}
+			if err := (Job{Cfg: cfg}).Validate(); (err == nil) != tc.jobOK || err != nil && !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s=%d: Job.Validate = %v, want accepted %v", f.name, tc.v, err, tc.jobOK)
+			}
+		}
+	}
+}
+
 // TestValidateRejectsPanickingGeometry pins a probe of every integer
 // Config field: each single-field value below once passed Validate and
 // then panicked while the topology was built or on the first

@@ -31,7 +31,7 @@ func init() {
 func newCacheFit(seed uint64) cpu.Source {
 	const region = 512 * kb
 	cur := uint64(0)
-	g := &gen{name: "cachefit"}
+	g := newGen("cachefit", 64*4)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(cur, pc(0))
@@ -45,7 +45,7 @@ func newCacheFit(seed uint64) cpu.Source {
 func newTinyLoop(seed uint64) cpu.Source {
 	const region = 16 * kb
 	cur := uint64(0)
-	g := &gen{name: "tinyloop"}
+	g := newGen("tinyloop", 64*2)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(cur, pc(0))
@@ -59,7 +59,7 @@ func newTinyLoop(seed uint64) cpu.Source {
 func newComputeBound(seed uint64) cpu.Source {
 	const region = 2 * mb
 	cur := uint64(0)
-	g := &gen{name: "computebound"}
+	g := newGen("computebound", 8*50)
 	g.fill = func(g *gen) {
 		for i := 0; i < 8; i++ {
 			g.load(cur, pc(0))
@@ -73,7 +73,7 @@ func newComputeBound(seed uint64) cpu.Source {
 func newSmallRand(seed uint64) cpu.Source {
 	const region = 192 * kb
 	r := newRNG(seed ^ 0x51a)
-	g := &gen{name: "smallrand"}
+	g := newGen("smallrand", 32*6)
 	g.fill = func(g *gen) {
 		for i := 0; i < 32; i++ {
 			g.load(hashAddr(r.next(), region), pc(0))
@@ -102,7 +102,7 @@ func newCodeWalk(seed uint64) cpu.Source {
 	fn := uint64(0)
 	hot := uint64(0)
 	call := uint64(0)
-	g := &gen{name: "codewalk"}
+	g := newGen("codewalk", 64+2)
 	emitAt := func(kind cpu.Kind, addr, fpc uint64, dep int) {
 		g.emit(cpu.MicroOp{Kind: kind, Addr: addr, PC: fpc, Dep: dep})
 	}
@@ -136,7 +136,7 @@ func newStackWalk(seed uint64) cpu.Source {
 	const region = 32 * kb
 	cur := uint64(0)
 	up := true
-	g := &gen{name: "stackwalk"}
+	g := newGen("stackwalk", 32*4)
 	g.fill = func(g *gen) {
 		for i := 0; i < 32; i++ {
 			g.load(cur, pc(0))
@@ -167,7 +167,7 @@ func newBlockedMM(seed uint64) cpu.Source {
 	tileBase := uint64(0)
 	cur := uint64(0)
 	pass := 0
-	g := &gen{name: "blockedmm"}
+	g := newGen("blockedmm", 64*5)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(tileBase+cur, pc(0))
@@ -189,7 +189,7 @@ func newBlockedMM(seed uint64) cpu.Source {
 func newBinSearch(seed uint64) cpu.Source {
 	const array = 8 * mb
 	r := newRNG(seed ^ 0xb54c)
-	g := &gen{name: "binsearch"}
+	g := newGen("binsearch", 21*7+8) // at most 21 halvings of 2^20 elements
 	g.fill = func(g *gen) {
 		lo, hi := uint64(0), array/8
 		target := r.n(array / 8)
@@ -213,7 +213,7 @@ func newBinSearch(seed uint64) cpu.Source {
 func newMostlyHit(seed uint64) cpu.Source {
 	const region = 640 * kb
 	cur := uint64(0)
-	g := &gen{name: "mostlyhit"}
+	g := newGen("mostlyhit", 64*3)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(cur, pc(0))

@@ -68,7 +68,7 @@ func init() {
 func newSeqStream(seed uint64) cpu.Source {
 	const footprint = 256 * mb
 	cur := uint64(0)
-	g := &gen{name: "seqstream"}
+	g := newGen("seqstream", 64*4)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(cur%footprint, pc(0))
@@ -87,7 +87,7 @@ func newMultiStream(seed uint64) cpu.Source {
 		// set-aligned in the caches.
 		cur[i] = uint64(i)*32*mb + uint64(i)*97*BlockBytes
 	}
-	g := &gen{name: "multistream"}
+	g := newGen("multistream", streams*2)
 	g.fill = func(g *gen) {
 		for s := 0; s < streams; s++ {
 			g.load(cur[s], pc(s))
@@ -105,7 +105,7 @@ func newRevStream(seed uint64) cpu.Source {
 		// Odd block stagger keeps the streams out of set alignment.
 		cur[i] = uint64(i+1)*48*mb + uint64(i)*53*BlockBytes
 	}
-	g := &gen{name: "revstream"}
+	g := newGen("revstream", streams*4)
 	g.fill = func(g *gen) {
 		for s := 0; s < streams; s++ {
 			g.load(cur[s], pc(s))
@@ -121,7 +121,7 @@ func newRevStream(seed uint64) cpu.Source {
 func newElemStride(seed uint64) cpu.Source {
 	const footprint = 512 * mb
 	cur := uint64(0)
-	g := &gen{name: "elemstride"}
+	g := newGen("elemstride", 16*21)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			g.load(cur%footprint, pc(0))
@@ -135,7 +135,7 @@ func newElemStride(seed uint64) cpu.Source {
 func newStride3(seed uint64) cpu.Source {
 	const footprint = 512 * mb
 	cur := uint64(0)
-	g := &gen{name: "stride3"}
+	g := newGen("stride3", 16*49)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			g.load(cur%footprint, pc(0))
@@ -149,7 +149,7 @@ func newStride3(seed uint64) cpu.Source {
 func newStencil3(seed uint64) cpu.Source {
 	const row = 4*mb + 37*BlockBytes // odd block count: no set alignment
 	cur := uint64(0)
-	g := &gen{name: "stencil3"}
+	g := newGen("stencil3", 16*12)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			g.load(cur, pc(0))
@@ -167,7 +167,7 @@ func newTranspose(seed uint64) cpu.Source {
 	const rows = 4096
 	cur, col := uint64(0), uint64(0)
 	rowIdx := 0
-	g := &gen{name: "transpose"}
+	g := newGen("transpose", 16*13)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			g.load(cur+col*8, pc(0))
@@ -187,7 +187,7 @@ func newTranspose(seed uint64) cpu.Source {
 func newScanMod(seed uint64) cpu.Source {
 	const footprint = 256 * mb
 	cur := uint64(0)
-	g := &gen{name: "scanmod"}
+	g := newGen("scanmod", 32*6)
 	g.fill = func(g *gen) {
 		for i := 0; i < 32; i++ {
 			g.load(cur%footprint, pc(0))
@@ -202,7 +202,7 @@ func newScanMod(seed uint64) cpu.Source {
 func newBurstStream(seed uint64) cpu.Source {
 	const footprint = 256 * mb
 	cur := uint64(0)
-	g := &gen{name: "burststream"}
+	g := newGen("burststream", 512*2+3072)
 	g.fill = func(g *gen) {
 		for i := 0; i < 512; i++ {
 			g.load(cur%footprint, pc(0))
@@ -226,7 +226,7 @@ func newShortStream(seed uint64) cpu.Source {
 	r := newRNG(seed ^ 0x5057)
 	cur := uint64(0)
 	left := 0
-	g := &gen{name: "shortstream"}
+	g := newGen("shortstream", 16*51)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			if left == 0 {
@@ -248,7 +248,7 @@ func newSpmv(seed uint64) cpu.Source {
 	const ciBase = 1 << 32
 	rp, ci := uint64(0), uint64(0)
 	r := newRNG(seed ^ 0x5b3d)
-	g := &gen{name: "spmv"}
+	g := newGen("spmv", 4*19)
 	g.fill = func(g *gen) {
 		for row := 0; row < 4; row++ {
 			g.load(rp, pc(0)) // row pointer stream
@@ -268,7 +268,7 @@ func newSpmv(seed uint64) cpu.Source {
 func newChaseSeq(seed uint64) cpu.Source {
 	const footprint = 256 * mb
 	cur := uint64(0)
-	g := &gen{name: "chaseseq"}
+	g := newGen("chaseseq", 16*15)
 	g.fill = func(g *gen) {
 		for i := 0; i < 16; i++ {
 			g.loadDep(cur%footprint, pc(0), 1)    // follow the next pointer
@@ -295,7 +295,7 @@ func newChaseRand(seed uint64) cpu.Source {
 	cur := [chains]uint64{0, 1 * mb, 2 * mb, 3 * mb}
 	hot := uint64(0)
 	hop := uint64(0)
-	g := &gen{name: "chaserand"}
+	g := newGen("chaserand", chains*3+16+64)
 	g.fill = func(g *gen) {
 		// One round advances every chain one hop. Loads per round:
 		// chains*3 chase/payload + 16 hot = 28; the chase load of chain c
@@ -327,7 +327,7 @@ func newRandSparse(seed uint64) cpu.Source {
 	const hotBase = 1 << 34
 	r := newRNG(seed ^ 0xa11ce)
 	hot := uint64(0)
-	g := &gen{name: "randsparse"}
+	g := newGen("randsparse", 8*61)
 	g.fill = func(g *gen) {
 		for i := 0; i < 8; i++ {
 			base := hashAddr(r.next(), footprint)
@@ -358,7 +358,7 @@ func newMixedPhase(seed uint64) cpu.Source {
 	hostileGen := newChaseRand(seed).(*gen)
 	emitted := 0
 	inStream := true
-	g := &gen{name: "mixedphase"}
+	g := newGen("mixedphase", 64)
 	g.fill = func(g *gen) {
 		src, limit := hostileGen, hostileOps
 		if inStream {
@@ -383,7 +383,7 @@ func newHotCold(seed uint64) cpu.Source {
 	const coldBase = 1 << 34
 	r := newRNG(seed ^ 0xb0)
 	hot := uint64(0)
-	g := &gen{name: "hotcold"}
+	g := newGen("hotcold", 8*66)
 	g.fill = func(g *gen) {
 		for i := 0; i < 8; i++ {
 			for h := 0; h < 12; h++ {
@@ -404,7 +404,7 @@ func newHotCold(seed uint64) cpu.Source {
 func newRegionWalk(seed uint64) cpu.Source {
 	const region = 4 * mb
 	cur := uint64(0)
-	g := &gen{name: "regionwalk"}
+	g := newGen("regionwalk", 64*4)
 	g.fill = func(g *gen) {
 		for i := 0; i < 64; i++ {
 			g.load(cur, pc(0))

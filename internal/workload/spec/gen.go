@@ -99,10 +99,14 @@ type clientState struct {
 	r        rng
 }
 
+// idleTurn is how many idle micro-ops one turn of a lane no client
+// targets emits.
+const idleTurn = 256
+
 // laneGen composes the clients of one lane across all phases into an
 // unbounded micro-op stream. It reuses the refillable-queue chassis of the
 // built-in kernels: Next drains a queue that fill() tops up one scheduling
-// turn at a time.
+// turn at a time, and the queue is built for the lane's longest turn.
 type laneGen struct {
 	name  string
 	queue []cpu.MicroOp
@@ -129,6 +133,7 @@ type phaseState struct {
 func (s *Spec) Source(lane int, seed uint64) cpu.Source {
 	n := s.normalize()
 	g := &laneGen{name: n.Name, sched: rng{s: mix(seed, uint64(lane), 0x5ced)}}
+	turn := idleTurn
 	// Client identity spans phases by (phase, index): the same logical
 	// client listed in two phases is two states — specs wanting continuity
 	// express it as one phase with bursty clients instead.
@@ -175,9 +180,11 @@ func (s *Spec) Source(lane int, seed uint64) cpu.Source {
 			ps.clients = append(ps.clients, cs)
 			ps.total += cs.weight
 			ps.cum = append(ps.cum, ps.total)
+			turn = max(turn, c.turnOps())
 		}
 		g.phases = append(g.phases, ps)
 	}
+	g.queue = make([]cpu.MicroOp, 0, turn)
 	return g
 }
 
@@ -224,8 +231,8 @@ func (g *laneGen) fill() {
 		// No client targets this lane in this phase: the lane idles
 		// through it (a compute phase from the memory system's view).
 		idle := ph.ops - g.phaseOps
-		if idle > 256 {
-			idle = 256
+		if idle > idleTurn {
+			idle = idleTurn
 		}
 		if idle == 0 {
 			idle = 1 // defensive: always make progress
@@ -311,12 +318,12 @@ func (g *laneGen) emitAccess(c *clientState) {
 				break
 			}
 		}
-		fp := int64(c.footprint)
-		for c.pos < 0 {
-			c.pos += fp
-		}
-		for c.pos >= fp {
-			c.pos -= fp
+		if fp := int64(c.footprint); c.pos < 0 || c.pos >= fp {
+			// Wrap into [0, fp) in one step: a stride many footprints
+			// long must not take as many subtractions.
+			if c.pos %= fp; c.pos < 0 {
+				c.pos += fp
+			}
 		}
 		g.gapNops(c)
 

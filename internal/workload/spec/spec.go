@@ -144,6 +144,13 @@ const (
 	defaultFootprintKB  = 64 * 1024
 	defaultWorkingSetKB = 512
 	maxRunBlocks        = 64
+	// maxFootprintKB is a client's private address window, 16 GB (see
+	// Source): a larger footprint would reach into the next client's.
+	maxFootprintKB = 1 << 24
+	// maxTurnOps bounds the micro-ops one scheduling turn of a client
+	// emits (see turnOps). A lane's generator queue holds one turn, so
+	// the bound keeps the queue small and every Next call short.
+	maxTurnOps = 1 << 16
 	// weightScale converts float weights to fixed point once, at
 	// generator construction, so scheduling never does float arithmetic.
 	weightScale = 1000
@@ -161,6 +168,20 @@ func (s *Spec) Lanes() int {
 		}
 	}
 	return lanes
+}
+
+// turnOps returns the most micro-ops one scheduling turn of c emits:
+// burst_on accesses, each its run of blocks (one for stride and hotset
+// patterns), its gap and its largest jitter, then burst_off idle ops.
+// Zero fields take their defaults. Each field must be at most
+// maxTurnOps, so the sum cannot overflow.
+func (c *Client) turnOps() int {
+	p := &c.Pattern
+	access := 1
+	if p.Kind == KindChase || p.Kind == KindRandom {
+		access = max(p.RunBlocks, 1)
+	}
+	return max(c.BurstOn, 1)*(access+p.Gap+max(p.GapJitter-1, 0)) + c.BurstOff
 }
 
 // validName reports whether a spec name is usable as a registry key and
@@ -223,6 +244,12 @@ func (s *Spec) Validate() error {
 			}
 			if p.RunBlocks < 0 || p.RunBlocks > maxRunBlocks {
 				return fail("%s: run_blocks %d out of range 0..%d", where, p.RunBlocks, maxRunBlocks)
+			}
+			if max(c.BurstOn, c.BurstOff, p.Gap, p.GapJitter) > maxTurnOps || c.turnOps() > maxTurnOps {
+				return fail("%s: one turn of burst_on, burst_off, gap and gap_jitter emits more than %d ops", where, maxTurnOps)
+			}
+			if p.FootprintKB > maxFootprintKB || p.WorkingSetKB > maxFootprintKB {
+				return fail("%s: footprint_kb and working_set_kb must be at most %d (16 GB)", where, maxFootprintKB)
 			}
 			if p.Kind == KindStride {
 				for si, st := range p.Strides {

@@ -49,6 +49,19 @@ func TestValidateAccepts(t *testing.T) {
 	if err := twoPhase().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	// At the bounds: a chase client whose turn is exactly maxTurnOps ops
+	// (4 × (2 + 16378) + 16), over the whole 16 GB window.
+	s := twoPhase()
+	c := &s.Phases[0].Clients[1]
+	c.BurstOff = 16
+	c.Pattern.Gap = 16378
+	c.Pattern.FootprintKB = maxFootprintKB
+	if got := c.turnOps(); got != maxTurnOps {
+		t.Fatalf("turnOps = %d, want %d", got, maxTurnOps)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("spec at the bounds rejected: %v", err)
+	}
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -70,6 +83,14 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown kind", func(s *Spec) { s.Phases[0].Clients[0].Pattern.Kind = "zigzag" }, "unknown pattern kind"},
 		{"negative gap", func(s *Spec) { s.Phases[0].Clients[0].Pattern.Gap = -1 }, "non-negative"},
 		{"run_blocks too high", func(s *Spec) { s.Phases[0].Clients[1].Pattern.RunBlocks = 65 }, "run_blocks"},
+		{"burst_off past a turn", func(s *Spec) { s.Phases[0].Clients[1].BurstOff = maxTurnOps - 7 }, "one turn"}, // 4 × 2 + 65529
+		{"burst_on past a turn", func(s *Spec) { s.Phases[0].Clients[0].BurstOn = maxTurnOps + 1 }, "one turn"},
+		{"gap_jitter far past a turn", func(s *Spec) { s.Phases[1].Clients[1].Pattern.GapJitter = 1 << 62 }, "one turn"},
+		{"bursts of long gaps", func(s *Spec) {
+			s.Phases[0].Clients[1].Pattern.Gap = maxTurnOps / 4 // 4 × (2 + 16384) + 8
+		}, "one turn"},
+		{"footprint past the client window", func(s *Spec) { s.Phases[0].Clients[0].Pattern.FootprintKB = maxFootprintKB + 1 }, "16 GB"},
+		{"working set past the client window", func(s *Spec) { s.Phases[1].Clients[1].Pattern.WorkingSetKB = 1 << 60 }, "16 GB"},
 		{"zero stride", func(s *Spec) { s.Phases[0].Clients[0].Pattern.Strides[0].Bytes = 0 }, "zero bytes"},
 		{"negative stride weight", func(s *Spec) { s.Phases[0].Clients[0].Pattern.Strides[0].Weight = -2 }, "negative weight"},
 		{"strides on chase", func(s *Spec) {

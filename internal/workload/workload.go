@@ -72,6 +72,12 @@ type gen struct {
 	fill  func(g *gen)
 }
 
+// newGen returns a generator whose queue holds turn micro-ops, the most
+// one call of its fill emits, so that the queue never grows.
+func newGen(name string, turn int) *gen {
+	return &gen{name: name, queue: make([]cpu.MicroOp, 0, turn)}
+}
+
 // Name implements cpu.Source.
 func (g *gen) Name() string { return g.name }
 

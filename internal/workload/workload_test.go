@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -89,6 +91,32 @@ func TestAllWorkloadsEmitValidOps(t *testing.T) {
 		}
 		if totalMem == 20000 {
 			t.Errorf("%s: no compute at all", n)
+		}
+	}
+}
+
+// TestGeneratorQueuesNeverGrow: each generator's queue is built for the
+// longest turn its fill emits, so once built a generator allocates
+// nothing, past mixedphase's first phase change at 300k ops too.
+func TestGeneratorQueuesNeverGrow(t *testing.T) {
+	// The collector's own goroutines allocate when a cycle starts, so it
+	// stays off while the count is taken.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range Names() {
+		src, err := New(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 450_000; i++ {
+			src.Next()
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got != 0 {
+			t.Errorf("%s: %d allocations in 450k ops, want 0", n, got)
 		}
 	}
 }
