@@ -187,7 +187,11 @@ experiments:
 # and figure at the documented scale, simulating every cell (no result
 # cache), and diff the text against experiments_output.txt. About two
 # minutes on two cores. Each experiment's wall time goes to stderr and is
-# not compared.
+# not compared. Its tier-1 twin, TestEveryExperimentRunsAtSmallScale,
+# diffs every table at 8,000 instructions against
+# internal/harness/testdata/experiments_small.txt; after a deliberate
+# change to a table, rewrite that file with
+#   go test ./internal/harness -run TestEveryExperimentRunsAtSmallScale -update
 experiments-check:
 	@tmp=$$(mktemp); \
 	go run ./cmd/experiments $(EXPERIMENTS_SCALE) > $$tmp && diff -u experiments_output.txt $$tmp; \

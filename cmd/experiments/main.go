@@ -12,7 +12,8 @@
 // simulations at the next FDP interval boundary; tables of experiments
 // already completed have been printed, so an interrupted -all run still
 // exits cleanly with partial output. -progress streams per-simulation
-// completions and per-FDP-interval telemetry to stderr.
+// completions and per-FDP-interval telemetry to stderr; each experiment
+// that simulates single-core cells counts them as one [done/total] run.
 //
 // -cache-dir points at a content-addressed result store (shared with
 // fdpserved): completed simulations are persisted there and re-runs of

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+
 	"fdpsim/internal/cache"
 	"fdpsim/internal/sim"
 )
@@ -65,15 +67,45 @@ func withPrefCache(kind sim.PrefetcherKind, kbytes int) sim.Config {
 	return cfg
 }
 
-// labeled builds the (workload x config) cross product.
-func labeled(workloads []string, configs map[string]sim.Config, order []string, p Params) []RunSpec {
-	specs := make([]RunSpec, 0, len(workloads)*len(order))
+// column is one configuration of an experiment's grid: the label its
+// tables print and the configuration its cells run.
+type column struct {
+	label string
+	cfg   sim.Config
+}
+
+// ladder is Table 5's columns on one prefetcher: no prefetching, the
+// Very Conservative, Middle and Very Aggressive static levels, and FDP.
+func ladder(kind sim.PrefetcherKind) []column {
+	return []column{
+		{cfgNoPref, sim.Default()},
+		{cfgVC, sim.Conventional(kind, 1)},
+		{cfgMid, sim.Conventional(kind, 3)},
+		{cfgVA, sim.Conventional(kind, 5)},
+		{cfgFDP, sim.WithFDP(kind)},
+	}
+}
+
+// cells builds the (workload x column) cross product.
+func cells(workloads []string, cols []column, p Params) []RunSpec {
+	specs := make([]RunSpec, 0, len(workloads)*len(cols))
 	for _, w := range workloads {
-		for _, c := range order {
-			cfg := p.apply(configs[c])
+		for _, c := range cols {
+			cfg := p.apply(c.cfg)
 			cfg.Workload = w
-			specs = append(specs, RunSpec{Workload: w, Config: c, Job: sim.Job{Cfg: cfg}})
+			specs = append(specs, RunSpec{Workload: w, Config: c.label, Job: sim.Job{Cfg: cfg}})
 		}
 	}
 	return specs
+}
+
+// runGrid runs every (workload x column) cell in one RunAll and returns
+// the grid with the column labels in order.
+func runGrid(ctx context.Context, p Params, workloads []string, cols []column) (*Grid, []string, error) {
+	order := make([]string, len(cols))
+	for i, c := range cols {
+		order[i] = c.label
+	}
+	g, err := RunAll(ctx, cells(workloads, cols, p), p)
+	return g, order, err
 }

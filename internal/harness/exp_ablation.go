@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fdpsim/internal/sim"
-	"fdpsim/internal/stats"
 )
 
 // Ablation experiments for the design choices the paper fixes without
@@ -26,43 +25,35 @@ func init() {
 // prefetch losers, a phase alternator and a medium-gain irregular.
 var ablationWorkloads = []string{"seqstream", "chaserand", "randsparse", "mixedphase", "spmv"}
 
-// summarize runs FDP with a mutated configuration over the ablation
-// subset and returns (gmean IPC, amean BPKI).
-func summarize(ctx context.Context, p Params, mutate func(*sim.Config)) (float64, float64, error) {
+// fdpColumn is a stream FDP column with set applied.
+func fdpColumn(label string, set func(*sim.Config)) column {
 	cfg := sim.WithFDP(sim.PrefStream)
-	mutate(&cfg)
-	configs := map[string]sim.Config{"x": cfg}
-	g, err := RunAll(ctx, labeled(ablationWorkloads, configs, []string{"x"}, p), p)
-	if err != nil {
-		return 0, 0, err
-	}
-	var ipcs, bpkis []float64
-	for _, w := range ablationWorkloads {
-		r := g.MustGet(w, "x")
-		ipcs = append(ipcs, r.IPC)
-		bpkis = append(bpkis, r.BPKI)
-	}
-	return stats.GeoMean(ipcs), stats.ArithMean(bpkis), nil
+	set(&cfg)
+	return column{label, cfg}
 }
 
 func runThresholds(ctx context.Context, p Params) ([]Table, error) {
+	ths := [][2]float64{{0.20, 0.60}, {0.40, 0.75}, {0.40, 0.90}, {0.60, 0.90}}
+	var cols []column
+	for _, th := range ths {
+		cols = append(cols, fdpColumn(f2(th[0])+"/"+f2(th[1]), func(c *sim.Config) {
+			c.FDP.Thresholds.ALow, c.FDP.Thresholds.AHigh = th[0], th[1]
+		}))
+	}
+	g, order, err := runGrid(ctx, p, ablationWorkloads, cols)
+	if err != nil {
+		return nil, err
+	}
 	t := Table{
 		Title: "Ablation: FDP accuracy-threshold sensitivity (gmean IPC / amean BPKI over 5 workloads)",
 		Note: "the paper uses untuned static thresholds and argues the mechanism is robust; " +
 			"wider or narrower accuracy bands should move results only slightly",
 		Header: []string{"A_low", "A_high", "IPC", "BPKI"},
 	}
-	for _, th := range [][2]float64{{0.20, 0.60}, {0.40, 0.75}, {0.40, 0.90}, {0.60, 0.90}} {
-		lo, hi := th[0], th[1]
-		ipc, bpki, err := summarize(ctx, p, func(c *sim.Config) {
-			c.FDP.Thresholds.ALow = lo
-			c.FDP.Thresholds.AHigh = hi
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := []string{f2(lo), f2(hi), f3(ipc), f1(bpki)}
-		if lo == 0.40 && hi == 0.75 {
+	for i, th := range ths {
+		ipc, bpki := means(g, ablationWorkloads, order[i])
+		row := []string{f2(th[0]), f2(th[1]), f3(ipc), f1(bpki)}
+		if th == [2]float64{0.40, 0.75} {
 			row[1] += " (base)"
 		}
 		t.AddRow(row...)
@@ -71,52 +62,47 @@ func runThresholds(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runTInterval(ctx context.Context, p Params) ([]Table, error) {
+	var cols []column
+	for _, ti := range []uint64{256, 1024, 4096, 8192} {
+		cols = append(cols, fdpColumn(u64(ti), func(c *sim.Config) { c.FDP.TInterval = ti }))
+	}
+	// Params.apply would stamp p.TInterval over every column's interval.
+	p.TInterval = 0
+	g, order, err := runGrid(ctx, p, ablationWorkloads, cols)
+	if err != nil {
+		return nil, err
+	}
 	t := Table{
 		Title: "Ablation: FDP sampling-interval length (gmean IPC / amean BPKI over 5 workloads)",
 		Note: "short intervals adapt faster but on noisier estimates; the paper's 8192 " +
 			"(half the L2's blocks) assumes 250M-instruction runs",
 		Header: []string{"T_interval", "IPC", "BPKI", "intervals(chaserand)"},
 	}
-	for _, ti := range []uint64{256, 1024, 4096, 8192} {
-		ipc, bpki, err := summarize(ctx, p, func(c *sim.Config) { c.FDP.TInterval = ti })
-		if err != nil {
-			return nil, err
-		}
-		// Pull the interval count for one hostile workload for context.
-		cfg := p.apply(sim.WithFDP(sim.PrefStream))
-		cfg.FDP.TInterval = ti
-		cfg.Workload = "chaserand"
-		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "i", Job: sim.Job{Cfg: cfg}}}, p)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", ti), f3(ipc), f1(bpki),
-			fmt.Sprintf("%d", g.MustGet("chaserand", "i").Intervals))
+	for _, c := range order {
+		ipc, bpki := means(g, ablationWorkloads, c)
+		t.AddRow(c, f3(ipc), f1(bpki), fmt.Sprintf("%d", g.MustGet("chaserand", c).Intervals))
 	}
 	return []Table{t}, nil
 }
 
 func runFilterSize(ctx context.Context, p Params) ([]Table, error) {
+	var cols []column
+	for _, bits := range []int{512, 1024, 4096, 16384} {
+		cols = append(cols, fdpColumn(fmt.Sprintf("%d", bits), func(c *sim.Config) { c.FDP.FilterBits = bits }))
+	}
+	g, order, err := runGrid(ctx, p, ablationWorkloads, cols)
+	if err != nil {
+		return nil, err
+	}
 	t := Table{
 		Title: "Ablation: pollution-filter size (gmean IPC / amean BPKI over 5 workloads)",
 		Note: "smaller filters alias more (overestimating pollution); the paper provisions " +
 			"4096 bits",
 		Header: []string{"filter bits", "IPC", "BPKI", "pollution(chaserand)"},
 	}
-	for _, bits := range []int{512, 1024, 4096, 16384} {
-		ipc, bpki, err := summarize(ctx, p, func(c *sim.Config) { c.FDP.FilterBits = bits })
-		if err != nil {
-			return nil, err
-		}
-		cfg := p.apply(sim.WithFDP(sim.PrefStream))
-		cfg.FDP.FilterBits = bits
-		cfg.Workload = "chaserand"
-		g, err := RunAll(ctx, []RunSpec{{Workload: "chaserand", Config: "f", Job: sim.Job{Cfg: cfg}}}, p)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", bits), f3(ipc), f1(bpki),
-			pct(g.MustGet("chaserand", "f").Pollution))
+	for _, c := range order {
+		ipc, bpki := means(g, ablationWorkloads, c)
+		t.AddRow(c, f3(ipc), f1(bpki), pct(g.MustGet("chaserand", c).Pollution))
 	}
 	return []Table{t}, nil
 }
@@ -126,36 +112,37 @@ func runBusWidth(ctx context.Context, p Params) ([]Table, error) {
 	// be higher, A_high and A_low thresholds can be increased to restrict
 	// the prefetcher from being too aggressive." Halve the bus bandwidth
 	// and compare default thresholds against raised ones.
+	type variant struct {
+		bus        string
+		thresholds string
+		transfer   uint64 // cycles per block
+	}
+	variants := []variant{
+		{"baseline (4.5 GB/s)", "default", 57},
+		{"half (2.25 GB/s)", "default", 114},
+		{"half (2.25 GB/s)", "raised (0.60/0.90)", 114},
+	}
+	var cols []column
+	for _, v := range variants {
+		cols = append(cols, fdpColumn(v.bus+", "+v.thresholds, func(c *sim.Config) {
+			c.DRAM.Transfer = v.transfer
+			if v.thresholds != "default" {
+				c.FDP.Thresholds.ALow, c.FDP.Thresholds.AHigh = 0.60, 0.90
+			}
+		}))
+	}
+	g, order, err := runGrid(ctx, p, ablationWorkloads, cols)
+	if err != nil {
+		return nil, err
+	}
 	t := Table{
 		Title:  "Ablation: raised accuracy thresholds under a half-bandwidth bus (Section 4.3)",
 		Note:   "with scarcer bandwidth, stricter accuracy demands should save BPKI at little IPC cost",
 		Header: []string{"bus", "thresholds", "IPC", "BPKI"},
 	}
-	type variant struct {
-		label    string
-		transfer uint64 // cycles per block
-		raise    bool
-	}
-	for _, v := range []variant{
-		{"baseline (4.5 GB/s)", 57, false},
-		{"half (2.25 GB/s)", 114, false},
-		{"half (2.25 GB/s)", 114, true},
-	} {
-		th := "default"
-		ipc, bpki, err := summarize(ctx, p, func(c *sim.Config) {
-			c.DRAM.Transfer = v.transfer
-			if v.raise {
-				c.FDP.Thresholds.ALow = 0.60
-				c.FDP.Thresholds.AHigh = 0.90
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if v.raise {
-			th = "raised (0.60/0.90)"
-		}
-		t.AddRow(v.label, th, f3(ipc), f1(bpki))
+	for i, v := range variants {
+		ipc, bpki := means(g, ablationWorkloads, order[i])
+		t.AddRow(v.bus, v.thresholds, f3(ipc), f1(bpki))
 	}
 	return []Table{t}, nil
 }

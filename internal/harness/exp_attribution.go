@@ -35,14 +35,12 @@ func attrOf(r sim.Result) *stats.Attribution {
 }
 
 func runCycleAcct(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgNoPref, cfgVA, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref: withAttr(sim.Default()),
-		cfgVA:     withAttr(sim.Conventional(sim.PrefStream, 5)),
-		cfgFDP:    withAttr(sim.WithFDP(sim.PrefStream)),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgNoPref, withAttr(sim.Default())},
+		{cfgVA, withAttr(sim.Conventional(sim.PrefStream, 5))},
+		{cfgFDP, withAttr(sim.WithFDP(sim.PrefStream))},
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -22,18 +22,21 @@ func init() {
 	registerExperiment("controllers", "Controller shoot-out: Table 2 vs. static and learned policies", runControllers)
 }
 
-func runControllers(ctx context.Context, p Params) ([]Table, error) {
-	infos := control.List()
-	order := make([]string, len(infos))
-	configs := make(map[string]sim.Config, len(infos))
-	for i, info := range infos {
-		order[i] = info.Name
+// controllerColumns is one stream FDP column per registered controller,
+// attribution on, each labelled with the controller's name.
+func controllerColumns() []column {
+	var cols []column
+	for _, info := range control.List() {
 		cfg := withAttr(sim.WithFDP(sim.PrefStream))
 		cfg.Controller = info.Name
-		configs[info.Name] = cfg
+		cols = append(cols, column{info.Name, cfg})
 	}
+	return cols
+}
+
+func runControllers(ctx context.Context, p Params) ([]Table, error) {
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, controllerColumns())
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +60,7 @@ func runControllers(ctx context.Context, p Params) ([]Table, error) {
 		Note:   "gmean IPC vs. amean bandwidth: the paper's claim is fdp holds the first column while shrinking the other two",
 		Header: []string{"controller", "tags", "IPC", "BPKI", "bus-util", "final-level"},
 	}
-	for _, info := range infos {
+	for _, info := range control.List() {
 		var ipcs, bpkis, utils, levels []float64
 		for _, w := range ws {
 			r := g.MustGet(w, info.Name)

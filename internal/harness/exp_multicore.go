@@ -85,15 +85,13 @@ func runMulticore(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runDahlgren(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgNoPref, "NextLine", "Dahlgren", "Stream+FDP"}
-	configs := map[string]sim.Config{
-		cfgNoPref:    sim.Default(),
-		"NextLine":   sim.Conventional(sim.PrefNextLine, 5),
-		"Dahlgren":   sim.Conventional(sim.PrefDahlgren, 3),
-		"Stream+FDP": sim.WithFDP(sim.PrefStream),
-	}
 	ws := ablationWorkloads
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgNoPref, sim.Default()},
+		{"NextLine", sim.Conventional(sim.PrefNextLine, 5)},
+		{"Dahlgren", sim.Conventional(sim.PrefDahlgren, 3)},
+		{"Stream+FDP", sim.WithFDP(sim.PrefStream)},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -106,22 +104,18 @@ func runDahlgren(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runHybrid(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{"Stream+FDP", "Stride+FDP", "Hybrid VA", "Hybrid+FDP"}
-	configs := map[string]sim.Config{
-		"Stream+FDP": sim.WithFDP(sim.PrefStream),
-		"Stride+FDP": sim.WithFDP(sim.PrefStride),
-		"Hybrid VA":  sim.Conventional(sim.PrefHybrid, 5),
-		"Hybrid+FDP": sim.WithFDP(sim.PrefHybrid),
-	}
 	ws := []string{"seqstream", "transpose", "stride3", "chaserand", "mixedphase", "spmv"}
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{"Stream+FDP", sim.WithFDP(sim.PrefStream)},
+		{"Stride+FDP", sim.WithFDP(sim.PrefStride)},
+		{"Hybrid VA", sim.Conventional(sim.PrefHybrid, 5)},
+		{"Hybrid+FDP", sim.WithFDP(sim.PrefHybrid)},
+	})
 	if err != nil {
 		return nil, err
 	}
-	ipc := metricTable("Extension: stream+stride hybrid under FDP — IPC",
+	return ipcAndBPKI("Extension: stream+stride hybrid under FDP",
 		"the hybrid should inherit stream's wins on unit strides and stride's wins on large strides, "+
 			"with FDP containing the combined junk on hostile workloads",
-		ws, order, g, ipcOf, f3, true)
-	bpki := metricTable("Extension: stream+stride hybrid under FDP — BPKI", "", ws, order, g, bpkiOf, f1, false)
-	return []Table{ipc, bpki}, nil
+		ws, order, g), nil
 }

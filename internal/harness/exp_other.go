@@ -7,7 +7,6 @@ import (
 	"fdpsim/internal/core"
 	"fdpsim/internal/prefetch"
 	"fdpsim/internal/sim"
-	"fdpsim/internal/stats"
 	"fdpsim/internal/workload"
 )
 
@@ -30,19 +29,17 @@ func init() {
 }
 
 func prefCacheGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
-	order := []string{cfgNoPref, "VA(base)", "VA+pc2KB", "VA+pc8KB", "VA+pc32KB", "VA+pc64KB", "VA+pc1MB", cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref:   sim.Default(),
-		"VA(base)":  sim.Conventional(sim.PrefStream, 5),
-		"VA+pc2KB":  withPrefCache(sim.PrefStream, 2),
-		"VA+pc8KB":  withPrefCache(sim.PrefStream, 8),
-		"VA+pc32KB": withPrefCache(sim.PrefStream, 32),
-		"VA+pc64KB": withPrefCache(sim.PrefStream, 64),
-		"VA+pc1MB":  withPrefCache(sim.PrefStream, 1024),
-		cfgFDP:      sim.WithFDP(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgNoPref, sim.Default()},
+		{"VA(base)", sim.Conventional(sim.PrefStream, 5)},
+		{"VA+pc2KB", withPrefCache(sim.PrefStream, 2)},
+		{"VA+pc8KB", withPrefCache(sim.PrefStream, 8)},
+		{"VA+pc32KB", withPrefCache(sim.PrefStream, 32)},
+		{"VA+pc64KB", withPrefCache(sim.PrefStream, 64)},
+		{"VA+pc1MB", withPrefCache(sim.PrefStream, 1024)},
+		{cfgFDP, sim.WithFDP(sim.PrefStream)},
+	})
 	return g, ws, order, err
 }
 
@@ -69,22 +66,12 @@ func runFig12(ctx context.Context, p Params) ([]Table, error) {
 // altPrefetcherTables runs the Figure 13 / Section 5.8 comparison for a
 // non-stream prefetcher.
 func altPrefetcherTables(ctx context.Context, p Params, kind sim.PrefetcherKind, title, note string) ([]Table, error) {
-	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref: sim.Default(),
-		cfgVC:     sim.Conventional(kind, 1),
-		cfgMid:    sim.Conventional(kind, 3),
-		cfgVA:     sim.Conventional(kind, 5),
-		cfgFDP:    sim.WithFDP(kind),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, ladder(kind))
 	if err != nil {
 		return nil, err
 	}
-	ipc := metricTable(title+" — IPC", note, ws, order, g, ipcOf, f3, true)
-	bpki := metricTable(title+" — BPKI", "", ws, order, g, bpkiOf, f1, false)
-	return []Table{ipc, bpki}, nil
+	return ipcAndBPKI(title, note, ws, order, g), nil
 }
 
 func runFig13(ctx context.Context, p Params) ([]Table, error) {
@@ -114,16 +101,11 @@ func runTable7(ctx context.Context, p Params) ([]Table, error) {
 		{"mem lat ~1000", 16384, 1000},
 		{"mem lat ~1500", 16384, 1500},
 	}
-	ws := workload.MemoryIntensive()
-	t := Table{
-		Title: "Table 7: FDP vs. conventional (Middle, Very Aggressive) across L2 sizes and memory latencies",
-		Note: "paper: FDP wins IPC and saves bandwidth at every point; IPC gains grow with memory latency. " +
-			"The Middle column shows the distance-coverage crossover: beyond ~1000-cycle latency a 16-block " +
-			"distance no longer hides memory latency and Very Aggressive pulls ahead",
-		Header: []string{"system", "Mid IPC", "VA IPC", "FDP IPC", "FDP vs VA", "Mid BPKI", "VA BPKI", "FDP BPKI", "dBPKI"},
-	}
+	// Every point's Middle, Very Aggressive and FDP columns, labelled
+	// <point>/<config>, run as one grid.
+	var cols []column
 	for _, pt := range points {
-		mk := func(base sim.Config) sim.Config {
+		mk := func(label string, base sim.Config) column {
 			base.L2Blocks = pt.l2Blocks
 			if pt.latency != 0 {
 				// Scale the bank latencies so the minimum end-to-end
@@ -136,45 +118,37 @@ func runTable7(ctx context.Context, p Params) ([]Table, error) {
 			if base.FDP.TInterval > uint64(pt.l2Blocks)/2 {
 				base.FDP.TInterval = uint64(pt.l2Blocks) / 2
 			}
-			return base
+			return column{pt.label + "/" + label, base}
 		}
-		configs := map[string]sim.Config{
-			cfgMid: mk(sim.Conventional(sim.PrefStream, 3)),
-			cfgVA:  mk(sim.Conventional(sim.PrefStream, 5)),
-			cfgFDP: mk(sim.WithFDP(sim.PrefStream)),
-		}
-		g, err := RunAll(ctx, labeled(ws, configs, []string{cfgMid, cfgVA, cfgFDP}, p), p)
-		if err != nil {
-			return nil, err
-		}
-		var midIPC, vaIPC, fdpIPC, midBPKI, vaBPKI, fdpBPKI []float64
-		for _, w := range ws {
-			mid, va, fd := g.MustGet(w, cfgMid), g.MustGet(w, cfgVA), g.MustGet(w, cfgFDP)
-			midIPC = append(midIPC, mid.IPC)
-			vaIPC = append(vaIPC, va.IPC)
-			fdpIPC = append(fdpIPC, fd.IPC)
-			midBPKI = append(midBPKI, mid.BPKI)
-			vaBPKI = append(vaBPKI, va.BPKI)
-			fdpBPKI = append(fdpBPKI, fd.BPKI)
-		}
-		mi, vi, fi := stats.GeoMean(midIPC), stats.GeoMean(vaIPC), stats.GeoMean(fdpIPC)
-		mb, vb, fb := stats.ArithMean(midBPKI), stats.ArithMean(vaBPKI), stats.ArithMean(fdpBPKI)
+		cols = append(cols,
+			mk(cfgMid, sim.Conventional(sim.PrefStream, 3)),
+			mk(cfgVA, sim.Conventional(sim.PrefStream, 5)),
+			mk(cfgFDP, sim.WithFDP(sim.PrefStream)))
+	}
+	ws := workload.MemoryIntensive()
+	g, order, err := runGrid(ctx, p, ws, cols)
+	if err != nil {
+		return nil, err
+	}
+	t := Table{
+		Title: "Table 7: FDP vs. conventional (Middle, Very Aggressive) across L2 sizes and memory latencies",
+		Note: "paper: FDP wins IPC and saves bandwidth at every point; IPC gains grow with memory latency. " +
+			"The Middle column shows the distance-coverage crossover: beyond ~1000-cycle latency a 16-block " +
+			"distance no longer hides memory latency and Very Aggressive pulls ahead",
+		Header: []string{"system", "Mid IPC", "VA IPC", "FDP IPC", "FDP vs VA", "Mid BPKI", "VA BPKI", "FDP BPKI", "dBPKI"},
+	}
+	for i, pt := range points {
+		mi, mb := means(g, ws, order[3*i])
+		vi, vb := means(g, ws, order[3*i+1])
+		fi, fb := means(g, ws, order[3*i+2])
 		t.AddRow(pt.label, f3(mi), f3(vi), f3(fi), deltaPct(vi, fi), f2(mb), f2(vb), f2(fb), deltaPct(vb, fb))
 	}
 	return []Table{t}, nil
 }
 
 func runFig14(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref: sim.Default(),
-		cfgVC:     sim.Conventional(sim.PrefStream, 1),
-		cfgMid:    sim.Conventional(sim.PrefStream, 3),
-		cfgVA:     sim.Conventional(sim.PrefStream, 5),
-		cfgFDP:    sim.WithFDP(sim.PrefStream),
-	}
 	ws := workload.LowPotential()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, ladder(sim.PrefStream))
 	if err != nil {
 		return nil, err
 	}

@@ -19,26 +19,21 @@ func init() {
 }
 
 func runPerStream(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgVA, "VA+Ramp", cfgFDP, "FDP+Ramp"}
 	ramped := func(cfg sim.Config) sim.Config {
 		cfg.PerStreamRamp = true
 		return cfg
 	}
-	configs := map[string]sim.Config{
-		cfgVA:      sim.Conventional(sim.PrefStream, 5),
-		"VA+Ramp":  ramped(sim.Conventional(sim.PrefStream, 5)),
-		cfgFDP:     sim.WithFDP(sim.PrefStream),
-		"FDP+Ramp": ramped(sim.WithFDP(sim.PrefStream)),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgVA, sim.Conventional(sim.PrefStream, 5)},
+		{"VA+Ramp", ramped(sim.Conventional(sim.PrefStream, 5))},
+		{cfgFDP, sim.WithFDP(sim.PrefStream)},
+		{"FDP+Ramp", ramped(sim.WithFDP(sim.PrefStream))},
+	})
 	if err != nil {
 		return nil, err
 	}
-	ipc := metricTable("Extension: per-stream ramping vs. global FDP — IPC",
+	return ipcAndBPKI("Extension: per-stream ramping vs. global FDP",
 		"paper footnote 8: per-stream adjustment gave no significant benefit over global adjustment",
-		ws, order, g, ipcOf, f3, true)
-	bpki := metricTable("Extension: per-stream ramping vs. global FDP — BPKI", "",
-		ws, order, g, bpkiOf, f1, false)
-	return []Table{ipc, bpki}, nil
+		ws, order, g), nil
 }

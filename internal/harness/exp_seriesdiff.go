@@ -6,7 +6,6 @@ import (
 
 	"fdpsim/internal/control"
 	"fdpsim/internal/series"
-	"fdpsim/internal/sim"
 )
 
 // Interval-timeseries shoot-out: every registered feedback decision
@@ -34,20 +33,6 @@ var seriesDiffMetrics = []string{"ipc", "bpki", "accuracy", "bus_util", "dcc_lev
 // seriesDiffWorkloads are the workloads every controller runs.
 var seriesDiffWorkloads = []string{"seqstream", "mixedphase", "chaserand"}
 
-// seriesDiffCells is the workload × controller grid, each cell labelled
-// with its controller's name.
-func seriesDiffCells(p Params) []RunSpec {
-	configs := map[string]sim.Config{}
-	var order []string
-	for _, info := range control.List() {
-		cfg := withAttr(sim.WithFDP(sim.PrefStream))
-		cfg.Controller = info.Name
-		configs[info.Name] = cfg
-		order = append(order, info.Name)
-	}
-	return labeled(seriesDiffWorkloads, configs, order, p)
-}
-
 func runSeriesDiff(ctx context.Context, p Params) ([]Table, error) {
 	ws := seriesDiffWorkloads
 	infos := control.List()
@@ -59,13 +44,13 @@ func runSeriesDiff(ctx context.Context, p Params) ([]Table, error) {
 	p.Memo = nil
 	type cellKey struct{ workload, controller string }
 	recorders := map[cellKey]*series.Recorder{}
-	cells := seriesDiffCells(p)
-	for i, c := range cells {
+	specs := cells(ws, controllerColumns(), p)
+	for i, c := range specs {
 		rec := &series.Recorder{}
-		cells[i].Cfg.Tracer = rec
+		specs[i].Cfg.Tracer = rec
 		recorders[cellKey{c.Workload, c.Config}] = rec
 	}
-	if _, err := RunAll(ctx, cells, p); err != nil {
+	if _, err := RunAll(ctx, specs, p); err != nil {
 		return nil, err
 	}
 

@@ -59,18 +59,32 @@ func metricTable(title, note string, workloads, order []string, g *Grid,
 func ipcOf(r sim.Result) float64  { return r.IPC }
 func bpkiOf(r sim.Result) float64 { return r.BPKI }
 
-// aggressivenessGrid runs the 4-configuration comparison of Figures 1-3.
-func aggressivenessGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
-	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA}
-	configs := map[string]sim.Config{
-		cfgNoPref: sim.Default(),
-		cfgVC:     sim.Conventional(sim.PrefStream, 1),
-		cfgMid:    sim.Conventional(sim.PrefStream, 3),
-		cfgVA:     sim.Conventional(sim.PrefStream, 5),
+// ipcAndBPKI renders a grid's per-workload IPC and BPKI tables.
+func ipcAndBPKI(title, note string, workloads, order []string, g *Grid) []Table {
+	return []Table{
+		metricTable(title+" — IPC", note, workloads, order, g, ipcOf, f3, true),
+		metricTable(title+" — BPKI", "", workloads, order, g, bpkiOf, f1, false),
 	}
-	workloads := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(workloads, configs, order, p), p)
-	return g, workloads, order, err
+}
+
+// means returns one column's gmean IPC and amean BPKI over the workloads,
+// the averages the paper reports.
+func means(g *Grid, workloads []string, label string) (ipc, bpki float64) {
+	ipcs := make([]float64, len(workloads))
+	bpkis := make([]float64, len(workloads))
+	for i, w := range workloads {
+		r := g.MustGet(w, label)
+		ipcs[i], bpkis[i] = r.IPC, r.BPKI
+	}
+	return stats.GeoMean(ipcs), stats.ArithMean(bpkis)
+}
+
+// aggressivenessGrid runs the 4-configuration comparison of Figures 1-3:
+// Table 5's ladder without FDP.
+func aggressivenessGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
+	ws := workload.MemoryIntensive()
+	g, order, err := runGrid(ctx, p, ws, ladder(sim.PrefStream)[:4])
+	return g, ws, order, err
 }
 
 func runFig1(ctx context.Context, p Params) ([]Table, error) {
@@ -114,16 +128,9 @@ func runFig3(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runFig5(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgDynAggr}
-	configs := map[string]sim.Config{
-		cfgNoPref:  sim.Default(),
-		cfgVC:      sim.Conventional(sim.PrefStream, 1),
-		cfgMid:     sim.Conventional(sim.PrefStream, 3),
-		cfgVA:      sim.Conventional(sim.PrefStream, 5),
-		cfgDynAggr: dynAggr(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws,
+		append(ladder(sim.PrefStream)[:4], column{cfgDynAggr, dynAggr(sim.PrefStream)}))
 	if err != nil {
 		return nil, err
 	}
@@ -136,8 +143,7 @@ func runFig5(ctx context.Context, p Params) ([]Table, error) {
 
 func runFig6(ctx context.Context, p Params) ([]Table, error) {
 	ws := workload.MemoryIntensive()
-	configs := map[string]sim.Config{cfgDynAggr: dynAggr(sim.PrefStream)}
-	g, err := RunAll(ctx, labeled(ws, configs, []string{cfgDynAggr}, p), p)
+	g, _, err := runGrid(ctx, p, ws, []column{{cfgDynAggr, dynAggr(sim.PrefStream)}})
 	if err != nil {
 		return nil, err
 	}
@@ -159,16 +165,14 @@ func runFig6(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runFig7(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{"LRU", "LRU-4", "MID", "MRU", "DynIns"}
-	configs := map[string]sim.Config{
-		"LRU":    staticIns(sim.PrefStream, 0),
-		"LRU-4":  staticIns(sim.PrefStream, 1),
-		"MID":    staticIns(sim.PrefStream, 2),
-		"MRU":    staticIns(sim.PrefStream, 3),
-		"DynIns": dynIns(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{"LRU", staticIns(sim.PrefStream, 0)},
+		{"LRU-4", staticIns(sim.PrefStream, 1)},
+		{"MID", staticIns(sim.PrefStream, 2)},
+		{"MRU", staticIns(sim.PrefStream, 3)},
+		{"DynIns", dynIns(sim.PrefStream)},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +185,7 @@ func runFig7(ctx context.Context, p Params) ([]Table, error) {
 
 func runFig8(ctx context.Context, p Params) ([]Table, error) {
 	ws := workload.MemoryIntensive()
-	configs := map[string]sim.Config{"DynIns": dynIns(sim.PrefStream)}
-	g, err := RunAll(ctx, labeled(ws, configs, []string{"DynIns"}, p), p)
+	g, _, err := runGrid(ctx, p, ws, []column{{"DynIns", dynIns(sim.PrefStream)}})
 	if err != nil {
 		return nil, err
 	}
@@ -202,16 +205,14 @@ func runFig8(ctx context.Context, p Params) ([]Table, error) {
 
 // overallGrid runs Figure 9/10's five configurations.
 func overallGrid(ctx context.Context, p Params) (*Grid, []string, []string, error) {
-	order := []string{cfgNoPref, cfgVA, cfgDynIns, cfgDynAggr, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref:  sim.Default(),
-		cfgVA:      sim.Conventional(sim.PrefStream, 5),
-		cfgDynIns:  dynIns(sim.PrefStream),
-		cfgDynAggr: dynAggr(sim.PrefStream),
-		cfgFDP:     sim.WithFDP(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgNoPref, sim.Default()},
+		{cfgVA, sim.Conventional(sim.PrefStream, 5)},
+		{cfgDynIns, dynIns(sim.PrefStream)},
+		{cfgDynAggr, dynAggr(sim.PrefStream)},
+		{cfgFDP, sim.WithFDP(sim.PrefStream)},
+	})
 	return g, ws, order, err
 }
 
@@ -239,8 +240,7 @@ func runFig10(ctx context.Context, p Params) ([]Table, error) {
 
 func runTable4(ctx context.Context, p Params) ([]Table, error) {
 	ws := workload.Names()
-	configs := map[string]sim.Config{cfgVA: sim.Conventional(sim.PrefStream, 5)}
-	g, err := RunAll(ctx, labeled(ws, configs, []string{cfgVA}, p), p)
+	g, _, err := runGrid(ctx, p, ws, []column{{cfgVA, sim.Conventional(sim.PrefStream, 5)}})
 	if err != nil {
 		return nil, err
 	}
@@ -261,39 +261,20 @@ func runTable4(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runTable5(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgNoPref: sim.Default(),
-		cfgVC:     sim.Conventional(sim.PrefStream, 1),
-		cfgMid:    sim.Conventional(sim.PrefStream, 3),
-		cfgVA:     sim.Conventional(sim.PrefStream, 5),
-		cfgFDP:    sim.WithFDP(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, ladder(sim.PrefStream))
 	if err != nil {
 		return nil, err
 	}
 	t := Table{
 		Title:  "Table 5: average IPC (gmean) and BPKI (amean), conventional prefetching vs. FDP",
 		Note:   "paper: FDP = +6.5% IPC and -18.7% BPKI vs. Very Aggressive; +13.6% IPC vs. the equal-bandwidth Middle config",
-		Header: []string{"metric", cfgNoPref, cfgVC, cfgMid, cfgVA, cfgFDP},
+		Header: append([]string{"metric"}, order...),
 	}
-	var ipcRow, bpkiRow []string
-	var ipcs, bpkis []float64
-	for _, c := range order {
-		var is, bs []float64
-		for _, w := range ws {
-			r := g.MustGet(w, c)
-			is = append(is, r.IPC)
-			bs = append(bs, r.BPKI)
-		}
-		ipcs = append(ipcs, stats.GeoMean(is))
-		bpkis = append(bpkis, stats.ArithMean(bs))
-	}
-	ipcRow = []string{"IPC"}
-	bpkiRow = []string{"BPKI"}
-	for i := range order {
+	ipcs, bpkis := make([]float64, len(order)), make([]float64, len(order))
+	ipcRow, bpkiRow := []string{"IPC"}, []string{"BPKI"}
+	for i, c := range order {
+		ipcs[i], bpkis[i] = means(g, ws, c)
 		ipcRow = append(ipcRow, f3(ipcs[i]))
 		bpkiRow = append(bpkiRow, f2(bpkis[i]))
 	}
@@ -307,21 +288,16 @@ func runTable5(ctx context.Context, p Params) ([]Table, error) {
 }
 
 func runAccuracyOnly(ctx context.Context, p Params) ([]Table, error) {
-	order := []string{cfgVA, cfgAccOnly, cfgFDP}
-	configs := map[string]sim.Config{
-		cfgVA:      sim.Conventional(sim.PrefStream, 5),
-		cfgAccOnly: accuracyOnly(sim.PrefStream),
-		cfgFDP:     sim.WithFDP(sim.PrefStream),
-	}
 	ws := workload.MemoryIntensive()
-	g, err := RunAll(ctx, labeled(ws, configs, order, p), p)
+	g, order, err := runGrid(ctx, p, ws, []column{
+		{cfgVA, sim.Conventional(sim.PrefStream, 5)},
+		{cfgAccOnly, accuracyOnly(sim.PrefStream)},
+		{cfgFDP, sim.WithFDP(sim.PrefStream)},
+	})
 	if err != nil {
 		return nil, err
 	}
-	ipc := metricTable("Section 5.6: accuracy-only feedback vs. comprehensive FDP — IPC",
+	return ipcAndBPKI("Section 5.6: accuracy-only feedback vs. comprehensive FDP",
 		"paper: the comprehensive mechanism is +3.4% IPC and -2.5% bandwidth vs. accuracy-only throttling",
-		ws, order, g, ipcOf, f3, true)
-	bpki := metricTable("Section 5.6: accuracy-only feedback vs. comprehensive FDP — BPKI", "",
-		ws, order, g, bpkiOf, f1, false)
-	return []Table{ipc, bpki}, nil
+		ws, order, g), nil
 }

@@ -19,18 +19,19 @@ func init() {
 }
 
 func runTimeline(ctx context.Context, p Params) ([]Table, error) {
-	cfg := p.apply(sim.WithFDP(sim.PrefStream))
-	cfg.Workload = "mixedphase"
+	// A memo hit replays no intervals, so the cell always simulates.
+	p.Memo = nil
 	var events []sim.DecisionEvent
+	cfg := sim.WithFDP(sim.PrefStream)
 	cfg.Tracer = sim.TracerFunc(func(ev sim.DecisionEvent) { events = append(events, ev) })
-	res, err := sim.RunContext(ctx, cfg)
+	g, _, err := runGrid(ctx, p, []string{"mixedphase"}, []column{{cfgFDP, cfg}})
 	if err != nil {
 		return nil, err
 	}
 	t := Table{
 		Title: "Extension: FDP sampling-interval trace on mixedphase",
 		Note: fmt.Sprintf("%d intervals over %d instructions; the Table 2 case column shows which rule fired",
-			res.Intervals, cfg.MaxInsts),
+			g.MustGet("mixedphase", cfgFDP).Intervals, p.Insts),
 		Header: []string{"interval", "accuracy", "lateness", "pollution", "case", "update", "level", "insertion"},
 	}
 	limit := len(events)

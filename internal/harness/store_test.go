@@ -95,11 +95,11 @@ func TestSeriesDiffIgnoresWarmMemo(t *testing.T) {
 
 	warm := p
 	warm.Memo = store.NewMemo(nil)
-	cells := seriesDiffCells(warm)
-	if _, err := RunAll(context.Background(), cells, warm); err != nil {
+	specs := cells(seriesDiffWorkloads, controllerColumns(), warm)
+	if _, err := RunAll(context.Background(), specs, warm); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
+	for _, c := range specs {
 		fp, _ := c.Fingerprint()
 		if _, ok := warm.Memo.Get(fp); !ok {
 			t.Fatalf("memo not warm for %s/%s", c.Workload, c.Config)

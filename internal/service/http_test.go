@@ -513,6 +513,16 @@ func TestBackpressure429(t *testing.T) {
 	if len(listing) != 2 {
 		t.Fatalf("job table holds %d entries after a 429, want 2", len(listing))
 	}
+	// Nor may it count as a submission or a cache miss.
+	for name, want := range map[string]float64{
+		"fdpserved_jobs_submitted_total": 2,
+		"fdpserved_jobs_rejected_total":  1,
+		"fdpserved_cache_misses_total":   2,
+	} {
+		if got := metricValue(t, ts.Client(), ts.URL, name); got != want {
+			t.Errorf("%s = %v after two admissions and a 429, want %v", name, got, want)
+		}
+	}
 
 	for _, id := range []string{first.ID, second.ID} {
 		doJSON(t, ts.Client(), http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil, nil)

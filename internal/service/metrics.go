@@ -18,11 +18,12 @@ import (
 // mutex-guarded histograms, rendered in Prometheus text exposition format
 // by render. No client library — the format is three lines per series.
 type metrics struct {
-	submitted   atomic.Uint64 // accepted submissions (including cache hits)
-	rejected    atomic.Uint64 // 429 backpressure rejections
-	completed   atomic.Uint64 // jobs reaching state done (incl. cache hits)
-	failed      atomic.Uint64
-	cancelled   atomic.Uint64
+	rejected  atomic.Uint64 // 429 backpressure rejections
+	completed atomic.Uint64 // jobs reaching state done (incl. cache hits)
+	failed    atomic.Uint64
+	cancelled atomic.Uint64
+	// Admitted submissions, answered from the result cache or queued to
+	// simulate; jobs_submitted_total is their sum.
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
@@ -283,7 +284,8 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 		fmt.Fprintf(w, "# HELP fdpserved_%s %s\n# TYPE fdpserved_%s gauge\nfdpserved_%s %g\n", name, help, name, name, v)
 	}
 
-	counter("jobs_submitted_total", "Accepted job submissions (including cache hits).", m.submitted.Load())
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
+	counter("jobs_submitted_total", "Accepted job submissions (including cache hits).", hits+misses)
 	counter("jobs_rejected_total", "Submissions rejected with 429 (queue full).", m.rejected.Load())
 	counter("jobs_completed_total", "Jobs that reached state done (including cache hits).", m.completed.Load())
 	counter("jobs_failed_total", "Jobs that reached state failed.", m.failed.Load())
@@ -291,7 +293,6 @@ func (m *metrics) render(w io.Writer, queued int, uptime time.Duration, dccLevel
 	gauge("jobs_queued", "Jobs waiting in the FIFO queue.", float64(queued))
 	gauge("jobs_running", "Simulations executing right now.", float64(m.running.Load()))
 
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	counter("cache_hits_total", "Submissions answered from the result cache.", hits)
 	counter("cache_misses_total", "Submissions that required a simulation.", misses)
 	ratio := 0.0

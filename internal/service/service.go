@@ -413,16 +413,9 @@ func (s *Server) Submit(run sim.Job, sub Submission) (*Job, error) {
 		done:        make(chan struct{}),
 		wantSeries:  sub.Series,
 	}
-	s.m.submitted.Add(1)
-	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
-		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "series", sub.Series)
-
 	a := attempt{outcome: store.OutcomeCacheHit, leaseGen: -1}
-	if s.cached(job, &a) {
-		s.m.cacheHits.Add(1)
-		s.finish(job, &a)
-	} else {
-		s.m.cacheMisses.Add(1)
+	hit := s.cached(job, &a)
+	if !hit {
 		// Sweep jobs bypass the queued quotas: the sweep was admitted whole
 		// at expansion and fairness, not admission, spreads its load.
 		if err := s.sched.push(job, sub.sweepID != ""); err != nil {
@@ -431,6 +424,14 @@ func (s *Server) Submit(run sim.Job, sub Submission) (*Job, error) {
 			}
 			return nil, err
 		}
+		s.m.cacheMisses.Add(1)
+	}
+	// Only an admitted submission is counted and logged.
+	s.log.Info("job submitted", "job", job.id, "fingerprint", shortFP(fp),
+		"workload", run.Workload(), "prefetcher", run.Cfg.Prefetcher, "series", sub.Series)
+	if hit {
+		s.m.cacheHits.Add(1)
+		s.finish(job, &a)
 	}
 	s.mu.Lock()
 	s.jobs[job.id] = job

@@ -258,6 +258,24 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("%w: %s %d out of range 0..%d", ErrInvalidConfig, w.name, w.v, maxWidth)
 		}
 	}
+	// Zero keeps a size's meaning: cpu.New's 128-entry ROB, a 64-entry
+	// stream table, a 1,024-block L1I, no prefetch cache and no prefetch
+	// queue. A negative size would run that machine under a fingerprint
+	// of its own.
+	for _, s := range [...]struct {
+		name string
+		v    int
+	}{
+		{"CPU.ROB", c.CPU.ROB}, {"StreamEntries", c.StreamEntries}, {"L1IBlocks", c.L1IBlocks},
+		{"PrefCacheBlocks", c.PrefCacheBlocks}, {"PrefQueueCap", c.PrefQueueCap},
+	} {
+		if s.v < 0 {
+			return fmt.Errorf("%w: %s %d must not be negative", ErrInvalidConfig, s.name, s.v)
+		}
+	}
+	if c.FDP.InitLevel < 0 || c.FDP.InitLevel > 5 {
+		return fmt.Errorf("%w: FDP.InitLevel %d out of range 0..5", ErrInvalidConfig, c.FDP.InitLevel)
+	}
 	if c.BlockShift > maxBlockShift {
 		return fmt.Errorf("%w: BlockShift %d exceeds %d (a shift of 64 maps every address to block 0)",
 			ErrInvalidConfig, c.BlockShift, maxBlockShift)

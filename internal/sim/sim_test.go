@@ -26,17 +26,39 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StaticLevel = 6 },
 		func(c *Config) { c.Prefetcher = "bogus" },
 		func(c *Config) { c.Prefetcher = PrefNone; c.StaticLevel = 3 },
+		// A negative size would run the machine its zero names, and an
+		// initial level outside 0..5 starts the counter outside Table 1.
+		func(c *Config) { c.CPU.ROB = -1 },
+		func(c *Config) { c.StreamEntries = -1 },
+		func(c *Config) { c.L1IBlocks = -1 },
+		func(c *Config) { c.PrefCacheBlocks = -1 },
+		func(c *Config) { c.PrefQueueCap = -1 },
+		func(c *Config) { c.FDP.InitLevel = -1 },
+		func(c *Config) { c.FDP.InitLevel = 6 },
 	}
 	for i, mutate := range cases {
 		cfg := Default()
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("case %d: Validate = %v, want ErrInvalidConfig", i, err)
 		}
 	}
-	cfg := Default()
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	valid := []func(*Config){
+		func(c *Config) {},
+		func(c *Config) { c.CPU.ROB = 0 },
+		func(c *Config) { c.StreamEntries = 0 },
+		func(c *Config) { c.L1IBlocks = 0 },
+		func(c *Config) { c.PrefCacheBlocks = 0 },
+		func(c *Config) { c.PrefQueueCap = 0 },
+		func(c *Config) { c.FDP.InitLevel = 0 },
+		func(c *Config) { c.FDP.InitLevel = 5 },
+	}
+	for i, mutate := range valid {
+		cfg := Default()
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid case %d: Validate = %v", i, err)
+		}
 	}
 }
 
